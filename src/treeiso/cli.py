@@ -431,6 +431,14 @@ def cmd_bench(args) -> int:
 # -- entry point ---------------------------------------------------------------
 
 
+def _tolerance(raw: str) -> float:
+    """argparse type for --tol: a nonnegative number (NaN certifies nothing)."""
+    value = float(raw)
+    if not value >= 0.0:
+        raise argparse.ArgumentTypeError("must be a nonnegative number, got %r" % raw)
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="treeiso",
@@ -440,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="solve an instance file")
     p_solve.add_argument("path", help="instance JSON file")
-    p_solve.add_argument("--tol", type=float, default=1e-8,
+    p_solve.add_argument("--tol", type=_tolerance, default=1e-8,
                          help="certificate gate (default 1e-8)")
     group = p_solve.add_mutually_exclusive_group()
     group.add_argument("--json", action="store_true", help="JSON report (default)")
@@ -465,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--reps", type=int, default=1)
     p_bench.add_argument("--isotonic", action="store_true",
                          help="chain with sorted targets and hard ordering")
-    p_bench.add_argument("--tol", type=float, default=1e-8)
+    p_bench.add_argument("--tol", type=_tolerance, default=1e-8)
     p_bench.set_defaults(func=cmd_bench)
     return parser
 

@@ -24,11 +24,21 @@ threshold, an equilibrium solve finishes the search.  The search direction
 is set by the sign of the attached loss's derivative at the attachment
 point: positive derivative means t decreases (downward search), negative
 means t increases (upward search).
+
+One active set lives for a whole solve.  Before each search it is brought
+back to the value-based classification of the prefix (the one
+`build_initial_active_set` would produce from scratch) by reclassifying
+only the edges next to a node whose value was written since the last
+classification: every member of a component view during a search, and
+the attached node of every extension.  An edge whose endpoints kept their
+values keeps its class, and the edges a search migrates all touch a
+component member, so nothing else can be stale.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
@@ -89,18 +99,20 @@ class Problem:
 
 
 class ActiveSet:
-    """Relation sign per edge: LT (-1), EQ (0) or GT (+1)."""
+    """Relation sign per edge: LT (-1), EQ (0) or GT (+1).
 
-    __slots__ = ("signs",)
+    `moved` holds the nodes whose values were written since the signs were
+    last classified; only the edges next to them can be out of date.
+    """
+
+    __slots__ = ("signs", "moved")
 
     def __init__(self, signs: Optional[Dict[Edge, int]] = None):
         self.signs = dict(signs) if signs else {}
+        self.moved: set = set()
 
     def edges_with(self, sign: int) -> List[Edge]:
         return [e for e, s in self.signs.items() if s == sign]
-
-    def copy(self) -> "ActiveSet":
-        return ActiveSet(self.signs)
 
     def __repr__(self):
         inner = ", ".join(
@@ -172,12 +184,12 @@ class ComponentView:
 
     __slots__ = (
         "anchor", "component", "nodes", "edges", "group",
-        "boundary_flow", "edge_flow", "edge_sign", "child_side", "span",
+        "boundary_flow", "edge_flow", "edge_sign", "span",
         "boundary_out", "boundary_in", "_losses", "_gain_prefix", "_offset_prefix",
     )
 
     def __init__(self, anchor, component, group, boundary_flow, edge_flow,
-                 edge_sign, child_side, span, boundary_out, boundary_in,
+                 edge_sign, span, boundary_out, boundary_in,
                  losses, gain_prefix, offset_prefix):
         self.anchor = anchor
         self.component = component
@@ -187,7 +199,6 @@ class ComponentView:
         self.boundary_flow = boundary_flow
         self.edge_flow = edge_flow
         self.edge_sign = edge_sign
-        self.child_side = child_side
         self.span = span
         self.boundary_out = boundary_out
         self.boundary_in = boundary_in
@@ -283,8 +294,13 @@ class Solver:
     """Grows an optimal primal-dual pair one leaf at a time."""
 
     def __init__(self, problem: Problem, tol: float = DEFAULT_TOL):
+        tol = float(tol)
+        if not tol >= 0.0:
+            raise ContractViolationError(
+                "tolerance must be a nonnegative number, got %r" % tol
+            )
         self.problem = problem
-        self.tol = float(tol)
+        self.tol = tol
         arb = problem.arb
         n = arb.node_count
         self._parent = [0] * (n + 1)
@@ -306,9 +322,38 @@ class Solver:
         child = edge[1]
         return self._lam[child], self._mu[child]
 
-    def _prefix_edges(self, m: int):
-        for c in range(2, m + 1):
-            yield (self._parent[c], c, self._lam[c], self._mu[c])
+    def _edges(self, children):
+        """Weighted edges (parent, child, lambda, mu) into the given children."""
+        parent, lam, mu = self._parent, self._lam, self._mu
+        return ((parent[c], c, lam[c], mu[c]) for c in children)
+
+    def _reclassify(self, active: ActiveSet, x, m: int, validate: bool):
+        """Bring the signs of prefix 1..m up to date with x and clear `moved`.
+
+        Reclassifies each moved node's parent edge and its prefix child
+        edges.  Under validation, the result must equal a classification
+        of every prefix edge from scratch.
+        """
+        children = self._children  # each list ascending, as built in __init__
+        stale = set(active.moved)
+        stale.discard(1)  # the root has no parent edge
+        for v in active.moved:
+            kids = children[v]
+            if kids:
+                stale.update(kids[:bisect_right(kids, m)])
+        active.moved.clear()
+        active.signs.update(
+            build_initial_active_set(x, self._edges(stale)).signs
+        )
+        if validate:
+            fresh = build_initial_active_set(x, self._edges(range(2, m + 1)))
+            for e, sign in fresh.signs.items():
+                carried = active.signs.get(e)
+                if carried != sign:
+                    raise InternalInvariantError(
+                        "carried sign of edge %s is %s, its values give %s"
+                        % (e, _SIGN_NAME.get(carried, "none"), _SIGN_NAME[sign])
+                    )
 
     # -- component geometry -----------------------------------------------
 
@@ -385,12 +430,10 @@ class Solver:
                 size[p] += size[v]
                 gacc[p] += gacc[v]
 
-        child_side: Dict[Edge, int] = {}
         edge_sign: Dict[Edge, int] = {}
         span: Dict[Edge, Tuple[int, int]] = {}
         edge_flow: Dict[Edge, float] = {}
         for far, e in discovery.items():
-            child_side[e] = far
             edge_sign[e] = 1 if far == e[0] else -1
             span[e] = (pos[far], pos[far] + size[far])
             edge_flow[e] = gacc[far]
@@ -409,7 +452,7 @@ class Solver:
         component = Subtree(order, comp_edges)
         return ComponentView(
             anchor, component, group, gacc[anchor], edge_flow, edge_sign,
-            child_side, span, boundary_out, boundary_in, losses,
+            span, boundary_out, boundary_in, losses,
             gain_prefix, offset_prefix,
         )
 
@@ -649,7 +692,7 @@ class Solver:
 
     def extend(self, x: Dict[int, float], z: Dict[Edge, float],
                attachment: Attachment, record_pair: bool = False,
-               validate: bool = False):
+               validate: bool = False, active: Optional[ActiveSet] = None):
         """Extend an optimal pair on prefix 1..m to one on 1..m+1.
 
         Mutates x and z in place and returns (x, z, record).  The branch
@@ -657,9 +700,19 @@ class Solver:
         point: zero copies the value across with a zero dual, positive
         searches downward, negative upward.  A zero attachment bound
         pins t at 0 immediately (the admissible interval is {0}).
+
+        `active` is the active set carried from the previous extension of
+        the same solve.  A search starts by reclassifying only the edges
+        next to its moved nodes; the search's component members and the
+        attached node are then recorded as moved, on every branch.
+        Without `active` (x and z owned by the caller), every prefix node
+        counts as moved, so the first search classifies all prefix edges.
         """
         child, i_m = attachment.child, attachment.parent
         m = child - 1
+        if active is None:
+            active = ActiveSet()
+            active.moved.update(range(1, m + 1))
         attach_loss = self.problem.loss_of(child)
         d = attach_loss.derivative(x[i_m])
         iterations = 0
@@ -678,7 +731,7 @@ class Solver:
                 t_star = 0.0
                 x[child] = attach_loss.inverse_derivative(0.0)
             else:
-                active = build_initial_active_set(x, self._prefix_edges(m))
+                self._reclassify(active, x, m, validate)
                 state = PrimalDualState(0.0, x, z, active)
                 x[child] = attach_loss.inverse_derivative(0.0)
                 step = self.step_minus if down else self.step_plus
@@ -690,6 +743,7 @@ class Solver:
                             % (child, cap)
                         )
                     view = self.build_component_view(state, i_m, m)
+                    active.moved.update(view.nodes)
                     if validate:
                         self._check_anchor(view, state)
                     result = step(state, view, attachment)
@@ -698,6 +752,7 @@ class Solver:
                         t_star = result
                         break
                 eq_calls = state.equilibrium_calls
+        active.moved.add(child)
         z[(i_m, child)] = t_star
         if t_star * d > SIGN_TOL:
             raise InternalInvariantError(
@@ -713,15 +768,18 @@ class Solver:
     def solve(self, record_pairs: bool = False, validate: bool = False):
         """Solve the full problem; returns (x, z, stats).
 
-        The returned pair is certified: its flow-system residual is at
-        most the solver tolerance, otherwise CertificateError is raised.
+        One active set is carried through every extension.  The returned
+        pair is certified: its flow-system residual is at most the solver
+        tolerance, otherwise CertificateError is raised.
         """
         x = {1: self.problem.loss_of(1).inverse_derivative(0.0)}
         z: Dict[Edge, float] = {}
+        active = ActiveSet()
         stats = SolveStats()
         for attachment in self._attachments:
             _, _, record = self.extend(
-                x, z, attachment, record_pair=record_pairs, validate=validate
+                x, z, attachment, record_pair=record_pairs, validate=validate,
+                active=active,
             )
             stats.steps.append(record)
         residual = kkt_residual(self.problem, x, z)

@@ -310,6 +310,19 @@ class TestUsageErrors:
         assert code == EXIT_USAGE
         assert "--n" in err
 
+    @pytest.mark.parametrize("tol", ["nan", "-1"])
+    @pytest.mark.parametrize("command", [["solve", str(DEMO_PATH)], ["bench"]])
+    def test_bad_tolerance_is_usage_error(self, capsys, command, tol):
+        with pytest.raises(SystemExit) as info:
+            main(command + ["--tol", tol])
+        assert info.value.code == EXIT_USAGE
+        assert "--tol" in capsys.readouterr().err
+
+    def test_oracle_takes_no_tolerance(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["oracle", str(DEMO_PATH), "--tol", "nan"])
+        assert info.value.code == EXIT_USAGE
+
 
 class TestBenchCommand:
     def test_csv_shape_and_self_verification(self, capsys):

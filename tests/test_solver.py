@@ -6,7 +6,8 @@ import random
 import pytest
 
 from conftest import DEMO_OBJECTIVE, DEMO_X, DEMO_Z, demo_losses, make_demo_problem
-from treeiso.errors import CertificateError, InternalInvariantError
+from treeiso.cli import build_problem, random_problem
+from treeiso.errors import CertificateError, ContractViolationError, InternalInvariantError
 from treeiso.loss import LossGroup, QuarticQuadratic, WeightedQuadratic
 from treeiso.solver import (
     EQ,
@@ -352,6 +353,16 @@ class TestExtendTraces:
         assert x == {1: 5.0, 2: 5.0}
         assert z == {(1, 2): 0.0}
 
+    def test_carried_signs_checked_under_validation(self):
+        solver = Solver(make_demo_problem())
+        x = {1: 3.0, 2: 3.0, 3: 2.0}
+        z = {(1, 2): -1.0, (1, 3): 0.0}
+        # x[1] > x[3], but the carried set still says EQ and marks no node moved.
+        stale = ActiveSet({(1, 2): EQ, (1, 3): EQ})
+        with pytest.raises(InternalInvariantError, match=r"\(1, 3\)"):
+            solver.extend(x, z, Attachment(4, 3, 0.0, 4.0), validate=True,
+                          active=stale)
+
     def test_iteration_cap_guard(self, monkeypatch):
         solver = Solver(make_demo_problem())
         monkeypatch.setattr(Solver, "step_minus", lambda self, s, v, a: None)
@@ -386,6 +397,42 @@ class TestSolve:
     def test_demo_validated(self, demo_problem):
         x, _, _ = solve(demo_problem, validate=True)
         assert x[5] == pytest.approx(1.0, abs=1e-10)
+
+    def test_search_ending_on_a_collision_reclassifies_the_frozen_edge(self):
+        # Attaching node 3 lowers x[1] from 4 to exactly x[2] = 2, where the
+        # search ends.  Edge (1, 2) was GT and is now EQ; it touches a moved
+        # node only through node 1, and the next search must see the change.
+        problem = Problem(
+            normalize(DirectedTree(4, [(1, 2, 0.0, 0.0), (1, 3, 5.0, 5.0),
+                                       (1, 4, 1.0, 1.0)])),
+            [WeightedQuadratic(1.0, y) for y in (4.0, 2.0, 0.0, 10.0)],
+        )
+        x, z, stats = solve(problem, validate=True)
+        assert x == {1: 2.5, 2: 2.0, 3: 2.5, 4: 9.0}
+        assert [r.t_path for r in stats.steps] == [
+            (0.0,), (0.0, -2.0), (0.0, 0.0, 1.0),
+        ]
+
+    @pytest.mark.parametrize("shape,n,loss_kind", [
+        ("random", 1000, "quadratic"),
+        ("star", 400, "quadratic"),
+        ("chain", 600, "quadratic"),
+        ("star", 300, "mixed"),
+    ])
+    def test_carried_active_set_validated_with_ties(self, shape, n, loss_kind):
+        # Weights from {0, 0.5, 2, inf} tie many values, so whole groups
+        # pool, split and pin; validation compares the carried signs with
+        # a fresh classification before every search.
+        tree, losses = random_problem(shape, n, 5, loss_kind)
+        x, _, stats = solve(build_problem(tree, losses), validate=True)
+        assert stats.final_residual <= 1e-8
+        assert stats.inner_iters_total > 0
+        assert len(set(x.values())) < n
+
+    @pytest.mark.parametrize("tol", [math.nan, -1.0])
+    def test_bad_tolerance_rejected(self, demo_problem, tol):
+        with pytest.raises(ContractViolationError, match="tolerance"):
+            Solver(demo_problem, tol)
 
     def test_single_node(self):
         problem = Problem(normalize(DirectedTree(1, [])), [WeightedQuadratic(2.0, 5.0)])
