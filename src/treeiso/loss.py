@@ -10,12 +10,17 @@ node's loss without rebuilding it:
     QuarticQuadratic(a, b, c)   f(x) = a*x^2 + b*x^4 + c*x      (a > 0, b >= 0)
     LinearShift(base, slope)    f(x) = base(x) + slope*x
 
-`LossGroup` aggregates several losses that share one variable: its
-derivative is the sum of member derivatives, and its inverse derivative
-answers "at which point does the pooled slope equal s".  All-quadratic
-groups use a closed form; anything else falls back to a safeguarded
-Newton-bisection iteration.  `equilibrium_t` locates the parameter at which
-a pooled component and a separately parametrized attached node meet.
+Every derivative above has the form f'(x) = c0 + c1*x + c3*x^3, which
+`poly_form` returns as (c0, c1, c3).  `LossGroup` aggregates several losses
+that share one variable by summing those coefficients, so evaluating a
+pooled derivative costs O(1) whatever the group's size.  Its inverse
+derivative answers "at which point does the pooled slope equal s": closed
+form when c3 == 0 (every member quadratic), otherwise a safeguarded
+Newton-bisection iteration on the cubic.  `equilibrium_t` locates the
+parameter at which a pooled component and a separately parametrized
+attached node meet, the same way on the summed coefficients.  A loss
+without a polynomial form is still supported: groups containing one sum
+their members one by one.
 """
 
 from __future__ import annotations
@@ -92,6 +97,33 @@ def solve_increasing(fun, dfun, target, x0=0.0):
     return x
 
 
+def poly_derivative(form, x):
+    """c0 + c1*x + c3*x^3 for form = (c0, c1, c3).
+
+    With c3 == 0 this is exactly c1*x + c0: an all-quadratic pool rounds as
+    a linear form does and never evaluates a cubic term, which could
+    overflow for |x| near 1e103 and turn a finite slope into NaN.
+    """
+    c0, c1, c3 = form
+    if c3 == 0.0:
+        return c1 * x + c0
+    return c1 * x + c3 * x * x * x + c0
+
+
+def poly_inverse(form, s):
+    """The x at which c0 + c1*x + c3*x^3 equals s (c1 > 0, c3 >= 0)."""
+    c0, c1, c3 = form
+    guess = (s - c0) / c1
+    if c3 == 0.0:
+        return guess
+    return solve_increasing(
+        lambda x: poly_derivative(form, x),
+        lambda x: c1 + 3.0 * c3 * x * x,
+        s,
+        guess,
+    )
+
+
 def _finite(value, what):
     v = float(value)
     if not math.isfinite(v):
@@ -111,8 +143,8 @@ class Loss:
     def second_derivative(self, x: float) -> float:
         raise NotImplementedError
 
-    def linear_form(self) -> Optional[Tuple[float, float]]:
-        """Return (gain, offset) when f'(x) = gain*x - offset exactly, else None."""
+    def poly_form(self) -> Optional[Tuple[float, float, float]]:
+        """(c0, c1, c3) when f'(x) = c0 + c1*x + c3*x^3 exactly, else None."""
         return None
 
     def _inverse_guess(self, s: float) -> float:
@@ -120,10 +152,9 @@ class Loss:
 
     def inverse_derivative(self, s: float) -> float:
         """The point x at which the derivative equals s."""
-        form = self.linear_form()
+        form = self.poly_form()
         if form is not None:
-            gain, offset = form
-            return (s + offset) / gain
+            return poly_inverse(form, s)
         return solve_increasing(
             self.derivative, self.second_derivative, s, self._inverse_guess(s)
         )
@@ -157,8 +188,8 @@ class WeightedQuadratic(Loss):
     def second_derivative(self, x):
         return self.w
 
-    def linear_form(self):
-        return self.w, self.w * self.y
+    def poly_form(self):
+        return -(self.w * self.y), self.w, 0.0
 
     def __repr__(self):
         return "WeightedQuadratic(w=%r, y=%r)" % (self.w, self.y)
@@ -190,13 +221,8 @@ class QuarticQuadratic(Loss):
     def second_derivative(self, x):
         return 2.0 * self.a + 12.0 * self.b * x * x
 
-    def linear_form(self):
-        if self.b == 0.0:
-            return 2.0 * self.a, -self.c
-        return None
-
-    def _inverse_guess(self, s):
-        return (s - self.c) / (2.0 * self.a)
+    def poly_form(self):
+        return self.c, 2.0 * self.a, 4.0 * self.b
 
     def __repr__(self):
         return "QuarticQuadratic(a=%r, b=%r, c=%r)" % (self.a, self.b, self.c)
@@ -220,12 +246,12 @@ class LinearShift(Loss):
     def second_derivative(self, x):
         return self.base.second_derivative(x)
 
-    def linear_form(self):
-        form = self.base.linear_form()
+    def poly_form(self):
+        form = self.base.poly_form()
         if form is None:
             return None
-        gain, offset = form
-        return gain, offset - self.slope
+        c0, c1, c3 = form
+        return c0 + self.slope, c1, c3
 
     def _inverse_guess(self, s):
         return self.base._inverse_guess(s - self.slope)
@@ -240,37 +266,41 @@ class LinearShift(Loss):
 
 
 class LossGroup:
-    """Several losses sharing one variable, pooled by summing derivatives."""
+    """Several losses sharing one variable, pooled by summing derivatives.
 
-    __slots__ = ("losses", "_gain", "_offset")
+    `form` is the summed (c0, c1, c3) of the members, or None when some
+    member has no polynomial form.  A caller that has already summed the
+    members' forms, in member order, may pass the total as `form`.
+    """
 
-    def __init__(self, losses: Sequence[Loss]):
+    __slots__ = ("losses", "_form")
+
+    def __init__(self, losses: Sequence[Loss], form=None):
         self.losses = tuple(losses)
         if not self.losses:
             raise ContractViolationError("a loss group needs at least one member")
-        gain = 0.0
-        offset = 0.0
-        for loss in self.losses:
-            form = loss.linear_form()
-            if form is None:
-                gain = None
-                break
-            gain += form[0]
-            offset += form[1]
-        self._gain = gain
-        self._offset = offset if gain is not None else None
+        if form is None:
+            c0 = c1 = c3 = 0.0
+            for loss in self.losses:
+                member = loss.poly_form()
+                if member is None:
+                    break
+                c0 += member[0]
+                c1 += member[1]
+                c3 += member[2]
+            else:
+                form = (c0, c1, c3)
+        self._form = form
 
-    def linear_form(self):
-        if self._gain is None:
-            return None
-        return self._gain, self._offset
+    def poly_form(self):
+        return self._form
 
     def value(self, x):
         return sum(loss.value(x) for loss in self.losses)
 
     def derivative(self, x):
-        if self._gain is not None:
-            return self._gain * x - self._offset
+        if self._form is not None:
+            return poly_derivative(self._form, x)
         return sum(loss.derivative(x) for loss in self.losses)
 
     def second_derivative(self, x):
@@ -278,22 +308,14 @@ class LossGroup:
 
     def _inverse_guess(self, s):
         # Linearize every member at 0 to get a cheap starting point.
-        gain = 0.0
-        offset = 0.0
-        for loss in self.losses:
-            form = loss.linear_form()
-            if form is None:
-                gain += loss.second_derivative(0.0)
-                offset -= loss.derivative(0.0)
-            else:
-                gain += form[0]
-                offset += form[1]
+        gain = sum(loss.second_derivative(0.0) for loss in self.losses)
+        offset = -sum(loss.derivative(0.0) for loss in self.losses)
         return (s + offset) / gain
 
     def inverse_derivative(self, s: float) -> float:
         """The common point at which the pooled derivative equals s."""
-        if self._gain is not None:
-            return (s + self._offset) / self._gain
+        if self._form is not None:
+            return poly_inverse(self._form, s)
         return solve_increasing(
             self.derivative, self.second_derivative, s, self._inverse_guess(s)
         )
@@ -311,12 +333,20 @@ def equilibrium_t(group: LossGroup, boundary_flow: float, attach_loss: Loss) -> 
 
     whose left side is strictly increasing, and then t = -attach'(v).
     """
-    gform = group.linear_form()
-    aform = attach_loss.linear_form()
+    gform = group.poly_form()
+    aform = attach_loss.poly_form()
     if gform is not None and aform is not None:
-        ggain, goff = gform
-        again, aoff = aform
-        v = (boundary_flow + goff + aoff) / (ggain + again)
+        gc0, gc1, gc3 = gform
+        ac0, ac1, ac3 = aform
+        c3 = gc3 + ac3
+        if c3 == 0.0:
+            # Two subtractions, not flow - (gc0 + ac0): all-quadratic
+            # outputs are meant to stay bit-for-bit reproducible.
+            v = (boundary_flow - gc0 - ac0) / (gc1 + ac1)
+        else:
+            # Newton's stopping test scales with |target|, so the target
+            # stays the flow rather than absorbing gc0.
+            v = poly_inverse((gc0 + ac0, gc1 + ac1, c3), boundary_flow)
     else:
         v = solve_increasing(
             lambda u: group.derivative(u) + attach_loss.derivative(u),

@@ -16,7 +16,8 @@ keeps the prefix solution optimal by sliding the new edge's dual value t
 away from zero while maintaining an *active set*: a relation sign per edge
 (LT, EQ, GT).  Edges with sign EQ pool their nodes into equal-valued
 components; the component containing the attachment point moves as a whole,
-parametrized in closed form through its pooled loss, while everything else
+parametrized through its pooled loss (closed form when every member is
+quadratic, a Newton solve on one cubic otherwise), while everything else
 stays frozen.  Threshold computations find the largest |t| step before some
 dual value hits its box end or the moving component collides with a frozen
 neighbor; if the new node's value meets the component's before any
@@ -47,7 +48,7 @@ from .errors import (
     ContractViolationError,
     InternalInvariantError,
 )
-from .loss import Loss, LossGroup, equilibrium_t, solve_increasing
+from .loss import Loss, LossGroup, equilibrium_t, poly_inverse, solve_increasing
 from .tree import Arborescence, Attachment, Edge, Subtree, decompose
 
 INF = math.inf
@@ -180,17 +181,23 @@ class ComponentView:
     side away from the anchor) occupies a contiguous slice of `nodes`, and
     the edge's dual equals +/- (sum of loss derivatives over that slice at
     the pooled value, minus the slice's own boundary flow `edge_flow`).
+
+    `_prefix[k]` is the summed (c0, c1, c3) derivative form of the first k
+    nodes, or None when some member has no polynomial form.  A far half's
+    form is then the difference of two entries, so its inverse derivative
+    is closed form when the half holds only quadratic members (its c3 is
+    exactly 0) and a Newton solve on one cubic otherwise.
     """
 
     __slots__ = (
         "anchor", "component", "nodes", "edges", "group",
         "boundary_flow", "edge_flow", "edge_sign", "span",
-        "boundary_out", "boundary_in", "_losses", "_gain_prefix", "_offset_prefix",
+        "boundary_out", "boundary_in", "_losses", "_prefix",
     )
 
     def __init__(self, anchor, component, group, boundary_flow, edge_flow,
                  edge_sign, span, boundary_out, boundary_in,
-                 losses, gain_prefix, offset_prefix):
+                 losses, prefix):
         self.anchor = anchor
         self.component = component
         self.nodes = component.nodes
@@ -203,8 +210,7 @@ class ComponentView:
         self.boundary_out = boundary_out
         self.boundary_in = boundary_in
         self._losses = losses
-        self._gain_prefix = gain_prefix
-        self._offset_prefix = offset_prefix
+        self._prefix = prefix
 
     def value_at(self, t: float) -> float:
         """Common value of the component at parameter t."""
@@ -230,10 +236,10 @@ class ComponentView:
     def subgroup_inverse(self, e: Edge, target: float) -> float:
         """Value v at which the far half of edge e has pooled derivative target."""
         lo, hi = self.span[e]
-        if self._gain_prefix is not None:
-            gain = self._gain_prefix[hi] - self._gain_prefix[lo]
-            offset = self._offset_prefix[hi] - self._offset_prefix[lo]
-            return (target + offset) / gain
+        if self._prefix is not None:
+            a0, a1, a3 = self._prefix[lo]
+            b0, b1, b3 = self._prefix[hi]
+            return poly_inverse((b0 - a0, b1 - a1, b3 - a3), target)
         members = self.nodes[lo:hi]
         losses = self._losses
 
@@ -439,21 +445,24 @@ class Solver:
             edge_flow[e] = gacc[far]
 
         losses = self._loss
-        group = LossGroup([losses[v] for v in order])
-        gain_prefix = offset_prefix = None
-        if group.linear_form() is not None:
-            gain_prefix = [0.0] * (len(order) + 1)
-            offset_prefix = [0.0] * (len(order) + 1)
-            for idx, v in enumerate(order):
-                gn, off = losses[v].linear_form()
-                gain_prefix[idx + 1] = gain_prefix[idx] + gn
-                offset_prefix[idx + 1] = offset_prefix[idx] + off
+        members = [losses[v] for v in order]
+        c0 = c1 = c3 = 0.0
+        prefix = [(c0, c1, c3)]
+        for loss in members:
+            form = loss.poly_form()
+            if form is None:
+                prefix = None
+                break
+            c0 += form[0]
+            c1 += form[1]
+            c3 += form[2]
+            prefix.append((c0, c1, c3))
+        group = LossGroup(members, prefix[-1] if prefix else None)
 
         component = Subtree(order, comp_edges)
         return ComponentView(
             anchor, component, group, gacc[anchor], edge_flow, edge_sign,
-            span, boundary_out, boundary_in, losses,
-            gain_prefix, offset_prefix,
+            span, boundary_out, boundary_in, losses, prefix,
         )
 
     def _check_anchor(self, view: ComponentView, state: PrimalDualState):
