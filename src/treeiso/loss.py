@@ -124,6 +124,19 @@ def poly_inverse(form, s):
     )
 
 
+def pooled_form(losses):
+    """The summed (c0, c1, c3) of `losses` in order, or None if one has no form."""
+    c0 = c1 = c3 = 0.0
+    for loss in losses:
+        form = loss.poly_form()
+        if form is None:
+            return None
+        c0 += form[0]
+        c1 += form[1]
+        c3 += form[2]
+    return c0, c1, c3
+
+
 def _finite(value, what):
     v = float(value)
     if not math.isfinite(v):
@@ -266,31 +279,15 @@ class LinearShift(Loss):
 
 
 class LossGroup:
-    """Several losses sharing one variable, pooled by summing derivatives.
-
-    `form` is the summed (c0, c1, c3) of the members, or None when some
-    member has no polynomial form.  A caller that has already summed the
-    members' forms, in member order, may pass the total as `form`.
-    """
+    """Several losses sharing one variable, pooled by summing derivatives."""
 
     __slots__ = ("losses", "_form")
 
-    def __init__(self, losses: Sequence[Loss], form=None):
+    def __init__(self, losses: Sequence[Loss]):
         self.losses = tuple(losses)
         if not self.losses:
             raise ContractViolationError("a loss group needs at least one member")
-        if form is None:
-            c0 = c1 = c3 = 0.0
-            for loss in self.losses:
-                member = loss.poly_form()
-                if member is None:
-                    break
-                c0 += member[0]
-                c1 += member[1]
-                c3 += member[2]
-            else:
-                form = (c0, c1, c3)
-        self._form = form
+        self._form = pooled_form(self.losses)
 
     def poly_form(self):
         return self._form

@@ -48,7 +48,9 @@ from .errors import (
     ContractViolationError,
     InternalInvariantError,
 )
-from .loss import Loss, LossGroup, equilibrium_t, poly_inverse, solve_increasing
+from .loss import (
+    Loss, LossGroup, equilibrium_t, poly_inverse, pooled_form, solve_increasing,
+)
 from .tree import Arborescence, Attachment, Edge, Subtree, decompose
 
 INF = math.inf
@@ -182,11 +184,15 @@ class ComponentView:
     the edge's dual equals +/- (sum of loss derivatives over that slice at
     the pooled value, minus the slice's own boundary flow `edge_flow`).
 
-    `_prefix[k]` is the summed (c0, c1, c3) derivative form of the first k
-    nodes, or None when some member has no polynomial form.  A far half's
-    form is then the difference of two entries, so its inverse derivative
-    is closed form when the half holds only quadratic members (its c3 is
-    exactly 0) and a Newton solve on one cubic otherwise.
+    On an all-quadratic component `_prefix[k]` is the summed (c0, c1)
+    derivative form of the first k nodes, and a far half's inverse
+    derivative is closed form on the difference of two entries.  Otherwise
+    `_prefix` is None and the half's forms are summed afresh: a difference
+    of running sums would lose a half's small terms next to large ones
+    elsewhere.  The half's inverse is then closed form when it holds only
+    quadratic members (its c3 is exactly 0) and a Newton solve on one cubic
+    otherwise; only a loss without a polynomial form is evaluated member by
+    member inside the solve.
     """
 
     __slots__ = (
@@ -237,11 +243,14 @@ class ComponentView:
         """Value v at which the far half of edge e has pooled derivative target."""
         lo, hi = self.span[e]
         if self._prefix is not None:
-            a0, a1, a3 = self._prefix[lo]
-            b0, b1, b3 = self._prefix[hi]
-            return poly_inverse((b0 - a0, b1 - a1, b3 - a3), target)
+            a0, a1 = self._prefix[lo]
+            b0, b1 = self._prefix[hi]
+            return (target - (b0 - a0)) / (b1 - a1)
         members = self.nodes[lo:hi]
         losses = self._losses
+        form = pooled_form([losses[u] for u in members])
+        if form is not None:
+            return poly_inverse(form, target)
 
         def fun(v):
             return sum(losses[u].derivative(v) for u in members)
@@ -445,19 +454,17 @@ class Solver:
             edge_flow[e] = gacc[far]
 
         losses = self._loss
-        members = [losses[v] for v in order]
-        c0 = c1 = c3 = 0.0
-        prefix = [(c0, c1, c3)]
-        for loss in members:
-            form = loss.poly_form()
-            if form is None:
-                prefix = None
-                break
-            c0 += form[0]
-            c1 += form[1]
-            c3 += form[2]
-            prefix.append((c0, c1, c3))
-        group = LossGroup(members, prefix[-1] if prefix else None)
+        group = LossGroup([losses[v] for v in order])
+        form = group.poly_form()
+        prefix = None
+        if form is not None and form[2] == 0.0:
+            c0 = c1 = 0.0
+            prefix = [(c0, c1)]
+            for v in order:
+                m0, m1, _ = losses[v].poly_form()
+                c0 += m0
+                c1 += m1
+                prefix.append((c0, c1))
 
         component = Subtree(order, comp_edges)
         return ComponentView(

@@ -363,6 +363,41 @@ class TestSubgroupInverse:
                     got = view.subgroup_inverse(e, target)
                     assert abs(got - want) <= 1e-12 * (1.0 + abs(want))
 
+    def test_spread_coefficients_match_member_by_member(self):
+        # Far halves whose coefficients are tiny next to the rest of the
+        # component: a running prefix of 4e6 cannot hold a 4e-10 cubic term,
+        # so a difference of prefix entries would drop it.
+        rng = random.Random("spread")
+        for _ in range(20):
+            n = rng.randint(2, 12)
+            edges = [(rng.randint(1, c - 1), c, 1.0, 1.0) for c in range(2, n + 1)]
+            losses = []
+            for _ in range(n):
+                loss = QuarticQuadratic(rng.choice((1e-3, 1.0, 1e3)),
+                                        rng.choice((0.0, 1e-10, 1e6)),
+                                        rng.choice((-1e6, -1.0, 0.0, 1e6)))
+                if rng.random() < 0.3:
+                    loss = loss.shifted(rng.choice((-1e8, 1e8)))
+                losses.append(loss)
+            view = pooled_view(losses, edges, anchor=rng.randint(1, n))
+            for e in view.edges:
+                lo, hi = view.span[e]
+                members = [view._losses[u] for u in view.nodes[lo:hi]]
+                for target in (rng.choice((-1e7, 1e7)), 1.0, 0.0):
+                    want = solve_increasing(
+                        lambda v: sum(m.derivative(v) for m in members),
+                        lambda v: sum(m.second_derivative(v) for m in members),
+                        target, 0.0)
+                    got = view.subgroup_inverse(e, target)
+                    # Rounding in the half's own terms, not the rest's, may
+                    # move the root: their size over the slope bounds it.
+                    terms = abs(target) + sum(
+                        abs(c0) + c1 * abs(want) + c3 * abs(want) ** 3
+                        for c0, c1, c3 in (m.poly_form() for m in members))
+                    slope = sum(m.second_derivative(want) for m in members)
+                    tol = 1e-12 * (1.0 + abs(want)) + 1e-14 * terms / slope
+                    assert abs(got - want) <= tol
+
     def test_quadratic_far_half_is_closed_form(self, monkeypatch):
         # A chain 1 - 2 - 3 - 4 anchored at 1: the far half of (3, 4) is the
         # quadratic node 4 alone, inside a component with a quartic member.
