@@ -14,74 +14,33 @@ from .errors import (
     MalformedInstanceError,
     TreeIsoError,
 )
-from .loss import (
-    LinearShift,
-    Loss,
-    LossGroup,
-    QuarticQuadratic,
-    WeightedQuadratic,
-    equilibrium_t,
-)
-from .oracle import enumerate_optimum, pava, solve_reduced
-from .solver import (
-    EQ,
-    GT,
-    LT,
-    Problem,
-    Solver,
-    SolveStats,
-    build_initial_active_set,
-    kkt_residual,
-    objective_value,
-    solve,
-)
-from .tree import (
-    Arborescence,
-    Attachment,
-    DirectedTree,
-    Subtree,
-    component_of,
-    decompose,
-    map_back,
-    normalize,
-    tree_linear_solve,
-)
+from .loss import LinearShift, Loss, QuarticQuadratic, WeightedQuadratic
+from .oracle import enumerate_optimum, pava
+from .solver import Problem, Solver, SolveStats, kkt_residual, objective_value, solve
+from .tree import DirectedTree, map_back, normalize
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Arborescence",
-    "Attachment",
     "CertificateError",
     "ContractViolationError",
     "DirectedTree",
-    "EQ",
-    "GT",
     "InternalInvariantError",
-    "LT",
     "LinearShift",
     "Loss",
-    "LossGroup",
     "MalformedInstanceError",
     "Problem",
     "QuarticQuadratic",
     "Solver",
     "SolveStats",
-    "Subtree",
     "TreeIsoError",
     "WeightedQuadratic",
-    "build_initial_active_set",
-    "component_of",
-    "decompose",
     "enumerate_optimum",
-    "equilibrium_t",
     "kkt_residual",
     "map_back",
     "normalize",
     "objective_value",
     "pava",
     "solve",
-    "solve_reduced",
-    "tree_linear_solve",
     "__version__",
 ]

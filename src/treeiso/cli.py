@@ -88,12 +88,13 @@ def _require_keys(obj: dict, required, optional, where: str):
 class ProblemFile:
     """Parsed instance: node ids with losses, weighted edges, optional root.
 
-    Ids are kept exactly as the file declared them; `build` maps them to
-    the dense 1..n labels the tree layer requires, in file order.
+    Ids are kept exactly as the file declared them; `dense_ids` maps them
+    to the dense 1..n labels the tree layer requires, in file order.
     """
 
     def __init__(self, ids, losses, edges, root=None):
         self.ids = list(ids)
+        self.dense_ids = {oid: k + 1 for k, oid in enumerate(self.ids)}
         self.losses = dict(losses)
         self.edges = list(edges)
         self.root = root
@@ -170,7 +171,7 @@ class ProblemFile:
 
     def build(self):
         """Dense relabelling: (DirectedTree, losses by dense id, dense root)."""
-        dense = {oid: k + 1 for k, oid in enumerate(self.ids)}
+        dense = self.dense_ids
         tree = DirectedTree(
             len(self.ids),
             [(dense[f], dense[t], lam, mu) for f, t, lam, mu in self.edges],
@@ -237,7 +238,7 @@ def emit_json(obj) -> str:
 
 def solution_report(pf: ProblemFile, arb: Arborescence, x_norm, z_norm) -> dict:
     """Map a normalized pair back to file ids and re-certify it there."""
-    dense_ids = {oid: k + 1 for k, oid in enumerate(pf.ids)}
+    dense_ids = pf.dense_ids
     x_dense, z_dense = map_back(arb, x_norm, z_norm)
     dense_edges = [
         (dense_ids[f], dense_ids[t], lam, mu) for f, t, lam, mu in pf.edges
@@ -326,7 +327,7 @@ def cmd_oracle(args) -> int:
     report = solution_report(pf, problem.arb, x, z)
     arb = problem.arb
     label = arb.original_label
-    dense_ids = {oid: k + 1 for k, oid in enumerate(pf.ids)}
+    dense_ids = pf.dense_ids
     by_original = {}
     for c in range(2, arb.node_count + 1):
         p = arb.parent[c][0]

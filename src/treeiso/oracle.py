@@ -6,17 +6,23 @@ one whose reconstructed primal-dual pair certifies, and `pava` is the
 classic pool-adjacent-violators fit for nondecreasing chains.  Both exist
 to cross-check the main solver, so they share only the residual definition
 and the basic tree plumbing with it.
+
+`tree_linear_solve` solves the flow-balance system on a subtree in a single
+post-order traversal: given a right-hand side b on every non-ancestor node,
+it returns the unique edge values z such that at each such node the sum of z
+over out-edges minus the sum over in-edges equals b.  No matrix is formed.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from collections import deque
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import CertificateError, ContractViolationError
 from .loss import LossGroup
 from .solver import EQ, GT, LT, Problem, kkt_residual_edges, values_equal
-from .tree import Edge, INF, component_of, tree_linear_solve
+from .tree import Edge, INF, Subtree
 
 MAX_ORACLE_EDGES = 12
 
@@ -36,6 +42,75 @@ def feasible_signs(lam: float, mu: float) -> Tuple[int, ...]:
     if mu != INF:
         signs.append(LT)
     return tuple(signs)
+
+
+def component_of(equality_edges: Iterable[Edge], seed: int) -> Subtree:
+    """Connected component of `seed` under the given undirected edge set.
+
+    Returns the component as a Subtree; edges outside the component are
+    ignored.  With no incident edges the result is the singleton {seed}.
+    """
+    adjacency: Dict[int, list] = {}
+    for i, j in equality_edges:
+        adjacency.setdefault(i, []).append((j, (i, j)))
+        adjacency.setdefault(j, []).append((i, (i, j)))
+    nodes = [seed]
+    member = {seed}
+    edges = []
+    queue = deque([seed])
+    while queue:
+        v = queue.popleft()
+        for nbr, edge in adjacency.get(v, ()):
+            if nbr in member:
+                continue
+            member.add(nbr)
+            nodes.append(nbr)
+            edges.append(edge)
+            queue.append(nbr)
+    return Subtree(nodes, edges)
+
+
+def tree_linear_solve(
+    subtree: Subtree, ancestor: int, b: Mapping[int, float]
+) -> Dict[Edge, float]:
+    """Solve the flow-balance system on a subtree in one traversal.
+
+    Finds edge values z such that for every node v != ancestor in the
+    subtree, (sum of z over out-edges of v) - (sum over in-edges) = b[v].
+    The value on an edge equals the accumulated b-sum of the half of the
+    subtree hanging away from `ancestor`, signed by the edge orientation.
+    """
+    if ancestor not in subtree.node_set:
+        raise ContractViolationError("ancestor %r not in subtree" % (ancestor,))
+    adjacency: Dict[int, list] = {v: [] for v in subtree.nodes}
+    for i, j in subtree.edges:
+        adjacency[i].append((j, (i, j)))
+        adjacency[j].append((i, (i, j)))
+
+    order = [ancestor]
+    up_edge: Dict[int, Edge] = {}
+    seen = {ancestor}
+    k = 0
+    while k < len(order):
+        v = order[k]
+        k += 1
+        for nbr, edge in adjacency[v]:
+            if nbr in seen:
+                continue
+            seen.add(nbr)
+            up_edge[nbr] = edge
+            order.append(nbr)
+
+    acc = {v: float(b.get(v, 0.0)) for v in subtree.nodes}
+    z: Dict[Edge, float] = {}
+    for v in reversed(order):
+        if v == ancestor:
+            continue
+        i, j = up_edge[v]
+        other = j if v == i else i
+        z[(i, j)] = acc[v] if v == i else -acc[v]
+        acc[other] += acc[v]
+    return z
 
 
 def solve_reduced(problem: Problem, pattern: SignPattern, tol: float = 1e-8,

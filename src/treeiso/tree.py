@@ -1,4 +1,4 @@
-"""Directed-tree data model and closed-form tree linear algebra.
+"""Directed-tree data model and its leaf-ordered normal form.
 
 A problem instance lives on a directed tree: each edge (i, j) carries a pair
 of nonnegative weights (lambda, mu), either of which may be infinite.  The
@@ -10,11 +10,6 @@ form by re-orienting edges (swapping the weight pair on every flipped edge)
 and relabelling nodes breadth-first from the root; `map_back` undoes the
 relabelling and flips dual signs so certificates transfer to the original
 orientation.
-
-`tree_linear_solve` solves the flow-balance system on a subtree in a single
-post-order traversal: given a right-hand side b on every non-ancestor node,
-it returns the unique edge values z such that at each such node the sum of z
-over out-edges minus the sum over in-edges equals b.  No matrix is formed.
 """
 
 from __future__ import annotations
@@ -126,27 +121,6 @@ class Arborescence:
                     "edge (%d, %d) breaks the leaf ordering" % (par, child)
                 )
 
-    def edges(self):
-        """Internal edges as (parent, child) pairs, in child order."""
-        return [(self.parent[c][0], c) for c in range(2, self.node_count + 1)]
-
-    def weights(self, edge: Edge) -> Tuple[float, float]:
-        par, child = edge
-        stored = self.parent[child]
-        if stored[0] != par:
-            raise ContractViolationError("no edge %s in arborescence" % (edge,))
-        return stored[1], stored[2]
-
-    def children_map(self) -> Dict[int, list]:
-        out: Dict[int, list] = {v: [] for v in range(1, self.node_count + 1)}
-        for c in range(2, self.node_count + 1):
-            out[self.parent[c][0]].append(c)
-        return out
-
-    def internal_id(self) -> Dict[int, int]:
-        """Inverse of original_label."""
-        return {orig: internal for internal, orig in self.original_label.items()}
-
 
 def normalize(tree: DirectedTree, root: Optional[int] = None) -> Arborescence:
     """Rewrite a directed tree as a leaf-ordered arborescence.
@@ -230,75 +204,6 @@ class Subtree:
 
     def __contains__(self, node):
         return node in self.node_set
-
-
-def component_of(equality_edges: Iterable[Edge], seed: int) -> Subtree:
-    """Connected component of `seed` under the given undirected edge set.
-
-    Returns the component as a Subtree; edges outside the component are
-    ignored.  With no incident edges the result is the singleton {seed}.
-    """
-    adjacency: Dict[int, list] = {}
-    for i, j in equality_edges:
-        adjacency.setdefault(i, []).append((j, (i, j)))
-        adjacency.setdefault(j, []).append((i, (i, j)))
-    nodes = [seed]
-    member = {seed}
-    edges = []
-    queue = deque([seed])
-    while queue:
-        v = queue.popleft()
-        for nbr, edge in adjacency.get(v, ()):
-            if nbr in member:
-                continue
-            member.add(nbr)
-            nodes.append(nbr)
-            edges.append(edge)
-            queue.append(nbr)
-    return Subtree(nodes, edges)
-
-
-def tree_linear_solve(
-    subtree: Subtree, ancestor: int, b: Mapping[int, float]
-) -> Dict[Edge, float]:
-    """Solve the flow-balance system on a subtree in one traversal.
-
-    Finds edge values z such that for every node v != ancestor in the
-    subtree, (sum of z over out-edges of v) - (sum over in-edges) = b[v].
-    The value on an edge equals the accumulated b-sum of the half of the
-    subtree hanging away from `ancestor`, signed by the edge orientation.
-    """
-    if ancestor not in subtree.node_set:
-        raise ContractViolationError("ancestor %r not in subtree" % (ancestor,))
-    adjacency: Dict[int, list] = {v: [] for v in subtree.nodes}
-    for i, j in subtree.edges:
-        adjacency[i].append((j, (i, j)))
-        adjacency[j].append((i, (i, j)))
-
-    order = [ancestor]
-    up_edge: Dict[int, Edge] = {}
-    seen = {ancestor}
-    k = 0
-    while k < len(order):
-        v = order[k]
-        k += 1
-        for nbr, edge in adjacency[v]:
-            if nbr in seen:
-                continue
-            seen.add(nbr)
-            up_edge[nbr] = edge
-            order.append(nbr)
-
-    acc = {v: float(b.get(v, 0.0)) for v in subtree.nodes}
-    z: Dict[Edge, float] = {}
-    for v in reversed(order):
-        if v == ancestor:
-            continue
-        i, j = up_edge[v]
-        other = j if v == i else i
-        z[(i, j)] = acc[v] if v == i else -acc[v]
-        acc[other] += acc[v]
-    return z
 
 
 def map_back(

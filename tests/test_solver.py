@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from conftest import DEMO_OBJECTIVE, DEMO_X, DEMO_Z, demo_losses, make_demo_problem
+from conftest import DEMO_OBJECTIVE, DEMO_X, DEMO_Z, make_demo_problem
 from treeiso.cli import build_problem, random_problem
 from treeiso.errors import CertificateError, ContractViolationError, InternalInvariantError
 from treeiso.loss import LossGroup, QuarticQuadratic, WeightedQuadratic
@@ -18,10 +18,8 @@ from treeiso.solver import (
     PrimalDualState,
     Solver,
     build_initial_active_set,
-    dual_at,
     kkt_residual,
     objective_value,
-    primal_at,
     solve,
 )
 from treeiso.tree import Attachment, DirectedTree, INF, normalize
@@ -76,14 +74,6 @@ class TestBuildInitialActiveSet:
         with pytest.raises(CertificateError):
             build_initial_active_set(x, [(1, 2, 0.0, INF)])
 
-    def test_views_partition(self):
-        signs = {(1, 2): GT, (2, 3): EQ, (3, 4): LT, (4, 5): EQ}
-        active = ActiveSet(signs)
-        assert set(active.edges_with(EQ)) == {(2, 3), (4, 5)}
-        assert active.edges_with(GT) == [(1, 2)]
-        assert active.edges_with(LT) == [(3, 4)]
-
-
 class TestComponentView:
     def test_late_view_aggregates(self):
         solver = Solver(make_demo_problem())
@@ -114,15 +104,6 @@ class TestComponentView:
         at_clip = view.duals_at(-3.0)
         assert at_clip[(1, 2)] == pytest.approx(-1.0, abs=1e-12)
         assert at_clip[(1, 3)] == pytest.approx(0.0, abs=1e-12)
-
-    def test_primal_and_dual_at_wrappers(self):
-        solver = Solver(make_demo_problem())
-        state = late_search_state()
-        view = solver.build_component_view(state, anchor=3, m=4)
-        attach = demo_losses()[4]
-        snapshot = primal_at(view, {4: 4.0}, attach, -3.0, attach_node=5)
-        assert snapshot == {1: 3.0, 2: 3.0, 3: 3.0, 4: 4.0, 5: 1.0}
-        assert dual_at(view, -3.0) == view.duals_at(-3.0)
 
     def test_consistency_at_current_parameter(self):
         solver = Solver(make_demo_problem())
@@ -457,6 +438,39 @@ class TestSolve:
         _, _, stats = solve(demo_problem)
         assert stats.inner_iters_total == 5
         assert stats.equilibrium_total == 2
+
+
+class TestMirrorSymmetry:
+    """Reflecting x to -x and swapping (lambda, mu) mirrors every search."""
+
+    @staticmethod
+    def reflect(tree, losses):
+        edges = [(i, j, mu, lam) for i, j, lam, mu in tree.edges]
+        mirrored = {}
+        for v, loss in losses.items():
+            if isinstance(loss, WeightedQuadratic):
+                mirrored[v] = WeightedQuadratic(loss.w, -loss.y)
+            else:
+                mirrored[v] = QuarticQuadratic(loss.a, loss.b, -loss.c)
+        return DirectedTree(tree.node_count, edges), mirrored
+
+    @pytest.mark.parametrize("loss_kind", ["quadratic", "mixed"])
+    @pytest.mark.parametrize("shape", ["chain", "star", "random"])
+    def test_reflected_solve_is_exact_mirror(self, shape, loss_kind):
+        swap = {"down": "up", "up": "down", "flat": "flat"}
+        for seed in range(10):
+            tree, losses = random_problem(shape, 150, seed, loss_kind)
+            x, z, stats = solve(build_problem(tree, losses))
+            xr, zr, stats_r = solve(build_problem(*self.reflect(tree, losses)))
+            assert xr == {v: -value for v, value in x.items()}
+            assert zr == {e: -value for e, value in z.items()}
+            assert len(stats_r.steps) == len(stats.steps)
+            for rec, mirror in zip(stats.steps, stats_r.steps):
+                assert mirror.node == rec.node
+                assert mirror.branch == swap[rec.branch]
+                assert mirror.iterations == rec.iterations
+                assert mirror.equilibrium_calls == rec.equilibrium_calls
+                assert mirror.t_path == tuple(-t for t in rec.t_path)
 
 
 class TestCertificates:

@@ -1,11 +1,12 @@
-"""Tree layer: construction, normalization, components, linear solve."""
+"""Tree layer: construction, normalization and decomposition, plus the
+subtree helpers the oracle builds on (component_of, tree_linear_solve)."""
 
-import math
 import random
 
 import pytest
 
 from treeiso.errors import ContractViolationError, MalformedInstanceError
+from treeiso.oracle import component_of, tree_linear_solve
 from treeiso.solver import kkt_residual_edges, Solver
 from treeiso.cli import build_problem, random_problem
 from treeiso.tree import (
@@ -13,11 +14,9 @@ from treeiso.tree import (
     DirectedTree,
     INF,
     Subtree,
-    component_of,
     decompose,
     map_back,
     normalize,
-    tree_linear_solve,
 )
 
 
