@@ -112,6 +112,7 @@ class ProblemFile:
             raise MalformedInstanceError("edges: expected an array")
         ids: List = []
         losses: Dict = {}
+        keys = set()  # the report keys ids by their text, so 1 and "1" collide
         for k, entry in enumerate(nodes):
             where = "nodes[%d]" % k
             if not isinstance(entry, dict):
@@ -122,8 +123,9 @@ class ProblemFile:
                 raise MalformedInstanceError(
                     "%s.id: expected an integer or string" % where
                 )
-            if node_id in losses:
+            if str(node_id) in keys:
                 raise MalformedInstanceError("%s.id: duplicate id %r" % (where, node_id))
+            keys.add(str(node_id))
             try:
                 losses[node_id] = loss_from_json(entry["loss"])
             except MalformedInstanceError as exc:
@@ -236,28 +238,25 @@ def emit_json(obj) -> str:
     raise ContractViolationError("cannot serialize %r" % (obj,))
 
 
-def solution_report(pf: ProblemFile, arb: Arborescence, x_norm, z_norm) -> dict:
-    """Map a normalized pair back to file ids and re-certify it there."""
+def solution_report(pf: ProblemFile, tree: DirectedTree, losses: Dict[int, Loss],
+                    arb: Arborescence, x_norm, z_norm) -> dict:
+    """Map a normalized pair back to file ids and re-certify it there.
+
+    `tree` and `losses` are the dense-labelled instance `pf.build` returned.
+    """
     dense_ids = pf.dense_ids
     x_dense, z_dense = map_back(arb, x_norm, z_norm)
-    dense_edges = [
-        (dense_ids[f], dense_ids[t], lam, mu) for f, t, lam, mu in pf.edges
-    ]
-    dense_losses = {dense_ids[oid]: pf.losses[oid] for oid in pf.ids}
-    x_out = {}
-    for oid in pf.ids:
-        x_out[str(oid)] = x_dense[dense_ids[oid]]
+    x_out = {str(oid): x_dense[dense_ids[oid]] for oid in pf.ids}
     z_out = [
         {"from": f, "to": t, "value": z_dense[(dense_ids[f], dense_ids[t])]}
         for f, t, _, _ in pf.edges
     ]
-    objective = objective_value_edges(dense_edges, dense_losses.__getitem__, x_dense)
-    residual = kkt_residual_edges(dense_edges, dense_losses.__getitem__, x_dense, z_dense)
+    loss_of = losses.__getitem__
     return {
         "x": x_out,
         "z": z_out,
-        "objective": objective,
-        "kkt_residual": residual,
+        "objective": objective_value_edges(tree.edges, loss_of, x_dense),
+        "kkt_residual": kkt_residual_edges(tree.edges, loss_of, x_dense, z_dense),
     }
 
 
@@ -300,7 +299,7 @@ def cmd_solve(args) -> int:
                 raise CertificateError(
                     "solver and enumeration disagree: max |dx| = %.3e" % gap
                 )
-    report = solution_report(pf, problem.arb, x, z)
+    report = solution_report(pf, tree, losses, problem.arb, x, z)
     label = problem.arb.original_label
     report["stats"] = {
         "inner_iters_total": stats.inner_iters_total,
@@ -324,23 +323,15 @@ def cmd_oracle(args) -> int:
     tree, losses, root = pf.build()
     problem = build_problem(tree, losses, root)
     x, z, pattern = enumerate_optimum(problem)
-    report = solution_report(pf, problem.arb, x, z)
-    arb = problem.arb
-    label = arb.original_label
+    report = solution_report(pf, tree, losses, problem.arb, x, z)
+    # Signs flip with the edge, as duals do.
+    _, relations = map_back(problem.arb, x, pattern)
     dense_ids = pf.dense_ids
-    by_original = {}
-    for c in range(2, arb.node_count + 1):
-        p = arb.parent[c][0]
-        sign = pattern[(p, c)]
-        if (p, c) in arb.flipped:
-            by_original[(label[c], label[p])] = -sign
-        else:
-            by_original[(label[p], label[c])] = sign
     report["pattern"] = [
         {
             "from": f,
             "to": t,
-            "relation": _RELATION_CHAR[by_original[(dense_ids[f], dense_ids[t])]],
+            "relation": _RELATION_CHAR[relations[(dense_ids[f], dense_ids[t])]],
         }
         for f, t, _, _ in pf.edges
     ]

@@ -22,11 +22,25 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 from .errors import CertificateError, ContractViolationError
 from .loss import LossGroup
 from .solver import EQ, GT, LT, Problem, kkt_residual_edges, values_equal
-from .tree import Edge, INF, Subtree
+from .tree import Edge, INF
 
 MAX_ORACLE_EDGES = 12
 
 SignPattern = Dict[Edge, int]
+
+
+class Subtree:
+    """A connected set of nodes plus the edges that span it."""
+
+    __slots__ = ("nodes", "node_set", "edges")
+
+    def __init__(self, nodes: Iterable[int], edges: Iterable[Edge]):
+        self.nodes = tuple(nodes)
+        self.node_set = frozenset(self.nodes)
+        self.edges = tuple(edges)
+
+    def __len__(self):
+        return len(self.nodes)
 
 
 def feasible_signs(lam: float, mu: float) -> Tuple[int, ...]:

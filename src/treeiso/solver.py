@@ -18,7 +18,9 @@ away from zero while maintaining an *active set*: a relation sign per edge
 components; the component containing the attachment point moves as a whole,
 parametrized through its pooled loss (closed form when every member is
 quadratic, a Newton solve on one cubic otherwise), while everything else
-stays frozen.  Threshold computations find the largest |t| step before some
+stays frozen.  Each search step collects that component afresh, in one
+depth-first walk from the attachment point plus one reverse pass over the
+members it listed.  Threshold computations find the largest |t| step before some
 dual value hits its box end or the moving component collides with a frozen
 neighbor; if the new node's value meets the component's before any
 threshold, an equilibrium solve finishes the search.  The search direction
@@ -55,7 +57,7 @@ from .errors import (
 from .loss import (
     Loss, LossGroup, equilibrium_t, poly_inverse, pooled_form, solve_increasing,
 )
-from .tree import Arborescence, Attachment, Edge, Subtree, decompose
+from .tree import Arborescence, Attachment, Edge, decompose
 
 INF = math.inf
 
@@ -177,13 +179,15 @@ class PrimalDualState:
 class ComponentView:
     """Frozen geometry of the moving component for one search step.
 
-    Holds the equal-valued component containing the attachment point
-    (re-rooted there), its pooled loss group, the net dual flow crossing
-    the component boundary, and per-edge data for the semi-closed dual
-    formulas: for each component edge, the far half of the component (the
-    side away from the anchor) occupies a contiguous slice of `nodes`, and
-    the edge's dual equals +/- (sum of loss derivatives over that slice at
-    the pooled value, minus the slice's own boundary flow `edge_flow`).
+    Holds the equal-valued component containing the attachment point:
+    its members `nodes` in depth-first preorder from the anchor, its
+    `edges` in the order that walk crossed them, its pooled loss group,
+    the net dual flow crossing the component boundary, and per-edge data
+    for the semi-closed dual formulas: for each component edge, the far
+    half of the component (the side away from the anchor) occupies the
+    contiguous slice `span[e]` of `nodes`, and the edge's dual equals +/-
+    (sum of loss derivatives over that slice at the pooled value, minus
+    the slice's own boundary flow `edge_flow`).
 
     On an all-quadratic component `_prefix[k]` is the summed (c0, c1)
     derivative form of the first k nodes, and a far half's inverse
@@ -197,18 +201,16 @@ class ComponentView:
     """
 
     __slots__ = (
-        "anchor", "component", "nodes", "edges", "group",
+        "anchor", "nodes", "edges", "group",
         "boundary_flow", "edge_flow", "edge_sign", "span",
         "boundary_out", "boundary_in", "_losses", "_prefix",
     )
 
-    def __init__(self, anchor, component, group, boundary_flow, edge_flow,
-                 edge_sign, span, boundary_out, boundary_in,
-                 losses, prefix):
+    def __init__(self, anchor, nodes, edges, group, boundary_flow, edge_flow,
+                 edge_sign, span, boundary_out, boundary_in, losses, prefix):
         self.anchor = anchor
-        self.component = component
-        self.nodes = component.nodes
-        self.edges = component.edges
+        self.nodes = tuple(nodes)
+        self.edges = tuple(edges)
         self.group = group
         self.boundary_flow = boundary_flow
         self.edge_flow = edge_flow
@@ -382,99 +384,76 @@ class Solver:
                              m: int) -> ComponentView:
         """Collect the equality component of `anchor` within prefix 1..m.
 
-        One traversal gathers members, boundary edges and the per-node net
-        outflow g; a second pass lays the component out in depth-first
-        order so every far half is a contiguous slice.
+        One depth-first walk lists the members in preorder, so every far
+        half is a contiguous slice, and notes each member's net boundary
+        outflow, the position of the member it was reached from and the
+        edge it was reached along.  One reverse pass then adds each
+        member's slice size and outflow into that near member, which gives
+        every component edge its slice, flow and orientation.
         """
         signs = state.active.signs
         z = state.z
-        member = {anchor}
-        bfs = [anchor]
-        comp_children: Dict[int, List[int]] = {anchor: []}
-        discovery: Dict[int, Edge] = {}
-        g: Dict[int, float] = {}
-        comp_edges: List[Edge] = []
+        nodes: List[int] = []
+        near: List[int] = []    # position of the member each was reached from
+        edges: List[Edge] = []  # the edge each non-anchor member was reached along
+        flow: List[float] = []  # net boundary outflow, then summed over the slice
         boundary_out: List[Tuple[Edge, int]] = []
         boundary_in: List[Tuple[Edge, int]] = []
-        k = 0
-        while k < len(bfs):
-            v = bfs[k]
-            k += 1
+        stack: List[Tuple[int, int, Optional[Edge]]] = [(anchor, -1, None)]
+        while stack:
+            v, k, reached_by = stack.pop()
+            here = len(nodes)
+            nodes.append(v)
+            near.append(k)
+            if reached_by is not None:
+                edges.append(reached_by)
             gv = 0.0
             p = self._parent[v]
             if p:
                 e = (p, v)
-                if signs[e] == EQ:
-                    if p not in member:
-                        member.add(p)
-                        comp_children[p] = []
-                        comp_children[v].append(p)
-                        discovery[p] = e
-                        comp_edges.append(e)
-                        bfs.append(p)
-                else:
+                if signs[e] != EQ:
                     gv -= z[e]
                     boundary_in.append((e, p))
-            for c in self._children[v]:
+                elif e != reached_by:
+                    stack.append((p, here, e))
+            for c in self._children[v]:  # ascending, as built in __init__
                 if c > m:
-                    continue
+                    break
                 e = (v, c)
-                if signs[e] == EQ:
-                    if c not in member:
-                        member.add(c)
-                        comp_children[c] = []
-                        comp_children[v].append(c)
-                        discovery[c] = e
-                        comp_edges.append(e)
-                        bfs.append(c)
-                else:
+                if signs[e] != EQ:
                     gv += z[e]
                     boundary_out.append((e, c))
-            g[v] = gv
+                elif e != reached_by:
+                    stack.append((c, here, e))
+            flow.append(gv)
 
-        order: List[int] = []
-        stack = [anchor]
-        while stack:
-            v = stack.pop()
-            order.append(v)
-            stack.extend(comp_children[v])
-        pos = {v: i for i, v in enumerate(order)}
-        size = {v: 1 for v in order}
-        parent_in_comp: Dict[int, int] = {}
-        for v, kids in comp_children.items():
-            for c in kids:
-                parent_in_comp[c] = v
-        gacc = {v: g[v] for v in order}
-        for v in reversed(order):
-            p = parent_in_comp.get(v)
-            if p is not None:
-                size[p] += size[v]
-                gacc[p] += gacc[v]
-
-        edge_sign: Dict[Edge, int] = {}
+        size = [1] * len(nodes)
         span: Dict[Edge, Tuple[int, int]] = {}
         edge_flow: Dict[Edge, float] = {}
-        for far, e in discovery.items():
-            edge_sign[e] = 1 if far == e[0] else -1
-            span[e] = (pos[far], pos[far] + size[far])
-            edge_flow[e] = gacc[far]
+        edge_sign: Dict[Edge, int] = {}
+        for i in range(len(nodes) - 1, 0, -1):
+            k, e = near[i], edges[i - 1]
+            size[k] += size[i]
+            flow[k] += flow[i]
+            span[e] = (i, i + size[i])
+            edge_flow[e] = flow[i]
+            edge_sign[e] = 1 if nodes[i] == e[0] else -1
 
         losses = self._loss
-        group = LossGroup([losses[v] for v in order])
+        group = LossGroup([losses[v] for v in nodes])
         form = group.poly_form()
         prefix = None
         if form is not None and form[2] == 0.0:
             c0 = c1 = 0.0
             prefix = [(c0, c1)]
-            for v in order:
+            for v in nodes:
                 m0, m1, _ = losses[v].poly_form()
                 c0 += m0
                 c1 += m1
                 prefix.append((c0, c1))
 
-        component = Subtree(order, comp_edges)
         return ComponentView(
-            anchor, component, group, gacc[anchor], edge_flow, edge_sign,
+            anchor, nodes, edges, group, flow[0], edge_flow, edge_sign,
             span, boundary_out, boundary_in, losses, prefix,
         )
 

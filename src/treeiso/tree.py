@@ -189,23 +189,6 @@ def decompose(arb: Arborescence):
     ]
 
 
-class Subtree:
-    """A connected set of nodes plus the edges that span it."""
-
-    __slots__ = ("nodes", "node_set", "edges")
-
-    def __init__(self, nodes: Iterable[int], edges: Iterable[Edge]):
-        self.nodes = tuple(nodes)
-        self.node_set = frozenset(self.nodes)
-        self.edges = tuple(edges)
-
-    def __len__(self):
-        return len(self.nodes)
-
-    def __contains__(self, node):
-        return node in self.node_set
-
-
 def map_back(
     arb: Arborescence, x: Mapping[int, float], z: Mapping[Edge, float]
 ) -> Tuple[Dict[int, float], Dict[Edge, float]]:

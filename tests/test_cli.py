@@ -218,6 +218,9 @@ class TestInstanceErrors:
         [
             (lambda o: o["nodes"].append({"id": 1, "loss": quad(0.0)}),
              "duplicate id"),
+            # The report keys x by the id's text, so 1 and "1" would collide.
+            (lambda o: o["nodes"].append({"id": "1", "loss": quad(0.0)}),
+             "duplicate id '1'"),
             (lambda o: o["edges"].append(
                 {"from": 1, "to": 99, "lambda": 1.0, "mu": 1.0}),
              "unknown id"),

@@ -8,7 +8,7 @@ import pytest
 from conftest import DEMO_OBJECTIVE, DEMO_X, DEMO_Z, make_demo_problem
 from treeiso.cli import build_problem, random_problem
 from treeiso.errors import CertificateError, ContractViolationError, InternalInvariantError
-from treeiso.loss import LossGroup, QuarticQuadratic, WeightedQuadratic
+from treeiso.loss import QuarticQuadratic, WeightedQuadratic
 from treeiso.solver import (
     EQ,
     GT,
@@ -78,7 +78,7 @@ class TestComponentView:
     def test_late_view_aggregates(self):
         solver = Solver(make_demo_problem())
         view = solver.build_component_view(late_search_state(), anchor=3, m=4)
-        assert view.component.node_set == {1, 2, 3}
+        assert set(view.nodes) == {1, 2, 3}
         assert set(view.edges) == {(1, 2), (1, 3)}
         assert view.boundary_flow == 4.0
         assert view.edge_flow == {(1, 2): 0.0, (1, 3): 0.0}
@@ -119,7 +119,7 @@ class TestComponentView:
         z = {(1, 2): -1.0, (1, 3): 0.0}
         state = make_state(0.0, x, z, {(1, 2): EQ, (1, 3): GT})
         view = solver.build_component_view(state, anchor=3, m=3)
-        assert view.component.node_set == {3}
+        assert set(view.nodes) == {3}
         assert view.edges == ()
         assert view.boundary_flow == 0.0
         assert [e for e, _ in view.boundary_in] == [(1, 3)]
@@ -131,7 +131,7 @@ class TestComponentView:
         z = {(1, 2): -2.0, (1, 3): 2.0, (3, 4): 4.0}
         state = make_state(0.0, x, z, {(1, 2): EQ, (1, 3): EQ, (3, 4): EQ})
         view = solver.build_component_view(state, anchor=3, m=4)
-        assert view.component.node_set == {1, 2, 3, 4}
+        assert set(view.nodes) == {1, 2, 3, 4}
         assert view.boundary_flow == 0.0
         # x_B(t) = (16 + t)/4 and z_34(t) = 4 - t/4.
         assert view.value_at(0.0) == 4.0

@@ -1,19 +1,16 @@
-"""Tree layer: construction, normalization and decomposition, plus the
-subtree helpers the oracle builds on (component_of, tree_linear_solve)."""
+"""Tree layer: construction, normalization, decomposition and map-back."""
 
 import random
 
 import pytest
 
-from treeiso.errors import ContractViolationError, MalformedInstanceError
-from treeiso.oracle import component_of, tree_linear_solve
+from treeiso.errors import MalformedInstanceError
 from treeiso.solver import kkt_residual_edges, Solver
 from treeiso.cli import build_problem, random_problem
 from treeiso.tree import (
     Attachment,
     DirectedTree,
     INF,
-    Subtree,
     decompose,
     map_back,
     normalize,
@@ -163,76 +160,6 @@ class TestDecompose:
             assert len(records) == n - 1
             assert [r.child for r in records] == list(range(2, n + 1))
             assert all(r.parent < r.child for r in records)
-
-
-class TestComponentOf:
-    def test_demo_component(self):
-        comp = component_of([(1, 2), (1, 3)], seed=3)
-        assert comp.node_set == {1, 2, 3}
-        assert set(comp.edges) == {(1, 2), (1, 3)}
-
-    def test_no_edges_singleton(self):
-        comp = component_of([], seed=7)
-        assert comp.nodes == (7,)
-        assert comp.edges == ()
-
-    def test_full_prefix(self):
-        edges = [(1, 2), (2, 3), (3, 4)]
-        comp = component_of(edges, seed=4)
-        assert comp.node_set == {1, 2, 3, 4}
-
-    def test_ignores_other_components(self):
-        comp = component_of([(1, 2), (3, 4)], seed=1)
-        assert comp.node_set == {1, 2}
-
-
-class TestTreeLinearSolve:
-    def test_demo_duals(self):
-        comp = Subtree([1, 2, 3], [(1, 2), (1, 3)])
-        z = tree_linear_solve(comp, ancestor=3, b={1: -1.0, 2: 1.0})
-        assert z[(1, 2)] == pytest.approx(-1.0, abs=1e-15)
-        assert z[(1, 3)] == pytest.approx(0.0, abs=1e-15)
-
-    def test_zero_rhs(self):
-        comp = Subtree([1, 2, 3], [(1, 2), (2, 3)])
-        z = tree_linear_solve(comp, ancestor=1, b={2: 0.0, 3: 0.0})
-        assert all(v == 0.0 for v in z.values())
-
-    def test_single_edge_both_roles(self):
-        comp = Subtree([4, 9], [(4, 9)])
-        assert tree_linear_solve(comp, ancestor=4, b={9: 2.5}) == {(4, 9): -2.5}
-        assert tree_linear_solve(comp, ancestor=9, b={4: 2.5}) == {(4, 9): 2.5}
-
-    def test_ancestor_must_belong(self):
-        comp = Subtree([1, 2], [(1, 2)])
-        with pytest.raises(ContractViolationError):
-            tree_linear_solve(comp, ancestor=3, b={2: 1.0})
-
-    def test_balance_on_random_trees(self):
-        rng = random.Random(1234)
-        for _ in range(100):
-            n = rng.randint(2, 12)
-            edges = []
-            for child in range(2, n + 1):
-                parent = rng.randint(1, child - 1)
-                if rng.random() < 0.5:
-                    edges.append((child, parent))
-                else:
-                    edges.append((parent, child))
-            comp = Subtree(range(1, n + 1), edges)
-            ancestor = rng.randint(1, n)
-            b = {v: rng.uniform(-10, 10) for v in range(1, n + 1) if v != ancestor}
-            z = tree_linear_solve(comp, ancestor, b)
-            for v in range(1, n + 1):
-                if v == ancestor:
-                    continue
-                net = 0.0
-                for i, j in edges:
-                    if i == v:
-                        net += z[(i, j)]
-                    elif j == v:
-                        net -= z[(i, j)]
-                assert abs(net - b[v]) <= 1e-12
 
 
 class TestMapBack:
