@@ -27,12 +27,11 @@ from .errors import (
     InternalInvariantError,
     MalformedInstanceError,
 )
-from .loss import Loss, QuarticQuadratic, WeightedQuadratic, loss_from_json, loss_to_json
+from .loss import Loss, QuarticQuadratic, WeightedQuadratic, loss_from_json
 from .oracle import MAX_ORACLE_EDGES, enumerate_optimum
 from .solver import (
-    EQ,
-    GT,
-    LT,
+    DEFAULT_TOL,
+    SIGN_NAME,
     Problem,
     Solver,
     kkt_residual_edges,
@@ -46,7 +45,6 @@ EXIT_INSTANCE = 3
 EXIT_CERTIFICATE = 4
 EXIT_INTERNAL = 5
 
-_RELATION_CHAR = {LT: "<", EQ: "=", GT: ">"}
 _WEIGHT_CHOICES = (0.0, 0.5, 2.0, INF)
 
 
@@ -72,6 +70,12 @@ def _parse_weight(raw, where: str) -> float:
     if value != value or value < 0.0:
         raise MalformedInstanceError("%s: weight %r out of range" % (where, raw))
     return value
+
+
+def _check_id(value, where: str):
+    """Ids are integers or strings; `True in losses` would match the id 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise MalformedInstanceError("%s: expected an integer or string" % where)
 
 
 def _require_keys(obj: dict, required, optional, where: str):
@@ -119,10 +123,7 @@ class ProblemFile:
                 raise MalformedInstanceError("%s: expected an object" % where)
             _require_keys(entry, ("id", "loss"), (), where)
             node_id = entry["id"]
-            if isinstance(node_id, bool) or not isinstance(node_id, (int, str)):
-                raise MalformedInstanceError(
-                    "%s.id: expected an integer or string" % where
-                )
+            _check_id(node_id, where + ".id")
             if str(node_id) in keys:
                 raise MalformedInstanceError("%s.id: duplicate id %r" % (where, node_id))
             keys.add(str(node_id))
@@ -139,6 +140,7 @@ class ProblemFile:
             _require_keys(entry, ("from", "to", "lambda", "mu"), (), where)
             tail, head = entry["from"], entry["to"]
             for end, name in ((tail, "from"), (head, "to")):
+                _check_id(end, "%s.%s" % (where, name))
                 if end not in losses:
                     raise MalformedInstanceError(
                         "%s.%s: unknown id %r" % (where, name, end)
@@ -147,29 +149,11 @@ class ProblemFile:
             mu = _parse_weight(entry["mu"], where + ".mu")
             parsed_edges.append((tail, head, lam, mu))
         root = obj.get("root")
-        if root is not None and root not in losses:
-            raise MalformedInstanceError("root: unknown id %r" % (root,))
+        if root is not None:
+            _check_id(root, "root")
+            if root not in losses:
+                raise MalformedInstanceError("root: unknown id %r" % (root,))
         return cls(ids, losses, parsed_edges, root)
-
-    def to_json(self) -> dict:
-        out = {
-            "nodes": [
-                {"id": oid, "loss": loss_to_json(self.losses[oid])}
-                for oid in self.ids
-            ],
-            "edges": [
-                {
-                    "from": f,
-                    "to": t,
-                    "lambda": "inf" if lam == INF else lam,
-                    "mu": "inf" if mu == INF else mu,
-                }
-                for f, t, lam, mu in self.edges
-            ],
-        }
-        if self.root is not None:
-            out["root"] = self.root
-        return out
 
     def build(self):
         """Dense relabelling: (DirectedTree, losses by dense id, dense root)."""
@@ -331,7 +315,7 @@ def cmd_oracle(args) -> int:
         {
             "from": f,
             "to": t,
-            "relation": _RELATION_CHAR[relations[(dense_ids[f], dense_ids[t])]],
+            "relation": SIGN_NAME[relations[(dense_ids[f], dense_ids[t])]],
         }
         for f, t, _, _ in pf.edges
     ]
@@ -440,8 +424,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="solve an instance file")
     p_solve.add_argument("path", help="instance JSON file")
-    p_solve.add_argument("--tol", type=_tolerance, default=1e-8,
-                         help="certificate gate (default 1e-8)")
+    p_solve.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL,
+                         help="certificate gate (default %(default)g)")
     group = p_solve.add_mutually_exclusive_group()
     group.add_argument("--json", action="store_true", help="JSON report (default)")
     group.add_argument("--table", action="store_true", help="human-readable report")
@@ -465,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--reps", type=int, default=1)
     p_bench.add_argument("--isotonic", action="store_true",
                          help="chain with sorted targets and hard ordering")
-    p_bench.add_argument("--tol", type=_tolerance, default=1e-8)
+    p_bench.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     p_bench.set_defaults(func=cmd_bench)
     return parser
 

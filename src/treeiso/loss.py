@@ -13,14 +13,17 @@ node's loss without rebuilding it:
 Every derivative above has the form f'(x) = c0 + c1*x + c3*x^3, which
 `poly_form` returns as (c0, c1, c3).  `LossGroup` aggregates several losses
 that share one variable by summing those coefficients, so evaluating a
-pooled derivative costs O(1) whatever the group's size.  Its inverse
-derivative answers "at which point does the pooled slope equal s": closed
-form when c3 == 0 (every member quadratic), otherwise a safeguarded
-Newton-bisection iteration on the cubic.  `equilibrium_t` locates the
-parameter at which a pooled component and a separately parametrized
-attached node meet, the same way on the summed coefficients.  A loss
-without a polynomial form is still supported: groups containing one sum
-their members one by one.
+pooled derivative costs O(1) whatever the group's size.
+
+One scalar problem recurs: at which point does the summed derivative of
+some losses equal a target s?  `pooled_inverse` answers it for any losses:
+closed form when c3 == 0 (every member quadratic), otherwise a safeguarded
+Newton-bisection iteration (`solve_increasing`) on the cubic.  A loss
+without a polynomial form is still supported: then the iteration runs on
+the member sum.  A single loss, a `LossGroup`, the far half of a component
+and `equilibrium_t` (where a pooled component meets a separately
+parametrized attached node) all invert through it, or through the stored
+form it would compute.
 """
 
 from __future__ import annotations
@@ -47,33 +50,20 @@ def solve_increasing(fun, dfun, target, x0=0.0):
     f0 = fun(x0) - target
     if abs(f0) <= tol:
         return x0
+    # Step away from x0 in direction s (s*step is exact) until fun(x) -
+    # target changes sign.
+    s = 1.0 if f0 < 0 else -1.0
     step = 1.0 + 0.1 * abs(x0)
-    if f0 < 0:
-        lo, flo = x0, f0
-        hi = x0 + step
-        fhi = fun(hi) - target
-        guard = 0
-        while fhi < 0:
-            lo, flo = hi, fhi
-            step *= 2.0
-            hi += step
-            fhi = fun(hi) - target
-            guard += 1
-            if guard > _MAX_ITER:
-                raise ContractViolationError("bracket expansion failed; fun not increasing to target")
-    else:
-        hi, fhi = x0, f0
-        lo = x0 - step
-        flo = fun(lo) - target
-        guard = 0
-        while flo > 0:
-            hi, fhi = lo, flo
-            step *= 2.0
-            lo -= step
-            flo = fun(lo) - target
-            guard += 1
-            if guard > _MAX_ITER:
-                raise ContractViolationError("bracket expansion failed; fun not increasing to target")
+    near, far = x0, x0 + s * step
+    guard = 0
+    while s * (fun(far) - target) < 0:
+        near = far
+        step *= 2.0
+        far += s * step
+        guard += 1
+        if guard > _MAX_ITER:
+            raise ContractViolationError("bracket expansion failed; fun not increasing to target")
+    lo, hi = (near, far) if s > 0 else (far, near)
 
     x = 0.5 * (lo + hi)
     for _ in range(_MAX_ITER):
@@ -137,6 +127,25 @@ def pooled_form(losses):
     return c0, c1, c3
 
 
+def pooled_inverse(losses, target):
+    """The x at which the derivatives of `losses` sum to target.
+
+    Inverts the pooled form when every member has one; otherwise runs
+    Newton on the member sum, started from the members' linearization at 0.
+    """
+    form = pooled_form(losses)
+    if form is not None:
+        return poly_inverse(form, target)
+    gain = sum(loss.second_derivative(0.0) for loss in losses)
+    offset = -sum(loss.derivative(0.0) for loss in losses)
+    return solve_increasing(
+        lambda x: sum(loss.derivative(x) for loss in losses),
+        lambda x: sum(loss.second_derivative(x) for loss in losses),
+        target,
+        (target + offset) / gain,
+    )
+
+
 def _finite(value, what):
     v = float(value)
     if not math.isfinite(v):
@@ -160,17 +169,12 @@ class Loss:
         """(c0, c1, c3) when f'(x) = c0 + c1*x + c3*x^3 exactly, else None."""
         return None
 
-    def _inverse_guess(self, s: float) -> float:
-        return 0.0
-
     def inverse_derivative(self, s: float) -> float:
         """The point x at which the derivative equals s."""
         form = self.poly_form()
         if form is not None:
             return poly_inverse(form, s)
-        return solve_increasing(
-            self.derivative, self.second_derivative, s, self._inverse_guess(s)
-        )
+        return pooled_inverse((self,), s)
 
     def shifted(self, slope: float) -> "Loss":
         """This loss plus slope*x."""
@@ -266,9 +270,6 @@ class LinearShift(Loss):
         c0, c1, c3 = form
         return c0 + self.slope, c1, c3
 
-    def _inverse_guess(self, s):
-        return self.base._inverse_guess(s - self.slope)
-
     def shifted(self, slope):
         if slope == 0.0:
             return self
@@ -292,9 +293,6 @@ class LossGroup:
     def poly_form(self):
         return self._form
 
-    def value(self, x):
-        return sum(loss.value(x) for loss in self.losses)
-
     def derivative(self, x):
         if self._form is not None:
             return poly_derivative(self._form, x)
@@ -303,19 +301,11 @@ class LossGroup:
     def second_derivative(self, x):
         return sum(loss.second_derivative(x) for loss in self.losses)
 
-    def _inverse_guess(self, s):
-        # Linearize every member at 0 to get a cheap starting point.
-        gain = sum(loss.second_derivative(0.0) for loss in self.losses)
-        offset = -sum(loss.derivative(0.0) for loss in self.losses)
-        return (s + offset) / gain
-
     def inverse_derivative(self, s: float) -> float:
         """The common point at which the pooled derivative equals s."""
         if self._form is not None:
             return poly_inverse(self._form, s)
-        return solve_increasing(
-            self.derivative, self.second_derivative, s, self._inverse_guess(s)
-        )
+        return pooled_inverse(self.losses, s)
 
 
 def equilibrium_t(group: LossGroup, boundary_flow: float, attach_loss: Loss) -> float:
@@ -345,12 +335,7 @@ def equilibrium_t(group: LossGroup, boundary_flow: float, attach_loss: Loss) -> 
             # stays the flow rather than absorbing gc0.
             v = poly_inverse((gc0 + ac0, gc1 + ac1, c3), boundary_flow)
     else:
-        v = solve_increasing(
-            lambda u: group.derivative(u) + attach_loss.derivative(u),
-            lambda u: group.second_derivative(u) + attach_loss.second_derivative(u),
-            boundary_flow,
-            group._inverse_guess(boundary_flow),
-        )
+        v = pooled_inverse(group.losses + (attach_loss,), boundary_flow)
     return -attach_loss.derivative(v)
 
 
@@ -374,11 +359,3 @@ def loss_from_json(obj) -> Loss:
             raise MalformedInstanceError("quartic loss missing %s" % sorted(missing))
         return QuarticQuadratic(obj["a"], obj["b"], obj["c"])
     raise MalformedInstanceError("unknown loss type %r" % (kind,))
-
-
-def loss_to_json(loss: Loss) -> dict:
-    if isinstance(loss, WeightedQuadratic):
-        return {"type": "quadratic", "y": loss.y, "w": loss.w}
-    if isinstance(loss, QuarticQuadratic):
-        return {"type": "quartic", "a": loss.a, "b": loss.b, "c": loss.c}
-    raise ContractViolationError("loss %r has no JSON encoding" % (loss,))

@@ -54,16 +54,14 @@ from .errors import (
     ContractViolationError,
     InternalInvariantError,
 )
-from .loss import (
-    Loss, LossGroup, equilibrium_t, poly_inverse, pooled_form, solve_increasing,
-)
+from .loss import Loss, LossGroup, equilibrium_t, pooled_inverse
 from .tree import Arborescence, Attachment, Edge, decompose
 
 INF = math.inf
 
 LT, EQ, GT = -1, 0, 1
 
-_SIGN_NAME = {LT: "<", EQ: "=", GT: ">"}
+SIGN_NAME = {LT: "<", EQ: "=", GT: ">"}
 
 EQ_RTOL = 1e-9          # relative tolerance deciding "these two values are equal"
 TIE_TOL = 1e-9          # absolute tolerance grouping tied thresholds
@@ -122,15 +120,15 @@ class ActiveSet:
 
     def __repr__(self):
         inner = ", ".join(
-            "%s: %s" % (e, _SIGN_NAME[s]) for e, s in sorted(self.signs.items())
+            "%s: %s" % (e, SIGN_NAME[s]) for e, s in sorted(self.signs.items())
         )
         return "ActiveSet({%s})" % inner
 
 
-def build_initial_active_set(x, edges, eq_rtol: float = EQ_RTOL) -> ActiveSet:
+def build_initial_active_set(x, edges) -> ActiveSet:
     """Classify each edge by comparing its endpoint values.
 
-    Values within eq_rtol * (1 + max(|x_i|, |x_j|)) of each other count as
+    Values within EQ_RTOL * (1 + max(|x_i|, |x_j|)) of each other count as
     equal.  A strict ordering that an infinite weight forbids cannot occur
     at a certified optimum, so it raises CertificateError instead of being
     repaired silently.
@@ -138,7 +136,7 @@ def build_initial_active_set(x, edges, eq_rtol: float = EQ_RTOL) -> ActiveSet:
     signs: Dict[Edge, int] = {}
     for i, j, lam, mu in edges:
         xi, xj = x[i], x[j]
-        if abs(xi - xj) <= eq_rtol * (1.0 + max(abs(xi), abs(xj))):
+        if abs(xi - xj) <= EQ_RTOL * (1.0 + max(abs(xi), abs(xj))):
             sign = EQ
         elif xi > xj:
             if lam == INF:
@@ -192,12 +190,9 @@ class ComponentView:
     On an all-quadratic component `_prefix[k]` is the summed (c0, c1)
     derivative form of the first k nodes, and a far half's inverse
     derivative is closed form on the difference of two entries.  Otherwise
-    `_prefix` is None and the half's forms are summed afresh: a difference
-    of running sums would lose a half's small terms next to large ones
-    elsewhere.  The half's inverse is then closed form when it holds only
-    quadratic members (its c3 is exactly 0) and a Newton solve on one cubic
-    otherwise; only a loss without a polynomial form is evaluated member by
-    member inside the solve.
+    `_prefix` is None and the half's members go to `pooled_inverse`, which
+    sums their forms afresh: a difference of running sums would lose a
+    half's small terms next to large ones elsewhere.
     """
 
     __slots__ = (
@@ -249,21 +244,7 @@ class ComponentView:
             a0, a1 = self._prefix[lo]
             b0, b1 = self._prefix[hi]
             return (target - (b0 - a0)) / (b1 - a1)
-        members = self.nodes[lo:hi]
-        losses = self._losses
-        form = pooled_form([losses[u] for u in members])
-        if form is not None:
-            return poly_inverse(form, target)
-
-        def fun(v):
-            return sum(losses[u].derivative(v) for u in members)
-
-        def dfun(v):
-            return sum(losses[u].second_derivative(v) for u in members)
-
-        gain = sum(losses[u].second_derivative(0.0) for u in members)
-        offset = -sum(losses[u].derivative(0.0) for u in members)
-        return solve_increasing(fun, dfun, target, (target + offset) / gain)
+        return pooled_inverse([self._losses[u] for u in self.nodes[lo:hi]], target)
 
 
 @dataclass
@@ -375,7 +356,7 @@ class Solver:
                 if carried != sign:
                     raise InternalInvariantError(
                         "carried sign of edge %s is %s, its values give %s"
-                        % (e, _SIGN_NAME.get(carried, "none"), _SIGN_NAME[sign])
+                        % (e, SIGN_NAME.get(carried, "none"), SIGN_NAME[sign])
                     )
 
     # -- component geometry -----------------------------------------------

@@ -233,6 +233,13 @@ class TestInstanceErrors:
             (lambda o: o["nodes"][0].update({"loss": quad(1.0, w=0.0)}),
              "nodes[0].loss"),
             (lambda o: o.update({"root": 77}), "unknown id"),
+            # True == 1 and 2.0 == 2, so these would match integer ids.
+            (lambda o: o["edges"][0].update({"from": True}),
+             "edges[0].from: expected an integer or string"),
+            (lambda o: o["edges"][0].update({"to": 2.0}),
+             "edges[0].to: expected an integer or string"),
+            (lambda o: o.update({"root": True}),
+             "root: expected an integer or string"),
             (lambda o: o.update({"extra": 1}), "unknown field"),
         ],
     )
@@ -363,19 +370,22 @@ class TestBenchCommand:
 
 
 class TestProblemFileRoundTrip:
+    """A parsed file keeps what it declared: ids, edges, weights and root."""
+
     def test_demo_round_trip(self):
+        with open(DEMO_PATH, encoding="utf-8") as handle:
+            obj = json.load(handle)
         pf = load_problem_file(str(DEMO_PATH))
-        again = ProblemFile.from_json(pf.to_json())
-        assert emit_json(again.to_json()) == emit_json(pf.to_json())
-        assert again.ids == pf.ids
-        assert again.edges == pf.edges
+        assert pf.ids == [entry["id"] for entry in obj["nodes"]]
+        assert [(f, t) for f, t, _, _ in pf.edges] == [
+            (entry["from"], entry["to"]) for entry in obj["edges"]
+        ]
+        assert pf.root is None
 
     def test_infinite_weights_round_trip(self):
         pf = load_problem_file(str(DEMO_PATH))
-        encoded = pf.to_json()
-        assert encoded["edges"][0]["lambda"] == "inf"
-        assert encoded["edges"][0]["mu"] == 0.0
-        assert ProblemFile.from_json(encoded).edges[0][2] == INF
+        assert pf.edges[0][2:] == (INF, 0.0)
+        assert pf.edges[1][2:] == (0.0, INF)
 
     def test_root_preserved(self, tmp_path):
         obj = {
@@ -388,7 +398,7 @@ class TestProblemFileRoundTrip:
         }
         pf = ProblemFile.from_json(obj)
         assert pf.root == 1
-        assert pf.to_json()["root"] == 1
+        assert pf.build()[2] == 1
 
     def test_emit_json_is_valid_json(self):
         payload = {"a": [1.0, INF, -INF, 0.5], "b": "text", "c": None, "d": True}
