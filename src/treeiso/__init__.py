@@ -14,7 +14,7 @@ from .errors import (
     MalformedInstanceError,
     TreeIsoError,
 )
-from .loss import LinearShift, Loss, QuarticQuadratic, WeightedQuadratic
+from .loss import Loss, QuarticQuadratic, WeightedQuadratic
 from .oracle import enumerate_optimum, pava
 from .solver import Problem, Solver, SolveStats, kkt_residual, objective_value, solve
 from .tree import DirectedTree, map_back, normalize
@@ -26,7 +26,6 @@ __all__ = [
     "ContractViolationError",
     "DirectedTree",
     "InternalInvariantError",
-    "LinearShift",
     "Loss",
     "MalformedInstanceError",
     "Problem",

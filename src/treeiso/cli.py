@@ -6,10 +6,10 @@ solver on generated instances and prints CSV.  Reported duals are mapped
 back to the orientation the file declared, and the certificate residual
 in every report is recomputed on that original orientation.
 
-Exit codes: 0 success; 2 unreadable file, JSON syntax error or bad usage;
-3 instance violates the format's invariants; 4 certification or
-cross-check failure; 5 internal failure or an out-of-scope request
-(oracle size cap).
+Exit codes: 0 success; 2 unreadable file (not UTF-8, or nested too
+deeply), JSON syntax error or bad usage; 3 instance violates the
+format's invariants; 4 certification or cross-check failure; 5 internal
+failure or an out-of-scope request (oracle size cap).
 """
 
 from __future__ import annotations
@@ -171,8 +171,8 @@ def load_problem_file(path: str) -> ProblemFile:
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
-        raise _CliError(EXIT_USAGE, "%s: %s" % (path, exc.strerror or exc))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _CliError(EXIT_USAGE, "%s: %s" % (path, getattr(exc, "strerror", None) or exc))
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -180,6 +180,8 @@ def load_problem_file(path: str) -> ProblemFile:
             EXIT_USAGE,
             "%s: line %d column %d: %s" % (path, exc.lineno, exc.colno, exc.msg),
         )
+    except RecursionError:
+        raise _CliError(EXIT_USAGE, "%s: JSON nested too deeply" % path)
     return ProblemFile.from_json(obj)
 
 

@@ -3,12 +3,10 @@
 Every loss exposes its value, first and second derivative, and the inverse
 of its derivative (the derivative is a strictly increasing bijection on the
 reals, so the inverse is well defined).  Two concrete families are
-supported, plus a linear-shift wrapper used to fold penalty slopes into a
-node's loss without rebuilding it:
+supported:
 
     WeightedQuadratic(w, y)     f(x) = w/2 * (x - y)^2          (w > 0)
     QuarticQuadratic(a, b, c)   f(x) = a*x^2 + b*x^4 + c*x      (a > 0, b >= 0)
-    LinearShift(base, slope)    f(x) = base(x) + slope*x
 
 Every derivative above has the form f'(x) = c0 + c1*x + c3*x^3, which
 `poly_form` returns as (c0, c1, c3).  `LossGroup` aggregates several losses
@@ -23,12 +21,15 @@ without a polynomial form is still supported: then the iteration runs on
 the member sum.  A single loss, a `LossGroup`, the far half of a component
 and `equilibrium_t` (where a pooled component meets a separately
 parametrized attached node) all invert through it, or through the stored
-form it would compute.
+form it would compute.  A linear tilt needs no wrapper: the oracle, whose
+strict edges add constant slopes to their endpoint losses, moves the
+slopes' negated sum into the target.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Optional, Sequence, Tuple
 
 from .errors import ContractViolationError, MalformedInstanceError
@@ -147,6 +148,9 @@ def pooled_inverse(losses, target):
 
 
 def _finite(value, what):
+    # float() would also take True or " 2 "; float first skips the ABC check.
+    if isinstance(value, bool) or not isinstance(value, (float, numbers.Real)):
+        raise MalformedInstanceError("%s must be a real number, got %r" % (what, value))
     v = float(value)
     if not math.isfinite(v):
         raise MalformedInstanceError("%s must be finite, got %r" % (what, value))
@@ -176,12 +180,6 @@ class Loss:
             return poly_inverse(form, s)
         return pooled_inverse((self,), s)
 
-    def shifted(self, slope: float) -> "Loss":
-        """This loss plus slope*x."""
-        if slope == 0.0:
-            return self
-        return LinearShift(self, slope)
-
 
 class WeightedQuadratic(Loss):
     """f(x) = w/2 * (x - y)^2 with w > 0."""
@@ -189,11 +187,11 @@ class WeightedQuadratic(Loss):
     __slots__ = ("w", "y")
 
     def __init__(self, w: float, y: float):
-        w = _finite(w, "quadratic weight")
+        w = _finite(w, "quadratic weight w")
         if w <= 0:
             raise MalformedInstanceError("quadratic weight must be positive, got %r" % w)
         self.w = w
-        self.y = _finite(y, "quadratic target")
+        self.y = _finite(y, "quadratic target y")
 
     def value(self, x):
         d = x - self.y
@@ -218,15 +216,15 @@ class QuarticQuadratic(Loss):
     __slots__ = ("a", "b", "c")
 
     def __init__(self, a: float, b: float, c: float):
-        a = _finite(a, "quadratic coefficient")
-        b = _finite(b, "quartic coefficient")
+        a = _finite(a, "quadratic coefficient a")
+        b = _finite(b, "quartic coefficient b")
         if a <= 0:
             raise MalformedInstanceError("quadratic coefficient must be positive, got %r" % a)
         if b < 0:
             raise MalformedInstanceError("quartic coefficient must be nonnegative, got %r" % b)
         self.a = a
         self.b = b
-        self.c = _finite(c, "linear coefficient")
+        self.c = _finite(c, "linear coefficient c")
 
     def value(self, x):
         x2 = x * x
@@ -243,40 +241,6 @@ class QuarticQuadratic(Loss):
 
     def __repr__(self):
         return "QuarticQuadratic(a=%r, b=%r, c=%r)" % (self.a, self.b, self.c)
-
-
-class LinearShift(Loss):
-    """A base loss plus slope*x; shifting again merges the slopes."""
-
-    __slots__ = ("base", "slope")
-
-    def __init__(self, base: Loss, slope: float):
-        self.base = base
-        self.slope = _finite(slope, "shift slope")
-
-    def value(self, x):
-        return self.base.value(x) + self.slope * x
-
-    def derivative(self, x):
-        return self.base.derivative(x) + self.slope
-
-    def second_derivative(self, x):
-        return self.base.second_derivative(x)
-
-    def poly_form(self):
-        form = self.base.poly_form()
-        if form is None:
-            return None
-        c0, c1, c3 = form
-        return c0 + self.slope, c1, c3
-
-    def shifted(self, slope):
-        if slope == 0.0:
-            return self
-        return LinearShift(self.base, self.slope + slope)
-
-    def __repr__(self):
-        return "LinearShift(%r, slope=%r)" % (self.base, self.slope)
 
 
 class LossGroup:
@@ -297,9 +261,6 @@ class LossGroup:
         if self._form is not None:
             return poly_derivative(self._form, x)
         return sum(loss.derivative(x) for loss in self.losses)
-
-    def second_derivative(self, x):
-        return sum(loss.second_derivative(x) for loss in self.losses)
 
     def inverse_derivative(self, s: float) -> float:
         """The common point at which the pooled derivative equals s."""

@@ -5,7 +5,10 @@ every feasible assignment of a relation sign per edge and keeps the first
 one whose reconstructed primal-dual pair certifies, and `pava` is the
 classic pool-adjacent-violators fit for nondecreasing chains.  Both exist
 to cross-check the main solver, so they share only the residual definition
-and the basic tree plumbing with it.
+and the basic tree plumbing with it.  Under one pattern each strict edge's
+dual sits at a box end, adding a constant slope to both endpoint losses,
+and each equal-valued component sits where its members' derivatives sum
+to minus its slopes: `loss.pooled_inverse` with that target.
 
 `tree_linear_solve` solves the flow-balance system on a subtree in a single
 post-order traversal: given a right-hand side b on every non-ancestor node,
@@ -20,8 +23,8 @@ from collections import deque
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import CertificateError, ContractViolationError
-from .loss import LossGroup
-from .solver import EQ, GT, LT, Problem, kkt_residual_edges, values_equal
+from .loss import pooled_inverse
+from .solver import DEFAULT_TOL, EQ, GT, LT, Problem, kkt_residual_edges, values_equal
 from .tree import Edge, INF
 
 MAX_ORACLE_EDGES = 12
@@ -127,14 +130,16 @@ def tree_linear_solve(
     return z
 
 
-def solve_reduced(problem: Problem, pattern: SignPattern, tol: float = 1e-8,
-                  memo: Optional[dict] = None):
+def solve_reduced(problem: Problem, pattern: SignPattern, memo: dict,
+                  tol: float = DEFAULT_TOL):
     """Solve the problem restricted to one sign pattern.
 
-    Strict edges contribute their pinned dual as a linear tilt on both
-    endpoint losses; equality edges pool their endpoints into components
-    that minimize the tilted group loss.  Returns (x, z) when the
-    reconstructed pair certifies at `tol`, else None.
+    Strict edges pin their dual at a box end, which adds a constant slope
+    to both endpoint losses; equality edges pool their endpoints into
+    components, each of which sits where its members' derivatives sum to
+    minus its slopes' sum.  `memo` caches those values by component and
+    slopes across patterns.  Returns (x, z) when the reconstructed pair
+    certifies at `tol`, else None.
     """
     edges = problem.weighted_edges()
     slopes = {v: 0.0 for v in range(1, problem.arb.node_count + 1)}
@@ -167,19 +172,11 @@ def solve_reduced(problem: Problem, pattern: SignPattern, tol: float = 1e-8,
         if v in x:
             continue
         comp = component_of(eq_edges, v)
-        key = None
-        value = None
-        if memo is not None:
-            key = (frozenset(comp.nodes),
-                   tuple(slopes[u] for u in sorted(comp.nodes)))
-            value = memo.get(key)
+        key = (frozenset(comp.nodes), tuple(slopes[u] for u in sorted(comp.nodes)))
+        value = memo.get(key)
         if value is None:
-            group = LossGroup(
-                [problem.loss_of(u).shifted(slopes[u]) for u in comp.nodes]
-            )
-            value = group.inverse_derivative(0.0)
-            if memo is not None:
-                memo[key] = value
+            value = memo[key] = pooled_inverse([problem.loss_of(u) for u in comp.nodes],
+                                               -sum(slopes[u] for u in comp.nodes))
         for u in comp.nodes:
             x[u] = value
         components.append(comp)
@@ -215,7 +212,7 @@ def solve_reduced(problem: Problem, pattern: SignPattern, tol: float = 1e-8,
     return None
 
 
-def enumerate_optimum(problem: Problem, tol: float = 1e-8):
+def enumerate_optimum(problem: Problem, tol: float = DEFAULT_TOL):
     """Find the optimum by trying sign patterns in lexicographic order.
 
     Returns (x, z, pattern) for the first pattern that certifies.  Cost
@@ -232,7 +229,7 @@ def enumerate_optimum(problem: Problem, tol: float = 1e-8):
     memo: dict = {}
     for combo in itertools.product(*options):
         pattern = dict(zip(keys, combo))
-        result = solve_reduced(problem, pattern, tol, memo)
+        result = solve_reduced(problem, pattern, memo, tol)
         if result is not None:
             return result[0], result[1], pattern
     raise CertificateError("no sign pattern produced a certified pair")

@@ -15,6 +15,7 @@ orientation.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import deque
 from typing import Dict, Iterable, Mapping, NamedTuple, Optional, Tuple
 
@@ -25,14 +26,20 @@ INF = math.inf
 Edge = Tuple[int, int]
 
 
+def _is_int(value) -> bool:
+    """An int that is not a bool: True would pass for the node id 1."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _check_weight(value, what, edge):
-    v = float(value)
-    if math.isnan(v) or v < 0:
+    # float() would also take True or "Infinity"; float first skips the ABC check.
+    if isinstance(value, bool) or not isinstance(value, (float, numbers.Real)) \
+            or math.isnan(value) or value < 0:
         raise MalformedInstanceError(
             "edge %s: %s must be a nonnegative number or infinity, got %r"
             % (edge, what, value)
         )
-    return v
+    return float(value)
 
 
 class DirectedTree:
@@ -47,7 +54,7 @@ class DirectedTree:
     __slots__ = ("node_count", "edges")
 
     def __init__(self, node_count: int, edges: Iterable[Tuple]):
-        if not isinstance(node_count, int) or node_count < 1:
+        if not _is_int(node_count) or node_count < 1:
             raise MalformedInstanceError(
                 "node_count must be a positive integer, got %r" % (node_count,)
             )
@@ -63,7 +70,7 @@ class DirectedTree:
             if tail == head:
                 raise MalformedInstanceError("edge %d: self-loop at node %r" % (k, tail))
             for node in (tail, head):
-                if not isinstance(node, int) or not 1 <= node <= node_count:
+                if not _is_int(node) or not 1 <= node <= node_count:
                     raise MalformedInstanceError(
                         "edge %d: node id %r outside 1..%d" % (k, node, node_count)
                     )
@@ -139,7 +146,7 @@ def normalize(tree: DirectedTree, root: Optional[int] = None) -> Arborescence:
         heads = {head for _, head, _, _ in tree.edges}
         candidates = [v for v in range(1, n + 1) if v not in heads]
         root = candidates[0] if len(candidates) == 1 else 1
-    elif not isinstance(root, int) or not 1 <= root <= n:
+    elif not _is_int(root) or not 1 <= root <= n:
         raise MalformedInstanceError("root %r outside 1..%d" % (root, n))
 
     adjacency: Dict[int, list] = {v: [] for v in range(1, n + 1)}

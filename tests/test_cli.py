@@ -213,6 +213,20 @@ class TestInstanceErrors:
         assert code == EXIT_USAGE
         assert "line 1 column" in err
 
+    def test_file_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"nodes": [{"id": "caf\u00e9"}]}'.encode("latin-1"))
+        code, _, err = run_cli(capsys, "solve", str(path))
+        assert code == EXIT_USAGE
+        assert "latin1.json" in err
+
+    def test_json_nested_too_deeply(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000, encoding="utf-8")
+        code, _, err = run_cli(capsys, "solve", str(path))
+        assert code == EXIT_USAGE
+        assert "deep.json: JSON nested too deeply" in err
+
     @pytest.mark.parametrize(
         "mutate, fragment",
         [
@@ -241,6 +255,20 @@ class TestInstanceErrors:
             (lambda o: o.update({"root": True}),
              "root: expected an integer or string"),
             (lambda o: o.update({"extra": 1}), "unknown field"),
+            # float() would take all of these, or crash on them.
+            (lambda o: o["nodes"][0]["loss"].update({"y": None}),
+             "nodes[0].loss: quadratic target y must be a real number"),
+            (lambda o: o["nodes"][0]["loss"].update({"y": "abc"}),
+             "nodes[0].loss: quadratic target y must be a real number"),
+            (lambda o: o["nodes"][0]["loss"].update({"y": "4"}),
+             "nodes[0].loss: quadratic target y must be a real number"),
+            (lambda o: o["nodes"][1]["loss"].update({"w": [1]}),
+             "nodes[1].loss: quadratic weight w must be a real number"),
+            (lambda o: o["nodes"][1]["loss"].update({"w": True}),
+             "nodes[1].loss: quadratic weight w must be a real number"),
+            (lambda o: o["nodes"][2].update(
+                {"loss": {"type": "quartic", "a": 1.0, "b": 0.0, "c": " 2 "}}),
+             "nodes[2].loss: linear coefficient c must be a real number"),
         ],
     )
     def test_schema_violations(self, capsys, tmp_path, mutate, fragment):

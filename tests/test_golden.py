@@ -7,6 +7,10 @@ Each solve digest covers x, z, every StepRecord field and final_residual,
 with floats written as float.hex().  The instances use only quadratic and
 quartic losses: their arithmetic never goes through float sum(), whose
 rounding changed in Python 3.12.
+
+The oracle is pinned by its sign patterns, which are discrete, and by the
+demo's `treeiso oracle` output.  Its x on other instances may move within
+the root solve's tolerance, so it is not pinned.
 """
 
 import dataclasses
@@ -16,6 +20,7 @@ import pytest
 
 from conftest import DEMO_PATH
 from treeiso.cli import build_problem, main, random_problem
+from treeiso.oracle import enumerate_optimum
 from treeiso.solver import solve
 
 N = 40
@@ -36,6 +41,11 @@ SOLVE_DIGESTS = {
 }
 
 DEMO_SOLVE_JSON_DIGEST = "d2aac72c9f3ab8a6"
+
+# enumerate_optimum's sign patterns on the SOLVE_DIGESTS instances at n = 8.
+ORACLE_N = 8
+ORACLE_PATTERNS_DIGEST = "defdb619946a307d"
+DEMO_ORACLE_STDOUT_DIGEST = "7f24ee5d5c56d082"
 
 
 def encode(value) -> str:
@@ -70,3 +80,18 @@ def test_solve_digest(shape, loss_kind, seed):
 def test_demo_solve_json_digest(capsys):
     assert main(["solve", str(DEMO_PATH)]) == 0
     assert digest([capsys.readouterr().out]) == DEMO_SOLVE_JSON_DIGEST
+
+
+def test_oracle_patterns_digest():
+    lines = []
+    for shape, loss_kind, seed in sorted(SOLVE_DIGESTS):
+        tree, losses = random_problem(shape, ORACLE_N, seed, loss_kind)
+        _, _, pattern = enumerate_optimum(build_problem(tree, losses))
+        lines += ["%s %s %d %d %d %d" % (shape, loss_kind, seed, i, j, pattern[(i, j)])
+                  for i, j in sorted(pattern)]
+    assert digest(lines) == ORACLE_PATTERNS_DIGEST
+
+
+def test_demo_oracle_stdout_digest(capsys):
+    assert main(["oracle", str(DEMO_PATH)]) == 0
+    assert digest([capsys.readouterr().out]) == DEMO_ORACLE_STDOUT_DIGEST

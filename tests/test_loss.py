@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 import treeiso.loss
 from treeiso.errors import ContractViolationError, MalformedInstanceError
 from treeiso.loss import (
-    LinearShift,
     Loss,
     LossGroup,
     QuarticQuadratic,
@@ -46,6 +46,12 @@ class SoftplusQuadratic(Loss):
         return e / (1.0 + e)
 
 
+def tilted(loss, slope):
+    """`loss` plus slope*x (less a constant), the slope carried in c."""
+    c0, c1, c3 = loss.poly_form()
+    return QuarticQuadratic(0.5 * c1, 0.25 * c3, c0 + slope)
+
+
 def random_member(rng, kinds=3):
     kind = rng.randrange(kinds)
     if kind == 0:
@@ -54,7 +60,7 @@ def random_member(rng, kinds=3):
         return QuarticQuadratic(rng.uniform(0.5, 2.0), rng.uniform(0.0, 1.0),
                                 rng.uniform(-5.0, 5.0))
     if kind == 2:
-        return random_member(rng, 2).shifted(rng.uniform(-20.0, 20.0))
+        return tilted(random_member(rng, 2), rng.uniform(-20.0, 20.0))
     return SoftplusQuadratic()
 
 
@@ -86,23 +92,11 @@ class TestDerivatives:
         assert loss.derivative(0.0) == 0.0
         assert loss.second_derivative(1.0) == 5.0
 
-    def test_linear_shift(self):
-        assert LinearShift(WeightedQuadratic(1.0, 2.0), 3.0).derivative(2.0) == 3.0
-
-    def test_shift_merging(self):
-        loss = WeightedQuadratic(1.0, 2.0).shifted(2.0).shifted(1.0)
-        assert isinstance(loss, LinearShift)
-        assert loss.slope == 3.0
-        assert loss.derivative(2.0) == 3.0
-
-    def test_zero_shift_is_identity(self):
-        base = QuarticQuadratic(1.0, 0.5, -2.0)
-        assert base.shifted(0.0) is base
-
     def test_values(self):
         assert WeightedQuadratic(2.0, 1.0).value(3.0) == 4.0
         assert QuarticQuadratic(1.0, 0.25, 0.0).value(1.0) == 1.25
-        assert LinearShift(WeightedQuadratic(2.0, 1.0), 1.5).value(3.0) == 8.5
+        # The tilt drops the quadratic's constant w/2*y^2 = 1: 9 - 2*3 + 1.5*3.
+        assert tilted(WeightedQuadratic(2.0, 1.0), 1.5).value(3.0) == 7.5
 
 
 class TestInverseDerivative:
@@ -132,11 +126,9 @@ class TestInverseDerivative:
                 loss = QuarticQuadratic(rng.uniform(0.1, 3.0), rng.uniform(0.0, 2.0),
                                         rng.uniform(-10, 10))
             else:
-                loss = LinearShift(
-                    QuarticQuadratic(rng.uniform(0.1, 3.0), rng.uniform(0.0, 2.0),
-                                     rng.uniform(-10, 10)),
-                    rng.uniform(-20, 20),
-                )
+                # The slope rides in c, drawn after the base coefficients.
+                loss = QuarticQuadratic(rng.uniform(0.1, 3.0), rng.uniform(0.0, 2.0),
+                                        rng.uniform(-10, 10) + rng.uniform(-20, 20))
             x = rng.uniform(-100.0, 100.0)
             back = loss.inverse_derivative(loss.derivative(x))
             assert abs(back - x) <= 1e-9 * (1.0 + abs(x))
@@ -157,7 +149,7 @@ class TestInverseDerivative:
             WeightedQuadratic(0.5, -3.0),
             QuarticQuadratic(1.0, 0.25, 0.0),
             QuarticQuadratic(0.2, 1.5, 4.0),
-            LinearShift(WeightedQuadratic(2.0, 1.0), -5.0),
+            tilted(WeightedQuadratic(2.0, 1.0), -5.0),
         ]
         grid = sorted(rng.uniform(-50, 50) for _ in range(200))
         for loss in losses:
@@ -209,13 +201,13 @@ class TestLossGroup:
     def test_closed_form_matches_newton(self):
         # Same group solved through both code paths must agree to 1e-12.
         members = [WeightedQuadratic(1.5, 2.0), WeightedQuadratic(0.5, -4.0),
-                   WeightedQuadratic(2.0, 7.0).shifted(1.25)]
+                   tilted(WeightedQuadratic(2.0, 7.0), 1.25)]
         group = LossGroup(members)
-        assert group.poly_form()[2] == 0.0
+        _, c1, c3 = group.poly_form()
+        assert c3 == 0.0
         for s in (-11.0, 0.0, 3.0, 42.0):
             closed = group.inverse_derivative(s)
-            newton = solve_increasing(
-                group.derivative, group.second_derivative, s, 0.0)
+            newton = solve_increasing(group.derivative, lambda x: c1, s, 0.0)
             assert abs(closed - newton) <= 1e-12 * (1.0 + abs(closed))
 
     def test_mixed_group_newton(self):
@@ -230,15 +222,9 @@ class TestPolyForm:
     def test_each_family(self):
         assert WeightedQuadratic(2.0, 3.0).poly_form() == (-6.0, 2.0, 0.0)
         assert QuarticQuadratic(1.5, 0.25, -2.0).poly_form() == (-2.0, 3.0, 1.0)
-        assert LinearShift(WeightedQuadratic(2.0, 3.0), 1.5).poly_form() == (
-            -4.5, 2.0, 0.0)
-        assert LinearShift(QuarticQuadratic(1.5, 0.25, -2.0), -1.0).poly_form() == (
+        assert tilted(WeightedQuadratic(2.0, 3.0), 1.5).poly_form() == (-4.5, 2.0, 0.0)
+        assert tilted(QuarticQuadratic(1.5, 0.25, -2.0), -1.0).poly_form() == (
             -3.0, 3.0, 1.0)
-
-    def test_shift_of_a_shift(self):
-        inner = LinearShift(QuarticQuadratic(1.0, 0.5, 4.0), 2.0)
-        assert LinearShift(inner, -7.0).poly_form() == (-1.0, 2.0, 2.0)
-        assert inner.shifted(-7.0).poly_form() == (-1.0, 2.0, 2.0)
 
     def test_form_matches_derivative(self):
         rng = random.Random(3)
@@ -286,7 +272,6 @@ class TestLossWithoutForm:
     def test_has_no_form(self):
         loss = SoftplusQuadratic()
         assert loss.poly_form() is None
-        assert loss.shifted(2.0).poly_form() is None
         assert LossGroup([WeightedQuadratic(1.0, 2.0), loss]).poly_form() is None
 
     def test_group_sums_members(self):
@@ -385,7 +370,7 @@ class TestSubgroupInverse:
                                         rng.choice((0.0, 1e-10, 1e6)),
                                         rng.choice((-1e6, -1.0, 0.0, 1e6)))
                 if rng.random() < 0.3:
-                    loss = loss.shifted(rng.choice((-1e8, 1e8)))
+                    loss = tilted(loss, rng.choice((-1e8, 1e8)))
                 losses.append(loss)
             view = pooled_view(losses, edges, anchor=rng.randint(1, n))
             for e in view.edges:
@@ -487,3 +472,17 @@ class TestJson:
             loss_from_json({"type": "quartic", "a": -1.0, "b": 0.0, "c": 0.0})
         with pytest.raises(MalformedInstanceError):
             loss_from_json({"type": "quartic", "a": 1.0, "b": -0.1, "c": 0.0})
+
+    @pytest.mark.parametrize("cls, args", [
+        (WeightedQuadratic, (True, 4.0)), (WeightedQuadratic, (1.0, "4")),
+        (WeightedQuadratic, (1.0, None)), (WeightedQuadratic, ([1], 4.0)),
+        (QuarticQuadratic, (1.0, 0.0, " 2 ")), (QuarticQuadratic, (1.0, False, 0.0)),
+    ])
+    def test_parameters_must_be_real_numbers(self, cls, args):
+        with pytest.raises(MalformedInstanceError, match="must be a real number"):
+            cls(*args)
+
+    def test_integer_and_fraction_parameters_accepted(self):
+        loss = QuarticQuadratic(1, Fraction(1, 4), -2)
+        assert (loss.a, loss.b, loss.c) == (1.0, 0.25, -2.0)
+        assert isinstance(loss.b, float)

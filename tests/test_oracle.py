@@ -115,7 +115,7 @@ class TestTreeLinearSolve:
 
 class TestSolveReduced:
     def test_golden_pattern_certifies(self):
-        result = solve_reduced(make_demo_problem(), GOLDEN_PATTERN)
+        result = solve_reduced(make_demo_problem(), GOLDEN_PATTERN, {})
         assert result is not None
         x, z = result
         for node, want in DEMO_X.items():
@@ -125,13 +125,13 @@ class TestSolveReduced:
 
     def test_all_equal_pattern_fails_kkt(self):
         pattern = {e: EQ for e in GOLDEN_PATTERN}
-        assert solve_reduced(make_demo_problem(), pattern) is None
+        assert solve_reduced(make_demo_problem(), pattern, {}) is None
 
     def test_wrong_direction_pattern_screened(self):
         # Claiming x_3 > x_4 puts the minimizers in the wrong order.
         pattern = dict(GOLDEN_PATTERN)
         pattern[(3, 4)] = GT
-        assert solve_reduced(make_demo_problem(), pattern) is None
+        assert solve_reduced(make_demo_problem(), pattern, {}) is None
 
     def test_memo_is_reused_across_patterns(self):
         problem = make_demo_problem()

@@ -50,6 +50,30 @@ class TestDirectedTree:
         with pytest.raises(MalformedInstanceError):
             DirectedTree(2, [(1, 2, float("nan"), 1.0)])
 
+    @pytest.mark.parametrize("node_count", [True, 2.0, "2"])
+    def test_node_count_must_be_an_integer(self, node_count):
+        with pytest.raises(MalformedInstanceError, match="node_count"):
+            DirectedTree(node_count, [])
+
+    @pytest.mark.parametrize("edge", [(True, 2, 1.0, 1.0), (1, True, 1.0, 1.0),
+                                      (2, True, 1.0, 1.0)])
+    def test_boolean_endpoint_rejected(self, edge):
+        # True == 1, so it must not pass for the node id 1.
+        with pytest.raises(MalformedInstanceError):
+            DirectedTree(2, [edge])
+
+    @pytest.mark.parametrize("weight", ["2.5", "Infinity", None, True, [1.0]])
+    def test_weight_must_be_a_real_number(self, weight):
+        with pytest.raises(MalformedInstanceError, match="lambda"):
+            DirectedTree(2, [(1, 2, weight, 1.0)])
+        with pytest.raises(MalformedInstanceError, match="mu"):
+            DirectedTree(2, [(1, 2, 1.0, weight)])
+
+    def test_integer_and_infinite_weights_accepted(self):
+        tree = DirectedTree(2, [(1, 2, 2, INF)])
+        assert tree.edges == ((1, 2, 2.0, INF),)
+        assert isinstance(tree.edges[0][2], float)
+
 
 class TestNormalize:
     def test_reorientation_with_weight_swap(self):
@@ -130,6 +154,12 @@ class TestNormalize:
                                 (3, 1, 1.0, 1.0)])
         with pytest.raises(MalformedInstanceError):
             normalize(tree, root=1)
+
+    @pytest.mark.parametrize("root", [True, 1.0, "1"])
+    def test_root_must_be_an_integer(self, root):
+        tree = DirectedTree(2, [(1, 2, 1.0, 1.0)])
+        with pytest.raises(MalformedInstanceError, match="root"):
+            normalize(tree, root=root)
 
 
 class TestDecompose:
