@@ -148,8 +148,9 @@ def pooled_inverse(losses, target):
 
 
 def _finite(value, what):
-    # float() would also take True or " 2 "; float first skips the ABC check.
-    if isinstance(value, bool) or not isinstance(value, (float, numbers.Real)):
+    # float() would also take True or " 2 "; the float test skips the ABC check.
+    if type(value) is not float and (isinstance(value, bool)
+                                     or not isinstance(value, numbers.Real)):
         raise MalformedInstanceError("%s must be a real number, got %r" % (what, value))
     v = float(value)
     if not math.isfinite(v):

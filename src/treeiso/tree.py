@@ -26,15 +26,11 @@ INF = math.inf
 Edge = Tuple[int, int]
 
 
-def _is_int(value) -> bool:
-    """An int that is not a bool: True would pass for the node id 1."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _check_weight(value, what, edge):
-    # float() would also take True or "Infinity"; float first skips the ABC check.
-    if isinstance(value, bool) or not isinstance(value, (float, numbers.Real)) \
-            or math.isnan(value) or value < 0:
+    # float() would also take True or "Infinity"; the float test skips the ABC check.
+    real = type(value) is float or (isinstance(value, numbers.Real)
+                                    and not isinstance(value, bool))
+    if not real or math.isnan(value) or value < 0:
         raise MalformedInstanceError(
             "edge %s: %s must be a nonnegative number or infinity, got %r"
             % (edge, what, value)
@@ -54,7 +50,8 @@ class DirectedTree:
     __slots__ = ("node_count", "edges")
 
     def __init__(self, node_count: int, edges: Iterable[Tuple]):
-        if not _is_int(node_count) or node_count < 1:
+        # type(), not isinstance(): True is an int and would pass for node 1.
+        if type(node_count) is not int or node_count < 1:
             raise MalformedInstanceError(
                 "node_count must be a positive integer, got %r" % (node_count,)
             )
@@ -70,7 +67,7 @@ class DirectedTree:
             if tail == head:
                 raise MalformedInstanceError("edge %d: self-loop at node %r" % (k, tail))
             for node in (tail, head):
-                if not _is_int(node) or not 1 <= node <= node_count:
+                if type(node) is not int or not 1 <= node <= node_count:
                     raise MalformedInstanceError(
                         "edge %d: node id %r outside 1..%d" % (k, node, node_count)
                     )
@@ -146,7 +143,7 @@ def normalize(tree: DirectedTree, root: Optional[int] = None) -> Arborescence:
         heads = {head for _, head, _, _ in tree.edges}
         candidates = [v for v in range(1, n + 1) if v not in heads]
         root = candidates[0] if len(candidates) == 1 else 1
-    elif not _is_int(root) or not 1 <= root <= n:
+    elif type(root) is not int or not 1 <= root <= n:
         raise MalformedInstanceError("root %r outside 1..%d" % (root, n))
 
     adjacency: Dict[int, list] = {v: [] for v in range(1, n + 1)}
