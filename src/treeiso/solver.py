@@ -19,33 +19,62 @@ components; the component containing the attachment point moves as a whole,
 parametrized through its pooled loss (closed form when every member is
 quadratic, a Newton solve on one cubic otherwise), while everything else
 stays frozen.  Each search step collects that component afresh, in one
-depth-first walk from the attachment point plus one reverse pass over the
-members it listed.  Threshold computations find the largest |t| step before some
-dual value hits its box end or the moving component collides with a frozen
-neighbor; if the new node's value meets the component's before any
-threshold, an equilibrium solve finishes the search.  The search direction
-s is set by the sign of the attached loss's derivative at the attachment
-point: positive derivative means t decreases (s = -1, downward search),
-negative means t increases (s = +1, upward search).  The two directions are
-mirror images (reflect x to -x and swap lambda with mu), so one threshold
-routine, one step and one migration serve both, with s as a parameter:
-every move is s times a nonnegative length, and comparisons of moves
-compare s times their values.
+depth-first walk over EQ edges from the attachment point plus one reverse
+pass over the members it listed.  Threshold computations find the largest
+|t| step before some dual value hits its box end or the moving component
+collides with a frozen neighbor; if the new node's value meets the
+component's before any threshold, an equilibrium solve finishes the
+search.  The search direction s is set by the sign of the attached loss's
+derivative at the attachment point: positive derivative means t decreases
+(s = -1, downward search), negative means t increases (s = +1, upward
+search).  The two directions are mirror images (reflect x to -x and swap
+lambda with mu), so one threshold routine, one step and one migration
+serve both, with s as a parameter: every move is s times a nonnegative
+length, and comparisons of moves compare s times their values.
 
-One active set lives for a whole solve.  Before each search it is brought
-back to the value-based classification of the prefix (the one
-`build_initial_active_set` would produce from scratch) by reclassifying
-only the edges next to a node whose value was written since the last
-classification: every member of a component view during a search, and
-the attached node of every extension.  An edge whose endpoints kept their
-values keeps its class, and the edges a search migrates all touch a
-component member, so nothing else can be stale.
+One active set lives for a whole solve, with an index of every node's
+prefix children: the EQ ones in ascending order, the summed dual over the
+strict ones, and two lazy heaps of the strict ones keyed by value, one for
+the children above the node and one for those below.  Every sign write
+goes through the active set, so the index follows the signs, and a step
+never scans a node's strict children.  The component walk follows EQ
+edges only; a member's boundary outflow is its cached child flow minus
+its parent edge's dual when that edge is strict.  A moving component
+meets a frozen child at the child's value, and `t_of_value` is monotone
+in the value, so the binding collision is at a heap top and the children
+tied with it are a run from that top.  A node's value is written only
+while it is a component member (or as the attached node), and then only
+its own entry in its parent's heap goes stale.  When that edge is strict
+the entry is renewed at the next reclassification, because the parent's
+heap is not read before then: the parent cannot join the component while
+the node is in it (their only link is the strict edge), nor after the
+node left it (the parent's path to the component crosses the edge that
+departed, which may not rejoin in the same search).  A step therefore
+costs time in the size of the component, plus a heap operation per
+strict edge it touches, but not in the degrees of its members.
+
+Before each search the signs are brought back to the value-based
+classification of the prefix (the one `build_initial_active_set` would
+produce from scratch).  For each node whose value was written since the
+last classification (every member of a component view during a search,
+and the attached node of every extension) that means its parent edge; its
+EQ children moved with it.  A search's final component ends on one
+value, so the edges inside it are left out, and an edge whose endpoints
+kept their values keeps its class.  A component stops at the first
+frozen value it meets, so a strict child of a member can only come level
+with it (or pass it by a rounding error), and the nearest one on that
+side does so first.  So each step checks the nearest strict child on
+either side of every member, and only for a member where one no longer
+classifies as strict are the strict children at its heap tops
+reclassified, down to the first that still classifies.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
-from bisect import bisect_right
+import numbers
+from bisect import insort
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -79,6 +108,12 @@ def values_equal(a: float, b: float) -> bool:
     return abs(a - b) <= _eq_tol(a, b)
 
 
+def _keeps_side(sign: int, xv: float, xc: float) -> bool:
+    """Whether a parent at xv and a child at xc classify as `sign` (LT or GT)."""
+    d = sign * (xv - xc)
+    return d > 0.0 and d > EQ_RTOL * (1.0 + max(abs(xv), abs(xc)))
+
+
 class Problem:
     """An arborescence plus one loss per node (index 1..node_count)."""
 
@@ -106,17 +141,110 @@ class Problem:
 
 
 class ActiveSet:
-    """Relation sign per edge: LT (-1), EQ (0) or GT (+1).
+    """Relation sign per edge: LT (-1), EQ (0) or GT (+1), plus a child index.
 
     `moved` holds the nodes whose values were written since the signs were
-    last classified; only the edges next to them can be out of date.
+    last classified, less those whose parent edge joins two members of a
+    search's final component (both ends hold one value, so it stays EQ).
+    Only the edges next to written nodes can be out of date, and of those
+    only the moved nodes' parent edges, except at the nodes in `level`,
+    where a write left the nearest strict child on some side no longer
+    strictly apart from the node.  An EQ child of a written node was
+    written with it, so its edge is its own parent edge.
+
+    The index covers the signed edges (parent, child) and is built from
+    `signs`, x and z on first use (`build_index`).  Per node v it holds:
+    `eq_kids[v]`, the EQ children in ascending order; `child_flow[v]`, the
+    summed dual over the strict child edges; and `strict[LT][v]` and
+    `strict[GT][v]`, lazy heaps of the strict children above and below v,
+    keyed by value so that the top is the nearest one.  A heap entry is
+    fresh while its edge keeps that sign and its child keeps the keyed
+    value; `nearest` drops stale entries from the top.  Once the index
+    exists every sign write goes through `set_sign`, and a strict child
+    whose value was written is entered again with `push` before its
+    parent's heap is next read, so the index cannot drift from `signs`.
     """
 
-    __slots__ = ("signs", "moved")
+    __slots__ = ("signs", "moved", "level", "eq_kids", "child_flow", "strict")
 
     def __init__(self, signs: Optional[Dict[Edge, int]] = None):
         self.signs = dict(signs) if signs else {}
         self.moved: set = set()
+        self.level: set = set()
+        self.eq_kids: Optional[List[List[int]]] = None
+        self.child_flow: List[float] = []
+        self.strict: Dict[int, List[list]] = {}
+
+    def build_index(self, n: int, x, z):
+        """Index the signed edges of nodes 1..n, unless already indexed."""
+        if self.eq_kids is not None:
+            return
+        # Per-node lists start as one shared empty tuple and are made on
+        # first entry, so that building the index allocates next to nothing.
+        self.eq_kids = [()] * (n + 1)
+        self.child_flow = [0.0] * (n + 1)
+        self.strict = {LT: [()] * (n + 1), GT: [()] * (n + 1)}
+        # Ascending edges: sorted EQ lists, and flows summed in child order.
+        for e, sign in sorted(self.signs.items()):
+            self._enter(e, sign, x, z)
+
+    def _enter(self, e: Edge, sign: int, x, z):
+        """Add edge e to the index under the given sign."""
+        p, c = e
+        if sign == EQ:
+            kids = self.eq_kids[p]
+            if kids:
+                insort(kids, c)
+            else:
+                self.eq_kids[p] = [c]
+        else:
+            self.child_flow[p] += z[e]
+            heaps = self.strict[sign]
+            entry = (x[c] if sign == LT else -x[c], c)
+            if heaps[p]:
+                heapq.heappush(heaps[p], entry)
+            else:
+                heaps[p] = [entry]
+
+    def push(self, e: Edge, x):
+        """Enter strict edge e's child afresh at its current value."""
+        p, c = e
+        sign = self.signs[e]
+        heapq.heappush(self.strict[sign][p], (x[c] if sign == LT else -x[c], c))
+
+    def set_sign(self, e: Edge, sign: int, x, z):
+        """Write the sign of edge e, keeping the index in step.
+
+        A strict edge's dual must already hold its final value: it stays
+        in the parent's cached flow until the edge leaves its class.
+        """
+        signs = self.signs
+        old = signs.get(e)
+        if old == sign:
+            return
+        signs[e] = sign
+        if old == EQ:
+            self.eq_kids[e[0]].remove(e[1])
+        elif old is not None:
+            self.child_flow[e[0]] -= z[e]
+        self._enter(e, sign, x, z)
+
+    def nearest(self, v: int, sign: int, x) -> Optional[int]:
+        """The strict child of v with the given sign nearest to v, or None."""
+        heap = self.strict[sign][v]
+        signs = self.signs
+        while heap:
+            key, c = heap[0]
+            if signs.get((v, c)) == sign and x[c] == (key if sign == LT else -key):
+                return c
+            heapq.heappop(heap)
+        return None
+
+    def fresh_entries(self, v: int, sign: int, x) -> set:
+        """The fresh entries of one of v's heaps."""
+        return {(key, c) for key, c in self.strict[sign][v]
+                if self.signs.get((v, c)) == sign
+                and x[c] == (key if sign == LT else -key)}
 
     def __repr__(self):
         inner = ", ".join(
@@ -159,19 +287,22 @@ class PrimalDualState:
 
     x and z are the live solution maps (shared with the caller and updated
     in place); `departed` and `equilibrium_calls` carry the per-search
-    bookkeeping backing the churn and single-equilibrium checks.
+    bookkeeping backing the churn and single-equilibrium checks.  With
+    `validate`, each step checks its boundary ties against a full scan.
     """
 
-    __slots__ = ("t", "x", "z", "active", "departed", "equilibrium_calls")
+    __slots__ = ("t", "x", "z", "active", "departed", "equilibrium_calls",
+                 "validate")
 
     def __init__(self, t: float, x: Dict[int, float], z: Dict[Edge, float],
-                 active: ActiveSet):
+                 active: ActiveSet, validate: bool = False):
         self.t = t
         self.x = x
         self.z = z
         self.active = active
         self.departed: set = set()
         self.equilibrium_calls = 0
+        self.validate = validate
 
 
 class ComponentView:
@@ -186,6 +317,14 @@ class ComponentView:
     contiguous slice `span[e]` of `nodes`, and the edge's dual equals +/-
     (sum of loss derivatives over that slice at the pooled value, minus
     the slice's own boundary flow `edge_flow`).
+
+    The strict edges leaving the component are listed as (edge, outside
+    node) pairs: `boundary_in` holds every member's parent edge that is
+    strict, and `boundary_out` only each member's nearest strict child
+    above it and nearest below it, the tops of its heaps in the active
+    set's index.  A moving component meets the nearest frozen child
+    first, so the other strict children need no listing: those tied with
+    the nearest one are a run from the same heap top.
 
     On an all-quadratic component `_prefix[k]` is the summed (c0, c1)
     derivative form of the first k nodes, and a far half's inverse
@@ -224,6 +363,12 @@ class ComponentView:
         """Inverse of value_at."""
         return self.group.derivative(v) - self.boundary_flow
 
+    def move_to(self, v: float, t: float, s: int) -> float:
+        """The move from t that brings the component to value v, or 0.0
+        when v lies against the search direction s."""
+        d = self.t_of_value(v) - t
+        return d if s * d > 0.0 else 0.0
+
     def duals_at(self, t: float) -> Dict[Edge, float]:
         """Dual values on the component edges at parameter t."""
         value = self.value_at(t)
@@ -253,7 +398,8 @@ class Thresholds:
 
     Every move is s times a nonnegative length, so within a class the
     binding move is the one with the smallest |move|, and an empty class
-    holds the sentinel s*inf.
+    holds the sentinel s*inf.  `per_edge` covers the component edges and
+    the eligible boundary edges the view lists.
     """
 
     per_edge: Dict[Edge, float]
@@ -261,6 +407,7 @@ class Thresholds:
     boundary_out: float   # over eligible outgoing boundary edges (value collision)
     boundary_in: float    # over eligible incoming boundary edges
     best: float           # the binding move among all three
+    t: float              # the parameter the moves start from
 
 
 @dataclass
@@ -298,11 +445,14 @@ class Solver:
     """Grows an optimal primal-dual pair one leaf at a time."""
 
     def __init__(self, problem: Problem, tol: float = DEFAULT_TOL):
-        tol = float(tol)
-        if not tol >= 0.0:
+        # float() would also take True or "1e-3"; the float test skips the ABC check.
+        real = type(tol) is float or (isinstance(tol, numbers.Real)
+                                      and not isinstance(tol, bool))
+        if not real or not tol >= 0.0:
             raise ContractViolationError(
-                "tolerance must be a nonnegative number, got %r" % tol
+                "tolerance must be a nonnegative number, got %r" % (tol,)
             )
+        tol = float(tol)
         self.problem = problem
         self.tol = tol
         arb = problem.arb
@@ -331,24 +481,35 @@ class Solver:
         parent, lam, mu = self._parent, self._lam, self._mu
         return ((parent[c], c, lam[c], mu[c]) for c in children)
 
-    def _reclassify(self, active: ActiveSet, x, m: int, validate: bool):
+    def _reclassify(self, active: ActiveSet, x, z, m: int, validate: bool):
         """Bring the signs of prefix 1..m up to date with x and clear `moved`.
 
-        Reclassifies each moved node's parent edge and its prefix child
-        edges.  Under validation, the result must equal a classification
-        of every prefix edge from scratch.
+        For each moved node, reclassifies its parent edge, and enters the
+        node afresh in its parent's heap when the edge stays strict.  For
+        each node in `level`, also reclassifies the strict child edges at
+        its heap tops, down to the first that still classifies as strict
+        on its side.  Under validation, the result must equal a
+        classification of every prefix edge from scratch, and the index
+        one rebuilt from the signs, x and z.
         """
-        children = self._children  # each list ascending, as built in __init__
+        active.build_index(len(self._parent) - 1, x, z)
+        signs = active.signs
         stale = set(active.moved)
         stale.discard(1)  # the root has no parent edge
-        for v in active.moved:
-            kids = children[v]
-            if kids:
-                stale.update(kids[:bisect_right(kids, m)])
+        for v in active.level:
+            for sign, heaps in active.strict.items():
+                c = active.nearest(v, sign, x)
+                while c is not None and not _keeps_side(sign, x[v], x[c]):
+                    heapq.heappop(heaps[v])
+                    stale.add(c)
+                    c = active.nearest(v, sign, x)
+        active.level.clear()
         active.moved.clear()
-        active.signs.update(
-            build_initial_active_set(x, self._edges(stale)).signs
-        )
+        for e, sign in build_initial_active_set(x, self._edges(stale)).signs.items():
+            if signs.get(e) != sign:
+                active.set_sign(e, sign, x, z)
+            elif sign != EQ:
+                active.push(e, x)  # the child moved: enter it at its new value
         if validate:
             fresh = build_initial_active_set(x, self._edges(range(2, m + 1)))
             for e, sign in fresh.signs.items():
@@ -358,22 +519,58 @@ class Solver:
                         "carried sign of edge %s is %s, its values give %s"
                         % (e, SIGN_NAME.get(carried, "none"), SIGN_NAME[sign])
                     )
+            self._check_index(active, x, z)
+
+    def _check_index(self, active: ActiveSet, x, z):
+        """Validation: the index must equal one rebuilt from signs, x and z."""
+        rebuilt = ActiveSet(active.signs)
+        rebuilt.build_index(len(self._parent) - 1, x, z)
+        for v in range(1, len(self._parent)):
+            if list(active.eq_kids[v]) != list(rebuilt.eq_kids[v]):
+                raise InternalInvariantError(
+                    "EQ children of node %d are %s, the signs give %s"
+                    % (v, active.eq_kids[v], rebuilt.eq_kids[v])
+                )
+            got, want = active.child_flow[v], rebuilt.child_flow[v]
+            if abs(got - want) > ANCHOR_RTOL * (1.0 + abs(want)):
+                raise InternalInvariantError(
+                    "cached child flow of node %d is %.17g, the duals give %.17g"
+                    % (v, got, want)
+                )
+            for sign in (LT, GT):
+                heap = active.strict[sign][v]
+                ordered = all(heap[(k - 1) // 2] <= heap[k]
+                              for k in range(1, len(heap)))
+                if not ordered or active.fresh_entries(v, sign, x) \
+                        != set(rebuilt.strict[sign][v]):
+                    raise InternalInvariantError(
+                        "heap of the strict children %s node %d disagrees with "
+                        "the signs" % ("above" if sign == LT else "below", v)
+                    )
 
     # -- component geometry -----------------------------------------------
 
-    def build_component_view(self, state: PrimalDualState, anchor: int,
-                             m: int) -> ComponentView:
-        """Collect the equality component of `anchor` within prefix 1..m.
+    def build_component_view(self, state: PrimalDualState,
+                             anchor: int) -> ComponentView:
+        """Collect the equality component of `anchor` among the signed edges.
 
-        One depth-first walk lists the members in preorder, so every far
-        half is a contiguous slice, and notes each member's net boundary
-        outflow, the position of the member it was reached from and the
-        edge it was reached along.  One reverse pass then adds each
-        member's slice size and outflow into that near member, which gives
-        every component edge its slice, flow and orientation.
+        One depth-first walk over EQ edges lists the members in preorder,
+        so every far half is a contiguous slice, and notes each member's
+        net boundary outflow (its cached child flow, minus its parent
+        edge's dual when that edge is strict), the position of the member
+        it was reached from and the edge it was reached along.  One reverse
+        pass then adds each member's slice size and outflow into that near
+        member, which gives every component edge its slice, flow and
+        orientation.
         """
-        signs = state.active.signs
-        z = state.z
+        active = state.active
+        x, z = state.x, state.z
+        if active.eq_kids is None:
+            active.build_index(len(self._parent) - 1, x, z)
+        parent, signs = self._parent, active.signs
+        eq_kids, child_flow = active.eq_kids, active.child_flow
+        above, below = active.strict[LT], active.strict[GT]
+        nearest = active.nearest
         nodes: List[int] = []
         near: List[int] = []    # position of the member each was reached from
         edges: List[Edge] = []  # the edge each non-anchor member was reached along
@@ -388,8 +585,8 @@ class Solver:
             near.append(k)
             if reached_by is not None:
                 edges.append(reached_by)
-            gv = 0.0
-            p = self._parent[v]
+            gv = child_flow[v]
+            p = parent[v]
             if p:
                 e = (p, v)
                 if signs[e] != EQ:
@@ -397,15 +594,18 @@ class Solver:
                     boundary_in.append((e, p))
                 elif e != reached_by:
                     stack.append((p, here, e))
-            for c in self._children[v]:  # ascending, as built in __init__
-                if c > m:
-                    break
+            for c in eq_kids[v]:  # ascending
                 e = (v, c)
-                if signs[e] != EQ:
-                    gv += z[e]
-                    boundary_out.append((e, c))
-                elif e != reached_by:
+                if e != reached_by:
                     stack.append((c, here, e))
+            if above[v]:
+                c = nearest(v, LT, x)
+                if c is not None:
+                    boundary_out.append(((v, c), c))
+            if below[v]:
+                c = nearest(v, GT, x)
+                if c is not None:
+                    boundary_out.append(((v, c), c))
             flow.append(gv)
 
         size = [1] * len(nodes)
@@ -490,8 +690,7 @@ class Solver:
             side_best = s * INF
             for e, outside in boundary:
                 if signs[e] == eligible:
-                    d = view.t_of_value(x[outside]) - t_q
-                    dt = d if s * d > 0.0 else 0.0
+                    dt = view.move_to(x[outside], t_q, s)
                     per_edge[e] = dt
                     if s * dt < s * side_best:
                         side_best = dt
@@ -501,7 +700,7 @@ class Solver:
         for dt in best_of_side:
             if s * dt < s * best:
                 best = dt
-        return Thresholds(per_edge, internal, out_best, in_best, best)
+        return Thresholds(per_edge, internal, out_best, in_best, best, t_q)
 
     # The benchmark's span table (perfbench/spans.py) wraps these four names
     # for its solver.thresholds and solver.step spans, and the search calls
@@ -524,9 +723,16 @@ class Solver:
                attachment: Attachment, attach_loss: Loss, t_next: float):
         value = view.value_at(t_next)
         attach_value = attach_loss.inverse_derivative(-t_next)
+        x = state.x
         for v in view.nodes:
-            state.x[v] = value
-        state.x[attachment.child] = attach_value
+            x[v] = value
+        # A member whose nearest strict child on some side no longer
+        # classifies as strict gets its heap tops reclassified.
+        signs = state.active.signs
+        for e, c in view.boundary_out:
+            if not _keeps_side(signs[e], value, x[c]):
+                state.active.level.add(e[0])
+        x[attachment.child] = attach_value
         state.z.update(view.duals_at(t_next))
         state.t = t_next
         return value, attach_value
@@ -535,33 +741,72 @@ class Solver:
                  th: Thresholds, s: int):
         """Move tied edges between the equality set and the strict sets.
 
-        A departing component edge takes sign -s when it points away from
-        the anchor's side and s otherwise, with its dual at the matching
-        box end; a boundary edge joins from the sign its thresholds
-        accepted (-s outgoing, s incoming).
+        A boundary edge joins from the sign its thresholds accepted (-s
+        outgoing, s incoming).  The view lists only each member's nearest
+        strict child on either side, but `t_of_value` is monotone in the
+        value, so the children tied with a listed one are a run from the
+        same heap top: each joins in turn until the next nearest is not
+        tied.  The joins come first, so that no run reaches an edge that
+        departs in this step.  A departing component edge takes sign -s
+        when it points away from the anchor's side and s otherwise, with
+        its dual at the matching box end.
         """
-        signs = state.active.signs
+        active = state.active
+        signs, x, z = active.signs, state.x, state.z
+        per_edge, best = th.per_edge, th.best
+        want = self._tied_children(view, state, th, s) if state.validate else None
         changed = False
+        for e, _ in view.boundary_in:
+            if signs[e] == s and abs(per_edge[e] - best) <= TIE_TOL:
+                self._join(state, e)
+                changed = True
+        joined_out = []
+        for e, _ in view.boundary_out:
+            if signs[e] != -s or abs(per_edge[e] - best) > TIE_TOL:
+                continue
+            v = e[0]
+            while True:
+                self._join(state, e)
+                joined_out.append(e)
+                changed = True
+                c = active.nearest(v, -s, x)
+                if c is None or abs(view.move_to(x[c], th.t, s) - best) > TIE_TOL:
+                    break
+                e = (v, c)
+        if want is not None and set(joined_out) != want:
+            raise InternalInvariantError(
+                "boundary ties from the heaps %s differ from a full scan %s"
+                % (sorted(joined_out), sorted(want))
+            )
         for e in view.edges:
-            if abs(th.per_edge[e] - th.best) <= TIE_TOL:
+            if abs(per_edge[e] - best) <= TIE_TOL:
                 lam, mu = self._weights(e)
                 sign = -s if view.edge_sign[e] > 0 else s
-                signs[e] = sign
-                state.z[e] = -lam if sign == GT else mu
+                z[e] = -lam if sign == GT else mu
+                active.set_sign(e, sign, x, z)
                 state.departed.add(e)
                 changed = True
-        for boundary, join_sign in ((view.boundary_out, -s), (view.boundary_in, s)):
-            for e, _ in boundary:
-                if signs[e] == join_sign and e in th.per_edge \
-                        and abs(th.per_edge[e] - th.best) <= TIE_TOL:
-                    if e in state.departed:
-                        raise InternalInvariantError(
-                            "edge %s re-entered the equality set" % (e,)
-                        )
-                    signs[e] = EQ
-                    changed = True
         if not changed:
             raise InternalInvariantError("threshold step produced no sign change")
+
+    @staticmethod
+    def _join(state: PrimalDualState, e: Edge):
+        if e in state.departed:
+            raise InternalInvariantError(
+                "edge %s re-entered the equality set" % (e,)
+            )
+        state.active.set_sign(e, EQ, state.x, state.z)
+
+    def _tied_children(self, view: ComponentView, state: PrimalDualState,
+                       th: Thresholds, s: int) -> set:
+        """Validation: the outgoing boundary edges tied at the binding move,
+        found by scanning every child of every member."""
+        signs, x = state.active.signs, state.x
+        return {
+            (v, c) for v in view.nodes for c in self._children[v]
+            if signs.get((v, c)) == -s
+            and abs(view.move_to(x[c], th.t, s) - th.best) <= TIE_TOL
+        }
 
     def step(self, state: PrimalDualState, view: ComponentView,
              attachment: Attachment, s: int) -> Optional[float]:
@@ -624,8 +869,11 @@ class Solver:
 
         `active` is the active set carried from the previous extension of
         the same solve.  A search starts by reclassifying only the edges
-        next to its moved nodes; the search's component members and the
-        attached node are then recorded as moved, on every branch.
+        next to its moved nodes that can have changed class (see
+        `_reclassify`); the search's component members and the
+        attached node are then recorded as moved, on every branch, except
+        the members of the final component whose parent edge lies inside
+        it.
         Without `active` (x and z owned by the caller), every prefix node
         counts as moved, so the first search classifies all prefix edges.
         """
@@ -652,8 +900,8 @@ class Solver:
                 t_star = 0.0
                 x[child] = attach_loss.inverse_derivative(0.0)
             else:
-                self._reclassify(active, x, m, validate)
-                state = PrimalDualState(0.0, x, z, active)
+                self._reclassify(active, x, z, m, validate)
+                state = PrimalDualState(0.0, x, z, active, validate)
                 x[child] = attach_loss.inverse_derivative(0.0)
                 step = self.step_minus if s < 0 else self.step_plus
                 while True:
@@ -663,7 +911,7 @@ class Solver:
                             "extension of node %d exceeded %d search steps"
                             % (child, cap)
                         )
-                    view = self.build_component_view(state, i_m, m)
+                    view = self.build_component_view(state, i_m)
                     active.moved.update(view.nodes)
                     if validate:
                         self._check_anchor(view, state)
@@ -672,6 +920,9 @@ class Solver:
                     if result is not None:
                         t_star = result
                         break
+                # The final component's edges join members that now hold
+                # one value, so they stay EQ.
+                active.moved.difference_update([c for _, c in view.edges])
                 eq_calls = state.equilibrium_calls
         active.moved.add(child)
         z[(i_m, child)] = t_star

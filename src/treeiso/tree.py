@@ -64,13 +64,13 @@ class DirectedTree:
                 raise MalformedInstanceError(
                     "edge %d: expected (tail, head, lambda, mu), got %r" % (k, edge)
                 ) from None
-            if tail == head:
-                raise MalformedInstanceError("edge %d: self-loop at node %r" % (k, tail))
             for node in (tail, head):
                 if type(node) is not int or not 1 <= node <= node_count:
                     raise MalformedInstanceError(
                         "edge %d: node id %r outside 1..%d" % (k, node, node_count)
                     )
+            if tail == head:
+                raise MalformedInstanceError("edge %d: self-loop at node %r" % (k, tail))
             pair = (tail, head) if tail < head else (head, tail)
             if pair in seen:
                 raise MalformedInstanceError(

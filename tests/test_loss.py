@@ -324,7 +324,7 @@ def pooled_view(losses, edges, anchor=1):
     z = {(i, j): 0.0 for i, j, _, _ in problem.weighted_edges()}
     state = PrimalDualState(0.0, {v: 0.0 for v in range(1, n + 1)}, z,
                             ActiveSet({e: EQ for e in z}))
-    return Solver(problem).build_component_view(state, anchor, n)
+    return Solver(problem).build_component_view(state, anchor)
 
 
 class TestSubgroupInverse:

@@ -77,7 +77,7 @@ class TestBuildInitialActiveSet:
 class TestComponentView:
     def test_late_view_aggregates(self):
         solver = Solver(make_demo_problem())
-        view = solver.build_component_view(late_search_state(), anchor=3, m=4)
+        view = solver.build_component_view(late_search_state(), anchor=3)
         assert set(view.nodes) == {1, 2, 3}
         assert set(view.edges) == {(1, 2), (1, 3)}
         assert view.boundary_flow == 4.0
@@ -87,7 +87,7 @@ class TestComponentView:
 
     def test_late_view_primal_curve(self):
         solver = Solver(make_demo_problem())
-        view = solver.build_component_view(late_search_state(), anchor=3, m=4)
+        view = solver.build_component_view(late_search_state(), anchor=3)
         # x_B(t) = (12 + t) / 3
         assert view.value_at(0.0) == 4.0
         assert view.value_at(-3.0) == 3.0
@@ -96,7 +96,7 @@ class TestComponentView:
 
     def test_late_view_dual_curves(self):
         solver = Solver(make_demo_problem())
-        view = solver.build_component_view(late_search_state(), anchor=3, m=4)
+        view = solver.build_component_view(late_search_state(), anchor=3)
         # z_12(t) = -(t + 6)/3 and z_13(t) = (2t + 6)/3.
         at_zero = view.duals_at(0.0)
         assert at_zero[(1, 2)] == pytest.approx(-2.0, abs=1e-12)
@@ -108,7 +108,7 @@ class TestComponentView:
     def test_consistency_at_current_parameter(self):
         solver = Solver(make_demo_problem())
         state = late_search_state()
-        view = solver.build_component_view(state, anchor=3, m=4)
+        view = solver.build_component_view(state, anchor=3)
         assert view.value_at(state.t) == state.x[3]
         for e, value in view.duals_at(state.t).items():
             assert value == pytest.approx(state.z[e], abs=1e-12)
@@ -118,7 +118,7 @@ class TestComponentView:
         x = {1: 3.0, 2: 3.0, 3: 2.0, 4: 8.0}
         z = {(1, 2): -1.0, (1, 3): 0.0}
         state = make_state(0.0, x, z, {(1, 2): EQ, (1, 3): GT})
-        view = solver.build_component_view(state, anchor=3, m=3)
+        view = solver.build_component_view(state, anchor=3)
         assert set(view.nodes) == {3}
         assert view.edges == ()
         assert view.boundary_flow == 0.0
@@ -130,7 +130,7 @@ class TestComponentView:
         x = {1: 4.0, 2: 4.0, 3: 4.0, 4: 4.0}
         z = {(1, 2): -2.0, (1, 3): 2.0, (3, 4): 4.0}
         state = make_state(0.0, x, z, {(1, 2): EQ, (1, 3): EQ, (3, 4): EQ})
-        view = solver.build_component_view(state, anchor=3, m=4)
+        view = solver.build_component_view(state, anchor=3)
         assert set(view.nodes) == {1, 2, 3, 4}
         assert view.boundary_flow == 0.0
         # x_B(t) = (16 + t)/4 and z_34(t) = 4 - t/4.
@@ -142,7 +142,7 @@ class TestComponentView:
         solver = Solver(make_demo_problem())
         state = late_search_state()
         state.z[(1, 3)] = 5.0
-        view = solver.build_component_view(state, anchor=3, m=4)
+        view = solver.build_component_view(state, anchor=3)
         with pytest.raises(InternalInvariantError):
             solver._check_anchor(view, state)
 
@@ -150,7 +150,7 @@ class TestComponentView:
         solver = Solver(make_demo_problem())
         state = late_search_state()
         state.x[3] = 3.5
-        view = solver.build_component_view(state, anchor=3, m=4)
+        view = solver.build_component_view(state, anchor=3)
         with pytest.raises(InternalInvariantError):
             solver._check_anchor(view, state)
 
@@ -161,7 +161,7 @@ class TestThresholds:
         x = {1: 4.0, 2: 4.0, 3: 4.0, 4: 4.0}
         z = {(1, 2): -2.0, (1, 3): 2.0, (3, 4): 4.0}
         state = make_state(0.0, x, z, {(1, 2): EQ, (1, 3): EQ, (3, 4): EQ})
-        view = solver.build_component_view(state, anchor=3, m=4)
+        view = solver.build_component_view(state, anchor=3)
         th = solver.thresholds_minus(view, state)
         assert th.per_edge[(3, 4)] == pytest.approx(0.0, abs=1e-12)
         assert th.per_edge[(1, 3)] == pytest.approx(-4.0, abs=1e-12)
@@ -172,7 +172,7 @@ class TestThresholds:
     def test_downward_after_first_migration(self):
         solver = Solver(make_demo_problem())
         state = late_search_state()
-        view = solver.build_component_view(state, anchor=3, m=4)
+        view = solver.build_component_view(state, anchor=3)
         th = solver.thresholds_minus(view, state)
         assert th.per_edge[(1, 3)] == pytest.approx(-3.0, abs=1e-12)
         assert th.per_edge[(1, 2)] == pytest.approx(-6.0, abs=1e-12)
@@ -189,7 +189,7 @@ class TestThresholds:
         )
         solver = Solver(problem)
         state = make_state(0.0, {1: 4.0, 2: 4.0}, {(1, 2): 1.0}, {(1, 2): EQ})
-        view = solver.build_component_view(state, anchor=1, m=2)
+        view = solver.build_component_view(state, anchor=1)
         assert solver.thresholds_minus(view, state).best == -INF
         assert solver.thresholds_plus(view, state).best == INF
 
@@ -198,7 +198,7 @@ class TestThresholds:
         x = {1: 3.0, 2: 3.0, 3: 2.0, 4: 8.0}
         z = {(1, 2): -1.0, (1, 3): 0.0}
         state = make_state(0.0, x, z, {(1, 2): EQ, (1, 3): GT})
-        view = solver.build_component_view(state, anchor=3, m=3)
+        view = solver.build_component_view(state, anchor=3)
         th = solver.thresholds_plus(view, state)
         assert th.per_edge[(1, 3)] == pytest.approx(1.0, abs=1e-12)
         assert th.boundary_in == pytest.approx(1.0, abs=1e-12)
@@ -212,7 +212,7 @@ class TestStepFunctions:
         x = {1: 4.0, 2: 4.0, 3: 4.0, 4: 4.0, 5: 0.0}
         z = {(1, 2): -2.0, (1, 3): 2.0, (3, 4): 4.0}
         state = make_state(0.0, x, z, {(1, 2): EQ, (1, 3): EQ, (3, 4): EQ})
-        view = solver.build_component_view(state, anchor=3, m=4)
+        view = solver.build_component_view(state, anchor=3)
         result = solver.step_minus(state, view, Attachment(5, 3, 3.0, 3.0))
         assert result is None
         assert state.t == 0.0
@@ -224,7 +224,7 @@ class TestStepFunctions:
         solver = Solver(make_demo_problem())
         state = late_search_state()
         state.departed.add((3, 4))
-        view = solver.build_component_view(state, anchor=3, m=4)
+        view = solver.build_component_view(state, anchor=3)
         result = solver.step_minus(state, view, Attachment(5, 3, 3.0, 3.0))
         assert result == -3.0
         assert state.x == {1: 3.0, 2: 3.0, 3: 3.0, 4: 4.0, 5: 1.0}
@@ -237,7 +237,7 @@ class TestStepFunctions:
         x = {1: 3.0, 2: 3.0, 3: 2.0, 4: 8.0}
         z = {(1, 2): -1.0, (1, 3): 0.0}
         state = make_state(0.0, x, z, {(1, 2): EQ, (1, 3): GT})
-        view = solver.build_component_view(state, anchor=3, m=3)
+        view = solver.build_component_view(state, anchor=3)
         result = solver.step_plus(state, view, Attachment(4, 3, 0.0, 4.0))
         assert result is None
         assert state.t == 1.0
@@ -250,7 +250,7 @@ class TestStepFunctions:
         x = {1: 3.0, 2: 3.0, 3: 3.0, 4: 7.0}
         z = {(1, 2): -1.0, (1, 3): 1.0}
         state = make_state(1.0, x, z, {(1, 2): EQ, (1, 3): EQ})
-        view = solver.build_component_view(state, anchor=3, m=3)
+        view = solver.build_component_view(state, anchor=3)
         result = solver.step_plus(state, view, Attachment(4, 3, 0.0, 4.0))
         assert result == 4.0
         assert state.equilibrium_calls == 1
@@ -264,7 +264,7 @@ class TestStepFunctions:
         z = {(1, 2): -1.0, (1, 3): 0.0}
         state = make_state(0.0, x, z, {(1, 2): EQ, (1, 3): GT})
         state.departed.add((1, 3))
-        view = solver.build_component_view(state, anchor=3, m=3)
+        view = solver.build_component_view(state, anchor=3)
         with pytest.raises(InternalInvariantError):
             solver.step_plus(state, view, Attachment(4, 3, 0.0, 4.0))
 
@@ -272,7 +272,7 @@ class TestStepFunctions:
         solver = Solver(make_demo_problem())
         state = make_state(0.0, {1: 4.0, 2: 0.0}, {}, {})
         state.equilibrium_calls = 1
-        view = solver.build_component_view(state, anchor=1, m=1)
+        view = solver.build_component_view(state, anchor=1)
         with pytest.raises(InternalInvariantError):
             solver.step_minus(state, view, Attachment(2, 1, INF, INF))
 
@@ -410,7 +410,7 @@ class TestSolve:
         assert stats.inner_iters_total > 0
         assert len(set(x.values())) < n
 
-    @pytest.mark.parametrize("tol", [math.nan, -1.0])
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, True, "1e-3", b"1"])
     def test_bad_tolerance_rejected(self, demo_problem, tol):
         with pytest.raises(ContractViolationError, match="tolerance"):
             Solver(demo_problem, tol)
@@ -438,6 +438,102 @@ class TestSolve:
         _, _, stats = solve(demo_problem)
         assert stats.inner_iters_total == 5
         assert stats.equilibrium_total == 2
+
+
+def hub_problem(n, hubs, seed, loss_kind, dyadic):
+    """A tree whose nodes past the first `hubs` hang off random hubs.
+
+    The hubs form a chain, so hubs = 1 is a star and hubs > 1 a
+    caterpillar; hubs = None gives every node a uniform random parent.
+    Edges point either way.  Dyadic weights come from
+    {0, 0.5, 2, inf}; the others are U[0, 3] or inf, so that sums of
+    strict duals round.
+    """
+    rng = random.Random(seed)
+
+    def weight():
+        if dyadic:
+            return rng.choice((0.0, 0.5, 2.0, INF))
+        return INF if rng.random() < 0.2 else rng.uniform(0.0, 3.0)
+
+    edges = []
+    for child in range(2, n + 1):
+        if hubs is None:
+            parent = rng.randint(1, child - 1)
+        else:
+            parent = child - 1 if child <= hubs else rng.randint(1, hubs)
+        lam, mu = weight(), weight()
+        edges.append((child, parent, lam, mu) if rng.random() < 0.5
+                     else (parent, child, lam, mu))
+    losses = {}
+    for v in range(1, n + 1):
+        if loss_kind == "mixed" and rng.random() < 0.3:
+            losses[v] = QuarticQuadratic(rng.uniform(0.5, 2.0), rng.uniform(0.0, 1.0),
+                                         rng.uniform(-5.0, 5.0))
+        else:
+            losses[v] = WeightedQuadratic(rng.uniform(0.5, 3.0), rng.uniform(0.0, 10.0))
+    return build_problem(DirectedTree(n, edges), losses)
+
+
+class TestStrictChildIndex:
+    """The per-node index of EQ children, strict-child flows and heaps.
+
+    Under validation every search starts by comparing the index with one
+    rebuilt from the signs, x and z, and every step compares the boundary
+    ties it took from the heaps with a scan of all members' children.
+    """
+
+    @pytest.mark.parametrize("hubs,n,loss_kind,dyadic", [
+        (1, 300, "quadratic", True),
+        (1, 300, "mixed", True),
+        (1, 300, "quadratic", False),
+        (1, 300, "mixed", False),
+        (6, 300, "quadratic", True),
+        (6, 300, "mixed", False),
+    ])
+    def test_high_degree_solves_validated(self, hubs, n, loss_kind, dyadic):
+        problem = hub_problem(n, hubs, 17, loss_kind, dyadic)
+        x, _, stats = solve(problem, validate=True)
+        assert stats.final_residual <= 1e-8
+        assert stats.inner_iters_total > n // 2
+
+    @pytest.mark.parametrize("loss_kind", ["quadratic", "mixed"])
+    def test_random_tree_non_dyadic_weights_validated(self, loss_kind):
+        problem = hub_problem(300, None, 23, loss_kind, dyadic=False)
+        _, _, stats = solve(problem, validate=True)
+        assert stats.final_residual <= 1e-8
+
+    def test_tied_children_join_in_one_step(self):
+        # Four identical leaves end their extensions pinned at 1.0 below
+        # the hub.  A heavy fifth leaf then pulls the hub down onto all four
+        # at t = -5, and that one step joins the whole run from the heap
+        # top; joining one leaf per step would add three zero-length steps.
+        k = 4
+        edges = [(1, c, 1.0, 1.0) for c in range(2, k + 2)] + [(1, k + 2, INF, INF)]
+        losses = ([WeightedQuadratic(1.0, 10.0)] + [WeightedQuadratic(1.0, 0.0)] * k
+                  + [WeightedQuadratic(10.0, -20.0)])
+        problem = Problem(normalize(DirectedTree(k + 2, edges)), losses)
+        x, _, stats = solve(problem, validate=True)
+        assert [x[v] for v in range(2, k + 2)] == [-1.0] * k
+        assert stats.steps[-1].t_path[:3] == (0.0, -5.0, -15.0)
+        assert stats.steps[-1].iterations == 3
+
+    def test_corrupted_heap_entry_detected(self):
+        problem = hub_problem(60, 1, 3, "quadratic", dyadic=True)
+        solver = Solver(problem)
+        x = {1: problem.loss_of(1).inverse_derivative(0.0)}
+        z, active = {}, ActiveSet()
+        attachments = iter(solver._attachments)
+        for attachment in attachments:
+            solver.extend(x, z, attachment, validate=True, active=active)
+            if active.eq_kids is not None and any(active.strict[GT][1]):
+                break
+        heap = active.strict[GT][1]
+        key, c = heap[0]
+        heap[0] = (key - 1.0, c)  # the child now looks 1.0 higher than it is
+        with pytest.raises(InternalInvariantError, match="heap"):
+            for attachment in attachments:
+                solver.extend(x, z, attachment, validate=True, active=active)
 
 
 class TestMirrorSymmetry:

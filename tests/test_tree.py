@@ -58,8 +58,9 @@ class TestDirectedTree:
     @pytest.mark.parametrize("edge", [(True, 2, 1.0, 1.0), (1, True, 1.0, 1.0),
                                       (2, True, 1.0, 1.0)])
     def test_boolean_endpoint_rejected(self, edge):
-        # True == 1, so it must not pass for the node id 1.
-        with pytest.raises(MalformedInstanceError):
+        # True == 1, so it must not pass for the node id 1, nor make the
+        # edge (1, True) a self-loop.
+        with pytest.raises(MalformedInstanceError, match="node id True"):
             DirectedTree(2, [edge])
 
     @pytest.mark.parametrize("weight", ["2.5", "Infinity", None, True, [1.0]])
