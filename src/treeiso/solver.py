@@ -83,7 +83,7 @@ from .errors import (
     ContractViolationError,
     InternalInvariantError,
 )
-from .loss import Loss, LossGroup, equilibrium_t, pooled_inverse
+from .loss import Loss, equilibrium_t, poly_derivative, poly_inverse, pooled_inverse
 from .tree import Arborescence, Attachment, Edge, decompose
 
 INF = math.inf
@@ -165,7 +165,8 @@ class ActiveSet:
     parent's heap is next read, so the index cannot drift from `signs`.
     """
 
-    __slots__ = ("signs", "moved", "level", "eq_kids", "child_flow", "strict")
+    __slots__ = ("signs", "moved", "level", "eq_kids", "child_flow", "strict",
+                 "block")
 
     def __init__(self, signs: Optional[Dict[Edge, int]] = None):
         self.signs = dict(signs) if signs else {}
@@ -174,6 +175,7 @@ class ActiveSet:
         self.eq_kids: Optional[List[List[int]]] = None
         self.child_flow: List[float] = []
         self.strict: Dict[int, List[list]] = {}
+        self.block: Optional[ComponentView] = None
 
     def build_index(self, n: int, x, z):
         """Index the signed edges of nodes 1..n, unless already indexed."""
@@ -216,18 +218,27 @@ class ActiveSet:
         """Write the sign of edge e, keeping the index in step.
 
         A strict edge's dual must already hold its final value: it stays
-        in the parent's cached flow until the edge leaves its class.
+        in the parent's cached flow until the edge leaves its class.  A
+        write on an edge with an end in the carried block goes on to the
+        block, so that the block follows the signs too.
         """
         signs = self.signs
         old = signs.get(e)
         if old == sign:
             return
         signs[e] = sign
+        d = 0.0  # the change in e's dual as counted in its parent's flow
         if old == EQ:
             self.eq_kids[e[0]].remove(e[1])
         elif old is not None:
             self.child_flow[e[0]] -= z[e]
+            d = -z[e]
         self._enter(e, sign, x, z)
+        if sign != EQ:
+            d += z[e]
+        block = self.block
+        if block is not None and (e[0] in block.nodes or e[1] in block.nodes):
+            block.on_sign(e, old, sign, d)
 
     def nearest(self, v: int, sign: int, x) -> Optional[int]:
         """The strict child of v with the given sign nearest to v, or None."""
@@ -306,90 +317,460 @@ class PrimalDualState:
 
 
 class ComponentView:
-    """Frozen geometry of the moving component for one search step.
+    """The moving equality block: the equal-valued component of the anchor.
 
-    Holds the equal-valued component containing the attachment point:
-    its members `nodes` in depth-first preorder from the anchor, its
-    `edges` in the order that walk crossed them, its pooled loss group,
-    the net dual flow crossing the component boundary, and per-edge data
-    for the semi-closed dual formulas: for each component edge, the far
-    half of the component (the side away from the anchor) occupies the
-    contiguous slice `span[e]` of `nodes`, and the edge's dual equals +/-
-    (sum of loss derivatives over that slice at the pooled value, minus
-    the slice's own boundary flow `edge_flow`).
+    The block persists across search steps and extensions (it is carried
+    in `ActiveSet.block`) and is updated, not rebuilt, when a component
+    joins it or a half departs; it is built afresh only when a search's
+    anchor lies outside it.  It is rooted at its `top`, the member whose
+    parent edge is not EQ (every other member's parent is a member), and
+    holds its members `nodes`, the `rim` of members that may have strict
+    children, the shared `value` last written to the members' x, and per
+    member u the sums over u's subtree within the block, `sub[u]` = [c0,
+    c1, c3, flow, formless, cubic]: the pooled derivative form, the net
+    boundary outflow (a member's strict child duals, less its parent
+    edge's dual when that edge is strict), and the numbers of members
+    without a polynomial form and with a cubic term (so that c3 is
+    exactly 0.0 when no cubic member is left).  `sub[top]` is the whole
+    block.  A change at u updates the sums from u up to the top.
 
-    The strict edges leaving the component are listed as (edge, outside
-    node) pairs: `boundary_in` holds every member's parent edge that is
-    strict, and `boundary_out` only each member's nearest strict child
-    above it and nearest below it, the tops of its heaps in the active
-    set's index.  A moving component meets the nearest frozen child
-    first, so the other strict children need no listing: those tied with
-    the nearest one are a run from the same heap top.
+    An internal edge (parent of u, u) has dual sign * (sum of the loss
+    derivatives over its far half at the value - the half's flow), where
+    the far half is the side away from the anchor: u's subtree with sign
+    -1, unless u lies on the path from the top down to the anchor, where
+    it is the complement of that subtree with sign +1.  The dual reaches
+    the box end the search pushes it towards at a value `vbar` that
+    depends only on the far half, so each off-path edge has one key per
+    direction, `keys[s][u]`, kept in a lazy heap, `heaps[s]`, ordered so
+    that the top binds first (largest vbar going down, smallest going
+    up).  An entry is fresh while its key is still `keys[s][u]`; path
+    edges are read from the complement sums instead (`comps`), summed
+    from the top down.
 
-    On an all-quadratic component `_prefix[k]` is the summed (c0, c1)
-    derivative form of the first k nodes, and a far half's inverse
-    derivative is closed form on the difference of two entries.  Otherwise
-    `_prefix` is None and the half's members go to `pooled_inverse`, which
-    sums their forms afresh: a difference of running sums would lose a
-    half's small terms next to large ones elsewhere.
+    Per step, `refresh(s)` lists the strict edges the block may meet in
+    direction s: `boundary_out` holds each rim member's nearest strict
+    child on that side (a heap top in the active set's index; the others
+    on that side are farther, and those tied with it are a run from the
+    same top), `boundary_in` the top's parent edge when it is strict.  It
+    also takes a snapshot of the pooled form and flow (`form`, `flow`),
+    which `value_at`, `t_of_value` and `move_to` use all step, while
+    joins and departures already change the sums.
+
+    Internal duals are not stored while the block moves: `flush` writes
+    them into z, and a departing half writes its own.
     """
 
     __slots__ = (
-        "anchor", "nodes", "edges", "group",
-        "boundary_flow", "edge_flow", "edge_sign", "span",
-        "boundary_out", "boundary_in", "_losses", "_prefix",
+        "anchor", "top", "nodes", "rim", "sub", "keys", "heaps", "dirty", "value",
+        "boundary_out", "boundary_in", "form", "flow", "_members",
+        "_active", "_x", "_z", "_parent", "_lam", "_mu", "_loss", "_forms",
+        "_path", "_on_path", "_comps",
     )
 
-    def __init__(self, anchor, nodes, edges, group, boundary_flow, edge_flow,
-                 edge_sign, span, boundary_out, boundary_in, losses, prefix):
-        self.anchor = anchor
-        self.nodes = tuple(nodes)
-        self.edges = tuple(edges)
-        self.group = group
-        self.boundary_flow = boundary_flow
-        self.edge_flow = edge_flow
-        self.edge_sign = edge_sign
-        self.span = span
-        self.boundary_out = boundary_out
-        self.boundary_in = boundary_in
-        self._losses = losses
-        self._prefix = prefix
+    def __init__(self, solver, active: ActiveSet, x, z, anchor: int):
+        self._active, self._x, self._z = active, x, z
+        self._parent, self._lam, self._mu = solver._parent, solver._lam, solver._mu
+        self._loss, self._forms = solver._loss, solver._forms
+        self.nodes: set = set()
+        self.rim: set = set()
+        self.sub: Dict[int, list] = {}
+        self.keys: Dict[int, Dict[int, float]] = {-1: {}, 1: {}}
+        self.heaps: Dict[int, list] = {-1: [], 1: []}
+        self.dirty: Dict[int, set] = {-1: set(), 1: set()}
+        self.boundary_out: List[Tuple[Edge, int]] = []
+        self.boundary_in: List[Tuple[Edge, int]] = []
+        self.restart(anchor)
+
+    def restart(self, anchor: Optional[int]):
+        """Write the internal duals out and build the block of anchor
+        afresh; without an anchor the block is left empty."""
+        if self.nodes:
+            self.flush()
+            for part in (self.nodes, self.rim, self.sub, *self.keys.values(),
+                         *self.heaps.values(), *self.dirty.values()):
+                part.clear()
+        self._path = self._on_path = self._comps = None
+        if anchor is None:
+            return
+        parent, signs = self._parent, self._active.signs
+        top = anchor
+        while parent[top] and signs[(parent[top], top)] == EQ:
+            top = parent[top]
+        self.anchor, self.top = anchor, top
+        self.value = self._x[anchor]
+        self._grow(top)
+        self._snapshot()
+
+    # -- sums over subtrees ---------------------------------------------
+
+    def _own(self, u: int) -> list:
+        """u's own entry: its loss form and its net boundary outflow."""
+        active = self._active
+        g = active.child_flow[u]
+        p = self._parent[u]
+        if p and active.signs[(p, u)] != EQ:
+            g -= self._z[(p, u)]
+        form = self._forms[u]
+        if form is None:
+            return [0.0, 0.0, 0.0, g, 1, 0]
+        return [form[0], form[1], form[2], g, 0, 1 if form[2] else 0]
+
+    def _grow(self, root: int):
+        """Add root and the non-members below it along EQ edges.
+
+        Sums are taken bottom up; a member met on the way (the old top,
+        when a parent's component joins) brings its own sums.
+        """
+        eq_kids, sub, nodes = self._active.eq_kids, self.sub, self.nodes
+        order = [root]
+        for u in order:
+            order.extend(k for k in eq_kids[u] if k not in nodes)
+        for u in reversed(order):
+            h = self._own(u)
+            for k in eq_kids[u]:
+                kh = sub[k]
+                h[0] += kh[0]
+                h[1] += kh[1]
+                h[2] += kh[2]
+                h[3] += kh[3]
+                h[4] += kh[4]
+                h[5] += kh[5]
+            if not h[5]:
+                h[2] = 0.0
+            sub[u] = h
+        nodes.update(order)
+        above, below = self._active.strict[LT], self._active.strict[GT]
+        self.rim.update(u for u in order if above[u] or below[u])
+        for dirty in self.dirty.values():
+            dirty.update(order)
+            dirty.discard(self.top)
+
+    def _add(self, u: int, delta):
+        """Add delta to the sums of u and every member above it."""
+        sub, parent, top = self.sub, self._parent, self.top
+        down, up = self.dirty[-1], self.dirty[1]
+        d0, d1, d3, df, dnf, dnc = delta
+        while True:
+            h = sub[u]
+            h[0] += d0
+            h[1] += d1
+            h[2] += d3
+            h[3] += df
+            h[4] += dnf
+            h[5] += dnc
+            if not h[5]:
+                h[2] = 0.0
+            if u == top:
+                return
+            down.add(u)
+            up.add(u)
+            u = parent[u]
+
+    def _clean(self, s: int, path_too: bool = False):
+        """Key afresh for direction s the members whose sums changed,
+        except those on the path (their edges are read from the
+        complement sums), unless path_too."""
+        dirty = self.dirty[s]
+        todo = dirty if path_too else dirty - self._on_path_set()
+        self.dirty[s] = dirty - todo
+        keys, heap = self.keys[s], self.heaps[s]
+        bounds = self._mu if s < 0 else self._lam
+        for u in todo:
+            if bounds[u] == INF:
+                continue
+            h = self.sub[u]
+            keys[u] = vbar = self._inverse(h, h[3] + s * bounds[u], u, False)
+            heapq.heappush(heap, (s * vbar, u))
+        if len(heap) > 2 * len(keys) + 64:
+            heap[:] = [(s * v, c) for c, v in keys.items()]
+            heapq.heapify(heap)
+
+    # -- far halves -------------------------------------------------------
+
+    def path(self) -> List[int]:
+        """The members from just below the top down to the anchor."""
+        if self._path is None:
+            up = []
+            u, parent, top = self.anchor, self._parent, self.top
+            while u != top:
+                up.append(u)
+                u = parent[u]
+            up.reverse()
+            self._path, self._on_path = up, set(up)
+        return self._path
+
+    def on_path(self, u: int) -> bool:
+        return u in self._on_path_set()
+
+    def _on_path_set(self) -> set:
+        self.path()
+        return self._on_path
+
+    def comps(self) -> Dict[int, list]:
+        """Per path member u, the sums over the block less u's subtree.
+
+        Summed from the top down over the members left off the path, not
+        taken as a difference, so that a half's small terms survive next
+        to large ones in u's subtree.
+        """
+        if self._comps is None:
+            eq_kids, sub = self._active.eq_kids, self.sub
+            c0 = c1 = c3 = flow = 0.0
+            nf = nc = 0
+            comps = {}
+            prev = self.top
+            for u in self.path():
+                for k in eq_kids[prev]:
+                    if k != u:
+                        h = sub[k]
+                        c0 += h[0]
+                        c1 += h[1]
+                        c3 += h[2]
+                        flow += h[3]
+                        nf += h[4]
+                        nc += h[5]
+                h = self._own(prev)
+                c0 += h[0]
+                c1 += h[1]
+                c3 += h[2]
+                flow += h[3]
+                nf += h[4]
+                nc += h[5]
+                comps[u] = [c0, c1, c3 if nc else 0.0, flow, nf, nc]
+                prev = u
+            self._comps = comps
+        return self._comps
+
+    def far_half(self, e: Edge) -> list:
+        """The sums over the far half of internal edge e."""
+        u = e[1]
+        return self.comps()[u] if self.on_path(u) else self.sub[u]
+
+    def far_nodes(self, e: Edge) -> List[int]:
+        """The members of the far half of internal edge e."""
+        return self._far(e[1], self.on_path(e[1]))
+
+    def _far(self, u: int, on_path: bool) -> List[int]:
+        """u's subtree, or with on_path the block less it, from its top."""
+        eq_kids = self._active.eq_kids
+        order = [self.top if on_path else u]
+        for w in order:
+            order.extend(k for k in eq_kids[w] if k != u)
+        return order
+
+    def _inverse(self, h, target: float, u: int, on_path: bool) -> float:
+        if h[4]:
+            return pooled_inverse([self._loss[w] for w in self._far(u, on_path)], target)
+        return poly_inverse((h[0], h[1], h[2]), target)
+
+    def _derivative(self, h, v: float, u: int, on_path: bool) -> float:
+        if h[4]:
+            return sum(self._loss[w].derivative(v) for w in self._far(u, on_path))
+        return poly_derivative((h[0], h[1], h[2]), v)
+
+    def subgroup_inverse(self, e: Edge, target: float) -> float:
+        """Value v at which the far half of edge e has pooled derivative target."""
+        return self._inverse(self.far_half(e), target, e[1], self.on_path(e[1]))
+
+    @property
+    def edges(self) -> Tuple[Edge, ...]:
+        """The internal edges, each into its member below."""
+        parent, top = self._parent, self.top
+        return tuple((parent[u], u) for u in self.nodes if u != top)
+
+    def edge_moves(self, t: float, s: int) -> Dict[Edge, float]:
+        """Every internal edge's move from t in direction s, by a full scan."""
+        lam, mu = self._lam, self._mu
+        out = {}
+        for e in self.edges:
+            u = e[1]
+            if self.on_path(u):
+                bound = lam[u] if s < 0 else mu[u]
+            else:
+                bound = mu[u] if s < 0 else lam[u]
+            if bound == INF:
+                out[e] = s * INF
+            else:
+                vbar = self.subgroup_inverse(e, self.far_half(e)[3] + s * bound)
+                out[e] = self.move_to(vbar, t, s)
+        return out
+
+    # -- the block as one variable ----------------------------------------
+
+    def _snapshot(self):
+        h = self.sub[self.top]
+        self.flow = h[3]
+        self.form = None if h[4] else (h[0], h[1], h[2])
+        self._members = self.losses if h[4] else ()
+
+    def poly_form(self):
+        return self.form
+
+    @property
+    def losses(self) -> tuple:
+        return tuple(self._loss[v] for v in self.nodes)
+
+    @property
+    def boundary_flow(self) -> float:
+        return self.flow
 
     def value_at(self, t: float) -> float:
-        """Common value of the component at parameter t."""
-        return self.group.inverse_derivative(t + self.boundary_flow)
+        """Common value of the block at parameter t."""
+        if self.form is not None:
+            return poly_inverse(self.form, t + self.flow)
+        return pooled_inverse(self._members, t + self.flow)
 
     def t_of_value(self, v: float) -> float:
         """Inverse of value_at."""
-        return self.group.derivative(v) - self.boundary_flow
+        if self.form is not None:
+            return poly_derivative(self.form, v) - self.flow
+        return sum(loss.derivative(v) for loss in self._members) - self.flow
 
     def move_to(self, v: float, t: float, s: int) -> float:
-        """The move from t that brings the component to value v, or 0.0
+        """The move from t that brings the block to value v, or 0.0
         when v lies against the search direction s."""
         d = self.t_of_value(v) - t
         return d if s * d > 0.0 else 0.0
 
-    def duals_at(self, t: float) -> Dict[Edge, float]:
-        """Dual values on the component edges at parameter t."""
-        value = self.value_at(t)
-        prefix = [0.0] * (len(self.nodes) + 1)
-        for k, v in enumerate(self.nodes):
-            prefix[k + 1] = prefix[k] + self._losses[v].derivative(value)
-        out: Dict[Edge, float] = {}
-        for e in self.edges:
-            lo, hi = self.span[e]
-            subtotal = prefix[hi] - prefix[lo]
-            out[e] = self.edge_sign[e] * (subtotal - self.edge_flow[e])
+    def refresh(self, s: int):
+        """The boundary lists for direction s, and the step's snapshot."""
+        active, x = self._active, self._x
+        above, below = active.strict[LT], active.strict[GT]
+        out = []
+        for v in list(self.rim) if self.rim else ():
+            c = active.nearest(v, -s, x)
+            if c is not None:
+                out.append(((v, c), c))
+            elif not above[v] and not below[v]:
+                self.rim.discard(v)
+        self.boundary_out = out
+        top = self.top
+        p = self._parent[top]
+        strict_in = p and active.signs[(p, top)] != EQ
+        self.boundary_in = [((p, top), p)] if strict_in else []
+        self._snapshot()
+
+    def binding(self, s: int, tied=None) -> List[int]:
+        """Off-path members whose edge binds first in direction s.
+
+        Without `tied`, the heap top alone, left in place; with it, the
+        run of entries from the top whose key satisfies tied(key), popped.
+        """
+        if self.dirty[s]:
+            self._clean(s)
+        heap, keys = self.heaps[s], self.keys[s]
+        on_path = self._on_path
+        aside, run = [], []
+        while heap:
+            k, u = heap[0]
+            if keys.get(u) != s * k or u in run:
+                heapq.heappop(heap)
+            elif u in on_path:
+                aside.append(heapq.heappop(heap))
+            elif tied is None:
+                run.append(u)
+                break
+            elif tied(s * k):
+                run.append(heapq.heappop(heap)[1])
+            else:
+                break
+        for entry in aside:
+            heapq.heappush(heap, entry)
+        return run
+
+    # -- duals ------------------------------------------------------------
+
+    def _duals(self, edges, value: float) -> Dict[Edge, float]:
+        """The duals of the given internal edges at the given value."""
+        sub = self.sub
+        self.path()
+        on_path = self._on_path
+        out = {}
+        for e in edges:
+            u = e[1]
+            if u in on_path:
+                h = self.comps()[u]
+                out[e] = self._derivative(h, value, u, True) - h[3]
+            else:
+                h = sub[u]
+                out[e] = h[3] - self._derivative(h, value, u, False)
         return out
 
-    def subgroup_inverse(self, e: Edge, target: float) -> float:
-        """Value v at which the far half of edge e has pooled derivative target."""
-        lo, hi = self.span[e]
-        if self._prefix is not None:
-            a0, a1 = self._prefix[lo]
-            b0, b1 = self._prefix[hi]
-            return (target - (b0 - a0)) / (b1 - a1)
-        return pooled_inverse([self._losses[u] for u in self.nodes[lo:hi]], target)
+    def duals_at(self, t: float) -> Dict[Edge, float]:
+        """Dual values on the internal edges at parameter t."""
+        return self._duals(self.edges, self.value_at(t))
+
+    def flush(self):
+        """Write the internal duals at the block's value into z."""
+        if self.nodes:
+            self._z.update(self._duals(self.edges, self.value))
+
+    # -- following sign writes --------------------------------------------
+
+    def on_sign(self, e: Edge, old: Optional[int], sign: int, d: float):
+        """Follow a sign write on edge e, which has an end in the block.
+
+        d is the change in e's strict dual as counted in its parent's
+        child flow.  An internal edge leaving EQ splits off its far half;
+        an edge entering EQ brings the other end's component in; any other
+        write only moves flow.
+        """
+        p, c = e
+        nodes = self.nodes
+        self._path = self._on_path = self._comps = None
+        if old == EQ:
+            self._depart(p, c, d)
+        elif sign == EQ and p in nodes:
+            # A child's component joins below p.
+            self._grow(c)
+            h = self.sub[c]
+            self._add(p, (h[0], h[1], h[2], h[3] + d, h[4], h[5]))
+        elif sign == EQ:
+            # c is the top: the parent's component joins above it.
+            self.sub[c][3] -= d
+            parent, signs = self._parent, self._active.signs
+            top = p
+            while parent[top] and signs[(parent[top], top)] == EQ:
+                top = parent[top]
+            self.top = top
+            self._grow(top)
+            for dirty in self.dirty.values():
+                dirty.add(c)
+        else:
+            if p in nodes:
+                self._add(p, (0.0, 0.0, 0.0, d, 0, 0))
+            if c in nodes:
+                self.sub[c][3] -= d
+        if sign != EQ and p in nodes:
+            self.rim.add(p)
+
+    def _depart(self, p: int, c: int, d: float):
+        """Split off the far half of the internal edge (p, c), which has
+        just left EQ, writing the duals of the half's internal edges."""
+        parent = self._parent
+        if self.on_path(c):
+            half = self._far(c, True)
+            self._z.update(self._duals([(parent[u], u) for u in half[1:]], self.value))
+            self._active.moved.add(self.top)
+            self.top = c
+            self.sub[c][3] -= d
+            for dirty, keys in zip(self.dirty.values(), self.keys.values()):
+                dirty.discard(c)
+                keys.pop(c, None)
+        else:
+            half = self._far(c, False)
+            self._z.update(self._duals([(parent[u], u) for u in half[1:]], self.value))
+            h = self.sub[c]
+            self._add(p, (-h[0], -h[1], -h[2], d - h[3], -h[4], -h[5]))
+        self.nodes.difference_update(half)
+        self.rim.difference_update(half)
+        for dirty in self.dirty.values():
+            dirty.difference_update(half)
+        for u in half:
+            del self.sub[u]
+            for keys in self.keys.values():
+                keys.pop(u, None)
+        self._path = self._on_path = self._comps = None
 
 
 @dataclass
@@ -468,6 +849,7 @@ class Solver:
             self._mu[c] = mu
             self._children[p].append(c)
         self._loss: List[Optional[Loss]] = [None] + list(problem.losses)
+        self._forms = [None] + [loss.poly_form() for loss in problem.losses]
         self._attachments = decompose(arb)
 
     # -- plumbing ---------------------------------------------------------
@@ -550,96 +932,36 @@ class Solver:
 
     # -- component geometry -----------------------------------------------
 
-    def build_component_view(self, state: PrimalDualState,
-                             anchor: int) -> ComponentView:
-        """Collect the equality component of `anchor` among the signed edges.
+    def build_component_view(self, state: PrimalDualState, anchor: int,
+                             s: int) -> ComponentView:
+        """The block of `anchor`, ready for one search step in direction s.
 
-        One depth-first walk over EQ edges lists the members in preorder,
-        so every far half is a contiguous slice, and notes each member's
-        net boundary outflow (its cached child flow, minus its parent
-        edge's dual when that edge is strict), the position of the member
-        it was reached from and the edge it was reached along.  One reverse
-        pass then adds each member's slice size and outflow into that near
-        member, which gives every component edge its slice, flow and
-        orientation.
+        The carried block is used when it holds the anchor; otherwise its
+        internal duals are written out and the anchor's equality component
+        is built afresh: the walk up EQ parent edges to its top, then one
+        pass down EQ child edges listing the members, whose subtree sums
+        are taken bottom up.
         """
         active = state.active
-        x, z = state.x, state.z
         if active.eq_kids is None:
-            active.build_index(len(self._parent) - 1, x, z)
-        parent, signs = self._parent, active.signs
-        eq_kids, child_flow = active.eq_kids, active.child_flow
-        above, below = active.strict[LT], active.strict[GT]
-        nearest = active.nearest
-        nodes: List[int] = []
-        near: List[int] = []    # position of the member each was reached from
-        edges: List[Edge] = []  # the edge each non-anchor member was reached along
-        flow: List[float] = []  # net boundary outflow, then summed over the slice
-        boundary_out: List[Tuple[Edge, int]] = []
-        boundary_in: List[Tuple[Edge, int]] = []
-        stack: List[Tuple[int, int, Optional[Edge]]] = [(anchor, -1, None)]
-        while stack:
-            v, k, reached_by = stack.pop()
-            here = len(nodes)
-            nodes.append(v)
-            near.append(k)
-            if reached_by is not None:
-                edges.append(reached_by)
-            gv = child_flow[v]
-            p = parent[v]
-            if p:
-                e = (p, v)
-                if signs[e] != EQ:
-                    gv -= z[e]
-                    boundary_in.append((e, p))
-                elif e != reached_by:
-                    stack.append((p, here, e))
-            for c in eq_kids[v]:  # ascending
-                e = (v, c)
-                if e != reached_by:
-                    stack.append((c, here, e))
-            if above[v]:
-                c = nearest(v, LT, x)
-                if c is not None:
-                    boundary_out.append(((v, c), c))
-            if below[v]:
-                c = nearest(v, GT, x)
-                if c is not None:
-                    boundary_out.append(((v, c), c))
-            flow.append(gv)
-
-        size = [1] * len(nodes)
-        span: Dict[Edge, Tuple[int, int]] = {}
-        edge_flow: Dict[Edge, float] = {}
-        edge_sign: Dict[Edge, int] = {}
-        for i in range(len(nodes) - 1, 0, -1):
-            k, e = near[i], edges[i - 1]
-            size[k] += size[i]
-            flow[k] += flow[i]
-            span[e] = (i, i + size[i])
-            edge_flow[e] = flow[i]
-            edge_sign[e] = 1 if nodes[i] == e[0] else -1
-
-        losses = self._loss
-        group = LossGroup([losses[v] for v in nodes])
-        form = group.poly_form()
-        prefix = None
-        if form is not None and form[2] == 0.0:
-            c0 = c1 = 0.0
-            prefix = [(c0, c1)]
-            for v in nodes:
-                m0, m1, _ = losses[v].poly_form()
-                c0 += m0
-                c1 += m1
-                prefix.append((c0, c1))
-
-        return ComponentView(
-            anchor, nodes, edges, group, flow[0], edge_flow, edge_sign,
-            span, boundary_out, boundary_in, losses, prefix,
-        )
+            active.build_index(len(self._parent) - 1, state.x, state.z)
+        view = active.block
+        if view is None or anchor not in view.nodes:
+            if view is None:
+                view = active.block = ComponentView(self, active, state.x, state.z,
+                                                    anchor)
+            else:
+                view.restart(anchor)
+            if state.validate:
+                self._check_anchor(view, state)
+        elif view.anchor != anchor:
+            view.anchor = anchor
+            view._path = view._on_path = view._comps = None
+        view.refresh(s)
+        return view
 
     def _check_anchor(self, view: ComponentView, state: PrimalDualState):
-        """Validation: the closed-form state must reproduce the stored one."""
+        """Validation: a block built afresh must reproduce the stored state."""
         want = state.x[view.anchor]
         got = view.value_at(state.t)
         if abs(got - want) > ANCHOR_RTOL * (1.0 + abs(want)):
@@ -653,6 +975,48 @@ class Solver:
                     "dual on %s: formula %.17g vs stored %.17g" % (e, value, stored)
                 )
 
+    def _check_view(self, view: ComponentView, state: PrimalDualState):
+        """Validation: the carried block must equal one built afresh.
+
+        Members and top exactly; every member's subtree sums and keys
+        within ANCHOR_RTOL (incremental sums round differently); the rim
+        must cover every member with strict children; and the block's
+        value must reproduce the stored one.
+        """
+        fresh = ComponentView(self, state.active, state.x, state.z, view.anchor)
+        for s in (-1, 1):
+            fresh._clean(s, path_too=True)
+        if fresh.nodes != view.nodes or fresh.top != view.top:
+            raise InternalInvariantError(
+                "carried block %s (top %d) differs from the component %s (top %d)"
+                % (sorted(view.nodes), view.top, sorted(fresh.nodes), fresh.top)
+            )
+        for u, want in fresh.sub.items():
+            pairs = list(zip(view.sub[u], want))
+            for s in (-1, 1):  # a key awaiting renewal is not read
+                if u not in view.dirty[s]:
+                    pairs.append((view.keys[s].get(u), fresh.keys[s].get(u)))
+            for got, expect in pairs:
+                if expect is None or got is None:
+                    bad = got is not expect
+                else:
+                    bad = abs(got - expect) > ANCHOR_RTOL * (1.0 + abs(expect))
+                if bad:
+                    raise InternalInvariantError(
+                        "carried sums or keys of member %d are %s, a fresh build "
+                        "gives %s" % (u, [g for g, _ in pairs], [w for _, w in pairs])
+                    )
+        if not fresh.rim <= view.rim:
+            raise InternalInvariantError(
+                "rim %s misses members %s" % (sorted(view.rim), sorted(fresh.rim - view.rim))
+            )
+        want = state.x[view.anchor]
+        got = view.value_at(state.t)
+        if abs(got - want) > ANCHOR_RTOL * (1.0 + abs(want)):
+            raise InternalInvariantError(
+                "component value %.17g disagrees with stored %.17g" % (got, want)
+            )
+
     # -- thresholds ---------------------------------------------------------
 
     def thresholds(self, view: ComponentView, state: PrimalDualState,
@@ -662,25 +1026,36 @@ class Solver:
         Each move is s times a nonnegative length.  Component edges bind
         when their dual reaches the box end the search pushes it towards
         (-lambda or +mu, by the edge's orientation relative to the anchor
-        and by s); boundary edges bind when the moving component value
-        reaches a frozen neighbor it is ordered against.  Infinite bounds
-        and empty classes yield s*inf sentinels.
+        and by s): the path edges are computed from their complement sums,
+        the others are read off the key heap's top.  Boundary edges bind
+        when the block's value reaches a frozen neighbor it is ordered
+        against.  Infinite bounds and empty classes yield s*inf sentinels.
         """
         t_q = state.t
+        parent, lam, mu = self._parent, self._lam, self._mu
         per_edge: Dict[Edge, float] = {}
         internal = s * INF
-        for e in view.edges:
-            lam, mu = self._weights(e)
-            bound = lam if (view.edge_sign[e] > 0) == (s < 0) else mu
-            if bound == INF:
-                dt = s * INF
-            else:
-                vbar = view.subgroup_inverse(e, view.edge_flow[e] + s * bound)
-                d = view.t_of_value(vbar) - t_q
-                dt = d if s * d > 0.0 else 0.0
-            per_edge[e] = dt
+        for u in view.path():
+            bound = lam[u] if s < 0 else mu[u]
+            if bound != INF:
+                h = view.comps()[u]
+                vbar = view._inverse(h, h[3] + s * bound, u, True)
+                per_edge[(parent[u], u)] = dt = view.move_to(vbar, t_q, s)
+                if s * dt < s * internal:
+                    internal = dt
+        for u in view.binding(s):
+            per_edge[(parent[u], u)] = dt = view.move_to(view.keys[s][u], t_q, s)
             if s * dt < s * internal:
                 internal = dt
+        if state.validate:
+            moves = ComponentView(self, state.active, state.x, state.z,
+                                  view.anchor).edge_moves(t_q, s)
+            scanned = min(moves.values(), key=lambda dt: s * dt, default=s * INF)
+            if scanned != internal and not abs(scanned - internal) <= TIE_TOL:
+                raise InternalInvariantError(
+                    "binding component edge move %.17g differs from a full scan's "
+                    "%.17g" % (internal, scanned)
+                )
         signs = state.active.signs
         x = state.x
         best_of_side = []
@@ -720,20 +1095,27 @@ class Solver:
     # -- search steps -------------------------------------------------------
 
     def _apply(self, state: PrimalDualState, view: ComponentView,
-               attachment: Attachment, attach_loss: Loss, t_next: float):
+               attachment: Attachment, attach_loss: Loss, t_next: float, s: int):
         value = view.value_at(t_next)
         attach_value = attach_loss.inverse_derivative(-t_next)
         x = state.x
-        for v in view.nodes:
-            x[v] = value
-        # A member whose nearest strict child on some side no longer
-        # classifies as strict gets its heap tops reclassified.
-        signs = state.active.signs
-        for e, c in view.boundary_out:
-            if not _keeps_side(signs[e], value, x[c]):
-                state.active.level.add(e[0])
+        back = s * (value - view.value) < 0.0
+        view.value = value
+        x.update(dict.fromkeys(view.nodes, value))
+        # A member whose nearest strict child on the side moved towards no
+        # longer classifies as strict gets its heap tops reclassified; the
+        # other side only needs a look when the value moved back.
+        level = state.active.level
+        for (v, _), c in view.boundary_out:
+            if not _keeps_side(-s, value, x[c]):
+                level.add(v)
+        if back:
+            nearest = state.active.nearest
+            for v in view.rim:
+                c = nearest(v, s, x)
+                if c is not None and not _keeps_side(s, value, x[c]):
+                    level.add(v)
         x[attachment.child] = attach_value
-        state.z.update(view.duals_at(t_next))
         state.t = t_next
         return value, attach_value
 
@@ -741,21 +1123,40 @@ class Solver:
                  th: Thresholds, s: int):
         """Move tied edges between the equality set and the strict sets.
 
-        A boundary edge joins from the sign its thresholds accepted (-s
-        outgoing, s incoming).  The view lists only each member's nearest
-        strict child on either side, but `t_of_value` is monotone in the
-        value, so the children tied with a listed one are a run from the
-        same heap top: each joins in turn until the next nearest is not
-        tied.  The joins come first, so that no run reaches an edge that
-        departs in this step.  A departing component edge takes sign -s
-        when it points away from the anchor's side and s otherwise, with
-        its dual at the matching box end.
+        Component edges tied at the binding move are read first, before a
+        join changes any key: the path edges from the thresholds, the
+        others as a run from the key heap's top (the move is monotone in
+        the key).  A boundary edge joins from the sign its thresholds
+        accepted (-s outgoing, s incoming).  The view lists only each rim
+        member's nearest strict child on the side moved towards, but the
+        children tied with a listed one are a run from the same heap top:
+        each joins in turn until the next nearest is not tied.  The joins
+        come before the departures, so that no run reaches an edge that
+        departs in this step, and a departing half takes along what joined
+        it.  A departing component edge takes sign -s when its far half is
+        on its parent's side and s otherwise, with its dual at the
+        matching box end.
         """
         active = state.active
         signs, x, z = active.signs, state.x, state.z
-        per_edge, best = th.per_edge, th.best
-        want = self._tied_children(view, state, th, s) if state.validate else None
-        changed = False
+        per_edge, best, t = th.per_edge, th.best, th.t
+        parent = self._parent
+        want_out = want_in = None
+        if state.validate:
+            want_out = self._tied_children(view, state, th, s)
+            moves = ComponentView(self, active, x, z, view.anchor).edge_moves(t, s)
+            want_in = {e for e, dt in moves.items() if abs(dt - best) <= TIE_TOL}
+        path = list(view.path())
+        departing = [(parent[u], u) for u in path
+                     if abs(per_edge.get((parent[u], u), s * INF) - best) <= TIE_TOL]
+        departing += [(parent[u], u) for u in view.binding(
+            s, lambda v: abs(view.move_to(v, t, s) - best) <= TIE_TOL)]
+        if want_in is not None and set(departing) != want_in:
+            raise InternalInvariantError(
+                "component edges tied in the heap %s differ from a full scan %s"
+                % (sorted(departing), sorted(want_in))
+            )
+        changed = bool(departing)
         for e, _ in view.boundary_in:
             if signs[e] == s and abs(per_edge[e] - best) <= TIE_TOL:
                 self._join(state, e)
@@ -770,22 +1171,22 @@ class Solver:
                 joined_out.append(e)
                 changed = True
                 c = active.nearest(v, -s, x)
-                if c is None or abs(view.move_to(x[c], th.t, s) - best) > TIE_TOL:
+                if c is None or abs(view.move_to(x[c], t, s) - best) > TIE_TOL:
                     break
                 e = (v, c)
-        if want is not None and set(joined_out) != want:
+        if want_out is not None and set(joined_out) != want_out:
             raise InternalInvariantError(
                 "boundary ties from the heaps %s differ from a full scan %s"
-                % (sorted(joined_out), sorted(want))
+                % (sorted(joined_out), sorted(want_out))
             )
-        for e in view.edges:
-            if abs(per_edge[e] - best) <= TIE_TOL:
-                lam, mu = self._weights(e)
-                sign = -s if view.edge_sign[e] > 0 else s
-                z[e] = -lam if sign == GT else mu
-                active.set_sign(e, sign, x, z)
-                state.departed.add(e)
-                changed = True
+        on_path = set(path)
+        for e in departing:
+            lam, mu = self._weights(e)
+            sign = -s if e[1] in on_path else s
+            z[e] = -lam if sign == GT else mu
+            active.set_sign(e, sign, x, z)
+            active.moved.add(e[1])
+            state.departed.add(e)
         if not changed:
             raise InternalInvariantError("threshold step produced no sign change")
 
@@ -835,7 +1236,7 @@ class Solver:
                 raise InternalInvariantError(
                     "second equilibrium solve in one extension"
                 )
-            cand = equilibrium_t(view.group, view.boundary_flow, attach_loss)
+            cand = equilibrium_t(view, view.boundary_flow, attach_loss)
         t_next = limit if s * limit < s * cand else cand
         if s * t_next < s * t_q - MONO_SLACK * (1.0 + abs(t_q)):
             raise InternalInvariantError(
@@ -843,7 +1244,8 @@ class Solver:
                 % ("increased" if s < 0 else "decreased",
                    "downward" if s < 0 else "upward", t_q, t_next)
             )
-        value, attach_value = self._apply(state, view, attachment, attach_loss, t_next)
+        value, attach_value = self._apply(state, view, attachment, attach_loss,
+                                          t_next, s)
         if t_next == limit:
             return t_next
         if values_equal(value, attach_value):
@@ -868,17 +1270,19 @@ class Solver:
         pins t at 0 immediately (the admissible interval is {0}).
 
         `active` is the active set carried from the previous extension of
-        the same solve.  A search starts by reclassifying only the edges
-        next to its moved nodes that can have changed class (see
-        `_reclassify`); the search's component members and the
-        attached node are then recorded as moved, on every branch, except
-        the members of the final component whose parent edge lies inside
-        it.
+        the same solve, with its block.  A search starts by reclassifying
+        only the edges next to its moved nodes that can have changed class
+        (see `_reclassify`).  Recorded as moved are the attached node, on
+        every branch, and of a search the final block's top and both ends
+        of each departed half's top edge: every other member's parent edge
+        lies inside a block or a half, whose members hold one value.
         Without `active` (x and z owned by the caller), every prefix node
-        counts as moved, so the first search classifies all prefix edges.
+        counts as moved, so the first search classifies all prefix edges,
+        and the block's internal duals are written out before returning.
         """
         child, i_m = attachment.child, attachment.parent
         m = child - 1
+        carried = active is not None
         if active is None:
             active = ActiveSet()
             active.moved.update(range(1, m + 1))
@@ -900,6 +1304,13 @@ class Solver:
                 t_star = 0.0
                 x[child] = attach_loss.inverse_derivative(0.0)
             else:
+                block = active.block
+                if block is not None and not (i_m in block.nodes
+                                              or self._parent[i_m] in block.nodes):
+                    # The anchor can reach the block only through an edge
+                    # next to it; otherwise write the block out now rather
+                    # than grow it during reclassification.
+                    block.restart(None)
                 self._reclassify(active, x, z, m, validate)
                 state = PrimalDualState(0.0, x, z, active, validate)
                 x[child] = attach_loss.inverse_derivative(0.0)
@@ -911,18 +1322,15 @@ class Solver:
                             "extension of node %d exceeded %d search steps"
                             % (child, cap)
                         )
-                    view = self.build_component_view(state, i_m)
-                    active.moved.update(view.nodes)
+                    view = self.build_component_view(state, i_m, s)
                     if validate:
-                        self._check_anchor(view, state)
+                        self._check_view(view, state)
                     result = step(state, view, attachment)
                     t_path.append(state.t)
                     if result is not None:
                         t_star = result
                         break
-                # The final component's edges join members that now hold
-                # one value, so they stay EQ.
-                active.moved.difference_update([c for _, c in view.edges])
+                active.moved.add(view.top)
                 eq_calls = state.equilibrium_calls
         active.moved.add(child)
         z[(i_m, child)] = t_star
@@ -933,6 +1341,8 @@ class Solver:
             )
         record = StepRecord(child, branch, iterations, cap, eq_calls, t_star, d,
                             tuple(t_path))
+        if (record_pair or not carried) and active.block is not None:
+            active.block.flush()
         if record_pair:
             record.pair = (dict(x), dict(z))
         return x, z, record
@@ -954,6 +1364,8 @@ class Solver:
                 active=active,
             )
             stats.steps.append(record)
+        if active.block is not None:
+            active.block.flush()
         residual = kkt_residual(self.problem, x, z)
         if residual > self.tol:
             raise CertificateError(

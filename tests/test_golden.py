@@ -26,18 +26,36 @@ from treeiso.solver import solve
 N = 40
 
 SOLVE_DIGESTS = {
-    ("random", "quadratic", 1): "3f04d83a2e8038c8",
-    ("random", "quadratic", 2): "585e889b1f9c2ec5",
-    ("random", "mixed", 1): "bde7e1b184cd72b5",
-    ("random", "mixed", 2): "b3d3b1b6b3204fec",
-    ("star", "quadratic", 1): "e29aa126efe0b868",
-    ("star", "quadratic", 2): "9656cd7c8454c665",
-    ("star", "mixed", 1): "1d4c044c7f564028",
-    ("star", "mixed", 2): "799961bab30afb08",
-    ("chain", "quadratic", 1): "ff440a09ec608704",
-    ("chain", "quadratic", 2): "fea1f200849e7ef6",
-    ("chain", "mixed", 1): "23111c1bddf4a6f0",
-    ("chain", "mixed", 2): "d4052f2e6fd8ca13",
+    ("random", "quadratic", 1): "3402144990c8c6dc",
+    ("random", "quadratic", 2): "2f6e19e617c7c6d5",
+    ("random", "mixed", 1): "4cc616a1911475cc",
+    ("random", "mixed", 2): "54c2b4190c64baa1",
+    ("star", "quadratic", 1): "33514899ee960a6b",
+    ("star", "quadratic", 2): "c23874a68911b941",
+    ("star", "mixed", 1): "6725b57a93166995",
+    ("star", "mixed", 2): "7083980f994df046",
+    ("chain", "quadratic", 1): "f1e04793ce7333df",
+    ("chain", "quadratic", 2): "2e2fc34dcbc5f2f1",
+    ("chain", "mixed", 1): "827c5fa86045cb75",
+    ("chain", "mixed", 2): "329d7f56625d214e",
+}
+
+# The step structure of the same solves, apart from the float bits: per
+# StepRecord (node, branch, iterations, iteration_cap, equilibrium_calls).
+# A change of summation order may move the digests above, never these.
+STEP_SHAPE_DIGESTS = {
+    ("random", "quadratic", 1): "4f74a82609c3080f",
+    ("random", "quadratic", 2): "09146c45c1956d81",
+    ("random", "mixed", 1): "4b5429616697a848",
+    ("random", "mixed", 2): "edc0dc384ddf823f",
+    ("star", "quadratic", 1): "fae6c633be6c2b64",
+    ("star", "quadratic", 2): "8f1036d711b2b85a",
+    ("star", "mixed", 1): "99d0990ad3b927c4",
+    ("star", "mixed", 2): "59e132637fa58b42",
+    ("chain", "quadratic", 1): "765ddda99730c170",
+    ("chain", "quadratic", 2): "20b183b5dde336d8",
+    ("chain", "mixed", 1): "01ee037972c9fa57",
+    ("chain", "mixed", 2): "fc7aef9c4a09a936",
 }
 
 DEMO_SOLVE_JSON_DIGEST = "d2aac72c9f3ab8a6"
@@ -75,6 +93,20 @@ def solve_digest(shape: str, loss_kind: str, seed: int) -> str:
 @pytest.mark.parametrize("shape, loss_kind, seed", sorted(SOLVE_DIGESTS))
 def test_solve_digest(shape, loss_kind, seed):
     assert solve_digest(shape, loss_kind, seed) == SOLVE_DIGESTS[(shape, loss_kind, seed)]
+
+
+def step_shape_digest(shape: str, loss_kind: str, seed: int) -> str:
+    tree, losses = random_problem(shape, N, seed, loss_kind)
+    _, _, stats = solve(build_problem(tree, losses))
+    return digest(["%d %s %d %d %d" % (rec.node, rec.branch, rec.iterations,
+                                       rec.iteration_cap, rec.equilibrium_calls)
+                   for rec in stats.steps])
+
+
+@pytest.mark.parametrize("shape, loss_kind, seed", sorted(STEP_SHAPE_DIGESTS))
+def test_step_shape_digest(shape, loss_kind, seed):
+    assert (step_shape_digest(shape, loss_kind, seed)
+            == STEP_SHAPE_DIGESTS[(shape, loss_kind, seed)])
 
 
 def test_demo_solve_json_digest(capsys):

@@ -324,7 +324,7 @@ def pooled_view(losses, edges, anchor=1):
     z = {(i, j): 0.0 for i, j, _, _ in problem.weighted_edges()}
     state = PrimalDualState(0.0, {v: 0.0 for v in range(1, n + 1)}, z,
                             ActiveSet({e: EQ for e in z}))
-    return Solver(problem).build_component_view(state, anchor)
+    return Solver(problem).build_component_view(state, anchor, -1)
 
 
 class TestSubgroupInverse:
@@ -337,8 +337,7 @@ class TestSubgroupInverse:
             losses = [random_member(rng, kinds) for _ in range(n)]
             view = pooled_view(losses, edges, anchor=rng.randint(1, n))
             for e in view.edges:
-                lo, hi = view.span[e]
-                members = [view._losses[u] for u in view.nodes[lo:hi]]
+                members = [view._loss[u] for u in view.far_nodes(e)]
                 for target in (rng.uniform(-60.0, 60.0), 0.0):
                     got = view.subgroup_inverse(e, target)
                     # A root only promises solve_increasing's stopping rule,
@@ -374,8 +373,7 @@ class TestSubgroupInverse:
                 losses.append(loss)
             view = pooled_view(losses, edges, anchor=rng.randint(1, n))
             for e in view.edges:
-                lo, hi = view.span[e]
-                members = [view._losses[u] for u in view.nodes[lo:hi]]
+                members = [view._loss[u] for u in view.far_nodes(e)]
                 for target in (rng.choice((-1e7, 1e7)), 1.0, 0.0):
                     want = solve_increasing(
                         lambda v: sum(m.derivative(v) for m in members),
@@ -398,7 +396,7 @@ class TestSubgroupInverse:
                   QuarticQuadratic(2.0, 1.0, 1.0), WeightedQuadratic(2.0, 5.0)]
         view = pooled_view(losses, [(1, 2, 1.0, 1.0), (2, 3, 1.0, 1.0),
                                     (3, 4, 1.0, 1.0)])
-        assert view.group.poly_form()[2] > 0.0
+        assert view.poly_form()[2] > 0.0
         calls = []
         real = treeiso.loss.solve_increasing
         monkeypatch.setattr(treeiso.loss, "solve_increasing",

@@ -77,17 +77,20 @@ class TestBuildInitialActiveSet:
 class TestComponentView:
     def test_late_view_aggregates(self):
         solver = Solver(make_demo_problem())
-        view = solver.build_component_view(late_search_state(), anchor=3)
+        view = solver.build_component_view(late_search_state(), anchor=3, s=1)
         assert set(view.nodes) == {1, 2, 3}
         assert set(view.edges) == {(1, 2), (1, 3)}
         assert view.boundary_flow == 4.0
-        assert view.edge_flow == {(1, 2): 0.0, (1, 3): 0.0}
+        assert {e: view.far_half(e)[3] for e in view.edges} == {(1, 2): 0.0, (1, 3): 0.0}
         assert [e for e, _ in view.boundary_out] == [(3, 4)]
         assert view.boundary_in == []
+        # The child above the block is listed only when the search moves up.
+        view = solver.build_component_view(late_search_state(), anchor=3, s=-1)
+        assert view.boundary_out == []
 
     def test_late_view_primal_curve(self):
         solver = Solver(make_demo_problem())
-        view = solver.build_component_view(late_search_state(), anchor=3)
+        view = solver.build_component_view(late_search_state(), anchor=3, s=-1)
         # x_B(t) = (12 + t) / 3
         assert view.value_at(0.0) == 4.0
         assert view.value_at(-3.0) == 3.0
@@ -96,7 +99,7 @@ class TestComponentView:
 
     def test_late_view_dual_curves(self):
         solver = Solver(make_demo_problem())
-        view = solver.build_component_view(late_search_state(), anchor=3)
+        view = solver.build_component_view(late_search_state(), anchor=3, s=-1)
         # z_12(t) = -(t + 6)/3 and z_13(t) = (2t + 6)/3.
         at_zero = view.duals_at(0.0)
         assert at_zero[(1, 2)] == pytest.approx(-2.0, abs=1e-12)
@@ -108,7 +111,7 @@ class TestComponentView:
     def test_consistency_at_current_parameter(self):
         solver = Solver(make_demo_problem())
         state = late_search_state()
-        view = solver.build_component_view(state, anchor=3)
+        view = solver.build_component_view(state, anchor=3, s=-1)
         assert view.value_at(state.t) == state.x[3]
         for e, value in view.duals_at(state.t).items():
             assert value == pytest.approx(state.z[e], abs=1e-12)
@@ -118,7 +121,7 @@ class TestComponentView:
         x = {1: 3.0, 2: 3.0, 3: 2.0, 4: 8.0}
         z = {(1, 2): -1.0, (1, 3): 0.0}
         state = make_state(0.0, x, z, {(1, 2): EQ, (1, 3): GT})
-        view = solver.build_component_view(state, anchor=3)
+        view = solver.build_component_view(state, anchor=3, s=-1)
         assert set(view.nodes) == {3}
         assert view.edges == ()
         assert view.boundary_flow == 0.0
@@ -130,7 +133,7 @@ class TestComponentView:
         x = {1: 4.0, 2: 4.0, 3: 4.0, 4: 4.0}
         z = {(1, 2): -2.0, (1, 3): 2.0, (3, 4): 4.0}
         state = make_state(0.0, x, z, {(1, 2): EQ, (1, 3): EQ, (3, 4): EQ})
-        view = solver.build_component_view(state, anchor=3)
+        view = solver.build_component_view(state, anchor=3, s=-1)
         assert set(view.nodes) == {1, 2, 3, 4}
         assert view.boundary_flow == 0.0
         # x_B(t) = (16 + t)/4 and z_34(t) = 4 - t/4.
@@ -142,7 +145,7 @@ class TestComponentView:
         solver = Solver(make_demo_problem())
         state = late_search_state()
         state.z[(1, 3)] = 5.0
-        view = solver.build_component_view(state, anchor=3)
+        view = solver.build_component_view(state, anchor=3, s=-1)
         with pytest.raises(InternalInvariantError):
             solver._check_anchor(view, state)
 
@@ -150,7 +153,7 @@ class TestComponentView:
         solver = Solver(make_demo_problem())
         state = late_search_state()
         state.x[3] = 3.5
-        view = solver.build_component_view(state, anchor=3)
+        view = solver.build_component_view(state, anchor=3, s=-1)
         with pytest.raises(InternalInvariantError):
             solver._check_anchor(view, state)
 
@@ -161,18 +164,24 @@ class TestThresholds:
         x = {1: 4.0, 2: 4.0, 3: 4.0, 4: 4.0}
         z = {(1, 2): -2.0, (1, 3): 2.0, (3, 4): 4.0}
         state = make_state(0.0, x, z, {(1, 2): EQ, (1, 3): EQ, (3, 4): EQ})
-        view = solver.build_component_view(state, anchor=3)
+        view = solver.build_component_view(state, anchor=3, s=-1)
         th = solver.thresholds_minus(view, state)
+        # (1, 3) lies on the path to the anchor, (3, 4) binds at the heap
+        # top, and (1, 2) waits below it in the heap.
         assert th.per_edge[(3, 4)] == pytest.approx(0.0, abs=1e-12)
         assert th.per_edge[(1, 3)] == pytest.approx(-4.0, abs=1e-12)
-        assert th.per_edge[(1, 2)] == pytest.approx(-8.0, abs=1e-12)
+        assert (1, 2) not in th.per_edge
+        moves = view.edge_moves(state.t, -1)
+        assert moves[(3, 4)] == pytest.approx(0.0, abs=1e-12)
+        assert moves[(1, 3)] == pytest.approx(-4.0, abs=1e-12)
+        assert moves[(1, 2)] == pytest.approx(-8.0, abs=1e-12)
         assert th.boundary_out == -INF and th.boundary_in == -INF
         assert th.best == pytest.approx(0.0, abs=1e-12)
 
     def test_downward_after_first_migration(self):
         solver = Solver(make_demo_problem())
         state = late_search_state()
-        view = solver.build_component_view(state, anchor=3)
+        view = solver.build_component_view(state, anchor=3, s=-1)
         th = solver.thresholds_minus(view, state)
         assert th.per_edge[(1, 3)] == pytest.approx(-3.0, abs=1e-12)
         assert th.per_edge[(1, 2)] == pytest.approx(-6.0, abs=1e-12)
@@ -189,8 +198,9 @@ class TestThresholds:
         )
         solver = Solver(problem)
         state = make_state(0.0, {1: 4.0, 2: 4.0}, {(1, 2): 1.0}, {(1, 2): EQ})
-        view = solver.build_component_view(state, anchor=1)
+        view = solver.build_component_view(state, anchor=1, s=-1)
         assert solver.thresholds_minus(view, state).best == -INF
+        view = solver.build_component_view(state, anchor=1, s=1)
         assert solver.thresholds_plus(view, state).best == INF
 
     def test_upward_boundary_join(self):
@@ -198,7 +208,7 @@ class TestThresholds:
         x = {1: 3.0, 2: 3.0, 3: 2.0, 4: 8.0}
         z = {(1, 2): -1.0, (1, 3): 0.0}
         state = make_state(0.0, x, z, {(1, 2): EQ, (1, 3): GT})
-        view = solver.build_component_view(state, anchor=3)
+        view = solver.build_component_view(state, anchor=3, s=1)
         th = solver.thresholds_plus(view, state)
         assert th.per_edge[(1, 3)] == pytest.approx(1.0, abs=1e-12)
         assert th.boundary_in == pytest.approx(1.0, abs=1e-12)
@@ -212,7 +222,7 @@ class TestStepFunctions:
         x = {1: 4.0, 2: 4.0, 3: 4.0, 4: 4.0, 5: 0.0}
         z = {(1, 2): -2.0, (1, 3): 2.0, (3, 4): 4.0}
         state = make_state(0.0, x, z, {(1, 2): EQ, (1, 3): EQ, (3, 4): EQ})
-        view = solver.build_component_view(state, anchor=3)
+        view = solver.build_component_view(state, anchor=3, s=-1)
         result = solver.step_minus(state, view, Attachment(5, 3, 3.0, 3.0))
         assert result is None
         assert state.t == 0.0
@@ -224,10 +234,11 @@ class TestStepFunctions:
         solver = Solver(make_demo_problem())
         state = late_search_state()
         state.departed.add((3, 4))
-        view = solver.build_component_view(state, anchor=3)
+        view = solver.build_component_view(state, anchor=3, s=-1)
         result = solver.step_minus(state, view, Attachment(5, 3, 3.0, 3.0))
         assert result == -3.0
         assert state.x == {1: 3.0, 2: 3.0, 3: 3.0, 4: 4.0, 5: 1.0}
+        view.flush()  # the block's internal duals are written out on demand
         assert state.z[(1, 2)] == pytest.approx(-1.0, abs=1e-12)
         assert state.z[(1, 3)] == pytest.approx(0.0, abs=1e-12)
         assert state.z[(3, 4)] == 4.0
@@ -237,7 +248,7 @@ class TestStepFunctions:
         x = {1: 3.0, 2: 3.0, 3: 2.0, 4: 8.0}
         z = {(1, 2): -1.0, (1, 3): 0.0}
         state = make_state(0.0, x, z, {(1, 2): EQ, (1, 3): GT})
-        view = solver.build_component_view(state, anchor=3)
+        view = solver.build_component_view(state, anchor=3, s=1)
         result = solver.step_plus(state, view, Attachment(4, 3, 0.0, 4.0))
         assert result is None
         assert state.t == 1.0
@@ -250,11 +261,12 @@ class TestStepFunctions:
         x = {1: 3.0, 2: 3.0, 3: 3.0, 4: 7.0}
         z = {(1, 2): -1.0, (1, 3): 1.0}
         state = make_state(1.0, x, z, {(1, 2): EQ, (1, 3): EQ})
-        view = solver.build_component_view(state, anchor=3)
+        view = solver.build_component_view(state, anchor=3, s=1)
         result = solver.step_plus(state, view, Attachment(4, 3, 0.0, 4.0))
         assert result == 4.0
         assert state.equilibrium_calls == 1
         assert state.x == {1: 4.0, 2: 4.0, 3: 4.0, 4: 4.0}
+        view.flush()
         assert state.z[(1, 2)] == pytest.approx(-2.0, abs=1e-12)
         assert state.z[(1, 3)] == pytest.approx(2.0, abs=1e-12)
 
@@ -264,7 +276,7 @@ class TestStepFunctions:
         z = {(1, 2): -1.0, (1, 3): 0.0}
         state = make_state(0.0, x, z, {(1, 2): EQ, (1, 3): GT})
         state.departed.add((1, 3))
-        view = solver.build_component_view(state, anchor=3)
+        view = solver.build_component_view(state, anchor=3, s=1)
         with pytest.raises(InternalInvariantError):
             solver.step_plus(state, view, Attachment(4, 3, 0.0, 4.0))
 
@@ -272,7 +284,7 @@ class TestStepFunctions:
         solver = Solver(make_demo_problem())
         state = make_state(0.0, {1: 4.0, 2: 0.0}, {}, {})
         state.equilibrium_calls = 1
-        view = solver.build_component_view(state, anchor=1)
+        view = solver.build_component_view(state, anchor=1, s=-1)
         with pytest.raises(InternalInvariantError):
             solver.step_minus(state, view, Attachment(2, 1, INF, INF))
 
