@@ -37,7 +37,7 @@ from .solver import (
     kkt_residual_edges,
     objective_value_edges,
 )
-from .tree import INF, Arborescence, DirectedTree, map_back, normalize
+from .tree import INF, Arborescence, DirectedTree, check_weight, map_back, normalize
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -59,17 +59,9 @@ class _CliError(Exception):
 # -- instance files ----------------------------------------------------------
 
 
-def _parse_weight(raw, where: str) -> float:
-    if raw == "inf":
-        return INF
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        raise MalformedInstanceError(
-            '%s: expected a number or "inf", got %r' % (where, raw)
-        )
-    value = float(raw)
-    if value != value or value < 0.0:
-        raise MalformedInstanceError("%s: weight %r out of range" % (where, raw))
-    return value
+def _parse_weight(raw):
+    """The file's "inf" as infinity; `DirectedTree` checks every weight."""
+    return INF if raw == "inf" else raw
 
 
 def _check_id(value, where: str):
@@ -145,9 +137,8 @@ class ProblemFile:
                     raise MalformedInstanceError(
                         "%s.%s: unknown id %r" % (where, name, end)
                     )
-            lam = _parse_weight(entry["lambda"], where + ".lambda")
-            mu = _parse_weight(entry["mu"], where + ".mu")
-            parsed_edges.append((tail, head, lam, mu))
+            parsed_edges.append((tail, head, _parse_weight(entry["lambda"]),
+                                 _parse_weight(entry["mu"])))
         root = obj.get("root")
         if root is not None:
             _check_id(root, "root")
@@ -156,12 +147,27 @@ class ProblemFile:
         return cls(ids, losses, parsed_edges, root)
 
     def build(self):
-        """Dense relabelling: (DirectedTree, losses by dense id, dense root)."""
+        """Dense relabelling: (DirectedTree, losses by dense id, dense root).
+
+        A weight the tree rejects is reported by its field in the file.
+        """
         dense = self.dense_ids
-        tree = DirectedTree(
-            len(self.ids),
-            [(dense[f], dense[t], lam, mu) for f, t, lam, mu in self.edges],
-        )
+        try:
+            tree = DirectedTree(
+                len(self.ids),
+                [(dense[f], dense[t], lam, mu) for f, t, lam, mu in self.edges],
+            )
+        except MalformedInstanceError:
+            for k, (f, t, lam, mu) in enumerate(self.edges):
+                for name, value in (("lambda", lam), ("mu", mu)):
+                    try:
+                        check_weight(value, name, (f, t))
+                    except MalformedInstanceError:
+                        raise MalformedInstanceError(
+                            'edges[%d].%s: weight %r out of range: expected a '
+                            'nonnegative number or "inf"' % (k, name, value)
+                        ) from None
+            raise
         losses = {dense[oid]: self.losses[oid] for oid in self.ids}
         root = dense[self.root] if self.root is not None else None
         return tree, losses, root

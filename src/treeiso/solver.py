@@ -143,14 +143,20 @@ class Problem:
 class ActiveSet:
     """Relation sign per edge: LT (-1), EQ (0) or GT (+1), plus a child index.
 
-    `moved` holds the nodes whose values were written since the signs were
-    last classified, less those whose parent edge joins two members of a
-    search's final component (both ends hold one value, so it stays EQ).
-    Only the edges next to written nodes can be out of date, and of those
-    only the moved nodes' parent edges, except at the nodes in `level`,
-    where a write left the nearest strict child on some side no longer
-    strictly apart from the node.  An EQ child of a written node was
-    written with it, so its edge is its own parent edge.
+    `moved` holds the nodes whose parent edge may have changed class since
+    the signs were last classified: each attached node and, of each
+    search, the final block's top, the lower end of every departed edge
+    and the old top of every departed half.  Every other node whose value
+    was written lies inside a block or a departed half below its top, so
+    its parent edge joins two nodes of one value and stays EQ.  Only the
+    edges next to written nodes can be out of date, and of those only the
+    moved nodes' parent edges, except at the nodes in `level`, where a
+    write left the nearest strict child on some side no longer strictly
+    apart from the node.
+
+    `block` is the moving equality block (`ComponentView`) carried from
+    search to search; every sign write on an edge with an end in it is
+    passed on to it.
 
     The index covers the signed edges (parent, child) and is built from
     `signs`, x and z on first use (`build_index`).  Per node v it holds:
@@ -388,7 +394,8 @@ class ComponentView:
             self.flush()
             for part in (self.nodes, self.rim, self.sub, *self.keys.values(),
                          *self.heaps.values(), *self.dirty.values()):
-                part.clear()
+                if part:
+                    part.clear()
         self._path = self._on_path = self._comps = None
         if anchor is None:
             return
@@ -424,7 +431,8 @@ class ComponentView:
         eq_kids, sub, nodes = self._active.eq_kids, self.sub, self.nodes
         order = [root]
         for u in order:
-            order.extend(k for k in eq_kids[u] if k not in nodes)
+            if eq_kids[u]:
+                order.extend(k for k in eq_kids[u] if k not in nodes)
         for u in reversed(order):
             h = self._own(u)
             for k in eq_kids[u]:
@@ -659,7 +667,7 @@ class ComponentView:
         if self.dirty[s]:
             self._clean(s)
         heap, keys = self.heaps[s], self.keys[s]
-        on_path = self._on_path
+        on_path = self._on_path_set()
         aside, run = [], []
         while heap:
             k, u = heap[0]
@@ -779,8 +787,9 @@ class Thresholds:
 
     Every move is s times a nonnegative length, so within a class the
     binding move is the one with the smallest |move|, and an empty class
-    holds the sentinel s*inf.  `per_edge` covers the component edges and
-    the eligible boundary edges the view lists.
+    holds the sentinel s*inf.  `per_edge` covers the path edges with a
+    finite bound, the component edge at the key heap's top and the
+    eligible boundary edges the view lists.
     """
 
     per_edge: Dict[Edge, float]

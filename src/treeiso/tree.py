@@ -26,7 +26,7 @@ INF = math.inf
 Edge = Tuple[int, int]
 
 
-def _check_weight(value, what, edge):
+def check_weight(value, what, edge):
     # float() would also take True or "Infinity"; the float test skips the ABC check.
     real = type(value) is float or (isinstance(value, numbers.Real)
                                     and not isinstance(value, bool))
@@ -78,8 +78,8 @@ class DirectedTree:
                 )
             seen.add(pair)
             cooked.append(
-                (tail, head, _check_weight(lam, "lambda", (tail, head)),
-                 _check_weight(mu, "mu", (tail, head)))
+                (tail, head, check_weight(lam, "lambda", (tail, head)),
+                 check_weight(mu, "mu", (tail, head)))
             )
         if len(cooked) != node_count - 1:
             raise MalformedInstanceError(

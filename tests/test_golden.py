@@ -26,18 +26,18 @@ from treeiso.solver import solve
 N = 40
 
 SOLVE_DIGESTS = {
-    ("random", "quadratic", 1): "3402144990c8c6dc",
-    ("random", "quadratic", 2): "2f6e19e617c7c6d5",
-    ("random", "mixed", 1): "4cc616a1911475cc",
-    ("random", "mixed", 2): "54c2b4190c64baa1",
+    ("random", "quadratic", 1): "e078d9d7c82f6781",
+    ("random", "quadratic", 2): "35d15f4eb43cf94c",
+    ("random", "mixed", 1): "b7ebe0cda262b921",
+    ("random", "mixed", 2): "d6ebd013735f91b2",
     ("star", "quadratic", 1): "33514899ee960a6b",
     ("star", "quadratic", 2): "c23874a68911b941",
     ("star", "mixed", 1): "6725b57a93166995",
     ("star", "mixed", 2): "7083980f994df046",
-    ("chain", "quadratic", 1): "f1e04793ce7333df",
+    ("chain", "quadratic", 1): "a9d6f75ef47d7b1d",
     ("chain", "quadratic", 2): "2e2fc34dcbc5f2f1",
-    ("chain", "mixed", 1): "827c5fa86045cb75",
-    ("chain", "mixed", 2): "329d7f56625d214e",
+    ("chain", "mixed", 1): "7900d7313fdc8ef1",
+    ("chain", "mixed", 2): "45f5657451c179c8",
 }
 
 # The step structure of the same solves, apart from the float bits: per

@@ -9,11 +9,13 @@ from conftest import DEMO_OBJECTIVE, DEMO_X, DEMO_Z, make_demo_problem
 from treeiso.cli import build_problem, random_problem
 from treeiso.errors import CertificateError, ContractViolationError, InternalInvariantError
 from treeiso.loss import QuarticQuadratic, WeightedQuadratic
+from treeiso.oracle import pava
 from treeiso.solver import (
     EQ,
     GT,
     LT,
     ActiveSet,
+    ComponentView,
     Problem,
     PrimalDualState,
     Solver,
@@ -544,6 +546,115 @@ class TestStrictChildIndex:
         key, c = heap[0]
         heap[0] = (key - 1.0, c)  # the child now looks 1.0 higher than it is
         with pytest.raises(InternalInvariantError, match="heap"):
+            for attachment in attachments:
+                solver.extend(x, z, attachment, validate=True, active=active)
+
+
+def falling_chain(n, lam, seed):
+    """A chain 1 -> 2 -> ... -> n whose targets fall, with noise.
+
+    Each node attaches below the last, so the block's anchor sits at the
+    bottom and the path from the top down to it covers the whole block.
+    """
+    rng = random.Random(seed)
+    targets = [10.0 - 10.0 * k / n + rng.gauss(0.0, 0.5) for k in range(n)]
+    weights = [rng.uniform(0.5, 3.0) for _ in range(n)]
+    tree = DirectedTree(n, [(i, i + 1, lam, 0.0) for i in range(1, n)])
+    losses = {v: WeightedQuadratic(weights[v - 1], targets[v - 1])
+              for v in range(1, n + 1)}
+    return build_problem(tree, losses), targets, weights
+
+
+class TestPersistentBlock:
+    """The moving block carried across steps and extensions.
+
+    Under validation every step compares the carried block with one built
+    afresh (members, subtree sums, keys, rim) and its binding component
+    edges and their tie run with a scan of every internal edge.
+    """
+
+    def test_falling_hard_isotonic_chain_matches_pava(self):
+        problem, targets, weights = falling_chain(300, INF, 41)
+        x, _, stats = solve(problem, validate=True)
+        assert stats.final_residual <= 1e-8
+        fitted = pava(targets, weights=weights)
+        label = problem.arb.original_label
+        for v, value in x.items():
+            want = fitted[label[v] - 1]
+            assert abs(value - want) <= 1e-9 * (1.0 + abs(want))
+        # Most of the chain pools: the search ends in one block of many nodes.
+        assert len(set(x.values())) < 60
+
+    @pytest.mark.parametrize("lam", [0.5, 2.0])
+    def test_falling_soft_chain_splits_above_the_anchor(self, lam, monkeypatch):
+        # With a finite lambda the upper part of a block can split off: the
+        # departing edge lies on the path, its far half is the complement.
+        departed = []
+        real = ComponentView._depart
+
+        def spy(view, p, c, d):
+            departed.append(view.on_path(c))
+            return real(view, p, c, d)
+
+        monkeypatch.setattr(ComponentView, "_depart", spy)
+        problem, _, _ = falling_chain(300, lam, 43)
+        _, _, stats = solve(problem, validate=True)
+        assert stats.final_residual <= 1e-8
+        assert any(departed)
+
+    def test_caterpillar_anchor_moves_inside_one_block(self, monkeypatch):
+        # A hard-equality spine stays one block; leaves hang off every spine
+        # node, so successive searches anchor at different spine nodes of
+        # the same carried block.
+        rng = random.Random(7)
+        spine = 8
+        n = 200
+        edges = [(i, i + 1, INF, INF) for i in range(1, spine)]
+        for child in range(spine + 1, n + 1):
+            edges.append((rng.randint(1, spine), child,
+                          rng.choice((0.5, 2.0, rng.uniform(0.0, 3.0))),
+                          rng.choice((0.5, 2.0, rng.uniform(0.0, 3.0)))))
+        losses = {v: WeightedQuadratic(rng.uniform(0.5, 3.0), rng.uniform(0.0, 10.0))
+                  for v in range(1, n + 1)}
+        problem = build_problem(DirectedTree(n, edges), losses)
+        moved_inside = []
+        real = Solver.build_component_view
+
+        def spy(self, state, anchor, s):
+            block = state.active.block
+            if block is not None and anchor in block.nodes:
+                moved_inside.append(block.anchor != anchor)
+            return real(self, state, anchor, s)
+
+        monkeypatch.setattr(Solver, "build_component_view", spy)
+        x, _, stats = solve(problem, validate=True)
+        assert stats.final_residual <= 1e-8
+        assert sum(moved_inside) >= spine - 2
+        label = problem.arb.original_label
+        assert len({x[v] for v in x if label[v] <= spine}) == 1
+
+    def test_mixed_star_validated(self):
+        problem = hub_problem(400, 1, 29, "mixed", dyadic=True)
+        x, _, stats = solve(problem, validate=True)
+        assert stats.final_residual <= 1e-8
+        assert stats.inner_iters_total > 200
+        hub_value = x[1]
+        assert sum(value == hub_value for value in x.values()) > 10
+
+    def test_stale_subtree_sum_detected(self):
+        problem = hub_problem(60, 1, 3, "quadratic", dyadic=True)
+        solver = Solver(problem)
+        x = {1: problem.loss_of(1).inverse_derivative(0.0)}
+        z, active = {}, ActiveSet()
+        attachments = iter(solver._attachments)
+        for attachment in attachments:
+            solver.extend(x, z, attachment, validate=True, active=active)
+            block = active.block
+            if block is not None and len(block.nodes) > 2:
+                break
+        leaf = next(u for u in block.nodes if u != block.top)
+        block.sub[leaf][1] *= 2.0  # the leaf's subtree now weighs double
+        with pytest.raises(InternalInvariantError, match="carried"):
             for attachment in attachments:
                 solver.extend(x, z, attachment, validate=True, active=active)
 
