@@ -358,8 +358,8 @@ class ComponentView:
     child on that side (a heap top in the active set's index; the others
     on that side are farther, and those tied with it are a run from the
     same top), `boundary_in` the top's parent edge when it is strict.  It
-    also takes a snapshot of the pooled form and flow (`form`, `flow`),
-    which `value_at`, `t_of_value` and `move_to` use all step, while
+    also takes a snapshot of the pooled form and the net boundary flow
+    (`form`, `boundary_flow`), which `value_at`, `t_of_value` and `move_to` use all step, while
     joins and departures already change the sums.
 
     Internal duals are not stored while the block moves: `flush` writes
@@ -368,7 +368,7 @@ class ComponentView:
 
     __slots__ = (
         "anchor", "top", "nodes", "rim", "sub", "keys", "heaps", "dirty", "value",
-        "boundary_out", "boundary_in", "form", "flow", "_members",
+        "boundary_out", "boundary_in", "form", "boundary_flow", "_members",
         "_active", "_x", "_z", "_parent", "_lam", "_mu", "_loss", "_forms",
         "_path", "_on_path", "_comps",
     )
@@ -396,7 +396,7 @@ class ComponentView:
                          *self.heaps.values(), *self.dirty.values()):
                 if part:
                     part.clear()
-        self._path = self._on_path = self._comps = None
+        self._forget_path()
         if anchor is None:
             return
         parent, signs = self._parent, self._active.signs
@@ -407,6 +407,15 @@ class ComponentView:
         self.value = self._x[anchor]
         self._grow(top)
         self._snapshot()
+
+    def set_anchor(self, anchor: int):
+        """Anchor the coming steps at another member."""
+        if anchor != self.anchor:
+            self.anchor = anchor
+            self._forget_path()
+
+    def _forget_path(self):
+        self._path = self._on_path = self._comps = None
 
     # -- sums over subtrees ---------------------------------------------
 
@@ -554,10 +563,6 @@ class ComponentView:
         u = e[1]
         return self.comps()[u] if self.on_path(u) else self.sub[u]
 
-    def far_nodes(self, e: Edge) -> List[int]:
-        """The members of the far half of internal edge e."""
-        return self._far(e[1], self.on_path(e[1]))
-
     def _far(self, u: int, on_path: bool) -> List[int]:
         """u's subtree, or with on_path the block less it, from its top."""
         eq_kids = self._active.eq_kids
@@ -607,7 +612,7 @@ class ComponentView:
 
     def _snapshot(self):
         h = self.sub[self.top]
-        self.flow = h[3]
+        self.boundary_flow = h[3]
         self.form = None if h[4] else (h[0], h[1], h[2])
         self._members = self.losses if h[4] else ()
 
@@ -618,21 +623,17 @@ class ComponentView:
     def losses(self) -> tuple:
         return tuple(self._loss[v] for v in self.nodes)
 
-    @property
-    def boundary_flow(self) -> float:
-        return self.flow
-
     def value_at(self, t: float) -> float:
         """Common value of the block at parameter t."""
         if self.form is not None:
-            return poly_inverse(self.form, t + self.flow)
-        return pooled_inverse(self._members, t + self.flow)
+            return poly_inverse(self.form, t + self.boundary_flow)
+        return pooled_inverse(self._members, t + self.boundary_flow)
 
     def t_of_value(self, v: float) -> float:
         """Inverse of value_at."""
         if self.form is not None:
-            return poly_derivative(self.form, v) - self.flow
-        return sum(loss.derivative(v) for loss in self._members) - self.flow
+            return poly_derivative(self.form, v) - self.boundary_flow
+        return sum(loss.derivative(v) for loss in self._members) - self.boundary_flow
 
     def move_to(self, v: float, t: float, s: int) -> float:
         """The move from t that brings the block to value v, or 0.0
@@ -691,8 +692,7 @@ class ComponentView:
     def _duals(self, edges, value: float) -> Dict[Edge, float]:
         """The duals of the given internal edges at the given value."""
         sub = self.sub
-        self.path()
-        on_path = self._on_path
+        on_path = self._on_path_set()
         out = {}
         for e in edges:
             u = e[1]
@@ -725,7 +725,7 @@ class ComponentView:
         """
         p, c = e
         nodes = self.nodes
-        self._path = self._on_path = self._comps = None
+        self._forget_path()
         if old == EQ:
             self._depart(p, c, d)
         elif sign == EQ and p in nodes:
@@ -778,7 +778,7 @@ class ComponentView:
             del self.sub[u]
             for keys in self.keys.values():
                 keys.pop(u, None)
-        self._path = self._on_path = self._comps = None
+        self._forget_path()
 
 
 @dataclass
@@ -963,20 +963,23 @@ class Solver:
                 view.restart(anchor)
             if state.validate:
                 self._check_anchor(view, state)
-        elif view.anchor != anchor:
-            view.anchor = anchor
-            view._path = view._on_path = view._comps = None
+        else:
+            view.set_anchor(anchor)
         view.refresh(s)
         return view
 
-    def _check_anchor(self, view: ComponentView, state: PrimalDualState):
-        """Validation: a block built afresh must reproduce the stored state."""
+    def _check_anchor(self, view: ComponentView, state: PrimalDualState,
+                      stored_duals: bool = True):
+        """Validation: the block must reproduce the stored value and, when
+        built afresh (before it moves), the stored internal duals."""
         want = state.x[view.anchor]
         got = view.value_at(state.t)
         if abs(got - want) > ANCHOR_RTOL * (1.0 + abs(want)):
             raise InternalInvariantError(
                 "component value %.17g disagrees with stored %.17g" % (got, want)
             )
+        if not stored_duals:
+            return
         for e, value in view.duals_at(state.t).items():
             stored = state.z[e]
             if abs(value - stored) > ANCHOR_RTOL * (1.0 + abs(stored)):
@@ -990,7 +993,8 @@ class Solver:
         Members and top exactly; every member's subtree sums and keys
         within ANCHOR_RTOL (incremental sums round differently); the rim
         must cover every member with strict children; and the block's
-        value must reproduce the stored one.
+        value must reproduce the stored one.  Internal duals are not
+        stored while a block moves, so they are not compared.
         """
         fresh = ComponentView(self, state.active, state.x, state.z, view.anchor)
         for s in (-1, 1):
@@ -1019,12 +1023,7 @@ class Solver:
             raise InternalInvariantError(
                 "rim %s misses members %s" % (sorted(view.rim), sorted(fresh.rim - view.rim))
             )
-        want = state.x[view.anchor]
-        got = view.value_at(state.t)
-        if abs(got - want) > ANCHOR_RTOL * (1.0 + abs(want)):
-            raise InternalInvariantError(
-                "component value %.17g disagrees with stored %.17g" % (got, want)
-            )
+        self._check_anchor(view, state, stored_duals=False)
 
     # -- thresholds ---------------------------------------------------------
 
@@ -1047,9 +1046,9 @@ class Solver:
         for u in view.path():
             bound = lam[u] if s < 0 else mu[u]
             if bound != INF:
-                h = view.comps()[u]
-                vbar = view._inverse(h, h[3] + s * bound, u, True)
-                per_edge[(parent[u], u)] = dt = view.move_to(vbar, t_q, s)
+                e = (parent[u], u)
+                vbar = view.subgroup_inverse(e, view.far_half(e)[3] + s * bound)
+                per_edge[e] = dt = view.move_to(vbar, t_q, s)
                 if s * dt < s * internal:
                     internal = dt
         for u in view.binding(s):

@@ -337,7 +337,7 @@ class TestSubgroupInverse:
             losses = [random_member(rng, kinds) for _ in range(n)]
             view = pooled_view(losses, edges, anchor=rng.randint(1, n))
             for e in view.edges:
-                members = [view._loss[u] for u in view.far_nodes(e)]
+                members = [view._loss[u] for u in view._far(e[1], view.on_path(e[1]))]
                 for target in (rng.uniform(-60.0, 60.0), 0.0):
                     got = view.subgroup_inverse(e, target)
                     # A root only promises solve_increasing's stopping rule,
@@ -373,7 +373,7 @@ class TestSubgroupInverse:
                 losses.append(loss)
             view = pooled_view(losses, edges, anchor=rng.randint(1, n))
             for e in view.edges:
-                members = [view._loss[u] for u in view.far_nodes(e)]
+                members = [view._loss[u] for u in view._far(e[1], view.on_path(e[1]))]
                 for target in (rng.choice((-1e7, 1e7)), 1.0, 0.0):
                     want = solve_increasing(
                         lambda v: sum(m.derivative(v) for m in members),
