@@ -18,11 +18,9 @@ away from zero while maintaining an *active set*: a relation sign per edge
 components; the component containing the attachment point moves as a whole,
 parametrized through its pooled loss (closed form when every member is
 quadratic, a Newton solve on one cubic otherwise), while everything else
-stays frozen.  Each search step collects that component afresh, in one
-depth-first walk over EQ edges from the attachment point plus one reverse
-pass over the members it listed.  Threshold computations find the largest
-|t| step before some dual value hits its box end or the moving component
-collides with a frozen neighbor; if the new node's value meets the
+stays frozen.  Threshold computations find the largest |t| step before
+some dual value hits its box end or the moving component collides with a
+frozen neighbor; if the new node's value meets the
 component's before any threshold, an equilibrium solve finishes the
 search.  The search direction s is set by the sign of the attached loss's
 derivative at the attachment point: positive derivative means t decreases
@@ -37,34 +35,59 @@ prefix children: the EQ ones in ascending order, the summed dual over the
 strict ones, and two lazy heaps of the strict ones keyed by value, one for
 the children above the node and one for those below.  Every sign write
 goes through the active set, so the index follows the signs, and a step
-never scans a node's strict children.  The component walk follows EQ
-edges only; a member's boundary outflow is its cached child flow minus
-its parent edge's dual when that edge is strict.  A moving component
-meets a frozen child at the child's value, and `t_of_value` is monotone
-in the value, so the binding collision is at a heap top and the children
-tied with it are a run from that top.  A node's value is written only
-while it is a component member (or as the attached node), and then only
-its own entry in its parent's heap goes stale.  When that edge is strict
-the entry is renewed at the next reclassification, because the parent's
-heap is not read before then: the parent cannot join the component while
-the node is in it (their only link is the strict edge), nor after the
-node left it (the parent's path to the component crosses the edge that
-departed, which may not rejoin in the same search).  A step therefore
-costs time in the size of the component, plus a heap operation per
-strict edge it touches, but not in the degrees of its members.
+never scans a node's strict children.  A member's boundary outflow is its
+cached child flow minus its parent edge's dual when that edge is strict.
+A moving component meets a frozen child at the child's value, and
+`t_of_value` is monotone in the value, so the binding collision is at a
+heap top and the children tied with it are a run from that top.  A
+node's value is written only while it is a component member (or as the
+attached node), and then only its own entry in its parent's heap goes
+stale.  When that edge is strict the entry is renewed at the next
+reclassification, because the parent's heap is not read before then:
+the parent cannot join the component while the node is in it (their
+only link is the strict edge), nor after the node left it (the parent's
+path to the component crosses the edge that departed, which may not
+rejoin in the same search).
+
+The moving component is a persistent block (`ComponentView`), carried in
+the active set across search steps and extensions, as in PAVA, where a
+pooled block moves as a whole (Best & Chakravarti, Math. Programming
+1990).  It is built only when a search's anchor lies outside it; after
+that every sign write on an edge at it updates it: a joining component
+is walked once, a departing half is split off and writes out its
+internal duals.  Rooted at its top member, it keeps per member the
+pooled loss form and boundary flow of the member's subtree, updated
+along the path from a change up to the top.  An internal edge binds at a
+value `vbar` that depends only on its far half (the side away from the
+anchor), which is the edge's subtree unless the edge lies on the path
+from the top down to the anchor; so the off-path edges wait in one lazy
+heap per direction, keyed by `vbar`, their tied edges depart as a run
+from its top, and only the path edges are computed per step, from sums
+over the block less their subtrees.  Members' x is written on every
+step in one bulk update, but internal duals only when a half departs,
+before a snapshot, when the block is given up and at the end.  Besides
+that bulk write, a step costs O(depth) for the path from the top down to
+the anchor, O(1) per member with strict children and O(log n) per heap
+operation, plus O(size) for what joins or departs; a change costs
+O(depth) to carry up to the top.  So neither the size of the block nor
+the degrees of its members enter, but a chain-like block whose anchor
+lies deep still reads O(depth) path edges per step.  Mergeable blocks on
+trees: Kolmogorov, Pock & Rolinek, "Total Variation on a Tree" (SIAM J.
+Imaging Sci. 2016).
 
 Before each search the signs are brought back to the value-based
 classification of the prefix (the one `build_initial_active_set` would
-produce from scratch).  For each node whose value was written since the
-last classification (every member of a component view during a search,
-and the attached node of every extension) that means its parent edge; its
-EQ children moved with it.  A search's final component ends on one
-value, so the edges inside it are left out, and an edge whose endpoints
-kept their values keeps its class.  A component stops at the first
-frozen value it meets, so a strict child of a member can only come level
-with it (or pass it by a rounding error), and the nearest one on that
-side does so first.  So each step checks the nearest strict child on
-either side of every member, and only for a member where one no longer
+produce from scratch).  A written node's parent edge can only have
+changed class where it leaves a block or a departed half, whose members
+hold one value: at their tops, at the lower ends of departed edges and at
+attached nodes (see `ActiveSet`).  An edge whose endpoints kept their
+values keeps its class.  A component stops at the first frozen value it
+meets, so a strict child of a member can only come level with it on the
+side it moves towards (or, by a rounding error, on the other side when
+its value moved back), and the nearest one on that side does so first.
+So each step checks the nearest strict child on that side of every
+member that has strict children (the block's rim), the other side only
+when the value moved back, and only for a member where one no longer
 classifies as strict are the strict children at its heap tops
 reclassified, down to the first that still classifies.
 """
@@ -98,6 +121,8 @@ SIGN_TOL = 1e-12        # slack on the new-edge dual sign property
 MONO_SLACK = 1e-12      # slack on monotonicity of the t sequence
 ANCHOR_RTOL = 1e-10     # validation tolerance for state/formula consistency
 DEFAULT_TOL = 1e-8      # final certificate gate
+
+_NO_PATH: frozenset = frozenset()
 
 
 def _eq_tol(a: float, b: float) -> float:
@@ -386,6 +411,7 @@ class ComponentView:
         self.boundary_out: List[Tuple[Edge, int]] = []
         self.boundary_in: List[Tuple[Edge, int]] = []
         self.restart(anchor)
+        self._snapshot()
 
     def restart(self, anchor: Optional[int]):
         """Write the internal duals out and build the block of anchor
@@ -406,7 +432,6 @@ class ComponentView:
         self.anchor, self.top = anchor, top
         self.value = self._x[anchor]
         self._grow(top)
-        self._snapshot()
 
     def set_anchor(self, anchor: int):
         """Anchor the coming steps at another member."""
@@ -437,7 +462,9 @@ class ComponentView:
         Sums are taken bottom up; a member met on the way (the old top,
         when a parent's component joins) brings its own sums.
         """
-        eq_kids, sub, nodes = self._active.eq_kids, self.sub, self.nodes
+        active = self._active
+        eq_kids, sub, nodes = active.eq_kids, self.sub, self.nodes
+        above, below = active.strict[LT], active.strict[GT]
         order = [root]
         for u in order:
             if eq_kids[u]:
@@ -455,9 +482,9 @@ class ComponentView:
             if not h[5]:
                 h[2] = 0.0
             sub[u] = h
+            if above[u] or below[u]:
+                self.rim.add(u)
         nodes.update(order)
-        above, below = self._active.strict[LT], self._active.strict[GT]
-        self.rim.update(u for u in order if above[u] or below[u])
         for dirty in self.dirty.values():
             dirty.update(order)
             dirty.discard(self.top)
@@ -488,8 +515,11 @@ class ComponentView:
         except those on the path (their edges are read from the
         complement sums), unless path_too."""
         dirty = self.dirty[s]
-        todo = dirty if path_too else dirty - self._on_path_set()
-        self.dirty[s] = dirty - todo
+        on_path = self._on_path_set()
+        if path_too or not on_path:
+            todo, self.dirty[s] = dirty, set()
+        else:
+            todo, self.dirty[s] = dirty - on_path, dirty & on_path
         keys, heap = self.keys[s], self.heaps[s]
         bounds = self._mu if s < 0 else self._lam
         for u in todo:
@@ -507,8 +537,11 @@ class ComponentView:
     def path(self) -> List[int]:
         """The members from just below the top down to the anchor."""
         if self._path is None:
-            up = []
             u, parent, top = self.anchor, self._parent, self.top
+            if u == top:
+                self._path, self._on_path = [], _NO_PATH
+                return self._path
+            up = []
             while u != top:
                 up.append(u)
                 u = parent[u]
@@ -520,7 +553,8 @@ class ComponentView:
         return u in self._on_path_set()
 
     def _on_path_set(self) -> set:
-        self.path()
+        if self._path is None:
+            self.path()
         return self._on_path
 
     def comps(self) -> Dict[int, list]:
@@ -955,17 +989,16 @@ class Solver:
         if active.eq_kids is None:
             active.build_index(len(self._parent) - 1, state.x, state.z)
         view = active.block
-        if view is None or anchor not in view.nodes:
-            if view is None:
-                view = active.block = ComponentView(self, active, state.x, state.z,
-                                                    anchor)
-            else:
-                view.restart(anchor)
-            if state.validate:
-                self._check_anchor(view, state)
+        fresh = view is None or anchor not in view.nodes
+        if view is None:
+            view = active.block = ComponentView(self, active, state.x, state.z, anchor)
+        elif fresh:
+            view.restart(anchor)
         else:
             view.set_anchor(anchor)
         view.refresh(s)
+        if fresh and state.validate:
+            self._check_anchor(view, state)
         return view
 
     def _check_anchor(self, view: ComponentView, state: PrimalDualState,
@@ -1109,7 +1142,12 @@ class Solver:
         x = state.x
         back = s * (value - view.value) < 0.0
         view.value = value
-        x.update(dict.fromkeys(view.nodes, value))
+        nodes = view.nodes
+        if len(nodes) > 8:
+            x.update(dict.fromkeys(nodes, value))  # one bulk write
+        else:
+            for v in nodes:
+                x[v] = value
         # A member whose nearest strict child on the side moved towards no
         # longer classifies as strict gets its heap tops reclassified; the
         # other side only needs a look when the value moved back.
@@ -1154,8 +1192,8 @@ class Solver:
             want_out = self._tied_children(view, state, th, s)
             moves = ComponentView(self, active, x, z, view.anchor).edge_moves(t, s)
             want_in = {e for e, dt in moves.items() if abs(dt - best) <= TIE_TOL}
-        path = list(view.path())
-        departing = [(parent[u], u) for u in path
+        on_path = view._on_path_set()  # as at the step's start
+        departing = [(parent[u], u) for u in view.path()
                      if abs(per_edge.get((parent[u], u), s * INF) - best) <= TIE_TOL]
         departing += [(parent[u], u) for u in view.binding(
             s, lambda v: abs(view.move_to(v, t, s) - best) <= TIE_TOL)]
@@ -1187,7 +1225,6 @@ class Solver:
                 "boundary ties from the heaps %s differ from a full scan %s"
                 % (sorted(joined_out), sorted(want_out))
             )
-        on_path = set(path)
         for e in departing:
             lam, mu = self._weights(e)
             sign = -s if e[1] in on_path else s
