@@ -1142,12 +1142,7 @@ class Solver:
         x = state.x
         back = s * (value - view.value) < 0.0
         view.value = value
-        nodes = view.nodes
-        if len(nodes) > 8:
-            x.update(dict.fromkeys(nodes, value))  # one bulk write
-        else:
-            for v in nodes:
-                x[v] = value
+        x.update(dict.fromkeys(view.nodes, value))
         # A member whose nearest strict child on the side moved towards no
         # longer classifies as strict gets its heap tops reclassified; the
         # other side only needs a look when the value moved back.
