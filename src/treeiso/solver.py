@@ -395,7 +395,7 @@ class ComponentView:
         "anchor", "top", "nodes", "rim", "sub", "keys", "heaps", "dirty", "value",
         "boundary_out", "boundary_in", "form", "boundary_flow", "_members",
         "_active", "_x", "_z", "_parent", "_lam", "_mu", "_loss", "_forms",
-        "_path", "_on_path", "_comps",
+        "path", "path_nodes", "_comps", "_parts",
     )
 
     def __init__(self, solver, active: ActiveSet, x, z, anchor: int):
@@ -410,6 +410,8 @@ class ComponentView:
         self.dirty: Dict[int, set] = {-1: set(), 1: set()}
         self.boundary_out: List[Tuple[Edge, int]] = []
         self.boundary_in: List[Tuple[Edge, int]] = []
+        self._parts = (self.nodes, self.rim, self.sub, *self.keys.values(),
+                       *self.heaps.values(), *self.dirty.values())
         self.restart(anchor)
         self._snapshot()
 
@@ -418,11 +420,10 @@ class ComponentView:
         afresh; without an anchor the block is left empty."""
         if self.nodes:
             self.flush()
-            for part in (self.nodes, self.rim, self.sub, *self.keys.values(),
-                         *self.heaps.values(), *self.dirty.values()):
+            for part in self._parts:
                 if part:
                     part.clear()
-        self._forget_path()
+        self._comps = None
         if anchor is None:
             return
         parent, signs = self._parent, self._active.signs
@@ -430,6 +431,7 @@ class ComponentView:
         while parent[top] and signs[(parent[top], top)] == EQ:
             top = parent[top]
         self.anchor, self.top = anchor, top
+        self._trace_path()
         self.value = self._x[anchor]
         self._grow(top)
 
@@ -437,10 +439,23 @@ class ComponentView:
         """Anchor the coming steps at another member."""
         if anchor != self.anchor:
             self.anchor = anchor
-            self._forget_path()
+            self._trace_path()
+            self._comps = None
 
-    def _forget_path(self):
-        self._path = self._on_path = self._comps = None
+    def _trace_path(self):
+        """`path`: the members from just below the top down to the anchor;
+        `path_nodes`: the same as a set.  They change only with the anchor
+        or the top."""
+        u, parent, top = self.anchor, self._parent, self.top
+        if u == top:
+            self.path, self.path_nodes = [], _NO_PATH
+            return
+        up = []
+        while u != top:
+            up.append(u)
+            u = parent[u]
+        up.reverse()
+        self.path, self.path_nodes = up, set(up)
 
     # -- sums over subtrees ---------------------------------------------
 
@@ -465,12 +480,13 @@ class ComponentView:
         active = self._active
         eq_kids, sub, nodes = active.eq_kids, self.sub, self.nodes
         above, below = active.strict[LT], active.strict[GT]
+        own = self._own
         order = [root]
         for u in order:
             if eq_kids[u]:
                 order.extend(k for k in eq_kids[u] if k not in nodes)
         for u in reversed(order):
-            h = self._own(u)
+            h = own(u)
             for k in eq_kids[u]:
                 kh = sub[k]
                 h[0] += kh[0]
@@ -515,11 +531,13 @@ class ComponentView:
         except those on the path (their edges are read from the
         complement sums), unless path_too."""
         dirty = self.dirty[s]
-        on_path = self._on_path_set()
+        on_path = self.path_nodes
         if path_too or not on_path:
-            todo, self.dirty[s] = dirty, set()
+            todo = list(dirty)
+            dirty.clear()
         else:
-            todo, self.dirty[s] = dirty - on_path, dirty & on_path
+            todo = dirty - on_path
+            dirty &= on_path
         keys, heap = self.keys[s], self.heaps[s]
         bounds = self._mu if s < 0 else self._lam
         for u in todo:
@@ -534,28 +552,8 @@ class ComponentView:
 
     # -- far halves -------------------------------------------------------
 
-    def path(self) -> List[int]:
-        """The members from just below the top down to the anchor."""
-        if self._path is None:
-            u, parent, top = self.anchor, self._parent, self.top
-            if u == top:
-                self._path, self._on_path = [], _NO_PATH
-                return self._path
-            up = []
-            while u != top:
-                up.append(u)
-                u = parent[u]
-            up.reverse()
-            self._path, self._on_path = up, set(up)
-        return self._path
-
     def on_path(self, u: int) -> bool:
-        return u in self._on_path_set()
-
-    def _on_path_set(self) -> set:
-        if self._path is None:
-            self.path()
-        return self._on_path
+        return u in self.path_nodes
 
     def comps(self) -> Dict[int, list]:
         """Per path member u, the sums over the block less u's subtree.
@@ -570,7 +568,7 @@ class ComponentView:
             nf = nc = 0
             comps = {}
             prev = self.top
-            for u in self.path():
+            for u in self.path:
                 for k in eq_kids[prev]:
                     if k != u:
                         h = sub[k]
@@ -602,7 +600,8 @@ class ComponentView:
         eq_kids = self._active.eq_kids
         order = [self.top if on_path else u]
         for w in order:
-            order.extend(k for k in eq_kids[w] if k != u)
+            if eq_kids[w]:
+                order.extend(k for k in eq_kids[w] if k != u)
         return order
 
     def _inverse(self, h, target: float, u: int, on_path: bool) -> float:
@@ -647,8 +646,10 @@ class ComponentView:
     def _snapshot(self):
         h = self.sub[self.top]
         self.boundary_flow = h[3]
-        self.form = None if h[4] else (h[0], h[1], h[2])
-        self._members = self.losses if h[4] else ()
+        if h[4]:
+            self.form, self._members = None, self.losses
+        else:
+            self.form = (h[0], h[1], h[2])
 
     def poly_form(self):
         return self.form
@@ -702,7 +703,9 @@ class ComponentView:
         if self.dirty[s]:
             self._clean(s)
         heap, keys = self.heaps[s], self.keys[s]
-        on_path = self._on_path_set()
+        if not heap:
+            return []
+        on_path = self.path_nodes
         aside, run = [], []
         while heap:
             k, u = heap[0]
@@ -726,7 +729,7 @@ class ComponentView:
     def _duals(self, edges, value: float) -> Dict[Edge, float]:
         """The duals of the given internal edges at the given value."""
         sub = self.sub
-        on_path = self._on_path_set()
+        on_path = self.path_nodes
         out = {}
         for e in edges:
             u = e[1]
@@ -759,7 +762,7 @@ class ComponentView:
         """
         p, c = e
         nodes = self.nodes
-        self._forget_path()
+        self._comps = None
         if old == EQ:
             self._depart(p, c, d)
         elif sign == EQ and p in nodes:
@@ -775,6 +778,7 @@ class ComponentView:
             while parent[top] and signs[(parent[top], top)] == EQ:
                 top = parent[top]
             self.top = top
+            self._trace_path()
             self._grow(top)
             for dirty in self.dirty.values():
                 dirty.add(c)
@@ -789,30 +793,33 @@ class ComponentView:
     def _depart(self, p: int, c: int, d: float):
         """Split off the far half of the internal edge (p, c), which has
         just left EQ, writing the duals of the half's internal edges."""
-        parent = self._parent
-        if self.on_path(c):
-            half = self._far(c, True)
+        on_path = c in self.path_nodes
+        half = self._far(c, on_path)
+        if len(half) > 1:
+            parent = self._parent
             self._z.update(self._duals([(parent[u], u) for u in half[1:]], self.value))
+        sub, keys, dirty = self.sub, self.keys, self.dirty
+        if on_path:
             self._active.moved.add(self.top)
             self.top = c
-            self.sub[c][3] -= d
-            for dirty, keys in zip(self.dirty.values(), self.keys.values()):
-                dirty.discard(c)
-                keys.pop(c, None)
+            self._trace_path()
+            sub[c][3] -= d
+            half.append(c)  # c's keys go: the new top has no edge in the block
         else:
-            half = self._far(c, False)
-            self._z.update(self._duals([(parent[u], u) for u in half[1:]], self.value))
-            h = self.sub[c]
+            h = sub[c]
             self._add(p, (-h[0], -h[1], -h[2], d - h[3], -h[4], -h[5]))
+        for s in (-1, 1):
+            dirty[s].difference_update(half)
+            pop = keys[s].pop
+            for u in half:
+                pop(u, None)
+        if on_path:
+            half.pop()
         self.nodes.difference_update(half)
         self.rim.difference_update(half)
-        for dirty in self.dirty.values():
-            dirty.difference_update(half)
         for u in half:
-            del self.sub[u]
-            for keys in self.keys.values():
-                keys.pop(u, None)
-        self._forget_path()
+            del sub[u]
+        self._comps = None
 
 
 @dataclass
@@ -1076,7 +1083,7 @@ class Solver:
         parent, lam, mu = self._parent, self._lam, self._mu
         per_edge: Dict[Edge, float] = {}
         internal = s * INF
-        for u in view.path():
+        for u in view.path:
             bound = lam[u] if s < 0 else mu[u]
             if bound != INF:
                 e = (parent[u], u)
@@ -1187,8 +1194,8 @@ class Solver:
             want_out = self._tied_children(view, state, th, s)
             moves = ComponentView(self, active, x, z, view.anchor).edge_moves(t, s)
             want_in = {e for e, dt in moves.items() if abs(dt - best) <= TIE_TOL}
-        on_path = view._on_path_set()  # as at the step's start
-        departing = [(parent[u], u) for u in view.path()
+        on_path = view.path_nodes  # as at the step's start
+        departing = [(parent[u], u) for u in view.path
                      if abs(per_edge.get((parent[u], u), s * INF) - best) <= TIE_TOL]
         departing += [(parent[u], u) for u in view.binding(
             s, lambda v: abs(view.move_to(v, t, s) - best) <= TIE_TOL)]
