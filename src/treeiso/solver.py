@@ -394,14 +394,14 @@ class ComponentView:
     __slots__ = (
         "anchor", "top", "nodes", "rim", "sub", "keys", "heaps", "dirty", "value",
         "boundary_out", "boundary_in", "form", "boundary_flow", "_members",
-        "_active", "_x", "_z", "_parent", "_lam", "_mu", "_loss", "_forms",
+        "_active", "_x", "_z", "_parent", "_lam", "_mu", "_loss",
         "path", "path_nodes", "_comps", "_parts",
     )
 
     def __init__(self, solver, active: ActiveSet, x, z, anchor: int):
         self._active, self._x, self._z = active, x, z
         self._parent, self._lam, self._mu = solver._parent, solver._lam, solver._mu
-        self._loss, self._forms = solver._loss, solver._forms
+        self._loss = solver._loss
         self.nodes: set = set()
         self.rim: set = set()
         self.sub: Dict[int, list] = {}
@@ -466,7 +466,7 @@ class ComponentView:
         p = self._parent[u]
         if p and active.signs[(p, u)] != EQ:
             g -= self._z[(p, u)]
-        form = self._forms[u]
+        form = self._loss[u].poly_form()
         if form is None:
             return [0.0, 0.0, 0.0, g, 1, 0]
         return [form[0], form[1], form[2], g, 0, 1 if form[2] else 0]
@@ -899,7 +899,6 @@ class Solver:
             self._mu[c] = mu
             self._children[p].append(c)
         self._loss: List[Optional[Loss]] = [None] + list(problem.losses)
-        self._forms = [None] + [loss.poly_form() for loss in problem.losses]
         self._attachments = decompose(arb)
 
     # -- plumbing ---------------------------------------------------------
