@@ -374,9 +374,12 @@ class ComponentView:
     depends only on the far half, so each off-path edge has one key per
     direction, `keys[s][u]`, kept in a lazy heap, `heaps[s]`, ordered so
     that the top binds first (largest vbar going down, smallest going
-    up).  An entry is fresh while its key is still `keys[s][u]`; path
-    edges are read from the complement sums instead (`comps`), summed
-    from the top down.
+    up).  An entry is fresh while its key is still `keys[s][u]`.  A
+    change marks the members whose sums moved in `dirty[s]`, and reading
+    a heap renews the keys of the marked members off the path first;
+    path edges are read from the complement sums instead (`comps`),
+    summed from the top down over `path`, the members from just below
+    the top down to the anchor.
 
     Per step, `refresh(s)` lists the strict edges the block may meet in
     direction s: `boundary_out` holds each rim member's nearest strict
@@ -384,8 +387,9 @@ class ComponentView:
     on that side are farther, and those tied with it are a run from the
     same top), `boundary_in` the top's parent edge when it is strict.  It
     also takes a snapshot of the pooled form and the net boundary flow
-    (`form`, `boundary_flow`), which `value_at`, `t_of_value` and `move_to` use all step, while
-    joins and departures already change the sums.
+    (`form`, `boundary_flow`), which `value_at`, `t_of_value` and
+    `move_to` use all step, while joins and departures already change
+    the sums.
 
     Internal duals are not stored while the block moves: `flush` writes
     them into z, and a departing half writes its own.
@@ -804,17 +808,16 @@ class ComponentView:
             self.top = c
             self._trace_path()
             sub[c][3] -= d
-            half.append(c)  # c's keys go: the new top has no edge in the block
+            unkeyed = half + [c]  # as the new top, c has no edge in the block
         else:
             h = sub[c]
             self._add(p, (-h[0], -h[1], -h[2], d - h[3], -h[4], -h[5]))
+            unkeyed = half
         for s in (-1, 1):
-            dirty[s].difference_update(half)
+            dirty[s].difference_update(unkeyed)
             pop = keys[s].pop
-            for u in half:
+            for u in unkeyed:
                 pop(u, None)
-        if on_path:
-            half.pop()
         self.nodes.difference_update(half)
         self.rim.difference_update(half)
         for u in half:
