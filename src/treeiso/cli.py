@@ -59,11 +59,6 @@ class _CliError(Exception):
 # -- instance files ----------------------------------------------------------
 
 
-def _parse_weight(raw):
-    """The file's "inf" as infinity; `DirectedTree` checks every weight."""
-    return INF if raw == "inf" else raw
-
-
 def _check_id(value, where: str):
     """Ids are integers or strings; `True in losses` would match the id 1."""
     if isinstance(value, bool) or not isinstance(value, (int, str)):
@@ -79,6 +74,33 @@ def _require_keys(obj: dict, required, optional, where: str):
         raise MalformedInstanceError(
             "%s: unknown field %s" % (where, ", ".join(sorted(extra)))
         )
+
+
+# A well-formed entry passes one test on its exact type and key set; only
+# an entry that fails it is taken through the checks that word the error.
+_ID_TYPES = (int, str)
+_NODE_FIELDS = ("id", "loss")
+_EDGE_FIELDS = ("from", "to", "lambda", "mu")
+_NODE_KEYS = frozenset(_NODE_FIELDS)
+_EDGE_KEYS = frozenset(_EDGE_FIELDS)
+
+
+def _check_node(entry, where: str):
+    if not isinstance(entry, dict):
+        raise MalformedInstanceError("%s: expected an object" % where)
+    _require_keys(entry, _NODE_FIELDS, (), where)
+    _check_id(entry["id"], where + ".id")
+
+
+def _check_edge(entry, where: str, losses: dict):
+    if not isinstance(entry, dict):
+        raise MalformedInstanceError("%s: expected an object" % where)
+    _require_keys(entry, _EDGE_FIELDS, (), where)
+    for name in ("from", "to"):
+        end = entry[name]
+        _check_id(end, "%s.%s" % (where, name))
+        if end not in losses:
+            raise MalformedInstanceError("%s.%s: unknown id %r" % (where, name, end))
 
 
 class ProblemFile:
@@ -110,35 +132,32 @@ class ProblemFile:
         losses: Dict = {}
         keys = set()  # the report keys ids by their text, so 1 and "1" collide
         for k, entry in enumerate(nodes):
-            where = "nodes[%d]" % k
-            if not isinstance(entry, dict):
-                raise MalformedInstanceError("%s: expected an object" % where)
-            _require_keys(entry, ("id", "loss"), (), where)
+            if not (type(entry) is dict and entry.keys() == _NODE_KEYS
+                    and type(entry["id"]) in _ID_TYPES):
+                _check_node(entry, "nodes[%d]" % k)
             node_id = entry["id"]
-            _check_id(node_id, where + ".id")
-            if str(node_id) in keys:
-                raise MalformedInstanceError("%s.id: duplicate id %r" % (where, node_id))
-            keys.add(str(node_id))
+            text = str(node_id)
+            if text in keys:
+                raise MalformedInstanceError(
+                    "nodes[%d].id: duplicate id %r" % (k, node_id))
+            keys.add(text)
             try:
                 losses[node_id] = loss_from_json(entry["loss"])
             except MalformedInstanceError as exc:
-                raise MalformedInstanceError("%s.loss: %s" % (where, exc)) from None
+                raise MalformedInstanceError("nodes[%d].loss: %s" % (k, exc)) from None
             ids.append(node_id)
         parsed_edges: List[Tuple] = []
         for k, entry in enumerate(edges):
-            where = "edges[%d]" % k
-            if not isinstance(entry, dict):
-                raise MalformedInstanceError("%s: expected an object" % where)
-            _require_keys(entry, ("from", "to", "lambda", "mu"), (), where)
-            tail, head = entry["from"], entry["to"]
-            for end, name in ((tail, "from"), (head, "to")):
-                _check_id(end, "%s.%s" % (where, name))
-                if end not in losses:
-                    raise MalformedInstanceError(
-                        "%s.%s: unknown id %r" % (where, name, end)
-                    )
-            parsed_edges.append((tail, head, _parse_weight(entry["lambda"]),
-                                 _parse_weight(entry["mu"])))
+            if not (type(entry) is dict and entry.keys() == _EDGE_KEYS
+                    and type(entry["from"]) in _ID_TYPES
+                    and type(entry["to"]) in _ID_TYPES
+                    and entry["from"] in losses and entry["to"] in losses):
+                _check_edge(entry, "edges[%d]" % k, losses)
+            # The file's "inf" is infinity; `DirectedTree` checks every weight.
+            lam, mu = entry["lambda"], entry["mu"]
+            parsed_edges.append((entry["from"], entry["to"],
+                                 INF if lam == "inf" else lam,
+                                 INF if mu == "inf" else mu))
         root = obj.get("root")
         if root is not None:
             _check_id(root, "root")
@@ -210,24 +229,58 @@ def format_float(value: float) -> str:
     return format(value, ".17g")
 
 
+# What `json.dumps` writes for a str with its default ensure_ascii.
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _emit_other(value) -> str:
+    """A value whose exact type `_WRITERS` lacks: subclasses, or an error."""
+    if isinstance(value, dict):
+        return _emit_dict(value)
+    if isinstance(value, (list, tuple)):
+        return _emit_list(value)
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        return format_float(value)
+    if isinstance(value, str):
+        return _encode_str(value)
+    raise ContractViolationError("cannot serialize %r" % (value,))
+
+
+def _emit_dict(obj: dict) -> str:
+    writer = _WRITERS.get
+    return "{%s}" % ", ".join([
+        _encode_str(str(k)) + ": " + (writer(type(v)) or _emit_other)(v)
+        for k, v in obj.items()
+    ])
+
+
+def _emit_list(obj) -> str:
+    writer = _WRITERS.get
+    return "[%s]" % ", ".join([(writer(type(v)) or _emit_other)(v) for v in obj])
+
+
+_WRITERS = {
+    dict: _emit_dict,
+    list: _emit_list,
+    tuple: _emit_list,
+    float: format_float,
+    int: str,
+    str: _encode_str,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
+}
+
+
 def emit_json(obj) -> str:
-    """Serialize with deterministic float formatting (17 significant digits)."""
-    if isinstance(obj, dict):
-        inner = ", ".join(
-            "%s: %s" % (json.dumps(str(k)), emit_json(v)) for k, v in obj.items()
-        )
-        return "{%s}" % inner
-    if isinstance(obj, (list, tuple)):
-        return "[%s]" % ", ".join(emit_json(v) for v in obj)
-    if isinstance(obj, bool) or obj is None:
-        return json.dumps(obj)
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return format_float(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    raise ContractViolationError("cannot serialize %r" % (obj,))
+    """Serialize with deterministic float formatting (17 significant digits).
+
+    Infinities are written as the strings "inf" and "-inf"; keys and
+    strings are ASCII-escaped as `json.dumps` escapes them, and items are
+    separated by ", " and ": ".
+    """
+    return (_WRITERS.get(type(obj)) or _emit_other)(obj)
 
 
 def solution_report(pf: ProblemFile, tree: DirectedTree, losses: Dict[int, Loss],
@@ -398,7 +451,7 @@ def cmd_bench(args) -> int:
         residual = kkt_residual_edges(
             tree.edges, lambda v: losses[v], x_orig, z_orig
         )
-        if residual > args.tol:
+        if not residual <= args.tol:
             print(
                 "error: seed %d failed verification: residual %.3e" % (seed, residual),
                 file=sys.stderr,

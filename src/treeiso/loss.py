@@ -301,6 +301,10 @@ def equilibrium_t(group: LossGroup, boundary_flow: float, attach_loss: Loss) -> 
     return -attach_loss.derivative(v)
 
 
+_QUADRATIC_FIELDS = frozenset(("y", "w"))
+_QUARTIC_FIELDS = frozenset(("a", "b", "c"))
+
+
 def loss_from_json(obj) -> Loss:
     """Build a loss from its JSON encoding.
 
@@ -311,13 +315,13 @@ def loss_from_json(obj) -> Loss:
         raise MalformedInstanceError("loss must be an object, got %r" % (obj,))
     kind = obj.get("type")
     if kind == "quadratic":
-        missing = {"y", "w"} - set(obj)
-        if missing:
+        if not obj.keys() >= _QUADRATIC_FIELDS:
+            missing = _QUADRATIC_FIELDS - set(obj)
             raise MalformedInstanceError("quadratic loss missing %s" % sorted(missing))
         return WeightedQuadratic(obj["w"], obj["y"])
     if kind == "quartic":
-        missing = {"a", "b", "c"} - set(obj)
-        if missing:
+        if not obj.keys() >= _QUARTIC_FIELDS:
+            missing = _QUARTIC_FIELDS - set(obj)
             raise MalformedInstanceError("quartic loss missing %s" % sorted(missing))
         return QuarticQuadratic(obj["a"], obj["b"], obj["c"])
     raise MalformedInstanceError("unknown loss type %r" % (kind,))

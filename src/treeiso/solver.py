@@ -125,12 +125,9 @@ DEFAULT_TOL = 1e-8      # final certificate gate
 _NO_PATH: frozenset = frozenset()
 
 
-def _eq_tol(a: float, b: float) -> float:
-    return EQ_RTOL * (1.0 + max(abs(a), abs(b)))
-
-
 def values_equal(a: float, b: float) -> bool:
-    return abs(a - b) <= _eq_tol(a, b)
+    # The certificate functions inline this test, float op for float op.
+    return abs(a - b) <= EQ_RTOL * (1.0 + max(abs(a), abs(b)))
 
 
 def _keeps_side(sign: int, xv: float, xc: float) -> bool:
@@ -1416,7 +1413,7 @@ class Solver:
         if active.block is not None:
             active.block.flush()
         residual = kkt_residual(self.problem, x, z)
-        if residual > self.tol:
+        if not residual <= self.tol:
             raise CertificateError(
                 "final residual %.3e exceeds the %.1e gate" % (residual, self.tol)
             )
@@ -1436,7 +1433,9 @@ def kkt_residual_edges(edges, loss_of: Callable[[int], Loss], x, z) -> float:
     Node term: |net outflow - loss derivative|, maximized over nodes.
     Edge term: distance of the dual from the box [-lambda, mu], plus the
     distance from the forced box end when the endpoint values are strictly
-    ordered.  The total is the sum of the two maxima.
+    ordered (not `values_equal`).  The total is the sum of the two maxima.
+    A NaN term makes the total NaN, so that no gate of the form
+    `residual <= tol` passes it.
     """
     balance = {v: 0.0 for v in x}
     edge_term = 0.0
@@ -1450,12 +1449,20 @@ def kkt_residual_edges(edges, loss_of: Callable[[int], Loss], x, z) -> float:
         if value < -lam:
             dist += -lam - value
         xi, xj = x[i], x[j]
-        if not values_equal(xi, xj):
+        if not abs(xi - xj) <= EQ_RTOL * (1.0 + max(abs(xi), abs(xj))):
             forced = -lam if xi > xj else mu
             dist += abs(value - forced)
         if dist > edge_term:
             edge_term = dist
-    node_term = max(abs(balance[v] - loss_of(v).derivative(x[v])) for v in x)
+        elif dist != dist:
+            return math.nan
+    node_term = 0.0
+    for v, xv in x.items():
+        term = abs(balance[v] - loss_of(v).derivative(xv))
+        if term > node_term:
+            node_term = term
+        elif term != term:
+            return math.nan
     return node_term + edge_term
 
 
@@ -1472,19 +1479,20 @@ def objective_value_edges(edges, loss_of: Callable[[int], Loss], x) -> float:
     otherwise.
     """
     total = 0.0
-    for v in x:
-        total += loss_of(v).value(x[v])
+    for v, xv in x.items():
+        total += loss_of(v).value(xv)
     for i, j, lam, mu in edges:
-        gap = x[i] - x[j]
+        xi, xj = x[i], x[j]
+        gap = xi - xj
         if gap > 0.0:
             if lam == INF:
-                if gap > _eq_tol(x[i], x[j]):
+                if gap > EQ_RTOL * (1.0 + max(abs(xi), abs(xj))):
                     return INF
             else:
                 total += lam * gap
         elif gap < 0.0:
             if mu == INF:
-                if -gap > _eq_tol(x[i], x[j]):
+                if -gap > EQ_RTOL * (1.0 + max(abs(xi), abs(xj))):
                     return INF
             else:
                 total += mu * -gap

@@ -269,6 +269,24 @@ class TestInstanceErrors:
             (lambda o: o["nodes"][2].update(
                 {"loss": {"type": "quartic", "a": 1.0, "b": 0.0, "c": " 2 "}}),
              "nodes[2].loss: linear coefficient c must be a real number"),
+            # Entries past the first, so that the index in the message is
+            # the entry's own.
+            (lambda o: o["nodes"].__setitem__(1, 2), "nodes[1]: expected an object"),
+            (lambda o: o["edges"].__setitem__(1, [1, 3]),
+             "edges[1]: expected an object"),
+            (lambda o: o["nodes"][2].pop("id"), "nodes[2]: missing id"),
+            (lambda o: o["nodes"][1].pop("loss"), "nodes[1]: missing loss"),
+            (lambda o: o["edges"][1].pop("mu"), "edges[1]: missing mu"),
+            (lambda o: o["nodes"][2].update({"weight": 1, "note": ""}),
+             "nodes[2]: unknown field note, weight"),
+            (lambda o: o["edges"][1].update({"note": ""}),
+             "edges[1]: unknown field note"),
+            (lambda o: o["nodes"][1].update({"id": 2.5}),
+             "nodes[1].id: expected an integer or string"),
+            (lambda o: o["nodes"][2].update({"id": False}),
+             "nodes[2].id: expected an integer or string"),
+            (lambda o: o["nodes"][1].update({"loss": [2.0]}),
+             "nodes[1].loss: loss must be an object, got [2.0]"),
         ],
     )
     def test_schema_violations(self, capsys, tmp_path, mutate, fragment):
@@ -396,6 +414,12 @@ class TestBenchCommand:
         assert code == EXIT_OK
         assert len(out.strip().splitlines()) == 6
 
+    def test_nan_residual_fails_verification(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "kkt_residual_edges", lambda *args: float("nan"))
+        code, _, err = run_cli(capsys, "bench", "--n", "5")
+        assert code == EXIT_CERTIFICATE
+        assert "failed verification: residual nan" in err
+
 
 class TestProblemFileRoundTrip:
     """A parsed file keeps what it declared: ids, edges, weights and root."""
@@ -434,3 +458,59 @@ class TestProblemFileRoundTrip:
         assert parsed["a"] == [1.0, "inf", "-inf", 0.5]
         assert parsed["b"] == "text"
         assert parsed["c"] is None and parsed["d"] is True
+
+
+def reference_emit(obj) -> str:
+    """The recursive emitter the report format was first defined by."""
+    if isinstance(obj, dict):
+        return "{%s}" % ", ".join(
+            "%s: %s" % (json.dumps(str(k)), reference_emit(v)) for k, v in obj.items()
+        )
+    if isinstance(obj, (list, tuple)):
+        return "[%s]" % ", ".join(reference_emit(v) for v in obj)
+    if isinstance(obj, bool) or obj is None:
+        return json.dumps(obj)
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return cli.format_float(obj)
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    raise AssertionError("unsupported %r" % (obj,))
+
+
+class Text(str):
+    pass
+
+
+class Real(float):
+    pass
+
+
+class Count(int):
+    pass
+
+
+class Mapping(dict):
+    pass
+
+
+class Items(list):
+    pass
+
+
+@pytest.mark.parametrize("payload", [
+    {"x": {"1": 0.1, "caf\u00e9": -0.0, 'q"\\\x07\t': 1e308}, "z": [], "t": ()},
+    [INF, -INF, float("nan"), 5e-324, -1.5, 2 ** 70, -3, True, False, None],
+    {1: "one", 2.5: ["two", ("three", {"four": {}})], None: [[]], True: "\u2603"},
+    # Subclasses take the isinstance order: dict, list or tuple, int, float, str.
+    Mapping(a=Items([Count(7), Real(0.25), Text("s\n")]), b=(Real(INF),)),
+])
+def test_emit_json_matches_reference(payload):
+    assert emit_json(payload) == reference_emit(payload)
+
+
+@pytest.mark.parametrize("payload", [{1, 2}, {"a": [object()]}, b"bytes"])
+def test_emit_json_rejects_unsupported_types(payload):
+    with pytest.raises(cli.ContractViolationError, match="cannot serialize"):
+        emit_json(payload)

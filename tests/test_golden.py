@@ -11,10 +11,16 @@ rounding changed in Python 3.12.
 The oracle is pinned by its sign patterns, which are discrete, and by the
 demo's `treeiso oracle` output.  Its x on other instances may move within
 the root solve's tolerance, so it is not pinned.
+
+The CLI's report bytes are pinned beyond the demo too: a long sorted hard
+chain, a random tree whose ids mix integers with strings that need JSON
+escapes, and the oracle's report on a small instance with string ids.
 """
 
 import dataclasses
 import hashlib
+import json
+import random
 
 import pytest
 
@@ -64,6 +70,18 @@ DEMO_SOLVE_JSON_DIGEST = "d2aac72c9f3ab8a6"
 ORACLE_N = 8
 ORACLE_PATTERNS_DIGEST = "defdb619946a307d"
 DEMO_ORACLE_STDOUT_DIGEST = "7f24ee5d5c56d082"
+
+# `treeiso solve` stdout on generated instance files (see the builders below).
+CHAIN_FILE_N = 2000
+CHAIN_SOLVE_JSON_DIGEST = "84cf1089c2900001"
+CHAIN_SOLVE_TABLE_DIGEST = "6fadb5a32696fb5d"
+MIXED_IDS_N = 300
+MIXED_IDS_SOLVE_JSON_DIGEST = "28b9a2186052d3d9"
+STRING_IDS_ORACLE_STDOUT_DIGEST = "700a9af358db247d"
+
+# A quote, a backslash, a non-ASCII letter, a control character and a tab.
+ESCAPED_NAMES = ('say "hi"', "back\\slash", "caf\u00e9", "bell\x07", "tab\tstop")
+FILE_WEIGHTS = (0.0, 0.5, 2.0, "inf")
 
 
 def encode(value) -> str:
@@ -127,3 +145,75 @@ def test_oracle_patterns_digest():
 def test_demo_oracle_stdout_digest(capsys):
     assert main(["oracle", str(DEMO_PATH)]) == 0
     assert digest([capsys.readouterr().out]) == DEMO_ORACLE_STDOUT_DIGEST
+
+
+def write_instance(tmp_path, obj) -> str:
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    return str(path)
+
+
+def sorted_chain_instance(n: int) -> dict:
+    """The `--isotonic` chain of `random_problem`, as an instance file."""
+    tree, losses = random_problem("chain", n, 5, isotonic=True)
+    return {
+        "nodes": [{"id": v, "loss": {"type": "quadratic", "y": losses[v].y,
+                                     "w": losses[v].w}}
+                  for v in range(1, n + 1)],
+        "edges": [{"from": i, "to": j, "lambda": "inf", "mu": mu}
+                  for i, j, _, mu in tree.edges],
+    }
+
+
+def escaped_ids_instance(n: int, seed: int, quartic_share: float) -> dict:
+    """A random tree; every third id is a string that needs escaping.
+
+    Edges take either orientation and weights from {0, 0.5, 2, "inf"}; node
+    7 (when present) has the target -0.0, and the root is a string id.
+    """
+    rng = random.Random(seed)
+    ids = [v if v % 3 else "%s %d" % (ESCAPED_NAMES[v % len(ESCAPED_NAMES)], v)
+           for v in range(1, n + 1)]
+    nodes = []
+    for v, oid in enumerate(ids, start=1):
+        if v == 7:
+            loss = {"type": "quadratic", "y": -0.0, "w": 1.0}
+        elif rng.random() < quartic_share:
+            loss = {"type": "quartic", "a": rng.uniform(0.5, 2.0),
+                    "b": rng.uniform(0.0, 1.0), "c": rng.uniform(-5.0, 5.0)}
+        else:
+            loss = {"type": "quadratic", "y": rng.uniform(0.0, 10.0),
+                    "w": rng.uniform(0.5, 3.0)}
+        nodes.append({"id": oid, "loss": loss})
+    edges = []
+    for child in range(2, n + 1):
+        parent = rng.randint(1, child - 1)
+        tail, head = (child, parent) if rng.random() < 0.5 else (parent, child)
+        edges.append({"from": ids[tail - 1], "to": ids[head - 1],
+                      "lambda": rng.choice(FILE_WEIGHTS),
+                      "mu": rng.choice(FILE_WEIGHTS)})
+    return {"nodes": nodes, "edges": edges, "root": ids[2]}
+
+
+def cli_stdout_digest(capsys, *argv) -> str:
+    assert main(list(argv)) == 0
+    return digest([capsys.readouterr().out])
+
+
+@pytest.mark.parametrize("flag, expected", [
+    ("--json", CHAIN_SOLVE_JSON_DIGEST),
+    ("--table", CHAIN_SOLVE_TABLE_DIGEST),
+])
+def test_sorted_chain_solve_digest(capsys, tmp_path, flag, expected):
+    path = write_instance(tmp_path, sorted_chain_instance(CHAIN_FILE_N))
+    assert cli_stdout_digest(capsys, "solve", path, flag) == expected
+
+
+def test_escaped_ids_solve_json_digest(capsys, tmp_path):
+    path = write_instance(tmp_path, escaped_ids_instance(MIXED_IDS_N, 11, 0.2))
+    assert cli_stdout_digest(capsys, "solve", path) == MIXED_IDS_SOLVE_JSON_DIGEST
+
+
+def test_string_ids_oracle_stdout_digest(capsys, tmp_path):
+    path = write_instance(tmp_path, escaped_ids_instance(8, 4, 0.0))
+    assert cli_stdout_digest(capsys, "oracle", path) == STRING_IDS_ORACLE_STDOUT_DIGEST

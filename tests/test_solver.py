@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import treeiso.solver
 from conftest import DEMO_OBJECTIVE, DEMO_X, DEMO_Z, make_demo_problem
 from treeiso.cli import build_problem, random_problem
 from treeiso.errors import CertificateError, ContractViolationError, InternalInvariantError
@@ -21,6 +22,7 @@ from treeiso.solver import (
     Solver,
     build_initial_active_set,
     kkt_residual,
+    kkt_residual_edges,
     objective_value,
     solve,
 )
@@ -707,6 +709,27 @@ class TestCertificates:
         z[(3, 4)] = 5.0  # above the box end mu = 4
         residual = kkt_residual(demo_problem, DEMO_X, z)
         assert residual >= 1.0
+
+    # max() and `dist > best` skip a NaN unless it comes first, so these
+    # NaN terms come after a finite one.
+    def test_nan_primal_is_not_certified(self):
+        losses = {v: WeightedQuadratic(1.0, 0.0) for v in (1, 2, 3)}
+        x = {1: 0.0, 2: 0.0, 3: math.nan}
+        z = {(1, 2): 0.0, (1, 3): 0.0}
+        edges = [(1, 2, 1.0, 1.0), (1, 3, 0.0, 0.0)]
+        assert math.isnan(kkt_residual_edges(edges, losses.__getitem__, x, z))
+
+    def test_nan_dual_is_not_certified(self):
+        losses = {v: WeightedQuadratic(1.0, 0.0) for v in (1, 2, 3)}
+        x = {1: 0.0, 2: 0.0, 3: 0.0}
+        z = {(1, 2): 0.0, (2, 3): math.nan}
+        edges = [(1, 2, 1.0, 1.0), (2, 3, 1.0, 1.0)]
+        assert math.isnan(kkt_residual_edges(edges, losses.__getitem__, x, z))
+
+    def test_nan_residual_fails_the_solve_gate(self, demo_problem, monkeypatch):
+        monkeypatch.setattr(treeiso.solver, "kkt_residual", lambda *args: math.nan)
+        with pytest.raises(CertificateError):
+            solve(demo_problem)
 
     def test_objective_at_golden(self, demo_problem):
         assert objective_value(demo_problem, DEMO_X) == pytest.approx(
