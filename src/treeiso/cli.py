@@ -305,14 +305,23 @@ def solution_report(pf: ProblemFile, tree: DirectedTree, losses: Dict[int, Loss]
     }
 
 
+def _table_id(node_id) -> str:
+    """An id as a table row writes it: its text, or its JSON string when
+    the text holds a character that does not print (a newline in it could
+    forge a row)."""
+    text = str(node_id)
+    return text if text.isprintable() else _encode_str(text)
+
+
 def _print_report(report: dict, as_table: bool):
     if not as_table:
         print(emit_json(report))
         return
     for key, value in report["x"].items():
-        print("x[%s] = %.12g" % (key, value))
+        print("x[%s] = %.12g" % (_table_id(key), value))
     for row in report["z"]:
-        print("z[%s -> %s] = %.12g" % (row["from"], row["to"], row["value"]))
+        print("z[%s -> %s] = %.12g"
+              % (_table_id(row["from"]), _table_id(row["to"]), row["value"]))
     print("objective    = %.12g" % report["objective"])
     print("kkt_residual = %.3e" % report["kkt_residual"])
     if "stats" in report:

@@ -301,27 +301,36 @@ def equilibrium_t(group: LossGroup, boundary_flow: float, attach_loss: Loss) -> 
     return -attach_loss.derivative(v)
 
 
-_QUADRATIC_FIELDS = frozenset(("y", "w"))
-_QUARTIC_FIELDS = frozenset(("a", "b", "c"))
+# A loss object has exactly these keys; only one that does not is taken
+# through `_check_fields`, which words the error.
+_QUADRATIC_FIELDS = frozenset(("type", "y", "w"))
+_QUARTIC_FIELDS = frozenset(("type", "a", "b", "c"))
+
+
+def _check_fields(obj: dict, fields: frozenset, kind: str):
+    missing = fields - obj.keys()
+    if missing:
+        raise MalformedInstanceError("%s loss missing %s" % (kind, sorted(missing)))
+    raise MalformedInstanceError(
+        "unknown field %s" % ", ".join(sorted(obj.keys() - fields)))
 
 
 def loss_from_json(obj) -> Loss:
     """Build a loss from its JSON encoding.
 
     {"type": "quadratic", "y": 4.0, "w": 1.0} or
-    {"type": "quartic", "a": 1.0, "b": 0.25, "c": 0.0}.
+    {"type": "quartic", "a": 1.0, "b": 0.25, "c": 0.0}; any other field
+    is rejected.
     """
     if not isinstance(obj, dict):
         raise MalformedInstanceError("loss must be an object, got %r" % (obj,))
     kind = obj.get("type")
     if kind == "quadratic":
-        if not obj.keys() >= _QUADRATIC_FIELDS:
-            missing = _QUADRATIC_FIELDS - set(obj)
-            raise MalformedInstanceError("quadratic loss missing %s" % sorted(missing))
+        if obj.keys() != _QUADRATIC_FIELDS:
+            _check_fields(obj, _QUADRATIC_FIELDS, kind)
         return WeightedQuadratic(obj["w"], obj["y"])
     if kind == "quartic":
-        if not obj.keys() >= _QUARTIC_FIELDS:
-            missing = _QUARTIC_FIELDS - set(obj)
-            raise MalformedInstanceError("quartic loss missing %s" % sorted(missing))
+        if obj.keys() != _QUARTIC_FIELDS:
+            _check_fields(obj, _QUARTIC_FIELDS, kind)
         return QuarticQuadratic(obj["a"], obj["b"], obj["c"])
     raise MalformedInstanceError("unknown loss type %r" % (kind,))

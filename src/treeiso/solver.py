@@ -55,25 +55,26 @@ pooled block moves as a whole (Best & Chakravarti, Math. Programming
 1990).  It is built only when a search's anchor lies outside it; after
 that every sign write on an edge at it updates it: a joining component
 is walked once, a departing half is split off and writes out its
-internal duals.  Rooted at its top member, it keeps per member the
-pooled loss form and boundary flow of the member's subtree, updated
-along the path from a change up to the top.  An internal edge binds at a
-value `vbar` that depends only on its far half (the side away from the
-anchor), which is the edge's subtree unless the edge lies on the path
-from the top down to the anchor; so the off-path edges wait in one lazy
-heap per direction, keyed by `vbar`, their tied edges depart as a run
-from its top, and only the path edges are computed per step, from sums
-over the block less their subtrees.  Members' x is written on every
-step in one bulk update, but internal duals only when a half departs,
-before a snapshot, when the block is given up and at the end.  Besides
-that bulk write, a step costs O(depth) for the path from the top down to
-the anchor, O(1) per member with strict children and O(log n) per heap
-operation, plus O(size) for what joins or departs; a change costs
-O(depth) to carry up to the top.  So neither the size of the block nor
-the degrees of its members enter, but a chain-like block whose anchor
-lies deep still reads O(depth) path edges per step.  Mergeable blocks on
-trees: Kolmogorov, Pock & Rolinek, "Total Variation on a Tree" (SIAM J.
-Imaging Sci. 2016).
+internal duals.  It is rooted at the search's anchor, and each member
+keeps its neighbour one edge nearer the anchor and the pooled loss form
+and boundary flow of its subtree in that rooting, so that the subtree of
+an internal edge's end away from the anchor is the edge's far half.  A
+change is carried up to the anchor, and when the anchor moves within the
+block the edges between the old anchor and the new one turn round.  An
+internal edge binds at a value `vbar` that depends only on its far half,
+so every internal edge waits in one lazy heap per direction, keyed by
+`vbar`, and its tied edges depart as a run from the heap's top.
+Members' x is written on every step in one bulk update, but internal
+duals only when a half departs, before a snapshot, when the block is
+given up and at the end.  Besides that bulk write, a step costs O(1) per
+member with strict children and O(log n) per heap operation, plus
+O(size) for what joins or departs.  A change costs time in its distance
+from the anchor, and a move of the anchor time in the members between
+the old anchor and the new one and in their EQ children.  So neither the
+size of the block nor the degrees of its members enter a step, but a
+chain-like block whose anchor lies deep pays that depth per join or
+departure.  Mergeable blocks on trees: Kolmogorov, Pock & Rolinek, "Total
+Variation on a Tree" (SIAM J. Imaging Sci. 2016).
 
 Before each search the signs are brought back to the value-based
 classification of the prefix (the one `build_initial_active_set` would
@@ -121,9 +122,6 @@ SIGN_TOL = 1e-12        # slack on the new-edge dual sign property
 MONO_SLACK = 1e-12      # slack on monotonicity of the t sequence
 ANCHOR_RTOL = 1e-10     # validation tolerance for state/formula consistency
 DEFAULT_TOL = 1e-8      # final certificate gate
-
-_NO_PATH: frozenset = frozenset()
-
 
 def values_equal(a: float, b: float) -> bool:
     # The certificate functions inline this test, float op for float op.
@@ -350,33 +348,34 @@ class ComponentView:
     The block persists across search steps and extensions (it is carried
     in `ActiveSet.block`) and is updated, not rebuilt, when a component
     joins it or a half departs; it is built afresh only when a search's
-    anchor lies outside it.  It is rooted at its `top`, the member whose
-    parent edge is not EQ (every other member's parent is a member), and
-    holds its members `nodes`, the `rim` of members that may have strict
-    children, the shared `value` last written to the members' x, and per
-    member u the sums over u's subtree within the block, `sub[u]` = [c0,
+    anchor lies outside it.  It holds its members `nodes`, its `top` (the
+    member whose parent edge is not EQ; every other member's parent is a
+    member), the `rim` of members that may have strict children and the
+    shared `value` last written to the members' x.
+
+    The block is rooted at its `anchor`: every other member u keeps
+    `toward[u]`, its neighbour one edge nearer the anchor, and every
+    member u the sums over its subtree in that rooting, `sub[u]` = [c0,
     c1, c3, flow, formless, cubic]: the pooled derivative form, the net
     boundary outflow (a member's strict child duals, less its parent
     edge's dual when that edge is strict), and the numbers of members
     without a polynomial form and with a cubic term (so that c3 is
-    exactly 0.0 when no cubic member is left).  `sub[top]` is the whole
-    block.  A change at u updates the sums from u up to the top.
+    exactly 0.0 when no cubic member is left).  `sub[anchor]` is the
+    whole block.  A change at u is carried from u up to the anchor, and
+    `set_anchor` turns round the edges between the old anchor and the
+    new one, retaking those members' sums from their children.
 
-    An internal edge (parent of u, u) has dual sign * (sum of the loss
-    derivatives over its far half at the value - the half's flow), where
-    the far half is the side away from the anchor: u's subtree with sign
-    -1, unless u lies on the path from the top down to the anchor, where
-    it is the complement of that subtree with sign +1.  The dual reaches
-    the box end the search pushes it towards at a value `vbar` that
-    depends only on the far half, so each off-path edge has one key per
-    direction, `keys[s][u]`, kept in a lazy heap, `heaps[s]`, ordered so
-    that the top binds first (largest vbar going down, smallest going
-    up).  An entry is fresh while its key is still `keys[s][u]`.  A
-    change marks the members whose sums moved in `dirty[s]`, and reading
-    a heap renews the keys of the marked members off the path first;
-    path edges are read from the complement sums instead (`comps`),
-    summed from the top down over `path`, the members from just below
-    the top down to the anchor.
+    Each member u but the anchor has one edge, to toward[u], whose far
+    half (the side away from the anchor) is u's subtree.  Its dual is
+    the half's flow less its summed loss derivatives at the value when
+    toward[u] is u's parent, and the negative of that when it is u's
+    child (`edge_of`).  The dual reaches the box end the search pushes
+    it towards at a value `vbar` that depends only on the far half, so
+    each edge has one key per direction, `keys[s][u]`, kept in a lazy
+    heap, `heaps[s]`, ordered so that the top binds first (largest vbar
+    going down, smallest going up).  An entry is fresh while its key is
+    still `keys[s][u]`.  A change marks the members whose sums moved in
+    `dirty[s]`, and reading a heap renews their keys first.
 
     Per step, `refresh(s)` lists the strict edges the block may meet in
     direction s: `boundary_out` holds each rim member's nearest strict
@@ -393,10 +392,9 @@ class ComponentView:
     """
 
     __slots__ = (
-        "anchor", "top", "nodes", "rim", "sub", "keys", "heaps", "dirty", "value",
-        "boundary_out", "boundary_in", "form", "boundary_flow", "_members",
-        "_active", "_x", "_z", "_parent", "_lam", "_mu", "_loss",
-        "path", "path_nodes", "_comps", "_parts",
+        "anchor", "top", "nodes", "toward", "rim", "sub", "keys", "heaps", "dirty",
+        "value", "boundary_out", "boundary_in", "form", "boundary_flow", "_members",
+        "_active", "_x", "_z", "_parent", "_lam", "_mu", "_loss", "_parts",
     )
 
     def __init__(self, solver, active: ActiveSet, x, z, anchor: int):
@@ -404,6 +402,7 @@ class ComponentView:
         self._parent, self._lam, self._mu = solver._parent, solver._lam, solver._mu
         self._loss = solver._loss
         self.nodes: set = set()
+        self.toward: Dict[int, int] = {}
         self.rim: set = set()
         self.sub: Dict[int, list] = {}
         self.keys: Dict[int, Dict[int, float]] = {-1: {}, 1: {}}
@@ -411,8 +410,9 @@ class ComponentView:
         self.dirty: Dict[int, set] = {-1: set(), 1: set()}
         self.boundary_out: List[Tuple[Edge, int]] = []
         self.boundary_in: List[Tuple[Edge, int]] = []
-        self._parts = (self.nodes, self.rim, self.sub, *self.keys.values(),
-                       *self.heaps.values(), *self.dirty.values())
+        self._parts = (self.nodes, self.toward, self.rim, self.sub,
+                       *self.keys.values(), *self.heaps.values(),
+                       *self.dirty.values())
         self.restart(anchor)
         self._snapshot()
 
@@ -424,39 +424,31 @@ class ComponentView:
             for part in self._parts:
                 if part:
                     part.clear()
-        self._comps = None
         if anchor is None:
             return
-        parent, signs = self._parent, self._active.signs
-        top = anchor
-        while parent[top] and signs[(parent[top], top)] == EQ:
-            top = parent[top]
-        self.anchor, self.top = anchor, top
-        self._trace_path()
+        self.anchor = anchor
         self.value = self._x[anchor]
-        self._grow(top)
+        self._grow(anchor, None)
 
     def set_anchor(self, anchor: int):
-        """Anchor the coming steps at another member."""
-        if anchor != self.anchor:
-            self.anchor = anchor
-            self._trace_path()
-            self._comps = None
-
-    def _trace_path(self):
-        """`path`: the members from just below the top down to the anchor;
-        `path_nodes`: the same as a set.  They change only with the anchor
-        or the top."""
-        u, parent, top = self.anchor, self._parent, self.top
-        if u == top:
-            self.path, self.path_nodes = [], _NO_PATH
+        """Root the block at another member: turn round the edges on the
+        way from it to the old anchor and retake those members' sums."""
+        if anchor == self.anchor:
             return
-        up = []
-        while u != top:
-            up.append(u)
-            u = parent[u]
-        up.reverse()
-        self.path, self.path_nodes = up, set(up)
+        toward = self.toward
+        way = [anchor]
+        while way[-1] != self.anchor:
+            way.append(toward[way[-1]])
+        del toward[anchor]
+        for near, far in zip(way, way[1:]):
+            toward[far] = near
+        self.anchor = anchor
+        for u in reversed(way):
+            self._retake(u)
+        for s in (-1, 1):
+            self.dirty[s].update(way)
+            self.dirty[s].discard(anchor)
+            self.keys[s].pop(anchor, None)
 
     # -- sums over subtrees ---------------------------------------------
 
@@ -472,43 +464,60 @@ class ComponentView:
             return [0.0, 0.0, 0.0, g, 1, 0]
         return [form[0], form[1], form[2], g, 0, 1 if form[2] else 0]
 
-    def _grow(self, root: int):
-        """Add root and the non-members below it along EQ edges.
+    def _retake(self, u: int):
+        """Sum u's subtree afresh from u's own entry and its children's sums."""
+        toward, sub = self.toward, self.sub
+        h = self._own(u)
+        kids = [k for k in self._active.eq_kids[u] if toward.get(k) == u]
+        p = self._parent[u]
+        if p and toward.get(p) == u:
+            kids.append(p)
+        for k in kids:
+            kh = sub[k]
+            h[0] += kh[0]
+            h[1] += kh[1]
+            h[2] += kh[2]
+            h[3] += kh[3]
+            h[4] += kh[4]
+            h[5] += kh[5]
+        if not h[5]:
+            h[2] = 0.0
+        sub[u] = h
 
-        Sums are taken bottom up; a member met on the way (the old top,
-        when a parent's component joins) brings its own sums.
-        """
+    def _grow(self, root: int, via: Optional[int]):
+        """Add root, hung from member via (none for the anchor), and the
+        non-members joined to it by EQ edges; sums are taken bottom up."""
         active = self._active
-        eq_kids, sub, nodes = active.eq_kids, self.sub, self.nodes
+        eq_kids, signs, parent = active.eq_kids, active.signs, self._parent
         above, below = active.strict[LT], active.strict[GT]
-        own = self._own
+        toward = self.toward
+        if via is not None:
+            toward[root] = via
         order = [root]
         for u in order:
-            if eq_kids[u]:
-                order.extend(k for k in eq_kids[u] if k not in nodes)
-        for u in reversed(order):
-            h = own(u)
+            w = toward.get(u)
             for k in eq_kids[u]:
-                kh = sub[k]
-                h[0] += kh[0]
-                h[1] += kh[1]
-                h[2] += kh[2]
-                h[3] += kh[3]
-                h[4] += kh[4]
-                h[5] += kh[5]
-            if not h[5]:
-                h[2] = 0.0
-            sub[u] = h
+                if k != w:
+                    toward[k] = u
+                    order.append(k)
+            p = parent[u]
+            if not p or signs[(p, u)] != EQ:
+                self.top = u
+            elif p != w:
+                toward[p] = u
+                order.append(p)
+        for u in reversed(order):
+            self._retake(u)
             if above[u] or below[u]:
                 self.rim.add(u)
-        nodes.update(order)
+        self.nodes.update(order)
         for dirty in self.dirty.values():
             dirty.update(order)
-            dirty.discard(self.top)
+            dirty.discard(self.anchor)
 
     def _add(self, u: int, delta):
-        """Add delta to the sums of u and every member above it."""
-        sub, parent, top = self.sub, self._parent, self.top
+        """Add delta to the sums of u and every member between it and the anchor."""
+        sub, toward, anchor = self.sub, self.toward, self.anchor
         down, up = self.dirty[-1], self.dirty[1]
         d0, d1, d3, df, dnf, dnc = delta
         while True:
@@ -521,131 +530,105 @@ class ComponentView:
             h[5] += dnc
             if not h[5]:
                 h[2] = 0.0
-            if u == top:
+            if u == anchor:
                 return
             down.add(u)
             up.add(u)
-            u = parent[u]
+            u = toward[u]
 
-    def _clean(self, s: int, path_too: bool = False):
-        """Key afresh for direction s the members whose sums changed,
-        except those on the path (their edges are read from the
-        complement sums), unless path_too."""
+    def _clean(self, s: int):
+        """Key afresh for direction s the members whose sums changed."""
         dirty = self.dirty[s]
-        on_path = self.path_nodes
-        if path_too or not on_path:
-            todo = list(dirty)
-            dirty.clear()
-        else:
-            todo = dirty - on_path
-            dirty &= on_path
-        keys, heap = self.keys[s], self.heaps[s]
-        bounds = self._mu if s < 0 else self._lam
-        for u in todo:
-            if bounds[u] == INF:
+        keys, heap, sub = self.keys[s], self.heaps[s], self.sub
+        for u in dirty:
+            bound = self._bound(u, s)
+            if bound == INF:
+                keys.pop(u, None)
                 continue
-            h = self.sub[u]
-            keys[u] = vbar = self._inverse(h, h[3] + s * bounds[u], u, False)
+            h = sub[u]
+            keys[u] = vbar = self._inverse(h, h[3] + s * bound, u)
             heapq.heappush(heap, (s * vbar, u))
+        dirty.clear()
         if len(heap) > 2 * len(keys) + 64:
             heap[:] = [(s * v, c) for c, v in keys.items()]
             heapq.heapify(heap)
 
     # -- far halves -------------------------------------------------------
 
-    def on_path(self, u: int) -> bool:
-        return u in self.path_nodes
+    def edge_of(self, u: int) -> Tuple[Edge, bool]:
+        """Member u's edge towards the anchor, and whether u is its child
+        end (its far half, u's subtree, then lies below it)."""
+        w = self.toward[u]
+        if self._parent[u] == w:
+            return (w, u), True
+        return (u, w), False
 
-    def comps(self) -> Dict[int, list]:
-        """Per path member u, the sums over the block less u's subtree.
+    def far_end(self, e: Edge) -> int:
+        """The end of internal edge e away from the anchor."""
+        p, c = e
+        return c if self.toward.get(c) == p else p
 
-        Summed from the top down over the members left off the path, not
-        taken as a difference, so that a half's small terms survive next
-        to large ones in u's subtree.
-        """
-        if self._comps is None:
-            eq_kids, sub = self._active.eq_kids, self.sub
-            c0 = c1 = c3 = flow = 0.0
-            nf = nc = 0
-            comps = {}
-            prev = self.top
-            for u in self.path:
-                for k in eq_kids[prev]:
-                    if k != u:
-                        h = sub[k]
-                        c0 += h[0]
-                        c1 += h[1]
-                        c3 += h[2]
-                        flow += h[3]
-                        nf += h[4]
-                        nc += h[5]
-                h = self._own(prev)
-                c0 += h[0]
-                c1 += h[1]
-                c3 += h[2]
-                flow += h[3]
-                nf += h[4]
-                nc += h[5]
-                comps[u] = [c0, c1, c3 if nc else 0.0, flow, nf, nc]
-                prev = u
-            self._comps = comps
-        return self._comps
+    def _bound(self, u: int, s: int) -> float:
+        """The weight of the box end u's edge dual moves towards in
+        direction s: mu when the dual rises (its far half lies below it
+        and the search goes down, or above it and the search goes up),
+        lambda when it falls."""
+        (_, c), below = self.edge_of(u)
+        return self._mu[c] if (s < 0) == below else self._lam[c]
 
-    def far_half(self, e: Edge) -> list:
-        """The sums over the far half of internal edge e."""
-        u = e[1]
-        return self.comps()[u] if self.on_path(u) else self.sub[u]
-
-    def _far(self, u: int, on_path: bool) -> List[int]:
-        """u's subtree, or with on_path the block less it, from its top."""
-        eq_kids = self._active.eq_kids
-        order = [self.top if on_path else u]
+    def _far(self, u: int) -> List[int]:
+        """u's subtree, the far half of its edge, from u down."""
+        eq_kids, parent, toward = self._active.eq_kids, self._parent, self.toward
+        order = [u]
         for w in order:
-            if eq_kids[w]:
-                order.extend(k for k in eq_kids[w] if k != u)
+            order.extend(k for k in eq_kids[w] if toward.get(k) == w)
+            p = parent[w]
+            if p and toward.get(p) == w:
+                order.append(p)
         return order
 
-    def _inverse(self, h, target: float, u: int, on_path: bool) -> float:
+    def _inverse(self, h, target: float, u: int) -> float:
         if h[4]:
-            return pooled_inverse([self._loss[w] for w in self._far(u, on_path)], target)
+            return pooled_inverse([self._loss[w] for w in self._far(u)], target)
         return poly_inverse((h[0], h[1], h[2]), target)
 
-    def _derivative(self, h, v: float, u: int, on_path: bool) -> float:
+    def _derivative(self, h, v: float, u: int) -> float:
         if h[4]:
-            return sum(self._loss[w].derivative(v) for w in self._far(u, on_path))
+            return sum(self._loss[w].derivative(v) for w in self._far(u))
         return poly_derivative((h[0], h[1], h[2]), v)
 
     def subgroup_inverse(self, e: Edge, target: float) -> float:
         """Value v at which the far half of edge e has pooled derivative target."""
-        return self._inverse(self.far_half(e), target, e[1], self.on_path(e[1]))
+        u = self.far_end(e)
+        return self._inverse(self.sub[u], target, u)
+
+    def _edged(self):
+        """The members with an edge towards the anchor: all but the anchor."""
+        anchor = self.anchor
+        return (u for u in self.nodes if u != anchor)
 
     @property
     def edges(self) -> Tuple[Edge, ...]:
-        """The internal edges, each into its member below."""
-        parent, top = self._parent, self.top
-        return tuple((parent[u], u) for u in self.nodes if u != top)
+        """The internal edges."""
+        return tuple(self.edge_of(u)[0] for u in self._edged())
 
     def edge_moves(self, t: float, s: int) -> Dict[Edge, float]:
         """Every internal edge's move from t in direction s, by a full scan."""
-        lam, mu = self._lam, self._mu
         out = {}
-        for e in self.edges:
-            u = e[1]
-            if self.on_path(u):
-                bound = lam[u] if s < 0 else mu[u]
-            else:
-                bound = mu[u] if s < 0 else lam[u]
+        for u in self._edged():
+            e = self.edge_of(u)[0]
+            bound = self._bound(u, s)
             if bound == INF:
                 out[e] = s * INF
             else:
-                vbar = self.subgroup_inverse(e, self.far_half(e)[3] + s * bound)
-                out[e] = self.move_to(vbar, t, s)
+                h = self.sub[u]
+                out[e] = self.move_to(self._inverse(h, h[3] + s * bound, u), t, s)
         return out
 
     # -- the block as one variable ----------------------------------------
 
     def _snapshot(self):
-        h = self.sub[self.top]
+        h = self.sub[self.anchor]
         self.boundary_flow = h[3]
         if h[4]:
             self.form, self._members = None, self.losses
@@ -696,7 +679,7 @@ class ComponentView:
         self._snapshot()
 
     def binding(self, s: int, tied=None) -> List[int]:
-        """Off-path members whose edge binds first in direction s.
+        """Members whose edge binds first in direction s.
 
         Without `tied`, the heap top alone, left in place; with it, the
         run of entries from the top whose key satisfies tied(key), popped.
@@ -704,16 +687,11 @@ class ComponentView:
         if self.dirty[s]:
             self._clean(s)
         heap, keys = self.heaps[s], self.keys[s]
-        if not heap:
-            return []
-        on_path = self.path_nodes
-        aside, run = [], []
+        run = []
         while heap:
             k, u = heap[0]
             if keys.get(u) != s * k or u in run:
                 heapq.heappop(heap)
-            elif u in on_path:
-                aside.append(heapq.heappop(heap))
             elif tied is None:
                 run.append(u)
                 break
@@ -721,35 +699,29 @@ class ComponentView:
                 run.append(heapq.heappop(heap)[1])
             else:
                 break
-        for entry in aside:
-            heapq.heappush(heap, entry)
         return run
 
     # -- duals ------------------------------------------------------------
 
-    def _duals(self, edges, value: float) -> Dict[Edge, float]:
-        """The duals of the given internal edges at the given value."""
+    def _duals(self, members, value: float) -> Dict[Edge, float]:
+        """The duals of the given members' edges at the given value."""
         sub = self.sub
-        on_path = self.path_nodes
         out = {}
-        for e in edges:
-            u = e[1]
-            if u in on_path:
-                h = self.comps()[u]
-                out[e] = self._derivative(h, value, u, True) - h[3]
-            else:
-                h = sub[u]
-                out[e] = h[3] - self._derivative(h, value, u, False)
+        for u in members:
+            e, below = self.edge_of(u)
+            h = sub[u]
+            f = self._derivative(h, value, u)
+            out[e] = h[3] - f if below else f - h[3]
         return out
 
     def duals_at(self, t: float) -> Dict[Edge, float]:
         """Dual values on the internal edges at parameter t."""
-        return self._duals(self.edges, self.value_at(t))
+        return self._duals(self._edged(), self.value_at(t))
 
     def flush(self):
         """Write the internal duals at the block's value into z."""
         if self.nodes:
-            self._z.update(self._duals(self.edges, self.value))
+            self._z.update(self._duals(self._edged(), self.value))
 
     # -- following sign writes --------------------------------------------
 
@@ -757,69 +729,52 @@ class ComponentView:
         """Follow a sign write on edge e, which has an end in the block.
 
         d is the change in e's strict dual as counted in its parent's
-        child flow.  An internal edge leaving EQ splits off its far half;
-        an edge entering EQ brings the other end's component in; any other
+        child flow (its child's own flow moves by -d).  An internal edge
+        leaving EQ splits off its far half; an edge entering EQ brings
+        the other end's component in, hung from the member end; any other
         write only moves flow.
         """
         p, c = e
         nodes = self.nodes
-        self._comps = None
         if old == EQ:
             self._depart(p, c, d)
-        elif sign == EQ and p in nodes:
-            # A child's component joins below p.
-            self._grow(c)
-            h = self.sub[c]
-            self._add(p, (h[0], h[1], h[2], h[3] + d, h[4], h[5]))
         elif sign == EQ:
-            # c is the top: the parent's component joins above it.
-            self.sub[c][3] -= d
-            parent, signs = self._parent, self._active.signs
-            top = p
-            while parent[top] and signs[(parent[top], top)] == EQ:
-                top = parent[top]
-            self.top = top
-            self._trace_path()
-            self._grow(top)
-            for dirty in self.dirty.values():
-                dirty.add(c)
+            inner, outer, df = (p, c, d) if p in nodes else (c, p, -d)
+            self._grow(outer, inner)
+            h = self.sub[outer]
+            self._add(inner, (h[0], h[1], h[2], h[3] + df, h[4], h[5]))
         else:
             if p in nodes:
                 self._add(p, (0.0, 0.0, 0.0, d, 0, 0))
             if c in nodes:
-                self.sub[c][3] -= d
+                self._add(c, (0.0, 0.0, 0.0, -d, 0, 0))
         if sign != EQ and p in nodes:
             self.rim.add(p)
 
     def _depart(self, p: int, c: int, d: float):
         """Split off the far half of the internal edge (p, c), which has
         just left EQ, writing the duals of the half's internal edges."""
-        on_path = c in self.path_nodes
-        half = self._far(c, on_path)
+        far = self.far_end((p, c))
+        near, df = (p, d) if far == c else (c, -d)
+        half = self._far(far)
         if len(half) > 1:
-            parent = self._parent
-            self._z.update(self._duals([(parent[u], u) for u in half[1:]], self.value))
-        sub, keys, dirty = self.sub, self.keys, self.dirty
-        if on_path:
+            self._z.update(self._duals(half[1:], self.value))
+        h = self.sub[far]
+        self._add(near, (-h[0], -h[1], -h[2], df - h[3], -h[4], -h[5]))
+        if far == p:
+            # The half above the edge holds the top.
             self._active.moved.add(self.top)
             self.top = c
-            self._trace_path()
-            sub[c][3] -= d
-            unkeyed = half + [c]  # as the new top, c has no edge in the block
-        else:
-            h = sub[c]
-            self._add(p, (-h[0], -h[1], -h[2], d - h[3], -h[4], -h[5]))
-            unkeyed = half
+        sub, toward = self.sub, self.toward
         for s in (-1, 1):
-            dirty[s].difference_update(unkeyed)
-            pop = keys[s].pop
-            for u in unkeyed:
+            self.dirty[s].difference_update(half)
+            pop = self.keys[s].pop
+            for u in half:
                 pop(u, None)
         self.nodes.difference_update(half)
         self.rim.difference_update(half)
         for u in half:
-            del sub[u]
-        self._comps = None
+            del sub[u], toward[u]
 
 
 @dataclass
@@ -828,9 +783,8 @@ class Thresholds:
 
     Every move is s times a nonnegative length, so within a class the
     binding move is the one with the smallest |move|, and an empty class
-    holds the sentinel s*inf.  `per_edge` covers the path edges with a
-    finite bound, the component edge at the key heap's top and the
-    eligible boundary edges the view lists.
+    holds the sentinel s*inf.  `per_edge` covers the component edge at the
+    key heap's top and the eligible boundary edges the view lists.
     """
 
     per_edge: Dict[Edge, float]
@@ -1029,19 +983,27 @@ class Solver:
     def _check_view(self, view: ComponentView, state: PrimalDualState):
         """Validation: the carried block must equal one built afresh.
 
-        Members and top exactly; every member's subtree sums and keys
-        within ANCHOR_RTOL (incremental sums round differently); the rim
-        must cover every member with strict children; and the block's
-        value must reproduce the stored one.  Internal duals are not
-        stored while a block moves, so they are not compared.
+        Members, top and each member's neighbour towards the anchor
+        exactly; every member's subtree sums and keys within ANCHOR_RTOL
+        (incremental sums round differently); the rim must cover every
+        member with strict children; and the block's value must reproduce
+        the stored one.  Internal duals are not stored while a block
+        moves, so they are not compared.
         """
         fresh = ComponentView(self, state.active, state.x, state.z, view.anchor)
         for s in (-1, 1):
-            fresh._clean(s, path_too=True)
+            fresh._clean(s)
         if fresh.nodes != view.nodes or fresh.top != view.top:
             raise InternalInvariantError(
                 "carried block %s (top %d) differs from the component %s (top %d)"
                 % (sorted(view.nodes), view.top, sorted(fresh.nodes), fresh.top)
+            )
+        if fresh.toward != view.toward:
+            bad = sorted(u for u in fresh.nodes
+                         if view.toward.get(u) != fresh.toward.get(u))
+            raise InternalInvariantError(
+                "carried block roots members %s at the wrong neighbour towards "
+                "anchor %d" % (bad, view.anchor)
             )
         for u, want in fresh.sub.items():
             pairs = list(zip(view.sub[u], want))
@@ -1073,27 +1035,17 @@ class Solver:
         Each move is s times a nonnegative length.  Component edges bind
         when their dual reaches the box end the search pushes it towards
         (-lambda or +mu, by the edge's orientation relative to the anchor
-        and by s): the path edges are computed from their complement sums,
-        the others are read off the key heap's top.  Boundary edges bind
-        when the block's value reaches a frozen neighbor it is ordered
-        against.  Infinite bounds and empty classes yield s*inf sentinels.
+        and by s); the binding one is read off the view's key heap top.
+        Boundary edges bind when the block's value reaches a frozen
+        neighbor it is ordered against.  Infinite bounds and empty classes
+        yield s*inf sentinels.
         """
         t_q = state.t
-        parent, lam, mu = self._parent, self._lam, self._mu
         per_edge: Dict[Edge, float] = {}
         internal = s * INF
-        for u in view.path:
-            bound = lam[u] if s < 0 else mu[u]
-            if bound != INF:
-                e = (parent[u], u)
-                vbar = view.subgroup_inverse(e, view.far_half(e)[3] + s * bound)
-                per_edge[e] = dt = view.move_to(vbar, t_q, s)
-                if s * dt < s * internal:
-                    internal = dt
         for u in view.binding(s):
-            per_edge[(parent[u], u)] = dt = view.move_to(view.keys[s][u], t_q, s)
-            if s * dt < s * internal:
-                internal = dt
+            per_edge[view.edge_of(u)[0]] = internal = view.move_to(
+                view.keys[s][u], t_q, s)
         if state.validate:
             moves = ComponentView(self, state.active, state.x, state.z,
                                   view.anchor).edge_moves(t_q, s)
@@ -1171,37 +1123,32 @@ class Solver:
         """Move tied edges between the equality set and the strict sets.
 
         Component edges tied at the binding move are read first, before a
-        join changes any key: the path edges from the thresholds, the
-        others as a run from the key heap's top (the move is monotone in
-        the key).  A boundary edge joins from the sign its thresholds
-        accepted (-s outgoing, s incoming).  The view lists only each rim
-        member's nearest strict child on the side moved towards, but the
-        children tied with a listed one are a run from the same heap top:
-        each joins in turn until the next nearest is not tied.  The joins
-        come before the departures, so that no run reaches an edge that
-        departs in this step, and a departing half takes along what joined
-        it.  A departing component edge takes sign -s when its far half is
-        on its parent's side and s otherwise, with its dual at the
-        matching box end.
+        join changes any key, as a run from the view's key heap top (the
+        move is monotone in the key), each with its edge and side.  A
+        boundary edge joins from the sign its thresholds accepted (-s
+        outgoing, s incoming).  The view lists only each rim member's
+        nearest strict child on the side moved towards, but the children
+        tied with a listed one are a run from the same heap top: each
+        joins in turn until the next nearest is not tied.  The joins come
+        before the departures, so that no run reaches an edge that departs
+        in this step, and a departing half takes along what joined it.  A
+        departing component edge takes sign s when its far half lies below
+        it and -s when above, with its dual at the matching box end.
         """
         active = state.active
         signs, x, z = active.signs, state.x, state.z
         per_edge, best, t = th.per_edge, th.best, th.t
-        parent = self._parent
         want_out = want_in = None
         if state.validate:
             want_out = self._tied_children(view, state, th, s)
             moves = ComponentView(self, active, x, z, view.anchor).edge_moves(t, s)
             want_in = {e for e, dt in moves.items() if abs(dt - best) <= TIE_TOL}
-        on_path = view.path_nodes  # as at the step's start
-        departing = [(parent[u], u) for u in view.path
-                     if abs(per_edge.get((parent[u], u), s * INF) - best) <= TIE_TOL]
-        departing += [(parent[u], u) for u in view.binding(
+        departing = [view.edge_of(u) for u in view.binding(
             s, lambda v: abs(view.move_to(v, t, s) - best) <= TIE_TOL)]
-        if want_in is not None and set(departing) != want_in:
+        if want_in is not None and {e for e, _ in departing} != want_in:
             raise InternalInvariantError(
                 "component edges tied in the heap %s differ from a full scan %s"
-                % (sorted(departing), sorted(want_in))
+                % (sorted(e for e, _ in departing), sorted(want_in))
             )
         changed = bool(departing)
         for e, _ in view.boundary_in:
@@ -1226,9 +1173,9 @@ class Solver:
                 "boundary ties from the heaps %s differ from a full scan %s"
                 % (sorted(joined_out), sorted(want_out))
             )
-        for e in departing:
+        for e, below in departing:
             lam, mu = self._weights(e)
-            sign = -s if e[1] in on_path else s
+            sign = s if below else -s
             z[e] = -lam if sign == GT else mu
             active.set_sign(e, sign, x, z)
             active.moved.add(e[1])

@@ -159,6 +159,23 @@ class TestSolveCommand:
         assert report["objective"] == pytest.approx(24.0, abs=1e-9)
         assert report["kkt_residual"] <= 1e-8
 
+    def test_table_writes_unprintable_ids_as_json_strings(self, capsys, tmp_path):
+        # Written as it is, the newline would end the row and start a
+        # forged one, "x[b] = 9] = ...".
+        odd = "a\nx[b] = 9"
+        path = write_instance(tmp_path, {
+            "nodes": [{"id": odd, "loss": quad(1.0)}, {"id": 2, "loss": quad(2.0)}],
+            "edges": [{"from": odd, "to": 2, "lambda": 1.0, "mu": 1.0}],
+        })
+        code, out, _ = run_cli(capsys, "solve", path, "--table")
+        assert code == EXIT_OK
+        rows = out.splitlines()
+        assert [r for r in rows if r.startswith("x[") and "x[b]" in r] == [
+            'x["a\\nx[b] = 9"] = 1.5']
+        assert [r for r in rows if r.startswith("z[")] == [
+            'z["a\\nx[b] = 9" -> 2] = 0.5']
+        assert sum(r.startswith("x[") for r in rows) == 2
+
     def test_custom_tolerance_threads_through(self, capsys):
         code, _, _ = run_cli(capsys, "solve", str(DEMO_PATH), "--tol", "1e-10")
         assert code == EXIT_OK
@@ -287,6 +304,12 @@ class TestInstanceErrors:
              "nodes[2].id: expected an integer or string"),
             (lambda o: o["nodes"][1].update({"loss": [2.0]}),
              "nodes[1].loss: loss must be an object, got [2.0]"),
+            # A loss object takes only its own type's fields.
+            (lambda o: o["nodes"][1]["loss"].update({"wieght": 5.0}),
+             "nodes[1].loss: unknown field wieght"),
+            (lambda o: o["nodes"][2].update(
+                {"loss": {"type": "quartic", "a": 1.0, "b": 0.0, "c": 2.0, "y": 1.0}}),
+             "nodes[2].loss: unknown field y"),
         ],
     )
     def test_schema_violations(self, capsys, tmp_path, mutate, fragment):

@@ -337,7 +337,7 @@ class TestSubgroupInverse:
             losses = [random_member(rng, kinds) for _ in range(n)]
             view = pooled_view(losses, edges, anchor=rng.randint(1, n))
             for e in view.edges:
-                members = [view._loss[u] for u in view._far(e[1], view.on_path(e[1]))]
+                members = [view._loss[u] for u in view._far(view.far_end(e))]
                 for target in (rng.uniform(-60.0, 60.0), 0.0):
                     got = view.subgroup_inverse(e, target)
                     # A root only promises solve_increasing's stopping rule,
@@ -360,6 +360,7 @@ class TestSubgroupInverse:
         # component: a running prefix of 4e6 cannot hold a 4e-10 cubic term,
         # so a difference of prefix entries would drop it.
         rng = random.Random("spread")
+        reroot = random.Random("spread, rooted again")
         for _ in range(20):
             n = rng.randint(2, 12)
             edges = [(rng.randint(1, c - 1), c, 1.0, 1.0) for c in range(2, n + 1)]
@@ -372,22 +373,33 @@ class TestSubgroupInverse:
                     loss = tilted(loss, rng.choice((-1e8, 1e8)))
                 losses.append(loss)
             view = pooled_view(losses, edges, anchor=rng.randint(1, n))
-            for e in view.edges:
-                members = [view._loss[u] for u in view._far(e[1], view.on_path(e[1]))]
-                for target in (rng.choice((-1e7, 1e7)), 1.0, 0.0):
-                    want = solve_increasing(
-                        lambda v: sum(m.derivative(v) for m in members),
-                        lambda v: sum(m.second_derivative(v) for m in members),
-                        target, 0.0)
-                    got = view.subgroup_inverse(e, target)
-                    # Rounding in the half's own terms, not the rest's, may
-                    # move the root: their size over the slope bounds it.
-                    terms = abs(target) + sum(
-                        abs(c0) + c1 * abs(want) + c3 * abs(want) ** 3
-                        for c0, c1, c3 in (m.poly_form() for m in members))
-                    slope = sum(m.second_derivative(want) for m in members)
-                    tol = 1e-12 * (1.0 + abs(want)) + 1e-14 * terms / slope
-                    assert abs(got - want) <= tol
+            self.check_every_edge(view, rng)
+            # Rooted again at another member, every far half is checked
+            # again: the sums on the way between the anchors are retaken.
+            view.set_anchor(reroot.choice([u for u in view.nodes if u != view.anchor]))
+            self.check_every_edge(view, reroot)
+
+    @staticmethod
+    def check_every_edge(view, rng):
+        """Each far half's inverse against a root of its members' sum."""
+        for e in view.edges:
+            half = view._far(view.far_end(e))
+            assert view.anchor not in half
+            members = [view._loss[u] for u in half]
+            for target in (rng.choice((-1e7, 1e7)), 1.0, 0.0):
+                want = solve_increasing(
+                    lambda v: sum(m.derivative(v) for m in members),
+                    lambda v: sum(m.second_derivative(v) for m in members),
+                    target, 0.0)
+                got = view.subgroup_inverse(e, target)
+                # Rounding in the half's own terms, not the rest's, may
+                # move the root: their size over the slope bounds it.
+                terms = abs(target) + sum(
+                    abs(c0) + c1 * abs(want) + c3 * abs(want) ** 3
+                    for c0, c1, c3 in (m.poly_form() for m in members))
+                slope = sum(m.second_derivative(want) for m in members)
+                tol = 1e-12 * (1.0 + abs(want)) + 1e-14 * terms / slope
+                assert abs(got - want) <= tol
 
     def test_quadratic_far_half_is_closed_form(self, monkeypatch):
         # A chain 1 - 2 - 3 - 4 anchored at 1: the far half of (3, 4) is the

@@ -85,7 +85,8 @@ class TestComponentView:
         assert set(view.nodes) == {1, 2, 3}
         assert set(view.edges) == {(1, 2), (1, 3)}
         assert view.boundary_flow == 4.0
-        assert {e: view.far_half(e)[3] for e in view.edges} == {(1, 2): 0.0, (1, 3): 0.0}
+        assert {e: view.sub[view.far_end(e)][3] for e in view.edges} == {
+            (1, 2): 0.0, (1, 3): 0.0}
         assert [e for e, _ in view.boundary_out] == [(3, 4)]
         assert view.boundary_in == []
         # The child above the block is listed only when the search moves up.
@@ -170,11 +171,9 @@ class TestThresholds:
         state = make_state(0.0, x, z, {(1, 2): EQ, (1, 3): EQ, (3, 4): EQ})
         view = solver.build_component_view(state, anchor=3, s=-1)
         th = solver.thresholds_minus(view, state)
-        # (1, 3) lies on the path to the anchor, (3, 4) binds at the heap
-        # top, and (1, 2) waits below it in the heap.
+        # (3, 4) binds at the heap top; (1, 3) and (1, 2) wait below it.
         assert th.per_edge[(3, 4)] == pytest.approx(0.0, abs=1e-12)
-        assert th.per_edge[(1, 3)] == pytest.approx(-4.0, abs=1e-12)
-        assert (1, 2) not in th.per_edge
+        assert (1, 3) not in th.per_edge and (1, 2) not in th.per_edge
         moves = view.edge_moves(state.t, -1)
         assert moves[(3, 4)] == pytest.approx(0.0, abs=1e-12)
         assert moves[(1, 3)] == pytest.approx(-4.0, abs=1e-12)
@@ -188,7 +187,8 @@ class TestThresholds:
         view = solver.build_component_view(state, anchor=3, s=-1)
         th = solver.thresholds_minus(view, state)
         assert th.per_edge[(1, 3)] == pytest.approx(-3.0, abs=1e-12)
-        assert th.per_edge[(1, 2)] == pytest.approx(-6.0, abs=1e-12)
+        # (1, 2) waits below the heap top.
+        assert view.edge_moves(state.t, -1)[(1, 2)] == pytest.approx(-6.0, abs=1e-12)
         assert th.internal == pytest.approx(-3.0, abs=1e-12)
         # The strict boundary edge (3,4) is in the wrong class for the
         # downward search, so the boundary aggregates stay at the sentinel.
@@ -587,15 +587,27 @@ class TestPersistentBlock:
         # Most of the chain pools: the search ends in one block of many nodes.
         assert len(set(x.values())) < 60
 
+    def test_deep_anchor_at_scale_matches_pava(self):
+        # Far beyond the enumeration oracle's cap: every step anchors at
+        # the bottom of one block about 2,000 members deep.
+        problem, targets, weights = falling_chain(2000, INF, 47)
+        x, _, stats = solve(problem)
+        assert stats.final_residual <= 1e-8
+        fitted = pava(targets, weights=weights)
+        label = problem.arb.original_label
+        for v, value in x.items():
+            want = fitted[label[v] - 1]
+            assert abs(value - want) <= 1e-9 * (1.0 + abs(want))
+
     @pytest.mark.parametrize("lam", [0.5, 2.0])
     def test_falling_soft_chain_splits_above_the_anchor(self, lam, monkeypatch):
         # With a finite lambda the upper part of a block can split off: the
-        # departing edge lies on the path, its far half is the complement.
+        # departing edge's far half lies above it, on its parent's side.
         departed = []
         real = ComponentView._depart
 
         def spy(view, p, c, d):
-            departed.append(view.on_path(c))
+            departed.append(view.far_end((p, c)) == p)
             return real(view, p, c, d)
 
         monkeypatch.setattr(ComponentView, "_depart", spy)
@@ -643,7 +655,10 @@ class TestPersistentBlock:
         hub_value = x[1]
         assert sum(value == hub_value for value in x.values()) > 10
 
-    def test_stale_subtree_sum_detected(self):
+    @staticmethod
+    def solve_after_corrupting(corrupt):
+        """Solve a star, validated, corrupting its block once it has more
+        than two members."""
         problem = hub_problem(60, 1, 3, "quadratic", dyadic=True)
         solver = Solver(problem)
         x = {1: problem.loss_of(1).inverse_derivative(0.0)}
@@ -654,11 +669,25 @@ class TestPersistentBlock:
             block = active.block
             if block is not None and len(block.nodes) > 2:
                 break
-        leaf = next(u for u in block.nodes if u != block.top)
-        block.sub[leaf][1] *= 2.0  # the leaf's subtree now weighs double
+        corrupt(block)
+        for attachment in attachments:
+            solver.extend(x, z, attachment, validate=True, active=active)
+
+    def test_stale_subtree_sum_detected(self):
+        def corrupt(block):
+            leaf = next(u for u in block.nodes if u != block.top)
+            block.sub[leaf][1] *= 2.0  # the leaf's subtree now weighs double
+
         with pytest.raises(InternalInvariantError, match="carried"):
-            for attachment in attachments:
-                solver.extend(x, z, attachment, validate=True, active=active)
+            self.solve_after_corrupting(corrupt)
+
+    def test_wrong_neighbour_towards_anchor_detected(self):
+        def corrupt(block):
+            leaf, other = sorted(u for u in block.nodes if u != block.anchor)[:2]
+            block.toward[leaf] = other  # the leaf now hangs from another leaf
+
+        with pytest.raises(InternalInvariantError, match="wrong neighbour"):
+            self.solve_after_corrupting(corrupt)
 
 
 class TestMirrorSymmetry:
