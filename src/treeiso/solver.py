@@ -445,10 +445,13 @@ class ComponentView:
         self.anchor = anchor
         for u in reversed(way):
             self._retake(u)
+        # The members on the way have new edges, the anchor none.
         for s in (-1, 1):
-            self.dirty[s].update(way)
+            pop = self.keys[s].pop
+            for u in way:
+                pop(u, None)
+            self.dirty[s].update(way[1:])
             self.dirty[s].discard(anchor)
-            self.keys[s].pop(anchor, None)
 
     # -- sums over subtrees ---------------------------------------------
 
@@ -501,11 +504,13 @@ class ComponentView:
                     toward[k] = u
                     order.append(k)
             p = parent[u]
-            if not p or signs[(p, u)] != EQ:
-                self.top = u
-            elif p != w:
+            if p == w:
+                continue
+            if p and signs[(p, u)] == EQ:
                 toward[p] = u
                 order.append(p)
+            else:
+                self.top = u
         for u in reversed(order):
             self._retake(u)
             if above[u] or below[u]:
@@ -543,7 +548,6 @@ class ComponentView:
         for u in dirty:
             bound = self._bound(u, s)
             if bound == INF:
-                keys.pop(u, None)
                 continue
             h = sub[u]
             keys[u] = vbar = self._inverse(h, h[3] + s * bound, u)
@@ -573,15 +577,18 @@ class ComponentView:
         direction s: mu when the dual rises (its far half lies below it
         and the search goes down, or above it and the search goes up),
         lambda when it falls."""
-        (_, c), below = self.edge_of(u)
-        return self._mu[c] if (s < 0) == below else self._lam[c]
+        w = self.toward[u]
+        if self._parent[u] == w:
+            return (self._mu if s < 0 else self._lam)[u]
+        return (self._lam if s < 0 else self._mu)[w]
 
     def _far(self, u: int) -> List[int]:
         """u's subtree, the far half of its edge, from u down."""
         eq_kids, parent, toward = self._active.eq_kids, self._parent, self.toward
         order = [u]
         for w in order:
-            order.extend(k for k in eq_kids[w] if toward.get(k) == w)
+            if eq_kids[w]:
+                order.extend(k for k in eq_kids[w] if toward.get(k) == w)
             p = parent[w]
             if p and toward.get(p) == w:
                 order.append(p)
