@@ -7,6 +7,7 @@ relaxations on chains, rooted trees and arbitrary directed trees.  The
 solver certifies every answer with an exact dual (flow) vector.
 """
 
+from .api import solve_tree
 from .errors import (
     CertificateError,
     ContractViolationError,
@@ -16,7 +17,7 @@ from .errors import (
 )
 from .loss import Loss, QuarticQuadratic, WeightedQuadratic
 from .oracle import enumerate_optimum, pava
-from .solver import Problem, Solver, SolveStats, kkt_residual, objective_value, solve
+from .solver import Problem, Solver, SolveStats, kkt_residual, objective_value
 from .tree import DirectedTree, map_back, normalize
 
 __version__ = "0.1.0"
@@ -40,6 +41,6 @@ __all__ = [
     "normalize",
     "objective_value",
     "pava",
-    "solve",
+    "solve_tree",
     "__version__",
 ]

@@ -16,36 +16,27 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
+from .api import build_problem, random_problem, solve_tree
 from .errors import (
     CertificateError,
     ContractViolationError,
     InternalInvariantError,
     MalformedInstanceError,
 )
-from .loss import Loss, QuarticQuadratic, WeightedQuadratic, loss_from_json
+from .loss import Loss, loss_from_json
 from .oracle import MAX_ORACLE_EDGES, enumerate_optimum
-from .solver import (
-    DEFAULT_TOL,
-    SIGN_NAME,
-    Problem,
-    Solver,
-    kkt_residual_edges,
-    objective_value_edges,
-)
-from .tree import INF, Arborescence, DirectedTree, check_weight, map_back, normalize
+from .solver import DEFAULT_TOL, SIGN_NAME, kkt_residual, objective_value
+from .tree import INF, DirectedTree, check_weight, map_back
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INSTANCE = 3
 EXIT_CERTIFICATE = 4
 EXIT_INTERNAL = 5
-
-_WEIGHT_CHOICES = (0.0, 0.5, 2.0, INF)
 
 
 class _CliError(Exception):
@@ -210,14 +201,6 @@ def load_problem_file(path: str) -> ProblemFile:
     return ProblemFile.from_json(obj)
 
 
-def build_problem(tree: DirectedTree, losses: Dict[int, Loss],
-                  root: Optional[int] = None) -> Problem:
-    """Normalize a tree and order the losses to match its labels."""
-    arb = normalize(tree, root)
-    ordered = [losses[arb.original_label[k]] for k in range(1, tree.node_count + 1)]
-    return Problem(arb, ordered)
-
-
 # -- reports -----------------------------------------------------------------
 
 
@@ -284,24 +267,24 @@ def emit_json(obj) -> str:
 
 
 def solution_report(pf: ProblemFile, tree: DirectedTree, losses: Dict[int, Loss],
-                    arb: Arborescence, x_norm, z_norm) -> dict:
-    """Map a normalized pair back to file ids and re-certify it there.
+                    x, z) -> dict:
+    """Key a pair by file ids and re-certify it there.
 
-    `tree` and `losses` are the dense-labelled instance `pf.build` returned.
+    `tree` and `losses` are the dense-labelled instance `pf.build` returned,
+    and (x, z) is a pair in its labels and orientation.
     """
     dense_ids = pf.dense_ids
-    x_dense, z_dense = map_back(arb, x_norm, z_norm)
-    x_out = {str(oid): x_dense[dense_ids[oid]] for oid in pf.ids}
+    x_out = {str(oid): x[dense_ids[oid]] for oid in pf.ids}
     z_out = [
-        {"from": f, "to": t, "value": z_dense[(dense_ids[f], dense_ids[t])]}
+        {"from": f, "to": t, "value": z[(dense_ids[f], dense_ids[t])]}
         for f, t, _, _ in pf.edges
     ]
     loss_of = losses.__getitem__
     return {
         "x": x_out,
         "z": z_out,
-        "objective": objective_value_edges(tree.edges, loss_of, x_dense),
-        "kkt_residual": kkt_residual_edges(tree.edges, loss_of, x_dense, z_dense),
+        "objective": objective_value(tree.edges, loss_of, x),
+        "kkt_residual": kkt_residual(tree.edges, loss_of, x, z),
     }
 
 
@@ -336,9 +319,7 @@ def _print_report(report: dict, as_table: bool):
 def cmd_solve(args) -> int:
     pf = load_problem_file(args.path)
     tree, losses, root = pf.build()
-    problem = build_problem(tree, losses, root)
-    solver = Solver(problem, tol=args.tol)
-    x, z, stats = solver.solve()
+    x, z, stats = solve_tree(tree, losses, root, args.tol)
     if args.oracle_check:
         if len(pf.edges) > MAX_ORACLE_EDGES:
             print(
@@ -347,20 +328,21 @@ def cmd_solve(args) -> int:
                 file=sys.stderr,
             )
         else:
-            x_ref, _, _ = enumerate_optimum(problem, tol=args.tol)
+            problem = build_problem(tree, losses, root)
+            x_ref, z_ref, _ = enumerate_optimum(problem, tol=args.tol)
+            x_ref, _ = map_back(problem.arb, x_ref, z_ref)
             gap = max(abs(x[v] - x_ref[v]) for v in x)
             if gap > 1e-6:
                 raise CertificateError(
                     "solver and enumeration disagree: max |dx| = %.3e" % gap
                 )
-    report = solution_report(pf, tree, losses, problem.arb, x, z)
-    label = problem.arb.original_label
+    report = solution_report(pf, tree, losses, x, z)
     report["stats"] = {
         "inner_iters_total": stats.inner_iters_total,
         "equilibrium_calls": stats.equilibrium_total,
         "steps": [
             {
-                "node": pf.ids[label[rec.node] - 1],
+                "node": pf.ids[rec.node - 1],
                 "branch": rec.branch,
                 "iterations": rec.iterations,
                 "t": rec.t_star,
@@ -376,10 +358,11 @@ def cmd_oracle(args) -> int:
     pf = load_problem_file(args.path)
     tree, losses, root = pf.build()
     problem = build_problem(tree, losses, root)
-    x, z, pattern = enumerate_optimum(problem)
-    report = solution_report(pf, tree, losses, problem.arb, x, z)
+    x_norm, z_norm, pattern = enumerate_optimum(problem)
+    x, z = map_back(problem.arb, x_norm, z_norm)
+    report = solution_report(pf, tree, losses, x, z)
     # Signs flip with the edge, as duals do.
-    _, relations = map_back(problem.arb, x, pattern)
+    _, relations = map_back(problem.arb, x_norm, pattern)
     dense_ids = pf.dense_ids
     report["pattern"] = [
         {
@@ -393,52 +376,6 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
-def random_problem(shape: str, n: int, seed: int, loss_kind: str = "quadratic",
-                   isotonic: bool = False):
-    """Deterministic random instance: (DirectedTree, losses by node id).
-
-    Shapes: chain (1 - 2 - ... - n), star (all nodes hang off node 1) and
-    random (uniform parent, orientation flipped with probability one half).
-    Weights are drawn from {0, 0.5, 2, inf} uniformly; targets from
-    U[0, 10].  With `isotonic` the targets are sorted ascending and every
-    edge gets (lambda, mu) = (inf, 0): a hard nondecreasing chain.
-    """
-    if n < 1:
-        raise ContractViolationError("n must be at least 1")
-    rng = random.Random(seed)
-    edges = []
-    for child in range(2, n + 1):
-        if shape == "chain":
-            parent = child - 1
-        elif shape == "star":
-            parent = 1
-        elif shape == "random":
-            parent = rng.randint(1, child - 1)
-        else:
-            raise ContractViolationError("unknown shape %r" % (shape,))
-        lam = rng.choice(_WEIGHT_CHOICES)
-        mu = rng.choice(_WEIGHT_CHOICES)
-        if shape == "random" and rng.random() < 0.5:
-            edges.append((child, parent, lam, mu))
-        else:
-            edges.append((parent, child, lam, mu))
-    losses: Dict[int, Loss] = {}
-    for v in range(1, n + 1):
-        if loss_kind == "mixed" and rng.random() < 0.3:
-            losses[v] = QuarticQuadratic(
-                rng.uniform(0.5, 2.0), rng.uniform(0.0, 1.0), rng.uniform(-5.0, 5.0)
-            )
-        elif loss_kind in ("mixed", "quadratic"):
-            losses[v] = WeightedQuadratic(rng.uniform(0.5, 3.0), rng.uniform(0.0, 10.0))
-        else:
-            raise ContractViolationError("unknown loss kind %r" % (loss_kind,))
-    if isotonic:
-        targets = sorted(rng.uniform(0.0, 10.0) for _ in range(n))
-        losses = {v: WeightedQuadratic(1.0, targets[v - 1]) for v in range(1, n + 1)}
-        edges = [(i, i + 1, INF, 0.0) for i in range(1, n)]
-    return DirectedTree(n, edges), losses
-
-
 def cmd_bench(args) -> int:
     if args.n < 1:
         print("error: --n must be at least 1", file=sys.stderr)
@@ -446,20 +383,20 @@ def cmd_bench(args) -> int:
     if args.reps < 1:
         print("error: --reps must be at least 1", file=sys.stderr)
         return EXIT_USAGE
+    if args.isotonic and (args.shape, args.loss) != ("chain", "quadratic"):
+        print("error: --isotonic needs --shape chain and --loss quadratic",
+              file=sys.stderr)
+        return EXIT_USAGE
     rows = []
     for rep in range(args.reps):
         seed = args.seed + rep
         tree, losses = random_problem(
             args.shape, args.n, seed, args.loss, isotonic=args.isotonic
         )
-        problem = build_problem(tree, losses)
         started = time.perf_counter()
-        x, z, stats = Solver(problem, tol=args.tol).solve()
+        x, z, stats = solve_tree(tree, losses, tol=args.tol)
         elapsed_ms = (time.perf_counter() - started) * 1000.0
-        x_orig, z_orig = map_back(problem.arb, x, z)
-        residual = kkt_residual_edges(
-            tree.edges, lambda v: losses[v], x_orig, z_orig
-        )
+        residual = kkt_residual(tree.edges, losses.__getitem__, x, z)
         if not residual <= args.tol:
             print(
                 "error: seed %d failed verification: residual %.3e" % (seed, residual),

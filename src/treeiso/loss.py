@@ -9,16 +9,17 @@ supported:
     QuarticQuadratic(a, b, c)   f(x) = a*x^2 + b*x^4 + c*x      (a > 0, b >= 0)
 
 Every derivative above has the form f'(x) = c0 + c1*x + c3*x^3, which
-`poly_form` returns as (c0, c1, c3).  `LossGroup` aggregates several losses
-that share one variable by summing those coefficients, so evaluating a
-pooled derivative costs O(1) whatever the group's size.
+`poly_form` returns as (c0, c1, c3).  Losses that share one variable pool
+by summing those coefficients, so evaluating a pooled derivative costs
+O(1) whatever the group's size: the solver's `ComponentView` keeps these
+sums, and `LossGroup` pools a fixed list (the benchmark traces it).
 
 One scalar problem recurs: at which point does the summed derivative of
 some losses equal a target s?  `pooled_inverse` answers it for any losses:
 closed form when c3 == 0 (every member quadratic), otherwise a safeguarded
 Newton-bisection iteration (`solve_increasing`) on the cubic.  A loss
 without a polynomial form is still supported: then the iteration runs on
-the member sum.  A single loss, a `LossGroup`, the far half of a component
+the member sum.  A single loss, a pooled group, the far half of a component
 and `equilibrium_t` (where a pooled component meets a separately
 parametrized attached node) all invert through it, or through the stored
 form it would compute.  A linear tilt needs no wrapper: the oracle, whose
@@ -270,10 +271,12 @@ class LossGroup:
         return pooled_inverse(self.losses, s)
 
 
-def equilibrium_t(group: LossGroup, boundary_flow: float, attach_loss: Loss) -> float:
+def equilibrium_t(group, boundary_flow: float, attach_loss: Loss) -> float:
     """Parameter value at which a pooled component meets its attached node.
 
-    The component tracks group.inverse_derivative(t + boundary_flow) while
+    `group` is anything with `poly_form()` and `losses`: the solver passes
+    its `ComponentView`, the tests a `LossGroup`.  The component tracks the
+    value where its pooled derivative equals t + boundary_flow, while
     the attached node tracks attach_loss.inverse_derivative(-t); both are
     monotone in t with opposite directions, so they meet at exactly one t.
     Solved in value space: the meeting value v satisfies

@@ -24,7 +24,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import CertificateError, ContractViolationError
 from .loss import pooled_inverse
-from .solver import DEFAULT_TOL, EQ, GT, LT, Problem, kkt_residual_edges, values_equal
+from .solver import DEFAULT_TOL, EQ, GT, LT, Problem, kkt_residual, values_equal
 from .tree import Edge, INF
 
 MAX_ORACLE_EDGES = 12
@@ -206,7 +206,7 @@ def solve_reduced(problem: Problem, pattern: SignPattern, memo: dict,
              for u in comp.nodes}
         z.update(tree_linear_solve(comp, comp.nodes[0], b))
 
-    residual = kkt_residual_edges(edges, problem.loss_of, x, z)
+    residual = kkt_residual(edges, problem.loss_of, x, z)
     if residual <= tol:
         return x, z
     return None

@@ -1366,7 +1366,8 @@ class Solver:
             stats.steps.append(record)
         if active.block is not None:
             active.block.flush()
-        residual = kkt_residual(self.problem, x, z)
+        residual = kkt_residual(self.problem.weighted_edges(),
+                                self.problem.loss_of, x, z)
         if not residual <= self.tol:
             raise CertificateError(
                 "final residual %.3e exceeds the %.1e gate" % (residual, self.tol)
@@ -1375,14 +1376,9 @@ class Solver:
         return x, z, stats
 
 
-def solve(problem: Problem, tol: float = DEFAULT_TOL,
-          record_pairs: bool = False, validate: bool = False):
-    """One-shot interface to Solver."""
-    return Solver(problem, tol).solve(record_pairs=record_pairs, validate=validate)
-
-
-def kkt_residual_edges(edges, loss_of: Callable[[int], Loss], x, z) -> float:
-    """Violation of the optimality flow system on an arbitrary edge list.
+def kkt_residual(edges, loss_of: Callable[[int], Loss], x, z) -> float:
+    """Violation of the optimality flow system on (tail, head, lambda, mu)
+    edges, in solver labels (`Problem.weighted_edges`) or a caller's.
 
     Node term: |net outflow - loss derivative|, maximized over nodes.
     Edge term: distance of the dual from the box [-lambda, mu], plus the
@@ -1420,13 +1416,8 @@ def kkt_residual_edges(edges, loss_of: Callable[[int], Loss], x, z) -> float:
     return node_term + edge_term
 
 
-def kkt_residual(problem: Problem, x, z) -> float:
-    """Certificate residual of (x, z) for the given problem."""
-    return kkt_residual_edges(problem.weighted_edges(), problem.loss_of, x, z)
-
-
-def objective_value_edges(edges, loss_of: Callable[[int], Loss], x) -> float:
-    """Objective of the penalized problem at x over an arbitrary edge list.
+def objective_value(edges, loss_of: Callable[[int], Loss], x) -> float:
+    """Objective of the penalized problem at x over an edge list, as above.
 
     An infinite weight contributes nothing when the penalized difference
     is zero up to the equality tolerance, and makes the objective infinite
@@ -1451,7 +1442,3 @@ def objective_value_edges(edges, loss_of: Callable[[int], Loss], x) -> float:
             else:
                 total += mu * -gap
     return total
-
-
-def objective_value(problem: Problem, x) -> float:
-    return objective_value_edges(problem.weighted_edges(), problem.loss_of, x)

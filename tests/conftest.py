@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from treeiso.cli import build_problem, random_problem
+from treeiso.api import build_problem, random_problem
 from treeiso.loss import QuarticQuadratic, WeightedQuadratic
 from treeiso.solver import Problem, Solver
 from treeiso.tree import DirectedTree, INF, normalize

@@ -10,7 +10,7 @@ import pytest
 
 from conftest import DEMO_X, DEMO_Z, make_demo_problem
 from treeiso.oracle import enumerate_optimum, pava
-from treeiso.solver import Solver, solve
+from treeiso.solver import Solver
 from treeiso.tree import INF
 
 MS = 1000.0
@@ -49,7 +49,7 @@ def attachment_bounds(problem, node):
 def test_worked_example_with_intermediates(acceptance_log):
     with _Criterion(acceptance_log, 1, "worked example with intermediate pairs") as c:
         problem = make_demo_problem()
-        x, z, stats = solve(problem, record_pairs=True)
+        x, z, stats = Solver(problem).solve(record_pairs=True)
         dev = max(
             max(abs(x[v] - DEMO_X[v]) for v in DEMO_X),
             max(abs(z[e] - DEMO_Z[e]) for e in DEMO_Z),
@@ -73,7 +73,7 @@ def test_worked_example_with_intermediates(acceptance_log):
         best = INF
         for _ in range(5):
             started = time.perf_counter()
-            solve(make_demo_problem())
+            Solver(make_demo_problem()).solve()
             best = min(best, time.perf_counter() - started)
         ok = ok and best * MS < 10.0
         c.record(ok, "max dev %.2e, best of 5 runs %.2f ms" % (dev, best * MS))
@@ -100,7 +100,7 @@ def test_every_solve_is_certified(acceptance_log, corpus, chain_corpus):
     with _Criterion(acceptance_log, 3, "certificate residual within gate") as c:
         residuals = [entry.stats.final_residual for entry in corpus]
         residuals += [entry.stats.final_residual for entry in chain_corpus]
-        _, _, demo_stats = solve(make_demo_problem())
+        _, _, demo_stats = Solver(make_demo_problem()).solve()
         residuals.append(demo_stats.final_residual)
         worst = max(residuals)
         c.record(

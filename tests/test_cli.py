@@ -17,7 +17,8 @@ from treeiso.cli import (
     load_problem_file,
     main,
 )
-from treeiso.solver import solve
+from treeiso.api import build_problem
+from treeiso.solver import Solver
 from treeiso.tree import INF
 
 
@@ -93,13 +94,49 @@ class TestSolveCommand:
         self, capsys, monkeypatch
     ):
         def shifted(problem, tol=1e-8):
-            x, z, _ = solve(problem)
+            x, z, _ = Solver(problem).solve()
             return {v: value + 1.0 for v, value in x.items()}, z, {}
 
         monkeypatch.setattr(cli, "enumerate_optimum", shifted)
         code, _, err = run_cli(capsys, "solve", str(DEMO_PATH), "--oracle-check")
         assert code == EXIT_CERTIFICATE
         assert "disagree" in err
+
+    def test_oracle_check_on_relabelled_file(self, capsys, tmp_path):
+        # String ids, the root listed third and two edges pointing at it:
+        # the file's dense labels differ from the solver's, which the
+        # oracle shares, so comparing under the wrong labels would disagree.
+        obj = {
+            "nodes": [
+                {"id": "c", "loss": quad(9.0)},
+                {"id": "a", "loss": quad(6.0, w=2.0)},
+                {"id": "hub", "loss": {"type": "quartic", "a": 1.0, "b": 0.25,
+                                       "c": -4.0}},
+                {"id": "b", "loss": quad(-2.0)},
+                {"id": "d", "loss": quad(-5.0, w=0.5)},
+            ],
+            "edges": [
+                {"from": "a", "to": "hub", "lambda": 1.0, "mu": "inf"},
+                {"from": "hub", "to": "b", "lambda": 0.5, "mu": 2.0},
+                {"from": "d", "to": "hub", "lambda": "inf", "mu": 0.0},
+                {"from": "c", "to": "a", "lambda": 0.5, "mu": 0.5},
+            ],
+            "root": "hub",
+        }
+        path = write_instance(tmp_path, obj)
+        tree, losses, root = load_problem_file(path).build()
+        label = build_problem(tree, losses, root).arb.original_label
+        assert [label[k] for k in sorted(label)] != sorted(label)
+        code, out, err = run_cli(capsys, "solve", path, "--oracle-check")
+        assert code == EXIT_OK and err == ""
+        report = json.loads(out)
+        assert [s["node"] for s in report["stats"]["steps"]] == [
+            "a", "b", "d", "c"]
+        code, out, _ = run_cli(capsys, "oracle", path)
+        assert code == EXIT_OK
+        oracle_x = json.loads(out)["x"]
+        assert len(set(oracle_x.values())) == 5
+        assert report["x"] == pytest.approx(oracle_x, abs=1e-6)
 
     def test_oracle_check_skipped_above_cap(self, capsys, tmp_path):
         path = write_instance(tmp_path, long_chain_instance(14))
@@ -429,6 +466,17 @@ class TestBenchCommand:
         row = out.strip().splitlines()[1].split(",")
         assert row[3] == "0"
 
+    @pytest.mark.parametrize("extra", [
+        ("--shape", "star", "--loss", "mixed"),
+        ("--shape", "chain", "--loss", "mixed"),
+        ("--shape", "star"),
+        (),
+    ])
+    def test_isotonic_takes_only_a_quadratic_chain(self, capsys, extra):
+        code, out, err = run_cli(capsys, "bench", "--n", "50", "--isotonic", *extra)
+        assert code == EXIT_USAGE and out == ""
+        assert "--isotonic" in err
+
     def test_random_shape_reps(self, capsys):
         code, out, _ = run_cli(
             capsys, "bench", "--shape", "random", "--n", "120", "--seed", "7",
@@ -438,7 +486,7 @@ class TestBenchCommand:
         assert len(out.strip().splitlines()) == 6
 
     def test_nan_residual_fails_verification(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "kkt_residual_edges", lambda *args: float("nan"))
+        monkeypatch.setattr(cli, "kkt_residual", lambda *args: float("nan"))
         code, _, err = run_cli(capsys, "bench", "--n", "5")
         assert code == EXIT_CERTIFICATE
         assert "failed verification: residual nan" in err

@@ -25,9 +25,10 @@ import random
 import pytest
 
 from conftest import DEMO_PATH
-from treeiso.cli import build_problem, main, random_problem
+from treeiso.api import build_problem, random_problem
+from treeiso.cli import main
 from treeiso.oracle import enumerate_optimum
-from treeiso.solver import solve
+from treeiso.solver import Solver
 
 N = 40
 
@@ -98,7 +99,7 @@ def digest(lines) -> str:
 
 def solve_digest(shape: str, loss_kind: str, seed: int) -> str:
     tree, losses = random_problem(shape, N, seed, loss_kind)
-    x, z, stats = solve(build_problem(tree, losses))
+    x, z, stats = Solver(build_problem(tree, losses)).solve()
     lines = ["x %d %s" % (v, encode(x[v])) for v in sorted(x)]
     lines += ["z %d %d %s" % (i, j, encode(z[(i, j)])) for i, j in sorted(z)]
     for rec in stats.steps:
@@ -115,7 +116,7 @@ def test_solve_digest(shape, loss_kind, seed):
 
 def step_shape_digest(shape: str, loss_kind: str, seed: int) -> str:
     tree, losses = random_problem(shape, N, seed, loss_kind)
-    _, _, stats = solve(build_problem(tree, losses))
+    _, _, stats = Solver(build_problem(tree, losses)).solve()
     return digest(["%d %s %d %d %d" % (rec.node, rec.branch, rec.iterations,
                                        rec.iteration_cap, rec.equilibrium_calls)
                    for rec in stats.steps])

@@ -19,7 +19,7 @@ from treeiso.loss import (
     solve_increasing,
 )
 from treeiso.oracle import enumerate_optimum
-from treeiso.solver import EQ, ActiveSet, PrimalDualState, Problem, Solver, solve
+from treeiso.solver import EQ, ActiveSet, PrimalDualState, Problem, Solver
 from treeiso.tree import DirectedTree, INF, normalize
 
 WEIGHTS = (0.0, 0.5, 2.0, INF)
@@ -308,7 +308,7 @@ class TestLossWithoutForm:
             losses = [SoftplusQuadratic() if rng.random() < 0.4
                       else random_member(rng, 2) for _ in range(n)]
             problem = Problem(normalize(DirectedTree(n, edges)), losses)
-            x, _, stats = solve(problem, validate=True)
+            x, _, stats = Solver(problem).solve(validate=True)
             assert stats.final_residual <= 1e-8
             searched += stats.inner_iters_total
             want, _, _ = enumerate_optimum(problem)

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from conftest import DEMO_X, DEMO_Z, make_demo_problem
-from treeiso.cli import build_problem, random_problem
+from treeiso.api import build_problem, random_problem
 from treeiso.errors import ContractViolationError
 from treeiso.loss import WeightedQuadratic
 from treeiso.oracle import (
@@ -20,7 +20,7 @@ from treeiso.oracle import (
     solve_reduced,
     tree_linear_solve,
 )
-from treeiso.solver import EQ, GT, LT, Problem, objective_value, solve
+from treeiso.solver import EQ, GT, LT, Problem, Solver, objective_value
 from treeiso.tree import DirectedTree, INF, normalize
 
 GOLDEN_PATTERN = {(1, 2): EQ, (1, 3): EQ, (3, 4): LT, (3, 5): GT}
@@ -170,13 +170,14 @@ class TestEnumerateOptimum:
     def test_objective_no_better_on_grid(self):
         problem = make_demo_problem()
         x, _, _ = enumerate_optimum(problem)
-        best = objective_value(problem, x)
+        edges, loss_of = problem.weighted_edges(), problem.loss_of
+        best = objective_value(edges, loss_of, x)
         grid = [1.0, 2.0, 3.0, 4.0, 5.0]
         for combo in itertools.product(grid, repeat=4):
             cand = {1: combo[0], 2: combo[0], 3: combo[1], 4: combo[2], 5: combo[3]}
             if cand[3] < cand[1]:
                 continue  # (1, 3) carries an infinite decrease penalty
-            assert objective_value(problem, cand) >= best - 1e-9
+            assert objective_value(edges, loss_of, cand) >= best - 1e-9
 
 
 class TestSolverAgainstOracle:
@@ -185,7 +186,7 @@ class TestSolverAgainstOracle:
         n = random.Random(900 + seed).randint(2, 7)
         tree, losses = random_problem("random", n, seed, "mixed")
         problem = build_problem(tree, losses)
-        x_fast, z_fast, _ = solve(problem)
+        x_fast, z_fast, _ = Solver(problem).solve()
         x_ref, z_ref, _ = enumerate_optimum(problem)
         for node in x_ref:
             assert x_fast[node] == pytest.approx(x_ref[node], abs=1e-6)
@@ -224,7 +225,7 @@ class TestPava:
             normalize(DirectedTree(9, [(i, i + 1, INF, 0.0) for i in range(1, 9)])),
             [WeightedQuadratic(w, y) for w, y in zip(weights, values)],
         )
-        x, _, _ = solve(problem)
+        x, _, _ = Solver(problem).solve()
         fitted = pava(values, weights=weights)
         for i, want in enumerate(fitted, start=1):
             assert x[i] == pytest.approx(want, abs=1e-8)

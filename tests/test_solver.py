@@ -7,7 +7,7 @@ import pytest
 
 import treeiso.solver
 from conftest import DEMO_OBJECTIVE, DEMO_X, DEMO_Z, make_demo_problem
-from treeiso.cli import build_problem, random_problem
+from treeiso.api import build_problem, random_problem
 from treeiso.errors import CertificateError, ContractViolationError, InternalInvariantError
 from treeiso.loss import QuarticQuadratic, WeightedQuadratic
 from treeiso.oracle import pava
@@ -22,9 +22,7 @@ from treeiso.solver import (
     Solver,
     build_initial_active_set,
     kkt_residual,
-    kkt_residual_edges,
     objective_value,
-    solve,
 )
 from treeiso.tree import Attachment, DirectedTree, INF, normalize
 
@@ -370,7 +368,7 @@ class TestExtendTraces:
 
 class TestSolve:
     def test_demo_golden(self, demo_problem):
-        x, z, stats = solve(demo_problem)
+        x, z, stats = Solver(demo_problem).solve()
         for node, want in DEMO_X.items():
             assert x[node] == pytest.approx(want, abs=1e-8)
         for edge, want in DEMO_Z.items():
@@ -382,7 +380,7 @@ class TestSolve:
         assert [r.t_star for r in stats.steps] == [-1.0, 0.0, 4.0, -3.0]
 
     def test_demo_intermediate_pairs(self, demo_problem):
-        _, _, stats = solve(demo_problem, record_pairs=True)
+        _, _, stats = Solver(demo_problem).solve(record_pairs=True)
         x2, z2 = stats.steps[0].pair
         assert (x2, z2) == ({1: 3.0, 2: 3.0}, {(1, 2): -1.0})
         x3, z3 = stats.steps[1].pair
@@ -392,7 +390,7 @@ class TestSolve:
         assert z4 == {(1, 2): -2.0, (1, 3): 2.0, (3, 4): 4.0}
 
     def test_demo_validated(self, demo_problem):
-        x, _, _ = solve(demo_problem, validate=True)
+        x, _, _ = Solver(demo_problem).solve(validate=True)
         assert x[5] == pytest.approx(1.0, abs=1e-10)
 
     def test_search_ending_on_a_collision_reclassifies_the_frozen_edge(self):
@@ -404,7 +402,7 @@ class TestSolve:
                                        (1, 4, 1.0, 1.0)])),
             [WeightedQuadratic(1.0, y) for y in (4.0, 2.0, 0.0, 10.0)],
         )
-        x, z, stats = solve(problem, validate=True)
+        x, z, stats = Solver(problem).solve(validate=True)
         assert x == {1: 2.5, 2: 2.0, 3: 2.5, 4: 9.0}
         assert [r.t_path for r in stats.steps] == [
             (0.0,), (0.0, -2.0), (0.0, 0.0, 1.0),
@@ -421,7 +419,7 @@ class TestSolve:
         # pool, split and pin; validation compares the carried signs with
         # a fresh classification before every search.
         tree, losses = random_problem(shape, n, 5, loss_kind)
-        x, _, stats = solve(build_problem(tree, losses), validate=True)
+        x, _, stats = Solver(build_problem(tree, losses)).solve(validate=True)
         assert stats.final_residual <= 1e-8
         assert stats.inner_iters_total > 0
         assert len(set(x.values())) < n
@@ -433,7 +431,7 @@ class TestSolve:
 
     def test_single_node(self):
         problem = Problem(normalize(DirectedTree(1, [])), [WeightedQuadratic(2.0, 5.0)])
-        x, z, stats = solve(problem)
+        x, z, stats = Solver(problem).solve()
         assert x == {1: 5.0}
         assert z == {}
         assert stats.final_residual == 0.0
@@ -445,13 +443,13 @@ class TestSolve:
             normalize(DirectedTree(5, [(i, i + 1, INF, 0.0) for i in range(1, 5)])),
             [WeightedQuadratic(1.0, y) for y in targets],
         )
-        x, z, stats = solve(problem)
+        x, z, stats = Solver(problem).solve()
         assert [x[v] for v in range(1, 6)] == targets
         assert all(value == 0.0 for value in z.values())
         assert stats.inner_iters_total == 0
 
     def test_stats_totals(self, demo_problem):
-        _, _, stats = solve(demo_problem)
+        _, _, stats = Solver(demo_problem).solve()
         assert stats.inner_iters_total == 5
         assert stats.equilibrium_total == 2
 
@@ -509,14 +507,14 @@ class TestStrictChildIndex:
     ])
     def test_high_degree_solves_validated(self, hubs, n, loss_kind, dyadic):
         problem = hub_problem(n, hubs, 17, loss_kind, dyadic)
-        x, _, stats = solve(problem, validate=True)
+        x, _, stats = Solver(problem).solve(validate=True)
         assert stats.final_residual <= 1e-8
         assert stats.inner_iters_total > n // 2
 
     @pytest.mark.parametrize("loss_kind", ["quadratic", "mixed"])
     def test_random_tree_non_dyadic_weights_validated(self, loss_kind):
         problem = hub_problem(300, None, 23, loss_kind, dyadic=False)
-        _, _, stats = solve(problem, validate=True)
+        _, _, stats = Solver(problem).solve(validate=True)
         assert stats.final_residual <= 1e-8
 
     def test_tied_children_join_in_one_step(self):
@@ -529,7 +527,7 @@ class TestStrictChildIndex:
         losses = ([WeightedQuadratic(1.0, 10.0)] + [WeightedQuadratic(1.0, 0.0)] * k
                   + [WeightedQuadratic(10.0, -20.0)])
         problem = Problem(normalize(DirectedTree(k + 2, edges)), losses)
-        x, _, stats = solve(problem, validate=True)
+        x, _, stats = Solver(problem).solve(validate=True)
         assert [x[v] for v in range(2, k + 2)] == [-1.0] * k
         assert stats.steps[-1].t_path[:3] == (0.0, -5.0, -15.0)
         assert stats.steps[-1].iterations == 3
@@ -577,7 +575,7 @@ class TestPersistentBlock:
 
     def test_falling_hard_isotonic_chain_matches_pava(self):
         problem, targets, weights = falling_chain(300, INF, 41)
-        x, _, stats = solve(problem, validate=True)
+        x, _, stats = Solver(problem).solve(validate=True)
         assert stats.final_residual <= 1e-8
         fitted = pava(targets, weights=weights)
         label = problem.arb.original_label
@@ -591,7 +589,7 @@ class TestPersistentBlock:
         # Far beyond the enumeration oracle's cap: every step anchors at
         # the bottom of one block about 2,000 members deep.
         problem, targets, weights = falling_chain(2000, INF, 47)
-        x, _, stats = solve(problem)
+        x, _, stats = Solver(problem).solve()
         assert stats.final_residual <= 1e-8
         fitted = pava(targets, weights=weights)
         label = problem.arb.original_label
@@ -612,7 +610,7 @@ class TestPersistentBlock:
 
         monkeypatch.setattr(ComponentView, "_depart", spy)
         problem, _, _ = falling_chain(300, lam, 43)
-        _, _, stats = solve(problem, validate=True)
+        _, _, stats = Solver(problem).solve(validate=True)
         assert stats.final_residual <= 1e-8
         assert any(departed)
 
@@ -641,7 +639,7 @@ class TestPersistentBlock:
             return real(self, state, anchor, s)
 
         monkeypatch.setattr(Solver, "build_component_view", spy)
-        x, _, stats = solve(problem, validate=True)
+        x, _, stats = Solver(problem).solve(validate=True)
         assert stats.final_residual <= 1e-8
         assert sum(moved_inside) >= spine - 2
         label = problem.arb.original_label
@@ -649,7 +647,7 @@ class TestPersistentBlock:
 
     def test_mixed_star_validated(self):
         problem = hub_problem(400, 1, 29, "mixed", dyadic=True)
-        x, _, stats = solve(problem, validate=True)
+        x, _, stats = Solver(problem).solve(validate=True)
         assert stats.final_residual <= 1e-8
         assert stats.inner_iters_total > 200
         hub_value = x[1]
@@ -710,8 +708,8 @@ class TestMirrorSymmetry:
         swap = {"down": "up", "up": "down", "flat": "flat"}
         for seed in range(10):
             tree, losses = random_problem(shape, 150, seed, loss_kind)
-            x, z, stats = solve(build_problem(tree, losses))
-            xr, zr, stats_r = solve(build_problem(*self.reflect(tree, losses)))
+            x, z, stats = Solver(build_problem(tree, losses)).solve()
+            xr, zr, stats_r = Solver(build_problem(*self.reflect(tree, losses))).solve()
             assert xr == {v: -value for v, value in x.items()}
             assert zr == {e: -value for e, value in z.items()}
             assert len(stats_r.steps) == len(stats.steps)
@@ -725,18 +723,21 @@ class TestMirrorSymmetry:
 
 class TestCertificates:
     def test_golden_pair_near_zero_residual(self, demo_problem):
-        residual = kkt_residual(demo_problem, DEMO_X, DEMO_Z)
+        residual = kkt_residual(demo_problem.weighted_edges(), demo_problem.loss_of,
+                                DEMO_X, DEMO_Z)
         assert residual <= 1e-12
 
     def test_perturbed_primal_detected(self, demo_problem):
         x = dict(DEMO_X)
         x[1] += 0.1
-        assert kkt_residual(demo_problem, x, DEMO_Z) >= 0.1
+        assert kkt_residual(demo_problem.weighted_edges(), demo_problem.loss_of,
+                            x, DEMO_Z) >= 0.1
 
     def test_perturbed_dual_detected(self, demo_problem):
         z = dict(DEMO_Z)
         z[(3, 4)] = 5.0  # above the box end mu = 4
-        residual = kkt_residual(demo_problem, DEMO_X, z)
+        residual = kkt_residual(demo_problem.weighted_edges(), demo_problem.loss_of,
+                                DEMO_X, z)
         assert residual >= 1.0
 
     # max() and `dist > best` skip a NaN unless it comes first, so these
@@ -746,33 +747,36 @@ class TestCertificates:
         x = {1: 0.0, 2: 0.0, 3: math.nan}
         z = {(1, 2): 0.0, (1, 3): 0.0}
         edges = [(1, 2, 1.0, 1.0), (1, 3, 0.0, 0.0)]
-        assert math.isnan(kkt_residual_edges(edges, losses.__getitem__, x, z))
+        assert math.isnan(kkt_residual(edges, losses.__getitem__, x, z))
 
     def test_nan_dual_is_not_certified(self):
         losses = {v: WeightedQuadratic(1.0, 0.0) for v in (1, 2, 3)}
         x = {1: 0.0, 2: 0.0, 3: 0.0}
         z = {(1, 2): 0.0, (2, 3): math.nan}
         edges = [(1, 2, 1.0, 1.0), (2, 3, 1.0, 1.0)]
-        assert math.isnan(kkt_residual_edges(edges, losses.__getitem__, x, z))
+        assert math.isnan(kkt_residual(edges, losses.__getitem__, x, z))
 
     def test_nan_residual_fails_the_solve_gate(self, demo_problem, monkeypatch):
         monkeypatch.setattr(treeiso.solver, "kkt_residual", lambda *args: math.nan)
         with pytest.raises(CertificateError):
-            solve(demo_problem)
+            Solver(demo_problem).solve()
 
     def test_objective_at_golden(self, demo_problem):
-        assert objective_value(demo_problem, DEMO_X) == pytest.approx(
+        assert objective_value(demo_problem.weighted_edges(), demo_problem.loss_of,
+                               DEMO_X) == pytest.approx(
             DEMO_OBJECTIVE, abs=1e-12)
 
     def test_objective_hard_violation_is_infinite(self, demo_problem):
         x = dict(DEMO_X)
         x[2] = 2.0  # x_1 > x_2 against lambda = inf on (1, 2)
-        assert objective_value(demo_problem, x) == INF
+        assert objective_value(demo_problem.weighted_edges(), demo_problem.loss_of,
+                               x) == INF
 
     def test_solver_objective_not_above_random_feasible_points(self, demo_problem):
         rng = random.Random(11)
-        x_opt, _, _ = solve(demo_problem)
-        best = objective_value(demo_problem, x_opt)
+        x_opt, _, _ = Solver(demo_problem).solve()
+        edges, loss_of = demo_problem.weighted_edges(), demo_problem.loss_of
+        best = objective_value(edges, loss_of, x_opt)
         for _ in range(200):
             base = rng.uniform(-2.0, 9.0)
             cand = {1: base, 2: base + rng.uniform(0.0, 3.0)}
@@ -781,5 +785,5 @@ class TestCertificates:
             cand[5] = rng.uniform(-2.0, 9.0)
             if rng.random() < 0.5:
                 cand[3] = max(cand[3], cand[1])  # keep (1,3) feasible sometimes
-            value = objective_value(demo_problem, cand)
+            value = objective_value(edges, loss_of, cand)
             assert value >= best - 1e-9

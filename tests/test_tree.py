@@ -5,8 +5,8 @@ import random
 import pytest
 
 from treeiso.errors import MalformedInstanceError
-from treeiso.solver import kkt_residual_edges, Solver
-from treeiso.cli import build_problem, random_problem
+from treeiso.api import build_problem, random_problem
+from treeiso.solver import kkt_residual, Solver
 from treeiso.tree import (
     Attachment,
     DirectedTree,
@@ -143,7 +143,7 @@ class TestNormalize:
             problem = build_problem(tree, losses)
             x, z, _ = Solver(problem).solve()
             x_orig, z_orig = map_back(problem.arb, x, z)
-            residual = kkt_residual_edges(
+            residual = kkt_residual(
                 tree.edges, lambda v: losses[v], x_orig, z_orig
             )
             assert residual <= 1e-8
