@@ -16,9 +16,9 @@ from .errors import (
     TreeIsoError,
 )
 from .loss import Loss, QuarticQuadratic, WeightedQuadratic
-from .oracle import enumerate_optimum, pava
-from .solver import Problem, Solver, SolveStats, kkt_residual, objective_value
-from .tree import DirectedTree, map_back, normalize
+from .oracle import pava
+from .solver import kkt_residual, objective_value
+from .tree import DirectedTree
 
 __version__ = "0.1.0"
 
@@ -29,16 +29,10 @@ __all__ = [
     "InternalInvariantError",
     "Loss",
     "MalformedInstanceError",
-    "Problem",
     "QuarticQuadratic",
-    "Solver",
-    "SolveStats",
     "TreeIsoError",
     "WeightedQuadratic",
-    "enumerate_optimum",
     "kkt_residual",
-    "map_back",
-    "normalize",
     "objective_value",
     "pava",
     "solve_tree",

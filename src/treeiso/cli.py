@@ -159,7 +159,7 @@ class ProblemFile:
     def build(self):
         """Dense relabelling: (DirectedTree, losses by dense id, dense root).
 
-        A weight the tree rejects is reported by its field in the file.
+        An edge the tree rejects is reported by its index and the file's ids.
         """
         dense = self.dense_ids
         try:
@@ -168,7 +168,16 @@ class ProblemFile:
                 [(dense[f], dense[t], lam, mu) for f, t, lam, mu in self.edges],
             )
         except MalformedInstanceError:
+            pairs = set()
             for k, (f, t, lam, mu) in enumerate(self.edges):
+                if f == t:
+                    raise MalformedInstanceError(
+                        "edges[%d]: self-loop at id %r" % (k, f)) from None
+                if frozenset((f, t)) in pairs:
+                    raise MalformedInstanceError(
+                        "edges[%d]: duplicate edge between ids %r and %r"
+                        % (k, f, t)) from None
+                pairs.add(frozenset((f, t)))
                 for name, value in (("lambda", lam), ("mu", mu)):
                     try:
                         check_weight(value, name, (f, t))
@@ -181,6 +190,14 @@ class ProblemFile:
         losses = {dense[oid]: self.losses[oid] for oid in self.ids}
         root = dense[self.root] if self.root is not None else None
         return tree, losses, root
+
+    def in_file_ids(self, exc: MalformedInstanceError) -> MalformedInstanceError:
+        """`normalize`'s disconnection error naming the file's ids, or exc."""
+        if not hasattr(exc, "unreachable"):
+            return exc
+        return MalformedInstanceError(
+            "graph is disconnected (cycle elsewhere); unreachable ids %s"
+            % [self.ids[v - 1] for v in exc.unreachable])
 
 
 def load_problem_file(path: str) -> ProblemFile:
@@ -319,7 +336,10 @@ def _print_report(report: dict, as_table: bool):
 def cmd_solve(args) -> int:
     pf = load_problem_file(args.path)
     tree, losses, root = pf.build()
-    x, z, stats = solve_tree(tree, losses, root, args.tol)
+    try:
+        x, z, stats = solve_tree(tree, losses, root, args.tol)
+    except MalformedInstanceError as exc:
+        raise pf.in_file_ids(exc) from None
     if args.oracle_check:
         if len(pf.edges) > MAX_ORACLE_EDGES:
             print(
@@ -357,7 +377,10 @@ def cmd_solve(args) -> int:
 def cmd_oracle(args) -> int:
     pf = load_problem_file(args.path)
     tree, losses, root = pf.build()
-    problem = build_problem(tree, losses, root)
+    try:
+        problem = build_problem(tree, losses, root)
+    except MalformedInstanceError as exc:
+        raise pf.in_file_ids(exc) from None
     x_norm, z_norm, pattern = enumerate_optimum(problem)
     x, z = map_back(problem.arb, x_norm, z_norm)
     report = solution_report(pf, tree, losses, x, z)

@@ -325,11 +325,12 @@ class PrimalDualState:
     x and z are the live solution maps (shared with the caller and updated
     in place); `departed` and `equilibrium_calls` carry the per-search
     bookkeeping backing the churn and single-equilibrium checks.  With
-    `validate`, each step checks its boundary ties against a full scan.
+    `validate`, each step checks its boundary ties against a full scan,
+    and its key heap against `reference`, the block built afresh.
     """
 
     __slots__ = ("t", "x", "z", "active", "departed", "equilibrium_calls",
-                 "validate")
+                 "validate", "reference")
 
     def __init__(self, t: float, x: Dict[int, float], z: Dict[Edge, float],
                  active: ActiveSet, validate: bool = False):
@@ -340,6 +341,7 @@ class PrimalDualState:
         self.departed: set = set()
         self.equilibrium_calls = 0
         self.validate = validate
+        self.reference: Optional[ComponentView] = None
 
 
 class ComponentView:
@@ -604,33 +606,10 @@ class ComponentView:
             return sum(self._loss[w].derivative(v) for w in self._far(u))
         return poly_derivative((h[0], h[1], h[2]), v)
 
-    def subgroup_inverse(self, e: Edge, target: float) -> float:
-        """Value v at which the far half of edge e has pooled derivative target."""
-        u = self.far_end(e)
-        return self._inverse(self.sub[u], target, u)
-
     def _edged(self):
         """The members with an edge towards the anchor: all but the anchor."""
         anchor = self.anchor
         return (u for u in self.nodes if u != anchor)
-
-    @property
-    def edges(self) -> Tuple[Edge, ...]:
-        """The internal edges."""
-        return tuple(self.edge_of(u)[0] for u in self._edged())
-
-    def edge_moves(self, t: float, s: int) -> Dict[Edge, float]:
-        """Every internal edge's move from t in direction s, by a full scan."""
-        out = {}
-        for u in self._edged():
-            e = self.edge_of(u)[0]
-            bound = self._bound(u, s)
-            if bound == INF:
-                out[e] = s * INF
-            else:
-                h = self.sub[u]
-                out[e] = self.move_to(self._inverse(h, h[3] + s * bound, u), t, s)
-        return out
 
     # -- the block as one variable ----------------------------------------
 
@@ -882,7 +861,7 @@ class Solver:
         its heap tops, down to the first that still classifies as strict
         on its side.  Under validation, the result must equal a
         classification of every prefix edge from scratch, and the index
-        one rebuilt from the signs, x and z.
+        the one built from that classification, x and z.
         """
         active.build_index(len(self._parent) - 1, x, z)
         signs = active.signs
@@ -911,12 +890,11 @@ class Solver:
                         "carried sign of edge %s is %s, its values give %s"
                         % (e, SIGN_NAME.get(carried, "none"), SIGN_NAME[sign])
                     )
-            self._check_index(active, x, z)
+            fresh.build_index(len(self._parent) - 1, x, z)
+            self._check_index(active, fresh, x)
 
-    def _check_index(self, active: ActiveSet, x, z):
-        """Validation: the index must equal one rebuilt from signs, x and z."""
-        rebuilt = ActiveSet(active.signs)
-        rebuilt.build_index(len(self._parent) - 1, x, z)
+    def _check_index(self, active: ActiveSet, rebuilt: ActiveSet, x):
+        """Validation: the index must equal that of `rebuilt`, built from scratch."""
         for v in range(1, len(self._parent)):
             if list(active.eq_kids[v]) != list(rebuilt.eq_kids[v]):
                 raise InternalInvariantError(
@@ -988,7 +966,7 @@ class Solver:
                 )
 
     def _check_view(self, view: ComponentView, state: PrimalDualState):
-        """Validation: the carried block must equal one built afresh.
+        """Validation: the carried block must equal a fresh build, `state.reference`.
 
         Members, top and each member's neighbour towards the anchor
         exactly; every member's subtree sums and keys within ANCHOR_RTOL
@@ -998,6 +976,7 @@ class Solver:
         moves, so they are not compared.
         """
         fresh = ComponentView(self, state.active, state.x, state.z, view.anchor)
+        state.reference = fresh
         for s in (-1, 1):
             fresh._clean(s)
         if fresh.nodes != view.nodes or fresh.top != view.top:
@@ -1054,9 +1033,9 @@ class Solver:
             per_edge[view.edge_of(u)[0]] = internal = view.move_to(
                 view.keys[s][u], t_q, s)
         if state.validate:
-            moves = ComponentView(self, state.active, state.x, state.z,
-                                  view.anchor).edge_moves(t_q, s)
-            scanned = min(moves.values(), key=lambda dt: s * dt, default=s * INF)
+            ref = state.reference  # an edge without a key never binds
+            scanned = min((ref.move_to(v, t_q, s) for v in ref.keys[s].values()),
+                          key=lambda dt: s * dt, default=s * INF)
             if scanned != internal and not abs(scanned - internal) <= TIE_TOL:
                 raise InternalInvariantError(
                     "binding component edge move %.17g differs from a full scan's "
@@ -1148,8 +1127,9 @@ class Solver:
         want_out = want_in = None
         if state.validate:
             want_out = self._tied_children(view, state, th, s)
-            moves = ComponentView(self, active, x, z, view.anchor).edge_moves(t, s)
-            want_in = {e for e, dt in moves.items() if abs(dt - best) <= TIE_TOL}
+            ref = state.reference
+            want_in = {ref.edge_of(u)[0] for u, v in ref.keys[s].items()
+                       if abs(ref.move_to(v, t, s) - best) <= TIE_TOL}
         departing = [view.edge_of(u) for u in view.binding(
             s, lambda v: abs(view.move_to(v, t, s) - best) <= TIE_TOL)]
         if want_in is not None and {e for e, _ in departing} != want_in:

@@ -136,7 +136,8 @@ def normalize(tree: DirectedTree, root: Optional[int] = None) -> Arborescence:
     edge is used if there is exactly one, otherwise node 1.
 
     Raises MalformedInstanceError when the graph is disconnected (which,
-    given the edge-count invariant, also means it contains a cycle).
+    given the edge-count invariant, also means it contains a cycle); its
+    `unreachable` attribute lists the nodes the root does not reach.
     """
     n = tree.node_count
     if root is None:
@@ -174,9 +175,10 @@ def normalize(tree: DirectedTree, root: Optional[int] = None) -> Arborescence:
             next_id += 1
     if len(label) != n:
         missing = sorted(set(range(1, n + 1)) - set(label))
-        raise MalformedInstanceError(
-            "graph is disconnected (cycle elsewhere); unreachable nodes %s" % missing
-        )
+        error = MalformedInstanceError(
+            "graph is disconnected (cycle elsewhere); unreachable nodes %s" % missing)
+        error.unreachable = missing
+        raise error
     return Arborescence(n, parent, original_label, flipped)
 
 

@@ -1,11 +1,13 @@
-"""Library entry point: `solve_tree` in the caller's labels, and the
-seeded instances of `random_problem`."""
+"""Library entry point: `solve_tree` in the caller's labels, the
+seeded instances of `random_problem`, and the package's public names."""
 
 import dataclasses
+import importlib
 import random
 
 import pytest
 
+import treeiso
 from treeiso.api import build_problem, random_problem, solve_tree
 from treeiso.errors import CertificateError, ContractViolationError
 from treeiso.loss import WeightedQuadratic
@@ -100,3 +102,26 @@ class TestRandomProblem:
         assert [e[:2] for e in tree.edges] == [(i, i + 1) for i in range(1, 50)]
         targets = [losses[v].y for v in range(1, 51)]
         assert targets == sorted(targets)
+
+
+class TestPublicSurface:
+    PUBLIC = {
+        "CertificateError", "ContractViolationError", "InternalInvariantError",
+        "MalformedInstanceError", "TreeIsoError", "DirectedTree", "Loss",
+        "QuarticQuadratic", "WeightedQuadratic", "kkt_residual",
+        "objective_value", "pava", "solve_tree", "__version__",
+    }
+
+    def test_exports_exactly_the_public_names(self):
+        assert len(treeiso.__all__) == len(self.PUBLIC) == 14
+        assert set(treeiso.__all__) == self.PUBLIC
+        for name in treeiso.__all__:
+            assert getattr(treeiso, name) is not None
+
+    @pytest.mark.parametrize("module, name", [
+        ("solver", "Problem"), ("solver", "Solver"), ("solver", "SolveStats"),
+        ("tree", "normalize"), ("tree", "map_back"), ("oracle", "enumerate_optimum"),
+    ])
+    def test_solver_level_names_stay_in_their_modules(self, module, name):
+        assert name not in treeiso.__all__
+        assert callable(getattr(importlib.import_module("treeiso." + module), name))

@@ -386,6 +386,30 @@ class TestInstanceErrors:
         code, _, err = run_cli(capsys, "solve", str(path))
         assert code == EXIT_INSTANCE
 
+    @pytest.mark.parametrize("ids, pairs, root, message", [
+        ([10, 20, 30], [(10, 20), (30, 30)], None, "edges[1]: self-loop at id 30"),
+        (["x", "y", "z", "w"], [("x", "y"), ("z", "w"), ("w", "z")], None,
+         "edges[2]: duplicate edge between ids 'w' and 'z'"),
+        ([10, 20, 30, 40], [(10, 20), (20, 30), (30, 10)], None,
+         "graph is disconnected (cycle elsewhere); unreachable ids [10, 20, 30]"),
+        (["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "a")], "d",
+         "graph is disconnected (cycle elsewhere); unreachable ids ['a', 'b', 'c']"),
+    ], ids=["self-loop", "duplicate", "cycle", "cycle-string-ids"])
+    @pytest.mark.parametrize("command", ["solve", "oracle"])
+    def test_bad_tree_named_by_file_ids(self, capsys, tmp_path, command, ids,
+                                        pairs, root, message):
+        obj = {
+            "nodes": [{"id": v, "loss": quad(float(k))} for k, v in enumerate(ids)],
+            "edges": [{"from": f, "to": t, "lambda": 1.0, "mu": 1.0}
+                      for f, t in pairs],
+        }
+        if root is not None:
+            obj["root"] = root
+        path = write_instance(tmp_path, obj)
+        code, out, err = run_cli(capsys, command, str(path))
+        assert code == EXIT_INSTANCE and out == ""
+        assert err == "error: invalid instance: %s\n" % message
+
     def test_infeasible_hard_constraints(self, capsys, tmp_path):
         # x_1 = x_2 forced from both sides with incompatible anchors is
         # still solvable; true infeasibility cannot arise on a tree, so

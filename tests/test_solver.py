@@ -45,6 +45,15 @@ def late_search_state():
     return make_state(0.0, x, z, signs)
 
 
+def reference_moves(solver, view, state, s):
+    """Every internal edge's move from state.t in direction s, read from
+    the keys of the block that validation builds afresh."""
+    solver._check_view(view, state)
+    ref = state.reference
+    return {ref.edge_of(u)[0]: ref.move_to(v, state.t, s)
+            for u, v in ref.keys[s].items()}
+
+
 class TestBuildInitialActiveSet:
     def test_mixed_signs(self):
         x = {1: 3.0, 2: 3.0, 3: 2.0}
@@ -79,11 +88,12 @@ class TestBuildInitialActiveSet:
 class TestComponentView:
     def test_late_view_aggregates(self):
         solver = Solver(make_demo_problem())
-        view = solver.build_component_view(late_search_state(), anchor=3, s=1)
+        state = late_search_state()
+        view = solver.build_component_view(state, anchor=3, s=1)
         assert set(view.nodes) == {1, 2, 3}
-        assert set(view.edges) == {(1, 2), (1, 3)}
+        assert set(view.duals_at(state.t)) == {(1, 2), (1, 3)}
         assert view.boundary_flow == 4.0
-        assert {e: view.sub[view.far_end(e)][3] for e in view.edges} == {
+        assert {e: view.sub[view.far_end(e)][3] for e in view.duals_at(state.t)} == {
             (1, 2): 0.0, (1, 3): 0.0}
         assert [e for e, _ in view.boundary_out] == [(3, 4)]
         assert view.boundary_in == []
@@ -126,7 +136,7 @@ class TestComponentView:
         state = make_state(0.0, x, z, {(1, 2): EQ, (1, 3): GT})
         view = solver.build_component_view(state, anchor=3, s=-1)
         assert set(view.nodes) == {3}
-        assert view.edges == ()
+        assert set(view.duals_at(state.t)) == set()
         assert view.boundary_flow == 0.0
         assert [e for e, _ in view.boundary_in] == [(1, 3)]
         assert view.duals_at(0.0) == {}
@@ -172,7 +182,7 @@ class TestThresholds:
         # (3, 4) binds at the heap top; (1, 3) and (1, 2) wait below it.
         assert th.per_edge[(3, 4)] == pytest.approx(0.0, abs=1e-12)
         assert (1, 3) not in th.per_edge and (1, 2) not in th.per_edge
-        moves = view.edge_moves(state.t, -1)
+        moves = reference_moves(solver, view, state, -1)
         assert moves[(3, 4)] == pytest.approx(0.0, abs=1e-12)
         assert moves[(1, 3)] == pytest.approx(-4.0, abs=1e-12)
         assert moves[(1, 2)] == pytest.approx(-8.0, abs=1e-12)
@@ -186,7 +196,8 @@ class TestThresholds:
         th = solver.thresholds_minus(view, state)
         assert th.per_edge[(1, 3)] == pytest.approx(-3.0, abs=1e-12)
         # (1, 2) waits below the heap top.
-        assert view.edge_moves(state.t, -1)[(1, 2)] == pytest.approx(-6.0, abs=1e-12)
+        moves = reference_moves(solver, view, state, -1)
+        assert moves[(1, 2)] == pytest.approx(-6.0, abs=1e-12)
         assert th.internal == pytest.approx(-3.0, abs=1e-12)
         # The strict boundary edge (3,4) is in the wrong class for the
         # downward search, so the boundary aggregates stay at the sentinel.
@@ -492,9 +503,10 @@ def hub_problem(n, hubs, seed, loss_kind, dyadic):
 class TestStrictChildIndex:
     """The per-node index of EQ children, strict-child flows and heaps.
 
-    Under validation every search starts by comparing the index with one
-    rebuilt from the signs, x and z, and every step compares the boundary
-    ties it took from the heaps with a scan of all members' children.
+    Under validation every search starts by comparing the index with the
+    one built from a classification from scratch, x and z, and every step
+    compares the boundary ties it took from the heaps with a scan of all
+    members' children.
     """
 
     @pytest.mark.parametrize("hubs,n,loss_kind,dyadic", [
@@ -517,17 +529,21 @@ class TestStrictChildIndex:
         _, _, stats = Solver(problem).solve(validate=True)
         assert stats.final_residual <= 1e-8
 
+    @staticmethod
+    def tied_leaves_problem(k):
+        """A hub with k identical leaves, then a heavy leaf held level with it."""
+        edges = [(1, c, 1.0, 1.0) for c in range(2, k + 2)] + [(1, k + 2, INF, INF)]
+        losses = ([WeightedQuadratic(1.0, 10.0)] + [WeightedQuadratic(1.0, 0.0)] * k
+                  + [WeightedQuadratic(10.0, -20.0)])
+        return Problem(normalize(DirectedTree(k + 2, edges)), losses)
+
     def test_tied_children_join_in_one_step(self):
         # Four identical leaves end their extensions pinned at 1.0 below
         # the hub.  A heavy fifth leaf then pulls the hub down onto all four
         # at t = -5, and that one step joins the whole run from the heap
         # top; joining one leaf per step would add three zero-length steps.
         k = 4
-        edges = [(1, c, 1.0, 1.0) for c in range(2, k + 2)] + [(1, k + 2, INF, INF)]
-        losses = ([WeightedQuadratic(1.0, 10.0)] + [WeightedQuadratic(1.0, 0.0)] * k
-                  + [WeightedQuadratic(10.0, -20.0)])
-        problem = Problem(normalize(DirectedTree(k + 2, edges)), losses)
-        x, _, stats = Solver(problem).solve(validate=True)
+        x, _, stats = Solver(self.tied_leaves_problem(k)).solve(validate=True)
         assert [x[v] for v in range(2, k + 2)] == [-1.0] * k
         assert stats.steps[-1].t_path[:3] == (0.0, -5.0, -15.0)
         assert stats.steps[-1].iterations == 3
@@ -549,6 +565,25 @@ class TestStrictChildIndex:
             for attachment in attachments:
                 solver.extend(x, z, attachment, validate=True, active=active)
 
+    def test_lost_tied_child_detected(self, monkeypatch):
+        # The index is checked when a search starts, so the hub's heap of
+        # the four tied leaves loses all but its top after that, in the
+        # search that joins them: the run from the top then stops after
+        # one leaf, and the scan of every child finds all four.
+        k = 4
+        real = Solver.build_component_view
+
+        def corrupt(self, state, anchor, s):
+            view = real(self, state, anchor, s)
+            heap = state.active.strict[GT][1]
+            if len(heap) == k:
+                del heap[1:]
+            return view
+
+        monkeypatch.setattr(Solver, "build_component_view", corrupt)
+        with pytest.raises(InternalInvariantError, match="boundary ties from the heaps"):
+            Solver(self.tied_leaves_problem(k)).solve(validate=True)
+
 
 def falling_chain(n, lam, seed):
     """A chain 1 -> 2 -> ... -> n whose targets fall, with noise.
@@ -569,8 +604,8 @@ class TestPersistentBlock:
     """The moving block carried across steps and extensions.
 
     Under validation every step compares the carried block with one built
-    afresh (members, subtree sums, keys, rim) and its binding component
-    edges and their tie run with a scan of every internal edge.
+    afresh (members, subtree sums, keys, rim), and its binding component
+    edge and their tie run with a scan of that block's keys.
     """
 
     def test_falling_hard_isotonic_chain_matches_pava(self):
@@ -686,6 +721,58 @@ class TestPersistentBlock:
 
         with pytest.raises(InternalInvariantError, match="wrong neighbour"):
             self.solve_after_corrupting(corrupt)
+
+    def test_emptied_key_heaps_detected(self):
+        def corrupt(block):
+            for heap in block.heaps.values():
+                heap.clear()  # the keys stay; their heap entries are gone
+
+        with pytest.raises(InternalInvariantError, match="binding component edge move"):
+            self.solve_after_corrupting(corrupt)
+
+    def test_lost_tied_edge_detected(self):
+        # Two identical leaves pool with the hub in upward searches, so
+        # their edges carry equal keys, and a fourth node then lifts the
+        # block until both edges bind at once.  Emptied before that search,
+        # the upward heap is refilled only with the leaf that joins then:
+        # its top is right, but its run of ties holds one edge of the two.
+        edges = [(1, 2, 3.0, INF), (1, 3, 3.0, INF), (1, 4, 0.0, INF)]
+        losses = [WeightedQuadratic(1.0, 10.0), WeightedQuadratic(1.0, 14.0),
+                  WeightedQuadratic(1.0, 14.0), WeightedQuadratic(1.0, 40.0)]
+        problem = Problem(normalize(DirectedTree(4, edges)), losses)
+        solver = Solver(problem)
+        x = {1: problem.loss_of(1).inverse_derivative(0.0)}
+        z, active = {}, ActiveSet()
+        first, second, last = solver._attachments
+        for attachment in (first, second):
+            solver.extend(x, z, attachment, validate=True, active=active)
+        assert active.block.keys[1] == {2: 17.0}
+        active.block.heaps[1].clear()
+        with pytest.raises(InternalInvariantError, match="component edges tied in the heap"):
+            solver.extend(x, z, last, validate=True, active=active)
+
+
+class TestValidationReference:
+    """Under validation each search classifies the prefix from scratch
+    once, and each step builds one fresh block, `state.reference`."""
+
+    def test_one_fresh_build_per_step(self, monkeypatch):
+        built = {ComponentView: 0, ActiveSet: 0}
+        for cls in built:
+            def counted(self, *args, _cls=cls, _init=cls.__init__):
+                built[_cls] += 1
+                _init(self, *args)
+
+            monkeypatch.setattr(cls, "__init__", counted)
+        problem = hub_problem(60, 1, 3, "quadratic", dyadic=True)
+        _, _, stats = Solver(problem).solve(validate=True)
+        searches = sum(rec.iterations > 0 for rec in stats.steps)
+        assert searches > 20
+        # One block carried through the solve, plus one reference per step.
+        assert built[ComponentView] == 1 + stats.inner_iters_total
+        # The solve's active set, plus per search the reclassified edges'
+        # signs and the classification from scratch.
+        assert built[ActiveSet] == 1 + 2 * searches
 
 
 class TestMirrorSymmetry:
