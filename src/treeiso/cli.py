@@ -234,17 +234,8 @@ _encode_str = json.encoder.encode_basestring_ascii
 
 
 def _emit_other(value) -> str:
-    """A value whose exact type `_WRITERS` lacks: subclasses, or an error."""
-    if isinstance(value, dict):
-        return _emit_dict(value)
-    if isinstance(value, (list, tuple)):
-        return _emit_list(value)
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return format_float(value)
-    if isinstance(value, str):
-        return _encode_str(value)
+    """A value whose exact type `_WRITERS` lacks: every value in a report
+    has an exact built-in type, so anything else is refused."""
     raise ContractViolationError("cannot serialize %r" % (value,))
 
 

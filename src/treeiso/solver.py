@@ -49,7 +49,7 @@ only link is the strict edge), nor after the node left it (the parent's
 path to the component crosses the edge that departed, which may not
 rejoin in the same search).
 
-The moving component is a persistent block (`ComponentView`), carried in
+The moving component is a persistent block (`ComponentView`), kept in
 the active set across search steps and extensions, as in PAVA, where a
 pooled block moves as a whole (Best & Chakravarti, Math. Programming
 1990).  It is built only when a search's anchor lies outside it; after
@@ -59,22 +59,22 @@ internal duals.  It is rooted at the search's anchor, and each member
 keeps its neighbour one edge nearer the anchor and the pooled loss form
 and boundary flow of its subtree in that rooting, so that the subtree of
 an internal edge's end away from the anchor is the edge's far half.  A
-change is carried up to the anchor, and when the anchor moves within the
+change is passed up to the anchor, and when the anchor moves within the
 block the edges between the old anchor and the new one turn round.  An
 internal edge binds at a value `vbar` that depends only on its far half,
 so every internal edge waits in one lazy heap per direction, keyed by
 `vbar`, and its tied edges depart as a run from the heap's top.
 Members' x is written on every step in one bulk update, but internal
-duals only when a half departs, before a snapshot, when the block is
-given up and at the end.  Besides that bulk write, a step costs O(1) per
-member with strict children and O(log n) per heap operation, plus
-O(size) for what joins or departs.  A change costs time in its distance
-from the anchor, and a move of the anchor time in the members between
-the old anchor and the new one and in their EQ children.  So neither the
-size of the block nor the degrees of its members enter a step, but a
-chain-like block whose anchor lies deep pays that depth per join or
-departure.  Mergeable blocks on trees: Kolmogorov, Pock & Rolinek, "Total
-Variation on a Tree" (SIAM J. Imaging Sci. 2016).
+duals only when a half departs, when the block is given up and at the
+end.  Besides that bulk write, a step costs O(1) per member with strict
+children and O(log n) per heap operation, plus O(size) for what joins
+or departs.  A change costs time in its distance from the anchor, and a
+move of the anchor time in the members between the old anchor and the
+new one and in their EQ children.  So neither the size of the block nor
+the degrees of its members enter a step, but a chain-like block whose
+anchor lies deep pays that depth per join or departure.  Mergeable
+blocks on trees: Kolmogorov, Pock & Rolinek, "Total Variation on a Tree"
+(SIAM J. Imaging Sci. 2016).
 
 Before each search the signs are brought back to the value-based
 classification of the prefix (the one `build_initial_active_set` would
@@ -174,21 +174,22 @@ class ActiveSet:
     write left the nearest strict child on some side no longer strictly
     apart from the node.
 
-    `block` is the moving equality block (`ComponentView`) carried from
+    `block` is the moving equality block (`ComponentView`) kept from
     search to search; every sign write on an edge with an end in it is
     passed on to it.
 
     The index covers the signed edges (parent, child) and is built from
-    `signs`, x and z on first use (`build_index`).  Per node v it holds:
-    `eq_kids[v]`, the EQ children in ascending order; `child_flow[v]`, the
-    summed dual over the strict child edges; and `strict[LT][v]` and
-    `strict[GT][v]`, lazy heaps of the strict children above and below v,
-    keyed by value so that the top is the nearest one.  A heap entry is
-    fresh while its edge keeps that sign and its child keeps the keyed
-    value; `nearest` drops stale entries from the top.  Once the index
-    exists every sign write goes through `set_sign`, and a strict child
-    whose value was written is entered again with `push` before its
-    parent's heap is next read, so the index cannot drift from `signs`.
+    `signs`, x and z when the first search starts (`build_index`).  Per
+    node v it holds: `eq_kids[v]`, the EQ children in ascending order;
+    `child_flow[v]`, the summed dual over the strict child edges; and
+    `strict[LT][v]` and `strict[GT][v]`, lazy heaps of the strict children
+    above and below v, keyed by value so that the top is the nearest one.
+    A heap entry is fresh while its edge keeps that sign and its child
+    keeps the keyed value; `nearest` drops stale entries from the top.
+    Once the index exists every sign write goes through `set_sign`, and a
+    strict child whose value was written is entered again with `push`
+    before its parent's heap is next read, so the index cannot drift from
+    `signs`.
     """
 
     __slots__ = ("signs", "moved", "level", "eq_kids", "child_flow", "strict",
@@ -245,7 +246,7 @@ class ActiveSet:
 
         A strict edge's dual must already hold its final value: it stays
         in the parent's cached flow until the edge leaves its class.  A
-        write on an edge with an end in the carried block goes on to the
+        write on an edge with an end in the kept block goes on to the
         block, so that the block follows the signs too.
         """
         signs = self.signs
@@ -347,7 +348,7 @@ class PrimalDualState:
 class ComponentView:
     """The moving equality block: the equal-valued component of the anchor.
 
-    The block persists across search steps and extensions (it is carried
+    The block persists across search steps and extensions (it is kept
     in `ActiveSet.block`) and is updated, not rebuilt, when a component
     joins it or a half departs; it is built afresh only when a search's
     anchor lies outside it.  It holds its members `nodes`, its `top` (the
@@ -363,7 +364,7 @@ class ComponentView:
     edge's dual when that edge is strict), and the numbers of members
     without a polynomial form and with a cubic term (so that c3 is
     exactly 0.0 when no cubic member is left).  `sub[anchor]` is the
-    whole block.  A change at u is carried from u up to the anchor, and
+    whole block.  A change at u is passed from u up to the anchor, and
     `set_anchor` turns round the edges between the old anchor and the
     new one, retaking those members' sums from their children.
 
@@ -606,11 +607,6 @@ class ComponentView:
             return sum(self._loss[w].derivative(v) for w in self._far(u))
         return poly_derivative((h[0], h[1], h[2]), v)
 
-    def _edged(self):
-        """The members with an edge towards the anchor: all but the anchor."""
-        anchor = self.anchor
-        return (u for u in self.nodes if u != anchor)
-
     # -- the block as one variable ----------------------------------------
 
     def _snapshot(self):
@@ -649,13 +645,12 @@ class ComponentView:
     def refresh(self, s: int):
         """The boundary lists for direction s, and the step's snapshot."""
         active, x = self._active, self._x
-        above, below = active.strict[LT], active.strict[GT]
         out = []
         for v in list(self.rim) if self.rim else ():
             c = active.nearest(v, -s, x)
             if c is not None:
                 out.append(((v, c), c))
-            elif not above[v] and not below[v]:
+            elif active.nearest(v, s, x) is None:
                 self.rim.discard(v)
         self.boundary_out = out
         top = self.top
@@ -702,12 +697,12 @@ class ComponentView:
 
     def duals_at(self, t: float) -> Dict[Edge, float]:
         """Dual values on the internal edges at parameter t."""
-        return self._duals(self._edged(), self.value_at(t))
+        return self._duals(self.toward, self.value_at(t))
 
     def flush(self):
         """Write the internal duals at the block's value into z."""
         if self.nodes:
-            self._z.update(self._duals(self._edged(), self.value))
+            self._z.update(self._duals(self.toward, self.value))
 
     # -- following sign writes --------------------------------------------
 
@@ -793,7 +788,6 @@ class StepRecord:
     t_star: float             # final dual value of the new edge
     attach_derivative: float  # loss derivative at the attachment point
     t_path: Tuple[float, ...] = ()  # parameter value after each search step
-    pair: Optional[tuple] = None    # (x, z) snapshot when recording is on
 
 
 @dataclass
@@ -831,21 +825,15 @@ class Solver:
         self._parent = [0] * (n + 1)
         self._lam = [0.0] * (n + 1)
         self._mu = [0.0] * (n + 1)
-        self._children: List[List[int]] = [[] for _ in range(n + 1)]
         for c in range(2, n + 1):
             p, lam, mu = arb.parent[c]
             self._parent[c] = p
             self._lam[c] = lam
             self._mu[c] = mu
-            self._children[p].append(c)
         self._loss: List[Optional[Loss]] = [None] + list(problem.losses)
         self._attachments = decompose(arb)
 
     # -- plumbing ---------------------------------------------------------
-
-    def _weights(self, edge: Edge) -> Tuple[float, float]:
-        child = edge[1]
-        return self._lam[child], self._mu[child]
 
     def _edges(self, children):
         """Weighted edges (parent, child, lambda, mu) into the given children."""
@@ -884,11 +872,11 @@ class Solver:
         if validate:
             fresh = build_initial_active_set(x, self._edges(range(2, m + 1)))
             for e, sign in fresh.signs.items():
-                carried = active.signs.get(e)
-                if carried != sign:
+                kept = active.signs.get(e)
+                if kept != sign:
                     raise InternalInvariantError(
-                        "carried sign of edge %s is %s, its values give %s"
-                        % (e, SIGN_NAME.get(carried, "none"), SIGN_NAME[sign])
+                        "kept sign of edge %s is %s, its values give %s"
+                        % (e, SIGN_NAME.get(kept, "none"), SIGN_NAME[sign])
                     )
             fresh.build_index(len(self._parent) - 1, x, z)
             self._check_index(active, fresh, x)
@@ -924,15 +912,13 @@ class Solver:
                              s: int) -> ComponentView:
         """The block of `anchor`, ready for one search step in direction s.
 
-        The carried block is used when it holds the anchor; otherwise its
+        The kept block is used when it holds the anchor; otherwise its
         internal duals are written out and the anchor's equality component
         is built afresh: the walk up EQ parent edges to its top, then one
         pass down EQ child edges listing the members, whose subtree sums
         are taken bottom up.
         """
         active = state.active
-        if active.eq_kids is None:
-            active.build_index(len(self._parent) - 1, state.x, state.z)
         view = active.block
         fresh = view is None or anchor not in view.nodes
         if view is None:
@@ -966,7 +952,7 @@ class Solver:
                 )
 
     def _check_view(self, view: ComponentView, state: PrimalDualState):
-        """Validation: the carried block must equal a fresh build, `state.reference`.
+        """Validation: the kept block must equal a fresh build, `state.reference`.
 
         Members, top and each member's neighbour towards the anchor
         exactly; every member's subtree sums and keys within ANCHOR_RTOL
@@ -981,14 +967,14 @@ class Solver:
             fresh._clean(s)
         if fresh.nodes != view.nodes or fresh.top != view.top:
             raise InternalInvariantError(
-                "carried block %s (top %d) differs from the component %s (top %d)"
+                "kept block %s (top %d) differs from the component %s (top %d)"
                 % (sorted(view.nodes), view.top, sorted(fresh.nodes), fresh.top)
             )
         if fresh.toward != view.toward:
             bad = sorted(u for u in fresh.nodes
                          if view.toward.get(u) != fresh.toward.get(u))
             raise InternalInvariantError(
-                "carried block roots members %s at the wrong neighbour towards "
+                "kept block roots members %s at the wrong neighbour towards "
                 "anchor %d" % (bad, view.anchor)
             )
         for u, want in fresh.sub.items():
@@ -1003,7 +989,7 @@ class Solver:
                     bad = abs(got - expect) > ANCHOR_RTOL * (1.0 + abs(expect))
                 if bad:
                     raise InternalInvariantError(
-                        "carried sums or keys of member %d are %s, a fresh build "
+                        "kept sums or keys of member %d are %s, a fresh build "
                         "gives %s" % (u, [g for g, _ in pairs], [w for _, w in pairs])
                     )
         if not fresh.rim <= view.rim:
@@ -1161,9 +1147,8 @@ class Solver:
                 % (sorted(joined_out), sorted(want_out))
             )
         for e, below in departing:
-            lam, mu = self._weights(e)
             sign = s if below else -s
-            z[e] = -lam if sign == GT else mu
+            z[e] = -self._lam[e[1]] if sign == GT else self._mu[e[1]]
             active.set_sign(e, sign, x, z)
             active.moved.add(e[1])
             state.departed.add(e)
@@ -1181,11 +1166,11 @@ class Solver:
     def _tied_children(self, view: ComponentView, state: PrimalDualState,
                        th: Thresholds, s: int) -> set:
         """Validation: the outgoing boundary edges tied at the binding move,
-        found by scanning every child of every member."""
-        signs, x = state.active.signs, state.x
+        found by scanning every signed edge."""
+        nodes, x = view.nodes, state.x
         return {
-            (v, c) for v in view.nodes for c in self._children[v]
-            if signs.get((v, c)) == -s
+            (v, c) for (v, c), sign in state.active.signs.items()
+            if sign == -s and v in nodes
             and abs(view.move_to(x[c], th.t, s) - th.best) <= TIE_TOL
         }
 
@@ -1238,34 +1223,27 @@ class Solver:
     # -- extension and outer loop -------------------------------------------
 
     def extend(self, x: Dict[int, float], z: Dict[Edge, float],
-               attachment: Attachment, record_pair: bool = False,
-               validate: bool = False, active: Optional[ActiveSet] = None):
+               attachment: Attachment, active: ActiveSet, validate: bool = False):
         """Extend an optimal pair on prefix 1..m to one on 1..m+1.
 
         Mutates x and z in place and returns (x, z, record).  The branch
         is picked by the attached loss's derivative at the attachment
         point: zero copies the value across with a zero dual, positive
         searches downward (s = -1), negative upward (s = +1).  A zero
-        attachment bound
-        pins t at 0 immediately (the admissible interval is {0}).
+        attachment bound pins t at 0 immediately (the admissible interval
+        is {0}).
 
-        `active` is the active set carried from the previous extension of
-        the same solve, with its block.  A search starts by reclassifying
-        only the edges next to its moved nodes that can have changed class
-        (see `_reclassify`).  Recorded as moved are the attached node, on
-        every branch, and of a search the final block's top and both ends
-        of each departed half's top edge: every other member's parent edge
-        lies inside a block or a half, whose members hold one value.
-        Without `active` (x and z owned by the caller), every prefix node
-        counts as moved, so the first search classifies all prefix edges,
-        and the block's internal duals are written out before returning.
+        `active` is the active set kept from the previous extension of the
+        same solve, with its block, whose internal duals stay unwritten.  A
+        search starts by reclassifying only the edges next to its moved
+        nodes that can have changed class (see `_reclassify`).  Recorded as
+        moved are the attached node, on every branch, and of a search the
+        final block's top and both ends of each departed half's top edge:
+        every other member's parent edge lies inside a block or a half,
+        whose members hold one value.
         """
         child, i_m = attachment.child, attachment.parent
         m = child - 1
-        carried = active is not None
-        if active is None:
-            active = ActiveSet()
-            active.moved.update(range(1, m + 1))
         attach_loss = self.problem.loss_of(child)
         d = attach_loss.derivative(x[i_m])
         iterations = 0
@@ -1321,16 +1299,12 @@ class Solver:
             )
         record = StepRecord(child, branch, iterations, cap, eq_calls, t_star, d,
                             tuple(t_path))
-        if (record_pair or not carried) and active.block is not None:
-            active.block.flush()
-        if record_pair:
-            record.pair = (dict(x), dict(z))
         return x, z, record
 
-    def solve(self, record_pairs: bool = False, validate: bool = False):
+    def solve(self, validate: bool = False):
         """Solve the full problem; returns (x, z, stats).
 
-        One active set is carried through every extension.  The returned
+        One active set is kept through every extension.  The returned
         pair is certified: its flow-system residual is at most the solver
         tolerance, otherwise CertificateError is raised.
         """
@@ -1339,10 +1313,7 @@ class Solver:
         active = ActiveSet()
         stats = SolveStats()
         for attachment in self._attachments:
-            _, _, record = self.extend(
-                x, z, attachment, record_pair=record_pairs, validate=validate,
-                active=active,
-            )
+            _, _, record = self.extend(x, z, attachment, active, validate)
             stats.steps.append(record)
         if active.block is not None:
             active.block.flush()

@@ -1,5 +1,6 @@
 """Shared fixtures: the demo instance, random corpora and timing records."""
 
+import dataclasses
 import random
 import time
 from pathlib import Path
@@ -9,7 +10,7 @@ import pytest
 from treeiso.api import build_problem, random_problem
 from treeiso.loss import QuarticQuadratic, WeightedQuadratic
 from treeiso.solver import Problem, Solver
-from treeiso.tree import DirectedTree, INF, normalize
+from treeiso.tree import Arborescence, DirectedTree, INF, normalize
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEMO_PATH = REPO_ROOT / "instances" / "demo_tree.json"
@@ -49,6 +50,38 @@ def make_demo_problem() -> Problem:
 @pytest.fixture
 def demo_problem() -> Problem:
     return make_demo_problem()
+
+
+def prefix_problem(problem: Problem, m: int) -> Problem:
+    """The normal form's prefix on nodes 1..m as a problem of its own.
+
+    Each extension leaves the prefix solved, so the pair after node m is
+    added is this problem's solution.
+    """
+    arb = problem.arb
+    prefix = Arborescence(
+        m,
+        {c: arb.parent[c] for c in range(2, m + 1)},
+        {v: arb.original_label[v] for v in range(1, m + 1)},
+        {e for e in arb.flipped if e[1] <= m},
+    )
+    return Problem(prefix, problem.losses[:m])
+
+
+def hexed(values: dict) -> dict:
+    """Floats by their bits, so that -0.0 and 0.0 differ."""
+    return {k: v.hex() for k, v in values.items()}
+
+
+def record_bits(rec) -> tuple:
+    """A StepRecord's fields, floats and float tuples by their bits."""
+    def bits(value):
+        if isinstance(value, float):
+            return value.hex()
+        if isinstance(value, tuple):
+            return tuple(bits(v) for v in value)
+        return value
+    return tuple(bits(getattr(rec, f.name)) for f in dataclasses.fields(rec))
 
 
 class CorpusEntry:

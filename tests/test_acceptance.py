@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from conftest import DEMO_X, DEMO_Z, make_demo_problem
+from conftest import DEMO_X, DEMO_Z, make_demo_problem, prefix_problem
 from treeiso.oracle import enumerate_optimum, pava
 from treeiso.solver import Solver
 from treeiso.tree import INF
@@ -49,7 +49,7 @@ def attachment_bounds(problem, node):
 def test_worked_example_with_intermediates(acceptance_log):
     with _Criterion(acceptance_log, 1, "worked example with intermediate pairs") as c:
         problem = make_demo_problem()
-        x, z, stats = Solver(problem).solve(record_pairs=True)
+        x, z, _ = Solver(problem).solve()
         dev = max(
             max(abs(x[v] - DEMO_X[v]) for v in DEMO_X),
             max(abs(z[e] - DEMO_Z[e]) for e in DEMO_Z),
@@ -64,8 +64,9 @@ def test_worked_example_with_intermediates(acceptance_log):
                 {(1, 2): -2.0, (1, 3): 2.0, (3, 4): 4.0},
             ),
         ]
-        for rec, (want_x, want_z) in zip(stats.steps, expected_pairs):
-            got_x, got_z = rec.pair
+        # The pair after node m is added solves the prefix problem on 1..m.
+        for m, (want_x, want_z) in enumerate(expected_pairs, start=2):
+            got_x, got_z, _ = Solver(prefix_problem(problem, m)).solve()
             ok = ok and all(
                 abs(got_x[v] - want_x[v]) <= 1e-8 for v in want_x
             ) and all(abs(got_z[e] - want_z[e]) <= 1e-8 for e in want_z)

@@ -8,27 +8,12 @@ import random
 import pytest
 
 import treeiso
+from conftest import hexed, record_bits
 from treeiso.api import build_problem, random_problem, solve_tree
 from treeiso.errors import CertificateError, ContractViolationError
 from treeiso.loss import WeightedQuadratic
 from treeiso.solver import Solver
 from treeiso.tree import DirectedTree, map_back
-
-
-def hexed(values: dict) -> dict:
-    """Floats by their bits, so that -0.0 and 0.0 differ."""
-    return {k: v.hex() for k, v in values.items()}
-
-
-def record_bits(rec) -> tuple:
-    """A StepRecord's fields, floats and float tuples by their bits."""
-    def bits(value):
-        if isinstance(value, float):
-            return value.hex()
-        if isinstance(value, tuple):
-            return tuple(bits(v) for v in value)
-        return value
-    return tuple(bits(getattr(rec, f.name)) for f in dataclasses.fields(rec))
 
 
 def rooted_instance(seed: int):

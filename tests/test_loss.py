@@ -324,6 +324,7 @@ def pooled_view(losses, edges, anchor=1):
     z = {(i, j): 0.0 for i, j, _, _ in problem.weighted_edges()}
     state = PrimalDualState(0.0, {v: 0.0 for v in range(1, n + 1)}, z,
                             ActiveSet({e: EQ for e in z}))
+    state.active.build_index(n, state.x, z)
     return Solver(problem).build_component_view(state, anchor, -1)
 
 

@@ -6,7 +6,15 @@ import random
 import pytest
 
 import treeiso.solver
-from conftest import DEMO_OBJECTIVE, DEMO_X, DEMO_Z, make_demo_problem
+from conftest import (
+    DEMO_OBJECTIVE,
+    DEMO_X,
+    DEMO_Z,
+    hexed,
+    make_demo_problem,
+    prefix_problem,
+    record_bits,
+)
 from treeiso.api import build_problem, random_problem
 from treeiso.errors import CertificateError, ContractViolationError, InternalInvariantError
 from treeiso.loss import QuarticQuadratic, WeightedQuadratic
@@ -30,7 +38,21 @@ INF_EDGES = [(1, 2, INF, 0.0), (1, 3, 0.0, INF)]
 
 
 def make_state(t, x, z, signs):
-    return PrimalDualState(t, dict(x), dict(z), ActiveSet(signs))
+    state = PrimalDualState(t, dict(x), dict(z), ActiveSet(signs))
+    state.active.build_index(max(state.x), state.x, state.z)
+    return state
+
+
+def extend_fresh(solver, x, z, attachment):
+    """Extend a pair built by hand: every prefix node counts as moved, so
+    the search classifies all prefix edges, and the block's internal duals
+    are written out before returning."""
+    active = ActiveSet()
+    active.moved.update(range(1, attachment.child))
+    result = solver.extend(x, z, attachment, active)
+    if active.block is not None:
+        active.block.flush()
+    return result
 
 
 def late_search_state():
@@ -306,7 +328,7 @@ class TestExtendTraces:
     def test_two_node_equilibrium(self):
         solver = Solver(make_demo_problem())
         x, z = {1: 4.0}, {}
-        _, _, rec = solver.extend(x, z, Attachment(2, 1, INF, 0.0))
+        _, _, rec = extend_fresh(solver, x, z, Attachment(2, 1, INF, 0.0))
         assert x == {1: 3.0, 2: 3.0}
         assert z == {(1, 2): -1.0}
         assert (rec.branch, rec.iterations, rec.equilibrium_calls) == ("down", 1, 1)
@@ -317,7 +339,7 @@ class TestExtendTraces:
         solver = Solver(make_demo_problem())
         x = {1: 3.0, 2: 3.0}
         z = {(1, 2): -1.0}
-        _, _, rec = solver.extend(x, z, Attachment(3, 1, 0.0, INF))
+        _, _, rec = extend_fresh(solver, x, z, Attachment(3, 1, 0.0, INF))
         assert x == {1: 3.0, 2: 3.0, 3: 2.0}
         assert z == {(1, 2): -1.0, (1, 3): 0.0}
         assert (rec.branch, rec.iterations, rec.equilibrium_calls) == ("down", 0, 0)
@@ -327,7 +349,7 @@ class TestExtendTraces:
         solver = Solver(make_demo_problem())
         x = {1: 3.0, 2: 3.0, 3: 2.0}
         z = {(1, 2): -1.0, (1, 3): 0.0}
-        _, _, rec = solver.extend(x, z, Attachment(4, 3, 0.0, 4.0))
+        _, _, rec = extend_fresh(solver, x, z, Attachment(4, 3, 0.0, 4.0))
         assert x == {1: 4.0, 2: 4.0, 3: 4.0, 4: 4.0}
         assert z == {(1, 2): -2.0, (1, 3): 2.0, (3, 4): 4.0}
         assert (rec.branch, rec.iterations, rec.equilibrium_calls) == ("up", 2, 1)
@@ -338,7 +360,7 @@ class TestExtendTraces:
         solver = Solver(make_demo_problem())
         x = {1: 4.0, 2: 4.0, 3: 4.0, 4: 4.0}
         z = {(1, 2): -2.0, (1, 3): 2.0, (3, 4): 4.0}
-        _, _, rec = solver.extend(x, z, Attachment(5, 3, 3.0, 3.0))
+        _, _, rec = extend_fresh(solver, x, z, Attachment(5, 3, 3.0, 3.0))
         assert x == {1: 3.0, 2: 3.0, 3: 3.0, 4: 4.0, 5: 1.0}
         assert z[(1, 2)] == pytest.approx(-1.0, abs=1e-12)
         assert z[(1, 3)] == pytest.approx(0.0, abs=1e-12)
@@ -353,7 +375,7 @@ class TestExtendTraces:
             [WeightedQuadratic(1.0, 5.0), WeightedQuadratic(3.0, 5.0)],
         )
         x, z = {1: 5.0}, {}
-        _, _, rec = Solver(problem).extend(x, z, Attachment(2, 1, 1.0, 1.0))
+        _, _, rec = extend_fresh(Solver(problem), x, z, Attachment(2, 1, 1.0, 1.0))
         assert rec.branch == "flat"
         assert rec.iterations == 0
         assert x == {1: 5.0, 2: 5.0}
@@ -366,15 +388,14 @@ class TestExtendTraces:
         # x[1] > x[3], but the carried set still says EQ and marks no node moved.
         stale = ActiveSet({(1, 2): EQ, (1, 3): EQ})
         with pytest.raises(InternalInvariantError, match=r"\(1, 3\)"):
-            solver.extend(x, z, Attachment(4, 3, 0.0, 4.0), validate=True,
-                          active=stale)
+            solver.extend(x, z, Attachment(4, 3, 0.0, 4.0), stale, validate=True)
 
     def test_iteration_cap_guard(self, monkeypatch):
         solver = Solver(make_demo_problem())
         monkeypatch.setattr(Solver, "step_minus", lambda self, s, v, a: None)
         x, z = {1: 4.0}, {}
         with pytest.raises(InternalInvariantError, match="search steps"):
-            solver.extend(x, z, Attachment(2, 1, INF, 0.0))
+            extend_fresh(solver, x, z, Attachment(2, 1, INF, 0.0))
 
 
 class TestSolve:
@@ -391,14 +412,42 @@ class TestSolve:
         assert [r.t_star for r in stats.steps] == [-1.0, 0.0, 4.0, -3.0]
 
     def test_demo_intermediate_pairs(self, demo_problem):
-        _, _, stats = Solver(demo_problem).solve(record_pairs=True)
-        x2, z2 = stats.steps[0].pair
+        # The pair after node m is added solves the prefix problem on 1..m.
+        x2, z2, _ = Solver(prefix_problem(demo_problem, 2)).solve()
         assert (x2, z2) == ({1: 3.0, 2: 3.0}, {(1, 2): -1.0})
-        x3, z3 = stats.steps[1].pair
+        x3, z3, _ = Solver(prefix_problem(demo_problem, 3)).solve()
         assert (x3, z3) == ({1: 3.0, 2: 3.0, 3: 2.0}, {(1, 2): -1.0, (1, 3): 0.0})
-        x4, z4 = stats.steps[2].pair
+        x4, z4, _ = Solver(prefix_problem(demo_problem, 4)).solve()
         assert x4 == {1: 4.0, 2: 4.0, 3: 4.0, 4: 4.0}
         assert z4 == {(1, 2): -2.0, (1, 3): 2.0, (3, 4): 4.0}
+
+    @pytest.mark.parametrize("loss_kind", ["quadratic", "mixed"])
+    @pytest.mark.parametrize("shape", ["chain", "star", "random"])
+    def test_each_extension_solves_its_prefix(self, shape, loss_kind, monkeypatch):
+        # After node m is added, the pair (with the block's internal duals
+        # read without writing them into z) is bit for bit the solution of
+        # the prefix problem on 1..m, and so is the extension's record.
+        pairs = []
+        real = Solver.extend
+
+        def spy(self, x, z, attachment, active, validate=False):
+            result = real(self, x, z, attachment, active, validate)
+            block = active.block
+            duals = block._duals(block.toward, block.value) if block else {}
+            pairs.append((hexed(x), hexed({**z, **duals}), record_bits(result[2])))
+            return result
+
+        for seed in (1, 2, 3):
+            problem = build_problem(*random_problem(shape, 40, seed, loss_kind))
+            monkeypatch.setattr(Solver, "extend", spy)
+            Solver(problem).solve()
+            monkeypatch.undo()
+            assert len(pairs) == 39
+            for m, (x, z, rec) in enumerate(pairs, start=2):
+                px, pz, stats = Solver(prefix_problem(problem, m)).solve()
+                assert (x, z) == (hexed(px), hexed(pz)), m
+                assert rec == record_bits(stats.steps[-1]), m
+            pairs.clear()
 
     def test_demo_validated(self, demo_problem):
         x, _, _ = Solver(demo_problem).solve(validate=True)
@@ -620,6 +669,25 @@ class TestPersistentBlock:
         # Most of the chain pools: the search ends in one block of many nodes.
         assert len(set(x.values())) < 60
 
+    def test_rim_members_keep_a_strict_child(self, monkeypatch):
+        # A member stays in the rim while one of its heaps holds a fresh
+        # entry; one whose entries have all gone stale is dropped.
+        bare = []
+        real = Solver.extend
+
+        def spy(self, x, z, attachment, active, validate=False):
+            result = real(self, x, z, attachment, active, validate)
+            if active.block is not None:
+                bare.extend(v for v in active.block.rim
+                            if not (active.fresh_entries(v, LT, x)
+                                    or active.fresh_entries(v, GT, x)))
+            return result
+
+        monkeypatch.setattr(Solver, "extend", spy)
+        problem, _, _ = falling_chain(300, INF, 41)
+        Solver(problem).solve()
+        assert bare == []
+
     def test_deep_anchor_at_scale_matches_pava(self):
         # Far beyond the enumeration oracle's cap: every step anchors at
         # the bottom of one block about 2,000 members deep.
@@ -711,7 +779,7 @@ class TestPersistentBlock:
             leaf = next(u for u in block.nodes if u != block.top)
             block.sub[leaf][1] *= 2.0  # the leaf's subtree now weighs double
 
-        with pytest.raises(InternalInvariantError, match="carried"):
+        with pytest.raises(InternalInvariantError, match="sums or keys of member"):
             self.solve_after_corrupting(corrupt)
 
     def test_wrong_neighbour_towards_anchor_detected(self):

@@ -1,0 +1,42 @@
+"""The source holds no function, method or class that nothing in it names.
+
+Each definition in `src/treeiso/*.py` must be referenced somewhere in
+`src/`: by name, as an attribute, or as an imported name.  Dunder methods
+are called by Python itself and are exempt.  A definition only tests or
+the benchmark reach is dead weight in the program, so it fails here.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "treeiso"
+
+# Wrapped by the benchmark's span table (perfbench/spans.py) for the
+# loss.group_build and loss.group_derivative spans; it goes with them.
+ALLOWED = {"LossGroup"}
+
+
+def definitions_and_references():
+    defined, referenced = {}, set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.setdefault(node.name, "%s:%d" % (path.name, node.lineno))
+            elif isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name)
+    return defined, referenced
+
+
+def test_every_definition_is_referenced():
+    defined, referenced = definitions_and_references()
+    unused = {
+        name: where for name, where in defined.items()
+        if name not in referenced
+        and not (name.startswith("__") and name.endswith("__"))
+    }
+    assert sorted(set(unused) - ALLOWED) == [], unused
+    assert set(unused) >= ALLOWED, "an allowlisted name is referenced or gone"
