@@ -15,16 +15,18 @@ O(1) whatever the group's size: the solver's `ComponentView` keeps these
 sums, and `LossGroup` pools a fixed list (the benchmark traces it).
 
 One scalar problem recurs: at which point does the summed derivative of
-some losses equal a target s?  `pooled_inverse` answers it for any losses:
-closed form when c3 == 0 (every member quadratic), otherwise a safeguarded
-Newton-bisection iteration (`solve_increasing`) on the cubic.  A loss
-without a polynomial form is still supported: then the iteration runs on
-the member sum.  A single loss, a pooled group, the far half of a component
-and `equilibrium_t` (where a pooled component meets a separately
-parametrized attached node) all invert through it, or through the stored
-form it would compute.  A linear tilt needs no wrapper: the oracle, whose
-strict edges add constant slopes to their endpoint losses, moves the
-slopes' negated sum into the target.
+some losses equal a target s?  `pooled_inverse` answers it for any losses,
+in closed form whenever the members have a polynomial form: a quotient
+when c3 == 0 (every member quadratic), otherwise the one real root of the
+cubic, polished by one Newton step (`poly_inverse`).  A loss without a
+polynomial form is still supported: then a safeguarded Newton-bisection
+iteration (`solve_increasing`) runs on the member sum.  A single loss,
+a pooled group, the far half of a component and `equilibrium_t` (where a
+pooled component meets a separately parametrized attached node) all
+invert through it, or through the stored form it would compute.  A
+linear tilt needs no wrapper: the oracle, whose strict edges add constant
+slopes to their endpoint losses, moves the slopes' negated sum into the
+target.
 """
 
 from __future__ import annotations
@@ -103,17 +105,31 @@ def poly_derivative(form, x):
 
 
 def poly_inverse(form, s):
-    """The x at which c0 + c1*x + c3*x^3 equals s (c1 > 0, c3 >= 0)."""
+    """The x at which c0 + c1*x + c3*x^3 equals s (c1 > 0, c3 >= 0).
+
+    With c3 > 0 this is the one real root of the depressed cubic
+    x^3 + (c1/c3)*x - (s - c0)/c3 = 0, in its hyperbolic closed form, then
+    one Newton step that brings it to within a few ulps.  Where the closed
+    form overflows (a subnormal c3 makes r infinite, or |s - c0| is near
+    the float limit), `solve_increasing` finds the root instead.
+    """
     c0, c1, c3 = form
-    guess = (s - c0) / c1
     if c3 == 0.0:
-        return guess
-    return solve_increasing(
-        lambda x: poly_derivative(form, x),
-        lambda x: c1 + 3.0 * c3 * x * x,
-        s,
-        guess,
-    )
+        return (s - c0) / c1
+    # Rooted in s - c0, not c0 - s, so that x takes its sign: s == c0
+    # gives +0.0, as the quotient above does.
+    e = s - c0
+    r = math.sqrt(c1 / (3.0 * c3))
+    x = 2.0 * r * math.sinh(math.asinh(1.5 * e / (c1 * r)) / 3.0)
+    if not math.isfinite(x):
+        x = solve_increasing(
+            lambda v: poly_derivative(form, v),
+            lambda v: c1 + 3.0 * c3 * v * v,
+            s,
+            e / c1,
+        )
+    polished = x - (c1 * x + c3 * x * x * x - e) / (c1 + 3.0 * c3 * x * x)
+    return polished if math.isfinite(polished) else x
 
 
 def pooled_form(losses):
@@ -208,6 +224,10 @@ class WeightedQuadratic(Loss):
     def poly_form(self):
         return -(self.w * self.y), self.w, 0.0
 
+    def inverse_derivative(self, s):
+        # poly_inverse's (s - c0) / c1 with c0 = -(w*y), which rounds alike.
+        return (s + self.w * self.y) / self.w
+
     def __repr__(self):
         return "WeightedQuadratic(w=%r, y=%r)" % (self.w, self.y)
 
@@ -296,8 +316,6 @@ def equilibrium_t(group, boundary_flow: float, attach_loss: Loss) -> float:
             # outputs are meant to stay bit-for-bit reproducible.
             v = (boundary_flow - gc0 - ac0) / (gc1 + ac1)
         else:
-            # Newton's stopping test scales with |target|, so the target
-            # stays the flow rather than absorbing gc0.
             v = poly_inverse((gc0 + ac0, gc1 + ac1, c3), boundary_flow)
     else:
         v = pooled_inverse(group.losses + (attach_loss,), boundary_flow)

@@ -16,8 +16,8 @@ keeps the prefix solution optimal by sliding the new edge's dual value t
 away from zero while maintaining an *active set*: a relation sign per edge
 (LT, EQ, GT).  Edges with sign EQ pool their nodes into equal-valued
 components; the component containing the attachment point moves as a whole,
-parametrized through its pooled loss (closed form when every member is
-quadratic, a Newton solve on one cubic otherwise), while everything else
+parametrized through its pooled loss (closed form: a quotient when every
+member is quadratic, the root of one cubic otherwise), while everything else
 stays frozen.  Threshold computations find the largest |t| step before
 some dual value hits its box end or the moving component collides with a
 frozen neighbor; if the new node's value meets the

@@ -16,6 +16,8 @@ from treeiso.loss import (
     WeightedQuadratic,
     equilibrium_t,
     loss_from_json,
+    poly_derivative,
+    poly_inverse,
     solve_increasing,
 )
 from treeiso.oracle import enumerate_optimum
@@ -165,6 +167,93 @@ class TestSolveIncreasing:
     def test_matches_closed_form_on_lines(self):
         root = solve_increasing(lambda v: 2 * v - 6, lambda v: 2.0, 0.0, 100.0)
         assert abs(root - 3.0) <= 1e-12
+
+
+def round_bits(x, bits=128):
+    """x rounded to `bits` significant bits, to keep a Newton iterate small."""
+    shift = bits - (x.numerator.bit_length() - x.denominator.bit_length())
+    scale = Fraction(2) ** shift
+    return Fraction(round(x * scale)) / scale
+
+
+def exact_root(form, s):
+    """The root of c0 + c1*x + c3*x^3 = s to about 120 bits: Newton in
+    rationals on the exact coefficients, started above the root (an odd
+    cubic, so the negative case is the positive one mirrored)."""
+    c0, c1, c3 = (Fraction(c) for c in form)
+    e = Fraction(s) - c0
+    if e == 0:
+        return Fraction(0)
+    a = abs(e)
+    # Both a/c1 and twice the float cube root of a/c3 lie above the root, and
+    # Newton descends monotonically from above on this convex branch.
+    ratio = a / c3
+    cube = math.exp((math.log(ratio.numerator) - math.log(ratio.denominator)) / 3.0)
+    x = min(a / c1, 2 * Fraction(cube))
+    for _ in range(400):
+        step = (c1 * x + c3 * x * x * x - a) / (c1 + 3 * c3 * x * x)
+        x = round_bits(x - step)
+        if abs(step) <= x * Fraction(1, 2 ** 120):
+            break
+    return x if e > 0 else -x
+
+
+class TestPolyInverse:
+    """The cubic branch of `poly_inverse`: closed form plus one Newton step."""
+
+    def assert_within_ulps(self, form, s, ulps=4):
+        got = poly_inverse(form, s)
+        want = exact_root(form, s)
+        assert abs(Fraction(got) - want) <= ulps * Fraction(math.ulp(float(want))), (
+            form, s, got, float(want))
+
+    def test_matches_exact_root_on_grid(self):
+        for c1 in (1e-3, 0.7, 1e3):
+            for c3 in (5e-324, 1e-310, 1e-200, 1e-20, 1.0, 1e3):
+                for c0 in (0.0, -2.5, 7e5):
+                    for s in (0.0, 1e-3, -3.7, 1e50, -1e100, 1e200, -1e200):
+                        self.assert_within_ulps((c0, c1, c3), s)
+
+    def test_matches_exact_root_on_random_forms(self):
+        rng = random.Random("cubic")
+        for _ in range(500):
+            form = (rng.uniform(-50.0, 50.0), rng.uniform(0.1, 20.0),
+                    10.0 ** rng.uniform(-8.0, 3.0))
+            self.assert_within_ulps(form, rng.uniform(-100.0, 100.0))
+
+    def test_meets_the_iterations_stopping_rule(self):
+        rng = random.Random("stop")
+        for _ in range(500):
+            form = (rng.uniform(-50.0, 50.0), rng.uniform(0.1, 20.0),
+                    rng.uniform(0.01, 5.0))
+            s = rng.uniform(-100.0, 100.0)
+            x = poly_inverse(form, s)
+            assert abs(poly_derivative(form, x) - s) <= 1e-12 * (1.0 + abs(s))
+
+    def test_target_at_c0_gives_positive_zero(self):
+        for form in ((0.0, 1.0, 1.0), (-2.5, 0.7, 3.0), (7e5, 1e3, 1e-20)):
+            x = poly_inverse(form, form[0])
+            assert x == 0.0 and math.copysign(1.0, x) == 1.0
+
+    def test_subnormal_c3_falls_back_to_the_iteration(self, monkeypatch):
+        calls = []
+        real = treeiso.loss.solve_increasing
+        monkeypatch.setattr(treeiso.loss, "solve_increasing",
+                            lambda *args: calls.append(args) or real(*args))
+        poly_inverse((-2.0, 1.0, 1e-3), 5.0)
+        assert calls == []
+        # sqrt(c1 / (3*c3)) overflows, so the closed form is not finite.
+        x = poly_inverse((-2.0, 1.0, 5e-324), 5.0)
+        assert len(calls) == 1
+        assert x == 7.0
+
+    def test_quadratic_inverse_rounds_as_its_form(self):
+        rng = random.Random("quadratic")
+        for _ in range(1000):
+            loss = WeightedQuadratic(rng.uniform(0.5, 3.0), rng.uniform(-10.0, 10.0))
+            s = rng.choice((0.0, -0.0, rng.uniform(-1e3, 1e3)))
+            assert (loss.inverse_derivative(s).hex()
+                    == poly_inverse(loss.poly_form(), s).hex())
 
 
 class TestLossGroup:
@@ -423,8 +512,9 @@ class TestSubgroupInverse:
                             lambda *args: calls.append(args) or real(*args))
         assert far_inverse(view, (3, 4), 2.0) == 6.0
         assert calls == []
+        # The cubic far half of (2, 3) is in closed form too.
         far_inverse(view, (2, 3), 2.0)
-        assert len(calls) == 1
+        assert calls == []
 
 
 class TestEquilibrium:
