@@ -111,7 +111,10 @@ def poly_inverse(form, s):
     x^3 + (c1/c3)*x - (s - c0)/c3 = 0, in its hyperbolic closed form, then
     one Newton step that brings it to within a few ulps.  Where the closed
     form overflows (a subnormal c3 makes r infinite, or |s - c0| is near
-    the float limit), `solve_increasing` finds the root instead.
+    the float limit), `solve_increasing` finds the root instead.  It
+    starts at x0, the root of whichever of c1*x and c3*x^3 alone reaches
+    s - c0 first: the root lies between x0/2 and x0, and c3*x*x*x
+    (evaluated left to right) does not overflow there.
     """
     c0, c1, c3 = form
     if c3 == 0.0:
@@ -122,11 +125,12 @@ def poly_inverse(form, s):
     r = math.sqrt(c1 / (3.0 * c3))
     x = 2.0 * r * math.sinh(math.asinh(1.5 * e / (c1 * r)) / 3.0)
     if not math.isfinite(x):
+        a = abs(e)
         x = solve_increasing(
             lambda v: poly_derivative(form, v),
             lambda v: c1 + 3.0 * c3 * v * v,
             s,
-            e / c1,
+            math.copysign(min(a / c1, a ** (1.0 / 3.0) / c3 ** (1.0 / 3.0)), e),
         )
     polished = x - (c1 * x + c3 * x * x * x - e) / (c1 + 3.0 * c3 * x * x)
     return polished if math.isfinite(polished) else x

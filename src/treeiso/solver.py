@@ -326,7 +326,7 @@ class PrimalDualState:
     x and z are the live solution maps (shared with the caller and updated
     in place); `departed` and `equilibrium_calls` carry the per-search
     bookkeeping backing the churn and single-equilibrium checks.  With
-    `validate`, each step checks its boundary ties against a full scan,
+    `validate`, each step checks its moves and ties against full scans,
     and its key heap against `reference`, the block built afresh.
     """
 
@@ -759,24 +759,6 @@ class ComponentView:
 
 
 @dataclass
-class Thresholds:
-    """Per-edge admissible parameter moves in one search direction s.
-
-    Every move is s times a nonnegative length, so within a class the
-    binding move is the one with the smallest |move|, and an empty class
-    holds the sentinel s*inf.  `per_edge` covers the component edge at the
-    key heap's top and the eligible boundary edges the view lists.
-    """
-
-    per_edge: Dict[Edge, float]
-    internal: float       # over component edges (dual hits a box end)
-    boundary_out: float   # over eligible outgoing boundary edges (value collision)
-    boundary_in: float    # over eligible incoming boundary edges
-    best: float           # the binding move among all three
-    t: float              # the parameter the moves start from
-
-
-@dataclass
 class StepRecord:
     """What one extension did."""
 
@@ -1001,52 +983,54 @@ class Solver:
     # -- thresholds ---------------------------------------------------------
 
     def thresholds(self, view: ComponentView, state: PrimalDualState,
-                   s: int) -> Thresholds:
-        """Largest admissible parameter moves in direction s from the state.
+                   s: int) -> float:
+        """The binding move in direction s from the state: the shortest
+        admissible parameter move, or s*inf when nothing binds.
 
         Each move is s times a nonnegative length.  Component edges bind
         when their dual reaches the box end the search pushes it towards
         (-lambda or +mu, by the edge's orientation relative to the anchor
-        and by s); the binding one is read off the view's key heap top.
+        and by s); the first is read off the view's key heap top.
         Boundary edges bind when the block's value reaches a frozen
-        neighbor it is ordered against.  Infinite bounds and empty classes
-        yield s*inf sentinels.
+        neighbor it is ordered against: a listed strict child (`refresh`
+        lists only children of sign -s) or the top's parent across an
+        edge of sign s.  `_migrate` finds the edges tied with the move.
         """
-        t_q = state.t
-        per_edge: Dict[Edge, float] = {}
+        t_q, x = state.t, state.x
         internal = s * INF
         for u in view.binding(s):
-            per_edge[view.edge_of(u)[0]] = internal = view.move_to(
-                view.keys[s][u], t_q, s)
+            internal = view.move_to(view.keys[s][u], t_q, s)
+        moves = [view.move_to(x[c], t_q, s) for _, c in view.boundary_out]
+        for e, p in view.boundary_in:
+            if state.active.signs[e] == s:
+                moves.append(view.move_to(x[p], t_q, s))
+        boundary = (min if s > 0 else max)(moves, default=s * INF)
         if state.validate:
-            ref = state.reference  # an edge without a key never binds
-            scanned = min((ref.move_to(v, t_q, s) for v in ref.keys[s].values()),
-                          key=lambda dt: s * dt, default=s * INF)
-            if scanned != internal and not abs(scanned - internal) <= TIE_TOL:
+            self._check_moves(state, s, internal, boundary)
+        return boundary if s * boundary < s * internal else internal
+
+    def _check_moves(self, state: PrimalDualState, s: int, internal: float,
+                     boundary: float):
+        """Validation: the binding component edge and boundary moves must
+        equal full scans, of the keys of the block built afresh and of
+        every signed edge at its members."""
+        ref = state.reference  # an edge without a key never binds
+        t_q, x, signs = state.t, state.x, state.active.signs
+        moves = [ref.move_to(v, t_q, s) for v in ref.keys[s].values()]
+        out = [ref.move_to(x[c], t_q, s) for (v, c), sign in signs.items()
+               if sign == -s and v in ref.nodes]
+        p = self._parent[ref.top]
+        if p and signs[(p, ref.top)] == s:
+            out.append(ref.move_to(x[p], t_q, s))
+        pick = min if s > 0 else max
+        for kind, got, scan in (("component", internal, moves),
+                                ("boundary", boundary, out)):
+            scanned = pick(scan, default=s * INF)
+            if scanned != got and not abs(scanned - got) <= TIE_TOL:
                 raise InternalInvariantError(
-                    "binding component edge move %.17g differs from a full scan's "
-                    "%.17g" % (internal, scanned)
+                    "binding %s edge move %.17g differs from a full scan's %.17g"
+                    % (kind, got, scanned)
                 )
-        signs = state.active.signs
-        x = state.x
-        best_of_side = []
-        # Eligible are the neighbors the component moves towards: across
-        # an outgoing edge of sign -s or an incoming edge of sign s.
-        for boundary, eligible in ((view.boundary_out, -s), (view.boundary_in, s)):
-            side_best = s * INF
-            for e, outside in boundary:
-                if signs[e] == eligible:
-                    dt = view.move_to(x[outside], t_q, s)
-                    per_edge[e] = dt
-                    if s * dt < s * side_best:
-                        side_best = dt
-            best_of_side.append(side_best)
-        out_best, in_best = best_of_side
-        best = internal
-        for dt in best_of_side:
-            if s * dt < s * best:
-                best = dt
-        return Thresholds(per_edge, internal, out_best, in_best, best, t_q)
 
     # The benchmark's span table (perfbench/spans.py) wraps these four names
     # for its solver.thresholds and solver.step spans, and the search calls
@@ -1091,14 +1075,16 @@ class Solver:
         return value, attach_value
 
     def _migrate(self, state: PrimalDualState, view: ComponentView,
-                 th: Thresholds, s: int):
-        """Move tied edges between the equality set and the strict sets.
+                 t: float, best: float, s: int):
+        """Move the edges tied with the binding move `best` from t between
+        the equality set and the strict sets.
 
         Component edges tied at the binding move are read first, before a
         join changes any key, as a run from the view's key heap top (the
         move is monotone in the key), each with its edge and side.  A
-        boundary edge joins from the sign its thresholds accepted (-s
-        outgoing, s incoming).  The view lists only each rim member's
+        boundary edge joins from the sign its move was taken under in
+        `thresholds` (-s outgoing, s incoming); each move is taken afresh
+        from the step's snapshot.  The view lists only each rim member's
         nearest strict child on the side moved towards, but the children
         tied with a listed one are a run from the same heap top: each
         joins in turn until the next nearest is not tied.  The joins come
@@ -1109,28 +1095,31 @@ class Solver:
         """
         active = state.active
         signs, x, z = active.signs, state.x, state.z
-        per_edge, best, t = th.per_edge, th.best, th.t
+
+        def tied(v: float) -> bool:
+            return abs(view.move_to(v, t, s) - best) <= TIE_TOL
+
         want_out = want_in = None
-        if state.validate:
-            want_out = self._tied_children(view, state, th, s)
+        if state.validate:  # the ties by a scan of every signed edge and key
+            want_out = {(v, c) for (v, c), sign in signs.items()
+                        if sign == -s and v in view.nodes and tied(x[c])}
             ref = state.reference
             want_in = {ref.edge_of(u)[0] for u, v in ref.keys[s].items()
                        if abs(ref.move_to(v, t, s) - best) <= TIE_TOL}
-        departing = [view.edge_of(u) for u in view.binding(
-            s, lambda v: abs(view.move_to(v, t, s) - best) <= TIE_TOL)]
+        departing = [view.edge_of(u) for u in view.binding(s, tied)]
         if want_in is not None and {e for e, _ in departing} != want_in:
             raise InternalInvariantError(
                 "component edges tied in the heap %s differ from a full scan %s"
                 % (sorted(e for e, _ in departing), sorted(want_in))
             )
         changed = bool(departing)
-        for e, _ in view.boundary_in:
-            if signs[e] == s and abs(per_edge[e] - best) <= TIE_TOL:
+        for e, p in view.boundary_in:
+            if signs[e] == s and tied(x[p]):
                 self._join(state, e)
                 changed = True
         joined_out = []
-        for e, _ in view.boundary_out:
-            if signs[e] != -s or abs(per_edge[e] - best) > TIE_TOL:
+        for e, c in view.boundary_out:
+            if not tied(x[c]):
                 continue
             v = e[0]
             while True:
@@ -1138,7 +1127,7 @@ class Solver:
                 joined_out.append(e)
                 changed = True
                 c = active.nearest(v, -s, x)
-                if c is None or abs(view.move_to(x[c], t, s) - best) > TIE_TOL:
+                if c is None or not tied(x[c]):
                     break
                 e = (v, c)
         if want_out is not None and set(joined_out) != want_out:
@@ -1163,36 +1152,25 @@ class Solver:
             )
         state.active.set_sign(e, EQ, state.x, state.z)
 
-    def _tied_children(self, view: ComponentView, state: PrimalDualState,
-                       th: Thresholds, s: int) -> set:
-        """Validation: the outgoing boundary edges tied at the binding move,
-        found by scanning every signed edge."""
-        nodes, x = view.nodes, state.x
-        return {
-            (v, c) for (v, c), sign in state.active.signs.items()
-            if sign == -s and v in nodes
-            and abs(view.move_to(x[c], th.t, s) - th.best) <= TIE_TOL
-        }
-
     def step(self, state: PrimalDualState, view: ComponentView,
              attachment: Attachment, s: int) -> Optional[float]:
         """One search step in direction s; returns the final t when terminal.
 
-        Moves t to the binding threshold when the ordering gap at that
-        point still has sign -s (or is zero), otherwise to the equilibrium;
-        both are clipped at the new edge's box end in direction s (-lambda
-        going down, +mu going up).  Terminal when t reaches that end or the
-        gap closes; otherwise tied edges migrate between the sign classes
-        and the search continues.
+        Moves t by the binding move `thresholds` returns when the ordering
+        gap at the point reached still has sign -s (or is zero), otherwise
+        to the equilibrium; both are clipped at the new edge's box end in
+        direction s (-lambda going down, +mu going up).  Terminal when t
+        reaches that end or the gap closes; otherwise the edges tied with
+        the move migrate between the sign classes and the search continues.
         """
         t_q = state.t
         attach_loss = self.problem.loss_of(attachment.child)
         limit = attachment.mu if s > 0 else -attachment.lam
         thresholds = self.thresholds_plus if s > 0 else self.thresholds_minus
-        th = thresholds(view, state)
-        use_equilibrium = th.best == s * INF
+        best = thresholds(view, state)
+        use_equilibrium = best == s * INF
         if not use_equilibrium:
-            cand = t_q + th.best
+            cand = t_q + best
             gap = view.value_at(cand) - attach_loss.inverse_derivative(-cand)
             use_equilibrium = s * gap > 0.0
         if use_equilibrium:
@@ -1217,7 +1195,7 @@ class Solver:
             return t_next
         if use_equilibrium:
             raise InternalInvariantError("equilibrium step left a value gap")
-        self._migrate(state, view, th, s)
+        self._migrate(state, view, t_q, best, s)
         return None
 
     # -- extension and outer loop -------------------------------------------

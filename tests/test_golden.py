@@ -18,22 +18,33 @@ The oracle is pinned by its sign patterns, which are discrete, and by the
 demo's `treeiso oracle` output.  Its x on other instances moves with the
 rounding of every pooled inverse, so it is not pinned.
 
+The benchmark's library workloads are pinned on their own generator's
+instances (`perfbench/gen.py`, loaded from its file and never changed
+here), so that a change which keeps the digests above but alters the
+benchmark's solves shows up here.
+
 The CLI's report bytes are pinned beyond the demo too: a long sorted hard
 chain, a random tree whose ids mix integers with strings that need JSON
 escapes, and the oracle's report on a small instance with string ids.
 """
 
+import functools
 import hashlib
+import importlib.util
 import json
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
 from conftest import DEMO_PATH
 from treeiso.api import build_problem, random_problem
 from treeiso.cli import main
+from treeiso.loss import QuarticQuadratic, WeightedQuadratic
 from treeiso.oracle import enumerate_optimum
 from treeiso.solver import Solver
+from treeiso.tree import DirectedTree
 
 N = 40
 
@@ -75,6 +86,21 @@ STEP_SHAPE_DIGESTS = {
     ("chain", "mixed", 2): "fc7aef9c4a09a936",
 }
 
+# Instances 0-2 of seed 1 of each library workload in perfbench/gen.py.
+GEN_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+BENCH_SEED = 1
+BENCH_DIGESTS = {
+    ("random-quadratic", 0): "f4f1ca8f1646c5b1",
+    ("random-quadratic", 1): "ceb63c18e0c0df63",
+    ("random-quadratic", 2): "afd8b7a109faab84",
+    ("star-quadratic", 0): "386cdb38fd21f921",
+    ("star-quadratic", 1): "83990405d222f04e",
+    ("star-quadratic", 2): "287939835fa30a43",
+    ("star-mixed", 0): "bd55cbbc4ff04ec0",
+    ("star-mixed", 1): "7fe0c71796a64680",
+    ("star-mixed", 2): "9cbbf75bf5b46852",
+}
+
 DEMO_SOLVE_JSON_DIGEST = "d2aac72c9f3ab8a6"
 
 # enumerate_optimum's sign patterns on the SOLVE_DIGESTS instances at n = 8.
@@ -107,9 +133,8 @@ def digest(lines) -> str:
     return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()[:16]
 
 
-def solve_digest(shape: str, loss_kind: str, seed: int) -> str:
-    tree, losses = random_problem(shape, N, seed, loss_kind)
-    x, z, stats = Solver(build_problem(tree, losses)).solve()
+def problem_digest(problem) -> str:
+    x, z, stats = Solver(problem).solve()
     lines = ["x %d %s" % (v, encode(x[v])) for v in sorted(x)]
     lines += ["z %d %d %s" % (i, j, encode(z[(i, j)])) for i, j in sorted(z)]
     for rec in stats.steps:
@@ -118,9 +143,38 @@ def solve_digest(shape: str, loss_kind: str, seed: int) -> str:
     return digest(lines)
 
 
+def solve_digest(shape: str, loss_kind: str, seed: int) -> str:
+    tree, losses = random_problem(shape, N, seed, loss_kind)
+    return problem_digest(build_problem(tree, losses))
+
+
 @pytest.mark.parametrize("shape, loss_kind, seed", sorted(SOLVE_DIGESTS))
 def test_solve_digest(shape, loss_kind, seed):
     assert solve_digest(shape, loss_kind, seed) == SOLVE_DIGESTS[(shape, loss_kind, seed)]
+
+
+@functools.lru_cache(maxsize=None)
+def load_gen():
+    spec = importlib.util.spec_from_file_location("perfbench_gen", GEN_PATH)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses looks the module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def bench_problem(workload: str, index: int):
+    """Instance `index` of a library workload, built as the benchmark builds it."""
+    gen = load_gen()
+    inst = gen.generate(gen.WORKLOADS[workload], BENCH_SEED, index)
+    losses = {v: (WeightedQuadratic(*params[1:]) if params[0] == "quadratic"
+                  else QuarticQuadratic(*params[1:]))
+              for v, params in enumerate(inst.losses, start=1)}
+    return build_problem(DirectedTree(inst.n, inst.edges), losses)
+
+
+@pytest.mark.parametrize("workload, index", sorted(BENCH_DIGESTS))
+def test_bench_instance_digest(workload, index):
+    assert problem_digest(bench_problem(workload, index)) == BENCH_DIGESTS[(workload, index)]
 
 
 def step_shape_digest(shape: str, loss_kind: str, seed: int) -> str:

@@ -211,7 +211,9 @@ class TestPolyInverse:
         for c1 in (1e-3, 0.7, 1e3):
             for c3 in (5e-324, 1e-310, 1e-200, 1e-20, 1.0, 1e3):
                 for c0 in (0.0, -2.5, 7e5):
-                    for s in (0.0, 1e-3, -3.7, 1e50, -1e100, 1e200, -1e200):
+                    for s in (0.0, 1e-3, -3.7, 1e50, -1e100, 1e200, -1e200,
+                              1e250, -1e250, 1e300, -1e300, 1e308, -1e308,
+                              1.7e308, -1.7e308):
                         self.assert_within_ulps((c0, c1, c3), s)
 
     def test_matches_exact_root_on_random_forms(self):

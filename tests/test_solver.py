@@ -1,5 +1,6 @@
 """Solver core: active sets, component views, thresholds, search steps."""
 
+import heapq
 import math
 import random
 
@@ -200,31 +201,32 @@ class TestThresholds:
         z = {(1, 2): -2.0, (1, 3): 2.0, (3, 4): 4.0}
         state = make_state(0.0, x, z, {(1, 2): EQ, (1, 3): EQ, (3, 4): EQ})
         view = solver.build_component_view(state, anchor=3, s=-1)
-        th = solver.thresholds_minus(view, state)
+        best = solver.thresholds_minus(view, state)
         # (3, 4) binds at the heap top; (1, 3) and (1, 2) wait below it.
-        assert th.per_edge[(3, 4)] == pytest.approx(0.0, abs=1e-12)
-        assert (1, 3) not in th.per_edge and (1, 2) not in th.per_edge
+        assert [view.edge_of(u)[0] for u in view.binding(-1)] == [(3, 4)]
         moves = reference_moves(solver, view, state, -1)
         assert moves[(3, 4)] == pytest.approx(0.0, abs=1e-12)
         assert moves[(1, 3)] == pytest.approx(-4.0, abs=1e-12)
         assert moves[(1, 2)] == pytest.approx(-8.0, abs=1e-12)
-        assert th.boundary_out == -INF and th.boundary_in == -INF
-        assert th.best == pytest.approx(0.0, abs=1e-12)
+        assert view.boundary_out == [] and view.boundary_in == []
+        assert best == pytest.approx(0.0, abs=1e-12)
 
     def test_downward_after_first_migration(self):
         solver = Solver(make_demo_problem())
         state = late_search_state()
         view = solver.build_component_view(state, anchor=3, s=-1)
-        th = solver.thresholds_minus(view, state)
-        assert th.per_edge[(1, 3)] == pytest.approx(-3.0, abs=1e-12)
+        best = solver.thresholds_minus(view, state)
+        (u,) = view.binding(-1)
+        assert view.edge_of(u)[0] == (1, 3)
+        assert view.move_to(view.keys[-1][u], state.t, -1) == pytest.approx(-3.0, abs=1e-12)
         # (1, 2) waits below the heap top.
         moves = reference_moves(solver, view, state, -1)
         assert moves[(1, 2)] == pytest.approx(-6.0, abs=1e-12)
-        assert th.internal == pytest.approx(-3.0, abs=1e-12)
+        assert moves[(1, 3)] == pytest.approx(-3.0, abs=1e-12)
         # The strict boundary edge (3,4) is in the wrong class for the
-        # downward search, so the boundary aggregates stay at the sentinel.
-        assert th.boundary_out == -INF and th.boundary_in == -INF
-        assert th.best == pytest.approx(-3.0, abs=1e-12)
+        # downward search, so the view lists no boundary edge.
+        assert view.boundary_out == [] and view.boundary_in == []
+        assert best == pytest.approx(-3.0, abs=1e-12)
 
     def test_infinite_bounds_give_sentinels(self):
         problem = Problem(
@@ -234,9 +236,9 @@ class TestThresholds:
         solver = Solver(problem)
         state = make_state(0.0, {1: 4.0, 2: 4.0}, {(1, 2): 1.0}, {(1, 2): EQ})
         view = solver.build_component_view(state, anchor=1, s=-1)
-        assert solver.thresholds_minus(view, state).best == -INF
+        assert solver.thresholds_minus(view, state) == -INF
         view = solver.build_component_view(state, anchor=1, s=1)
-        assert solver.thresholds_plus(view, state).best == INF
+        assert solver.thresholds_plus(view, state) == INF
 
     def test_upward_boundary_join(self):
         solver = Solver(make_demo_problem())
@@ -244,11 +246,11 @@ class TestThresholds:
         z = {(1, 2): -1.0, (1, 3): 0.0}
         state = make_state(0.0, x, z, {(1, 2): EQ, (1, 3): GT})
         view = solver.build_component_view(state, anchor=3, s=1)
-        th = solver.thresholds_plus(view, state)
-        assert th.per_edge[(1, 3)] == pytest.approx(1.0, abs=1e-12)
-        assert th.boundary_in == pytest.approx(1.0, abs=1e-12)
-        assert th.internal == INF
-        assert th.best == pytest.approx(1.0, abs=1e-12)
+        best = solver.thresholds_plus(view, state)
+        assert view.boundary_in == [((1, 3), 1)]
+        assert view.move_to(state.x[1], state.t, 1) == pytest.approx(1.0, abs=1e-12)
+        assert view.binding(1) == []  # no component edge binds
+        assert best == pytest.approx(1.0, abs=1e-12)
 
 
 class TestStepFunctions:
@@ -632,6 +634,28 @@ class TestStrictChildIndex:
         monkeypatch.setattr(Solver, "build_component_view", corrupt)
         with pytest.raises(InternalInvariantError, match="boundary ties from the heaps"):
             Solver(self.tied_leaves_problem(k)).solve(validate=True)
+
+    def test_lost_nearest_child_detected(self, monkeypatch):
+        # Two leaves end their extensions strict below the hub at -1 and
+        # -5, and a heavy third leaf then pulls the hub down onto both.
+        # Once the search's index check has passed, the hub's heap loses
+        # its top, leaf -1: the view lists leaf -5 instead, and the scan
+        # of every child finds the boundary move to -1 nearer.
+        edges = [(1, 2, 1.0, 1.0), (1, 3, 1.0, 1.0), (1, 4, INF, INF)]
+        losses = [WeightedQuadratic(1.0, 10.0), WeightedQuadratic(1.0, 0.0),
+                  WeightedQuadratic(1.0, -4.0), WeightedQuadratic(10.0, -20.0)]
+        problem = Problem(normalize(DirectedTree(4, edges)), losses)
+        real = Solver.build_component_view
+
+        def corrupt(self, state, anchor, s):
+            heap = state.active.strict[GT][1]
+            if len(heap) == 2:
+                heapq.heappop(heap)
+            return real(self, state, anchor, s)
+
+        monkeypatch.setattr(Solver, "build_component_view", corrupt)
+        with pytest.raises(InternalInvariantError, match="binding boundary edge move"):
+            Solver(problem).solve(validate=True)
 
 
 def falling_chain(n, lam, seed):
