@@ -7,9 +7,10 @@ back to the orientation the file declared, and the certificate residual
 in every report is recomputed on that original orientation.
 
 Exit codes: 0 success; 2 unreadable file (not UTF-8, or nested too
-deeply), JSON syntax error or bad usage; 3 instance violates the
-format's invariants; 4 certification or cross-check failure; 5 internal
-failure or an out-of-scope request (oracle size cap).
+deeply), JSON syntax error, an over-long integer literal or bad usage;
+3 instance violates the format's invariants; 4 certification or
+cross-check failure; 5 internal failure or an out-of-scope request
+(oracle size cap).
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ import argparse
 import json
 import sys
 import time
+from itertools import chain
+from operator import itemgetter
 from typing import Dict, List, Tuple
 
 from .api import build_problem, random_problem, solve_tree
@@ -215,6 +218,8 @@ def load_problem_file(path: str) -> ProblemFile:
         )
     except RecursionError:
         raise _CliError(EXIT_USAGE, "%s: JSON nested too deeply" % path)
+    except ValueError as exc:  # an integer literal over int's digit limit
+        raise _CliError(EXIT_USAGE, "%s: %s" % (path, exc))
     return ProblemFile.from_json(obj)
 
 
@@ -239,17 +244,62 @@ def _emit_other(value) -> str:
     raise ContractViolationError("cannot serialize %r" % (value,))
 
 
+def _emit_value(value) -> str:
+    return (_WRITERS.get(type(value)) or _emit_other)(value)
+
+
+def _column(values):
+    """A `%` conversion and its arguments for a run of values.
+
+    A finite float run is written by `%.17g` and an int run by `%d`, in C;
+    a str run is encoded once per distinct string; any other run passes
+    each value's text to `%s`.  Types are tested exactly, so a bool is not
+    an int and a subclass reaches `_emit_other`.
+    """
+    types = set(map(type, values))
+    if len(types) == 1:
+        kind = types.pop()
+        if kind is float and INF not in values and -INF not in values:
+            return "%.17g", values
+        if kind is int:
+            return "%d", values
+        if kind is str:
+            codes = {text: _encode_str(text) for text in set(values)}
+            return "%s", map(codes.__getitem__, values)
+    return "%s", map(_emit_value, values)
+
+
 def _emit_dict(obj: dict) -> str:
-    writer = _WRITERS.get
-    return "{%s}" % ", ".join([
-        _encode_str(str(k)) + ": " + (writer(type(v)) or _emit_other)(v)
-        for k, v in obj.items()
+    conversion, args = _column(obj.values())
+    return "{%s}" % ", ".join(map(("%s: " + conversion).__mod__,
+                                  zip(map(_encode_str, map(str, obj)), args)))
+
+
+def _emit_rows(rows, keys: list) -> str:
+    """Dicts that all hold the same str keys in the same order, through one
+    row template whose conversions are their columns'."""
+    if not keys:
+        return ", ".join(["{}"] * len(rows))
+    columns = [_column(list(map(itemgetter(key), rows))) for key in keys]
+    template = "{%s}" % ", ".join([
+        "%s: %s" % (_encode_str(key).replace("%", "%%"), conversion)
+        for key, (conversion, _) in zip(keys, columns)
     ])
+    return ", ".join(map(template.__mod__, zip(*[args for _, args in columns])))
 
 
 def _emit_list(obj) -> str:
-    writer = _WRITERS.get
-    return "[%s]" % ", ".join([(writer(type(v)) or _emit_other)(v) for v in obj])
+    # Rows share the first row's keys in its order, each an exact str: 1,
+    # True and 1.0 are equal keys whose texts differ.
+    if obj and type(obj[0]) is dict and set(map(type, obj)) == {dict}:
+        keys = list(obj[0])
+        flat = list(chain.from_iterable(obj))
+        if flat == keys * len(obj) and set(map(type, flat)) <= {str}:
+            return "[%s]" % _emit_rows(obj, keys)
+    conversion, args = _column(obj)
+    if conversion != "%s":
+        args = map(conversion.__mod__, args)
+    return "[%s]" % ", ".join(args)
 
 
 _WRITERS = {
@@ -270,8 +320,16 @@ def emit_json(obj) -> str:
     Infinities are written as the strings "inf" and "-inf"; keys and
     strings are ASCII-escaped as `json.dumps` escapes them, and items are
     separated by ", " and ": ".
+
+    Values of one exact type are written in bulk, with the bytes a value
+    by value writer gives: a dict's values and a list's items as one
+    column, and a list of dicts with the same str keys in the same order
+    as rows of one template, one column per key.  A column of finite
+    floats goes through `%.17g` and one of ints through `%d`; a str column
+    is encoded once per distinct string; any other column is written
+    value by value.
     """
-    return (_WRITERS.get(type(obj)) or _emit_other)(obj)
+    return _emit_value(obj)
 
 
 def solution_report(pf: ProblemFile, tree: DirectedTree, losses: Dict[int, Loss],

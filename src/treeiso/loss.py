@@ -173,7 +173,11 @@ def _finite(value, what):
     if type(value) is not float and (isinstance(value, bool)
                                      or not isinstance(value, numbers.Real)):
         raise MalformedInstanceError("%s must be a real number, got %r" % (what, value))
-    v = float(value)
+    try:
+        v = float(value)
+    except OverflowError:
+        raise MalformedInstanceError(
+            "%s must be finite, got a number beyond the float range" % what) from None
     if not math.isfinite(v):
         raise MalformedInstanceError("%s must be finite, got %r" % (what, value))
     return v

@@ -799,7 +799,11 @@ class Solver:
             raise ContractViolationError(
                 "tolerance must be a nonnegative number, got %r" % (tol,)
             )
-        tol = float(tol)
+        try:
+            tol = float(tol)
+        except OverflowError:
+            raise ContractViolationError(
+                "tolerance must be within the float range") from None
         self.problem = problem
         self.tol = tol
         arb = problem.arb

@@ -30,12 +30,16 @@ def check_weight(value, what, edge):
     # float() would also take True or "Infinity"; the float test skips the ABC check.
     real = type(value) is float or (isinstance(value, numbers.Real)
                                     and not isinstance(value, bool))
-    if not real or math.isnan(value) or value < 0:
+    try:
+        if not real or math.isnan(value) or value < 0:
+            raise MalformedInstanceError(
+                "edge %s: %s must be a nonnegative number or infinity, got %r"
+                % (edge, what, value)
+            )
+        return float(value)
+    except OverflowError:  # an integer or fraction beyond the float range
         raise MalformedInstanceError(
-            "edge %s: %s must be a nonnegative number or infinity, got %r"
-            % (edge, what, value)
-        )
-    return float(value)
+            "edge %s: %s is beyond the float range" % (edge, what)) from None
 
 
 class DirectedTree:

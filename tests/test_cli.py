@@ -1,8 +1,10 @@
 """CLI surface: instance files, report formats, exit codes, bench output."""
 
 import json
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import treeiso.cli as cli
 from conftest import DEMO_PATH
@@ -273,6 +275,36 @@ class TestInstanceErrors:
         code, _, err = run_cli(capsys, "solve", str(path))
         assert code == EXIT_USAGE
         assert "latin1.json" in err
+
+    # 401 digits: a valid JSON integer that no float can hold.
+    @pytest.mark.parametrize("command", ["solve", "oracle"])
+    @pytest.mark.parametrize("mutate, fragment", [
+        (lambda o: o["edges"][0].update({"lambda": 10 ** 400}),
+         "edges[0].lambda: weight 1000"),
+        (lambda o: o["nodes"][1]["loss"].update({"y": -(10 ** 400)}),
+         "nodes[1].loss: quadratic target y must be finite"),
+    ], ids=["weight", "loss"])
+    def test_integer_beyond_float_range(self, capsys, tmp_path, command, mutate, fragment):
+        obj = {
+            "nodes": [{"id": 1, "loss": quad(1.0)}, {"id": 2, "loss": quad(2.0)}],
+            "edges": [{"from": 1, "to": 2, "lambda": 1.0, "mu": 1.0}],
+        }
+        mutate(obj)
+        code, _, err = run_cli(capsys, command, write_instance(tmp_path, obj))
+        assert code == EXIT_INSTANCE
+        assert fragment in err
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="no limit on the digits of an int literal")
+    def test_integer_literal_over_digit_limit(self, capsys, tmp_path):
+        path = tmp_path / "long.json"
+        path.write_text('{"nodes": [{"id": 1, "loss": {"type": "quadratic", '
+                        '"y": %s, "w": 1.0}}], "edges": []}'
+                        % ("9" * (sys.get_int_max_str_digits() + 1)),
+                        encoding="utf-8")
+        code, _, err = run_cli(capsys, "solve", str(path))
+        assert code == EXIT_USAGE
+        assert err.startswith("error: %s: " % path)
 
     def test_json_nested_too_deeply(self, capsys, tmp_path):
         path = tmp_path / "deep.json"
@@ -598,8 +630,90 @@ class Items(list):
     {"x": {"1": 0.1, "caf\u00e9": -0.0, 'q"\\\x07\t': 1e308}, "z": [], "t": ()},
     [INF, -INF, float("nan"), 5e-324, -1.5, 2 ** 70, -3, True, False, None],
     {1: "one", 2.5: ["two", ("three", {"four": {}})], None: [[]], True: "\u2603"},
+    # Rows of one shape, columns of one type, and what must not take them.
+    [{}, {}, {}],
+    [{"a": 1.0}],
+    [{"%s": 0.5, "%(x)s": 1, "%": "s", "%%": False},
+     {"%s": INF, "%(x)s": 2, "%": "s", "%%": 0}],
+    [{"k": 1}, {True: 1}],
+    [{"a": 1, "b": 2}, {"b": 2, "a": 1}],
+    [{"a": 1}, {"a": 1, "b": 2}],
+    {"a": False, "b": 0, "c": 0.0, "d": -0.0},
+    [False, 0, 0.0, -0.0, True, 1, 1.0],
+    [-0.0, 0.0, float("nan"), 5e-324, 1e308],
+    ["a", "a", "\u00e9", "a"],
 ])
 def test_emit_json_matches_reference(payload):
+    assert emit_json(payload) == reference_emit(payload)
+
+
+# Keys with `%` would break a row template built without escaping; values
+# that compare equal across types (False, 0, 0.0, -0.0) would merge in a
+# memo keyed by value.
+_KEYS = st.one_of(
+    st.sampled_from(["%", "%s", "%(x)s", "%%d", "x", "caf\u00e9", 'q"\\\x07']),
+    st.text(max_size=3),
+)
+_EDGE_VALUES = st.sampled_from([
+    False, 0, 0.0, -0.0, True, 1, 1.0, INF, -INF, float("nan"), -float("nan"),
+    5e-324, 1e308, -1e308, 2 ** 70, -(2 ** 70), None, "", "a%s", "\u2603",
+])
+_FLOATS = st.one_of(st.floats(), st.sampled_from([INF, -INF, float("nan"), 5e-324, 1e308, -0.0]))
+_INTS = st.one_of(st.integers(), st.sampled_from([0, -1, 2 ** 70, -(2 ** 70)]))
+_TEXTS = st.text(max_size=4)
+# Each key is written with its own text, so 1, True and 1.0 are different keys.
+_TWINS = {0: (0, False, 0.0), 1: (1, True, 1.0)}
+
+
+def _column(values, size):
+    return st.sampled_from(
+        [_FLOATS, st.floats(allow_nan=False, allow_infinity=False), _INTS, _TEXTS,
+         st.booleans(), _EDGE_VALUES, values]
+    ).flatmap(lambda kind: st.lists(kind, min_size=size, max_size=size))
+
+
+@st.composite
+def _rows(draw, values):
+    keys = draw(st.lists(st.one_of(_KEYS, st.sampled_from(sorted(_TWINS))),
+                         unique=True, max_size=4))
+    count = draw(st.integers(1, 4))
+    columns = [draw(_column(values, count)) for _ in keys]
+    # Rows with the same keys in another order are written in their own order.
+    shuffled = draw(st.booleans())
+    rows = []
+    for r in range(count):
+        order = draw(st.permutations(range(len(keys)))) if shuffled else range(len(keys))
+        rows.append({
+            draw(st.sampled_from(_TWINS[keys[c]])) if keys[c] in _TWINS else keys[c]:
+            columns[c][r] for c in order
+        })
+    return rows
+
+
+@st.composite
+def _column_dict(draw, values):
+    keys = draw(st.lists(_KEYS, unique=True, max_size=5))
+    return dict(zip(keys, draw(_column(values, len(keys)))))
+
+
+_PAYLOADS = st.recursive(
+    st.one_of(_EDGE_VALUES, _FLOATS, _INTS, _TEXTS),
+    lambda values: st.one_of(
+        st.lists(values, max_size=4),
+        st.lists(values, max_size=4).map(tuple),
+        st.dictionaries(st.one_of(_KEYS, _EDGE_VALUES), values, max_size=4),
+        st.integers(0, 5).flatmap(lambda size: _column(values, size)),
+        _column_dict(values),
+        _rows(values),
+        _rows(values).map(tuple),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_PAYLOADS)
+def test_emit_json_matches_reference_on_generated_payloads(payload):
     assert emit_json(payload) == reference_emit(payload)
 
 
@@ -607,6 +721,11 @@ def test_emit_json_matches_reference(payload):
     {1, 2}, {"a": [object()]}, b"bytes",
     # A report holds only exact built-in types; subclasses are refused.
     Mapping(a=Items([Count(7), Real(0.25), Text("s\n")]), b=(Real(INF),)),
+    # ... also inside a column or among rows that the bulk writer takes.
+    [{"t": 0.5}, {"t": Real(0.25)}, {"t": 1.5}],
+    [0.5, Real(0.25)],
+    {"a": 1, "b": Count(2)},
+    [{"v": 1}, Mapping(v=1), {"v": 1}],
 ])
 def test_emit_json_rejects_unsupported_types(payload):
     with pytest.raises(cli.ContractViolationError, match="cannot serialize"):

@@ -592,6 +592,14 @@ class TestJson:
         with pytest.raises(MalformedInstanceError, match="must be a real number"):
             cls(*args)
 
+    @pytest.mark.parametrize("cls, args", [
+        (WeightedQuadratic, (1.0, 10 ** 400)), (WeightedQuadratic, (10 ** 400, 1.0)),
+        (QuarticQuadratic, (1.0, 0.0, 10 ** 400)), (QuarticQuadratic, (1.0, -(10 ** 5000), 0.0)),
+    ], ids=["quadratic-y", "quadratic-w", "quartic-c", "quartic-b"])
+    def test_parameters_beyond_float_range_rejected(self, cls, args):
+        with pytest.raises(MalformedInstanceError, match="beyond the float range"):
+            cls(*args)
+
     def test_integer_and_fraction_parameters_accepted(self):
         loss = QuarticQuadratic(1, Fraction(1, 4), -2)
         assert (loss.a, loss.b, loss.c) == (1.0, 0.25, -2.0)

@@ -491,6 +491,10 @@ class TestSolve:
         with pytest.raises(ContractViolationError, match="tolerance"):
             Solver(demo_problem, tol)
 
+    def test_tolerance_beyond_float_range_rejected(self, demo_problem):
+        with pytest.raises(ContractViolationError, match="tolerance"):
+            Solver(demo_problem, 10 ** 400)
+
     def test_single_node(self):
         problem = Problem(normalize(DirectedTree(1, [])), [WeightedQuadratic(2.0, 5.0)])
         x, z, stats = Solver(problem).solve()

@@ -1,6 +1,7 @@
 """Tree layer: construction, normalization, decomposition and map-back."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -69,6 +70,14 @@ class TestDirectedTree:
             DirectedTree(2, [(1, 2, weight, 1.0)])
         with pytest.raises(MalformedInstanceError, match="mu"):
             DirectedTree(2, [(1, 2, 1.0, weight)])
+
+    @pytest.mark.parametrize("exponent", [400, 5000], ids=["e400", "e5000"])
+    def test_weight_beyond_float_range_rejected(self, exponent):
+        # 10**5000 also has more digits than an int's repr may print.
+        with pytest.raises(MalformedInstanceError, match="lambda is beyond the float range"):
+            DirectedTree(2, [(1, 2, 10 ** exponent, 0.0)])
+        with pytest.raises(MalformedInstanceError, match="mu is beyond the float range"):
+            DirectedTree(2, [(1, 2, 0.0, Fraction(10 ** exponent, 3))])
 
     def test_integer_and_infinite_weights_accepted(self):
         tree = DirectedTree(2, [(1, 2, 2, INF)])
