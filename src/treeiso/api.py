@@ -19,9 +19,25 @@ _WEIGHT_CHOICES = (0.0, 0.5, 2.0, INF)
 
 def build_problem(tree: DirectedTree, losses: Mapping[int, Loss],
                   root: Optional[int] = None) -> Problem:
-    """Normalize a tree and order the losses to match its labels."""
+    """Normalize a tree and order the losses to match its labels.
+
+    Raises ContractViolationError naming a node without a loss, a node
+    whose loss is not a `Loss`, or a key that is no node of the tree.
+    """
     arb = normalize(tree, root)
-    ordered = [losses[arb.original_label[k]] for k in range(1, tree.node_count + 1)]
+    n, label = tree.node_count, arb.original_label
+    try:
+        ordered = [losses[label[k]] for k in range(1, n + 1)]
+    except KeyError as exc:
+        raise ContractViolationError("no loss for node %s" % exc) from None
+    if len(losses) > n:
+        nodes = set(range(1, n + 1))
+        extra = next(key for key in losses if key not in nodes)
+        raise ContractViolationError("a loss for %r, which is no node of the tree" % (extra,))
+    for k, loss in enumerate(ordered, 1):
+        if not isinstance(loss, Loss):
+            raise ContractViolationError(
+                "the loss of node %r is not a Loss, got %r" % (label[k], loss))
     return Problem(arb, ordered)
 
 
@@ -55,8 +71,8 @@ def random_problem(shape: str, n: int, seed: int, loss_kind: str = "quadratic",
     edge gets (lambda, mu) = (inf, 0): a hard nondecreasing chain, so it
     takes only shape "chain" and loss kind "quadratic".
     """
-    if n < 1:
-        raise ContractViolationError("n must be at least 1")
+    if type(n) is not int or n < 1:
+        raise ContractViolationError("n must be a positive integer, got %r" % (n,))
     if isotonic and (shape, loss_kind) != ("chain", "quadratic"):
         raise ContractViolationError(
             "an isotonic instance is a quadratic chain, got shape %r and loss %r"

@@ -3,8 +3,11 @@
 Subcommands: `solve` runs the recursive solver on a JSON instance file,
 `oracle` runs the brute-force enumeration instead, and `bench` times the
 solver on generated instances and prints CSV.  Reported duals are mapped
-back to the orientation the file declared, and the certificate residual
-in every report is recomputed on that original orientation.
+back to the orientation the file declared.  The certificate residual in
+every report is the one computed in solver labels, by the solver's gate
+for `solve` and `bench`: `map_back` only relabels nodes and flips the
+sign of a flipped edge's dual, which keeps the residual up to the order
+in which each node's incident duals are summed.
 
 Exit codes: 0 success; 2 unreadable file (not UTF-8, or nested too
 deeply), JSON syntax error, an over-long integer literal or bad usage;
@@ -333,11 +336,12 @@ def emit_json(obj) -> str:
 
 
 def solution_report(pf: ProblemFile, tree: DirectedTree, losses: Dict[int, Loss],
-                    x, z) -> dict:
-    """Key a pair by file ids and re-certify it there.
+                    x, z, residual: float) -> dict:
+    """Key a pair by file ids, with its objective and certificate residual.
 
     `tree` and `losses` are the dense-labelled instance `pf.build` returned,
-    and (x, z) is a pair in its labels and orientation.
+    (x, z) is a pair in its labels and orientation, and `residual` is its
+    `kkt_residual` as computed in solver labels (`map_back` keeps it).
     """
     dense_ids = pf.dense_ids
     x_out = {str(oid): x[dense_ids[oid]] for oid in pf.ids}
@@ -345,12 +349,11 @@ def solution_report(pf: ProblemFile, tree: DirectedTree, losses: Dict[int, Loss]
         {"from": f, "to": t, "value": z[(dense_ids[f], dense_ids[t])]}
         for f, t, _, _ in pf.edges
     ]
-    loss_of = losses.__getitem__
     return {
         "x": x_out,
         "z": z_out,
-        "objective": objective_value(tree.edges, loss_of, x),
-        "kkt_residual": kkt_residual(tree.edges, loss_of, x, z),
+        "objective": objective_value(tree.edges, losses.__getitem__, x),
+        "kkt_residual": residual,
     }
 
 
@@ -405,7 +408,7 @@ def cmd_solve(args) -> int:
                 raise CertificateError(
                     "solver and enumeration disagree: max |dx| = %.3e" % gap
                 )
-    report = solution_report(pf, tree, losses, x, z)
+    report = solution_report(pf, tree, losses, x, z, stats.final_residual)
     report["stats"] = {
         "inner_iters_total": stats.inner_iters_total,
         "equilibrium_calls": stats.equilibrium_total,
@@ -432,7 +435,8 @@ def cmd_oracle(args) -> int:
         raise pf.in_file_ids(exc) from None
     x_norm, z_norm, pattern = enumerate_optimum(problem)
     x, z = map_back(problem.arb, x_norm, z_norm)
-    report = solution_report(pf, tree, losses, x, z)
+    residual = kkt_residual(problem.weighted_edges(), problem.loss_of, x_norm, z_norm)
+    report = solution_report(pf, tree, losses, x, z, residual)
     # Signs flip with the edge, as duals do.
     _, relations = map_back(problem.arb, x_norm, pattern)
     dense_ids = pf.dense_ids
@@ -466,17 +470,10 @@ def cmd_bench(args) -> int:
             args.shape, args.n, seed, args.loss, isotonic=args.isotonic
         )
         started = time.perf_counter()
-        x, z, stats = solve_tree(tree, losses, tol=args.tol)
+        _, _, stats = solve_tree(tree, losses, tol=args.tol)
         elapsed_ms = (time.perf_counter() - started) * 1000.0
-        residual = kkt_residual(tree.edges, losses.__getitem__, x, z)
-        if not residual <= args.tol:
-            print(
-                "error: seed %d failed verification: residual %.3e" % (seed, residual),
-                file=sys.stderr,
-            )
-            return EXIT_CERTIFICATE
         rows.append((args.n, args.shape, elapsed_ms,
-                     stats.inner_iters_total, residual))
+                     stats.inner_iters_total, stats.final_residual))
     print("n,shape,wall_time_ms,inner_iters_total,kkt_residual")
     for n, shape, ms, iters, residual in rows:
         print("%d,%s,%.3f,%d,%.3e" % (n, shape, ms, iters, residual))

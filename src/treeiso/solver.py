@@ -108,7 +108,7 @@ from .errors import (
     InternalInvariantError,
 )
 from .loss import Loss, equilibrium_t, poly_derivative, poly_inverse, pooled_inverse
-from .tree import Arborescence, Attachment, Edge, decompose
+from .tree import Arborescence, Edge, decompose
 
 INF = math.inf
 
@@ -806,18 +806,8 @@ class Solver:
                 "tolerance must be within the float range") from None
         self.problem = problem
         self.tol = tol
-        arb = problem.arb
-        n = arb.node_count
-        self._parent = [0] * (n + 1)
-        self._lam = [0.0] * (n + 1)
-        self._mu = [0.0] * (n + 1)
-        for c in range(2, n + 1):
-            p, lam, mu = arb.parent[c]
-            self._parent[c] = p
-            self._lam[c] = lam
-            self._mu[c] = mu
+        self._parent, self._lam, self._mu = decompose(problem.arb)
         self._loss: List[Optional[Loss]] = [None] + list(problem.losses)
-        self._attachments = decompose(arb)
 
     # -- plumbing ---------------------------------------------------------
 
@@ -1045,16 +1035,16 @@ class Solver:
     def thresholds_plus(self, view, state):
         return self.thresholds(view, state, 1)
 
-    def step_minus(self, state, view, attachment):
-        return self.step(state, view, attachment, -1)
+    def step_minus(self, state, view, child):
+        return self.step(state, view, child, -1)
 
-    def step_plus(self, state, view, attachment):
-        return self.step(state, view, attachment, 1)
+    def step_plus(self, state, view, child):
+        return self.step(state, view, child, 1)
 
     # -- search steps -------------------------------------------------------
 
     def _apply(self, state: PrimalDualState, view: ComponentView,
-               attachment: Attachment, attach_loss: Loss, t_next: float, s: int):
+               child: int, attach_loss: Loss, t_next: float, s: int):
         value = view.value_at(t_next)
         attach_value = attach_loss.inverse_derivative(-t_next)
         x = state.x
@@ -1074,7 +1064,7 @@ class Solver:
                 c = nearest(v, s, x)
                 if c is not None and not _keeps_side(s, value, x[c]):
                     level.add(v)
-        x[attachment.child] = attach_value
+        x[child] = attach_value
         state.t = t_next
         return value, attach_value
 
@@ -1157,19 +1147,21 @@ class Solver:
         state.active.set_sign(e, EQ, state.x, state.z)
 
     def step(self, state: PrimalDualState, view: ComponentView,
-             attachment: Attachment, s: int) -> Optional[float]:
-        """One search step in direction s; returns the final t when terminal.
+             child: int, s: int) -> Optional[float]:
+        """One search step in direction s for the attached node `child`;
+        returns the final t when terminal.
 
         Moves t by the binding move `thresholds` returns when the ordering
         gap at the point reached still has sign -s (or is zero), otherwise
-        to the equilibrium; both are clipped at the new edge's box end in
-        direction s (-lambda going down, +mu going up).  Terminal when t
-        reaches that end or the gap closes; otherwise the edges tied with
-        the move migrate between the sign classes and the search continues.
+        to the equilibrium; both are clipped at the box end of `child`'s
+        edge in direction s (-lambda going down, +mu going up).  Terminal
+        when t reaches that end or the gap closes; otherwise the edges tied
+        with the move migrate between the sign classes and the search
+        continues.
         """
         t_q = state.t
-        attach_loss = self.problem.loss_of(attachment.child)
-        limit = attachment.mu if s > 0 else -attachment.lam
+        attach_loss = self.problem.loss_of(child)
+        limit = self._mu[child] if s > 0 else -self._lam[child]
         thresholds = self.thresholds_plus if s > 0 else self.thresholds_minus
         best = thresholds(view, state)
         use_equilibrium = best == s * INF
@@ -1191,8 +1183,7 @@ class Solver:
                 % ("increased" if s < 0 else "decreased",
                    "downward" if s < 0 else "upward", t_q, t_next)
             )
-        value, attach_value = self._apply(state, view, attachment, attach_loss,
-                                          t_next, s)
+        value, attach_value = self._apply(state, view, child, attach_loss, t_next, s)
         if t_next == limit:
             return t_next
         if values_equal(value, attach_value):
@@ -1205,8 +1196,9 @@ class Solver:
     # -- extension and outer loop -------------------------------------------
 
     def extend(self, x: Dict[int, float], z: Dict[Edge, float],
-               attachment: Attachment, active: ActiveSet, validate: bool = False):
-        """Extend an optimal pair on prefix 1..m to one on 1..m+1.
+               child: int, active: ActiveSet, validate: bool = False):
+        """Extend an optimal pair on prefix 1..m to one on 1..m+1, where
+        `child` = m+1 attaches through its edge from `self._parent[child]`.
 
         Mutates x and z in place and returns (x, z, record).  The branch
         is picked by the attached loss's derivative at the attachment
@@ -1224,7 +1216,7 @@ class Solver:
         every other member's parent edge lies inside a block or a half,
         whose members hold one value.
         """
-        child, i_m = attachment.child, attachment.parent
+        i_m = self._parent[child]
         m = child - 1
         attach_loss = self.problem.loss_of(child)
         d = attach_loss.derivative(x[i_m])
@@ -1239,7 +1231,7 @@ class Solver:
         else:
             s = -1 if d > 0.0 else 1
             branch = "down" if s < 0 else "up"
-            bound = attachment.lam if s < 0 else attachment.mu
+            bound = self._lam[child] if s < 0 else self._mu[child]
             if bound == 0.0:
                 t_star = 0.0
                 x[child] = attach_loss.inverse_derivative(0.0)
@@ -1265,7 +1257,7 @@ class Solver:
                     view = self.build_component_view(state, i_m, s)
                     if validate:
                         self._check_view(view, state)
-                    result = step(state, view, attachment)
+                    result = step(state, view, child)
                     t_path.append(state.t)
                     if result is not None:
                         t_star = result
@@ -1286,21 +1278,24 @@ class Solver:
     def solve(self, validate: bool = False):
         """Solve the full problem; returns (x, z, stats).
 
-        One active set is kept through every extension.  The returned
-        pair is certified: its flow-system residual is at most the solver
-        tolerance, otherwise CertificateError is raised.
+        Attaches nodes 2..n in label order, keeping one active set through
+        every extension.  The returned pair is certified: its flow-system
+        residual, `stats.final_residual`, is at most the solver tolerance,
+        otherwise CertificateError is raised.  `map_back` keeps the
+        residual up to the order in which each node's incident duals are
+        summed, so it certifies the pair in the caller's labels too.
         """
         x = {1: self.problem.loss_of(1).inverse_derivative(0.0)}
         z: Dict[Edge, float] = {}
         active = ActiveSet()
         stats = SolveStats()
-        for attachment in self._attachments:
-            _, _, record = self.extend(x, z, attachment, active, validate)
+        n = len(self._parent) - 1
+        for child in range(2, n + 1):
+            _, _, record = self.extend(x, z, child, active, validate)
             stats.steps.append(record)
         if active.block is not None:
             active.block.flush()
-        residual = kkt_residual(self.problem.weighted_edges(),
-                                self.problem.loss_of, x, z)
+        residual = kkt_residual(self._edges(range(2, n + 1)), self.problem.loss_of, x, z)
         if not residual <= self.tol:
             raise CertificateError(
                 "final residual %.3e exceeds the %.1e gate" % (residual, self.tol)

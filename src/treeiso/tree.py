@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import numbers
 from collections import deque
-from typing import Dict, Iterable, Mapping, NamedTuple, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .errors import ContractViolationError, MalformedInstanceError
 
@@ -95,15 +95,6 @@ class DirectedTree:
 
     def __repr__(self):
         return "DirectedTree(node_count=%d, edges=%r)" % (self.node_count, self.edges)
-
-
-class Attachment(NamedTuple):
-    """One step of the leaf decomposition: node `child` joins via `parent`."""
-
-    child: int
-    parent: int
-    lam: float
-    mu: float
 
 
 class Arborescence:
@@ -186,17 +177,17 @@ def normalize(tree: DirectedTree, root: Optional[int] = None) -> Arborescence:
     return Arborescence(n, parent, original_label, flipped)
 
 
-def decompose(arb: Arborescence):
-    """Leaf decomposition: the attachment record for each node 2..n.
+def decompose(arb: Arborescence) -> Tuple[List[int], List[float], List[float]]:
+    """Leaf decomposition as flat lists (parent, lam, mu), indexed by node.
 
-    Prefix m contains nodes 1..m, and the leaf ordering guarantees each
-    record attaches node `child` = m+1 to the prefix through the single
-    edge (parent, child) with parent <= m.
+    Prefix m contains nodes 1..m, and the leaf ordering guarantees node
+    m+1 attaches to the prefix through the single edge (parent[m+1], m+1)
+    with weights lam[m+1] and mu[m+1] and parent[m+1] <= m.  Entries 0 and
+    1 (the root) hold (0, 0.0, 0.0).
     """
-    return [
-        Attachment(c, arb.parent[c][0], arb.parent[c][1], arb.parent[c][2])
-        for c in range(2, arb.node_count + 1)
-    ]
+    rows = [(0, 0.0, 0.0)] * 2 + [arb.parent[c] for c in range(2, arb.node_count + 1)]
+    parent, lam, mu = map(list, zip(*rows))
+    return parent, lam, mu
 
 
 def map_back(

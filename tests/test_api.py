@@ -4,6 +4,7 @@ seeded instances of `random_problem`, and the package's public names."""
 import dataclasses
 import importlib
 import random
+import sys
 
 import pytest
 
@@ -12,7 +13,7 @@ from conftest import hexed, record_bits
 from treeiso.api import build_problem, random_problem, solve_tree
 from treeiso.errors import CertificateError, ContractViolationError
 from treeiso.loss import WeightedQuadratic
-from treeiso.solver import Solver
+from treeiso.solver import Solver, kkt_residual
 from treeiso.tree import DirectedTree, map_back
 
 
@@ -71,6 +72,96 @@ class TestSolveTree:
         assert z == {}
         assert stats.steps == []
         assert stats.final_residual == 0.0
+
+
+def rounding_bound(tree, losses, x, z, residual):
+    """How far two residuals of one pair can differ by summation order alone.
+
+    A node's balance sums the duals of its incident edges; in another order
+    the sum can round differently, by at most its degree times the unit
+    roundoff times the sum of the magnitudes (plus its loss derivative's).
+    The edge term is the same float ops in either labelling.
+    """
+    degree = dict.fromkeys(x, 0)
+    magnitude = {v: abs(losses[v].derivative(x[v])) for v in x}
+    for i, j, _, _ in tree.edges:
+        for v in (i, j):
+            degree[v] += 1
+            magnitude[v] += abs(z[(i, j)])
+    return 2 * sys.float_info.epsilon * (
+        max(degree[v] * magnitude[v] for v in x) + residual)
+
+
+class TestMapBackKeepsTheCertificate:
+    """The residual of `solve_tree`'s answer in the caller's labels is the
+    gate's, up to the order in which each node's balance is summed; the
+    reports print the gate's."""
+
+    @staticmethod
+    def check(tree, losses, root=None):
+        x, z, stats = solve_tree(tree, losses, root)
+        residual = kkt_residual(tree.edges, losses.__getitem__, x, z)
+        assert abs(residual - stats.final_residual) <= rounding_bound(
+            tree, losses, x, z, residual)
+        return residual == stats.final_residual
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_rooted_instances(self, seed):
+        self.check(*rooted_instance(seed))
+
+    @pytest.mark.parametrize("shape", ["chain", "star", "random"])
+    @pytest.mark.parametrize("loss_kind", ["quadratic", "mixed"])
+    def test_generated_instances(self, shape, loss_kind):
+        for seed in (1, 2):
+            assert self.check(*random_problem(shape, 40, seed, loss_kind))
+
+    def test_shuffled_edges_and_roots(self):
+        # Edge order and root reorder each node's balance sum, so some of
+        # these residuals differ from the gate's in the last bits.
+        for seed in range(30):
+            rng = random.Random(seed)
+            n = rng.choice([5, 20, 60, 200])
+            tree, losses = random_problem("star" if seed % 2 else "random", n, seed)
+            edges = list(tree.edges)
+            rng.shuffle(edges)
+            self.check(DirectedTree(n, edges), losses, rng.randint(1, n))
+
+
+class TestLibraryInput:
+    """Bad losses are named by node before the solver sees them."""
+
+    TREE = DirectedTree(3, [(1, 2, 1.0, 1.0), (3, 2, 0.5, 2.0)])
+
+    def losses(self, **changes):
+        losses = {v: WeightedQuadratic(1.0, float(v)) for v in (1, 2, 3)}
+        losses.update({int(k[1:]): v for k, v in changes.items()})
+        return losses
+
+    @pytest.mark.parametrize("solve", [build_problem, solve_tree])
+    def test_missing_loss(self, solve):
+        losses = self.losses()
+        del losses[2]
+        with pytest.raises(ContractViolationError, match="no loss for node 2"):
+            solve(self.TREE, losses)
+
+    @pytest.mark.parametrize("solve", [build_problem, solve_tree])
+    @pytest.mark.parametrize("bad", [2.5, None, "quadratic", WeightedQuadratic])
+    def test_loss_that_is_not_a_loss(self, solve, bad):
+        with pytest.raises(ContractViolationError, match="node 3 is not a Loss"):
+            solve(self.TREE, self.losses(n3=bad))
+
+    @pytest.mark.parametrize("solve", [build_problem, solve_tree])
+    @pytest.mark.parametrize("extra", [4, 0, "2"])
+    def test_loss_for_a_node_the_tree_lacks(self, solve, extra):
+        losses = self.losses()
+        losses[extra] = WeightedQuadratic(1.0, 0.0)
+        with pytest.raises(ContractViolationError, match="%r, which is no node" % (extra,)):
+            solve(self.TREE, losses)
+
+    @pytest.mark.parametrize("n", [2.5, 0, -3, True, "5"])
+    def test_random_problem_size_must_be_a_positive_integer(self, n):
+        with pytest.raises(ContractViolationError, match="positive integer"):
+            random_problem("chain", n, 1)
 
 
 class TestRandomProblem:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import treeiso.cli as cli
+import treeiso.solver
 from conftest import DEMO_PATH
 from treeiso.cli import (
     EXIT_CERTIFICATE,
@@ -542,10 +543,32 @@ class TestBenchCommand:
         assert len(out.strip().splitlines()) == 6
 
     def test_nan_residual_fails_verification(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "kkt_residual", lambda *args: float("nan"))
+        # The solver's gate is the only check; a NaN residual never passes it.
+        monkeypatch.setattr(treeiso.solver, "kkt_residual", lambda *args: float("nan"))
         code, _, err = run_cli(capsys, "bench", "--n", "5")
         assert code == EXIT_CERTIFICATE
-        assert "failed verification: residual nan" in err
+        assert "certification failed: final residual nan" in err
+
+
+@pytest.mark.parametrize("argv, calls", [
+    (["solve", str(DEMO_PATH)], 1),
+    (["solve", str(DEMO_PATH), "--table"], 1),
+    (["bench", "--n", "30", "--reps", "3"], 3),
+])
+def test_one_certificate_per_answer(capsys, monkeypatch, argv, calls):
+    """The report and the CSV carry the gate's residual; none is recomputed."""
+    seen = []
+    original = treeiso.solver.kkt_residual
+
+    def counted(*args):
+        seen.append(args)
+        return original(*args)
+
+    for module in (treeiso.solver, cli):
+        monkeypatch.setattr(module, "kkt_residual", counted)
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+    assert len(seen) == calls
 
 
 class TestProblemFileRoundTrip:

@@ -33,7 +33,7 @@ from treeiso.solver import (
     kkt_residual,
     objective_value,
 )
-from treeiso.tree import Attachment, DirectedTree, INF, normalize
+from treeiso.tree import DirectedTree, INF, normalize
 
 INF_EDGES = [(1, 2, INF, 0.0), (1, 3, 0.0, INF)]
 
@@ -44,13 +44,13 @@ def make_state(t, x, z, signs):
     return state
 
 
-def extend_fresh(solver, x, z, attachment):
-    """Extend a pair built by hand: every prefix node counts as moved, so
-    the search classifies all prefix edges, and the block's internal duals
-    are written out before returning."""
+def extend_fresh(solver, x, z, child):
+    """Attach `child` to a pair built by hand: every prefix node counts as
+    moved, so the search classifies all prefix edges, and the block's
+    internal duals are written out before returning."""
     active = ActiveSet()
-    active.moved.update(range(1, attachment.child))
-    result = solver.extend(x, z, attachment, active)
+    active.moved.update(range(1, child))
+    result = solver.extend(x, z, child, active)
     if active.block is not None:
         active.block.flush()
     return result
@@ -260,7 +260,7 @@ class TestStepFunctions:
         z = {(1, 2): -2.0, (1, 3): 2.0, (3, 4): 4.0}
         state = make_state(0.0, x, z, {(1, 2): EQ, (1, 3): EQ, (3, 4): EQ})
         view = solver.build_component_view(state, anchor=3, s=-1)
-        result = solver.step_minus(state, view, Attachment(5, 3, 3.0, 3.0))
+        result = solver.step_minus(state, view, 5)
         assert result is None
         assert state.t == 0.0
         assert state.active.signs[(3, 4)] == LT
@@ -272,7 +272,7 @@ class TestStepFunctions:
         state = late_search_state()
         state.departed.add((3, 4))
         view = solver.build_component_view(state, anchor=3, s=-1)
-        result = solver.step_minus(state, view, Attachment(5, 3, 3.0, 3.0))
+        result = solver.step_minus(state, view, 5)
         assert result == -3.0
         assert state.x == {1: 3.0, 2: 3.0, 3: 3.0, 4: 4.0, 5: 1.0}
         view.flush()  # the block's internal duals are written out on demand
@@ -286,7 +286,7 @@ class TestStepFunctions:
         z = {(1, 2): -1.0, (1, 3): 0.0}
         state = make_state(0.0, x, z, {(1, 2): EQ, (1, 3): GT})
         view = solver.build_component_view(state, anchor=3, s=1)
-        result = solver.step_plus(state, view, Attachment(4, 3, 0.0, 4.0))
+        result = solver.step_plus(state, view, 4)
         assert result is None
         assert state.t == 1.0
         assert state.active.signs[(1, 3)] == EQ
@@ -299,7 +299,7 @@ class TestStepFunctions:
         z = {(1, 2): -1.0, (1, 3): 1.0}
         state = make_state(1.0, x, z, {(1, 2): EQ, (1, 3): EQ})
         view = solver.build_component_view(state, anchor=3, s=1)
-        result = solver.step_plus(state, view, Attachment(4, 3, 0.0, 4.0))
+        result = solver.step_plus(state, view, 4)
         assert result == 4.0
         assert state.equilibrium_calls == 1
         assert state.x == {1: 4.0, 2: 4.0, 3: 4.0, 4: 4.0}
@@ -315,7 +315,7 @@ class TestStepFunctions:
         state.departed.add((1, 3))
         view = solver.build_component_view(state, anchor=3, s=1)
         with pytest.raises(InternalInvariantError):
-            solver.step_plus(state, view, Attachment(4, 3, 0.0, 4.0))
+            solver.step_plus(state, view, 4)
 
     def test_second_equilibrium_guard(self):
         solver = Solver(make_demo_problem())
@@ -323,14 +323,14 @@ class TestStepFunctions:
         state.equilibrium_calls = 1
         view = solver.build_component_view(state, anchor=1, s=-1)
         with pytest.raises(InternalInvariantError):
-            solver.step_minus(state, view, Attachment(2, 1, INF, INF))
+            solver.step_minus(state, view, 2)
 
 
 class TestExtendTraces:
     def test_two_node_equilibrium(self):
         solver = Solver(make_demo_problem())
         x, z = {1: 4.0}, {}
-        _, _, rec = extend_fresh(solver, x, z, Attachment(2, 1, INF, 0.0))
+        _, _, rec = extend_fresh(solver, x, z, 2)
         assert x == {1: 3.0, 2: 3.0}
         assert z == {(1, 2): -1.0}
         assert (rec.branch, rec.iterations, rec.equilibrium_calls) == ("down", 1, 1)
@@ -341,7 +341,7 @@ class TestExtendTraces:
         solver = Solver(make_demo_problem())
         x = {1: 3.0, 2: 3.0}
         z = {(1, 2): -1.0}
-        _, _, rec = extend_fresh(solver, x, z, Attachment(3, 1, 0.0, INF))
+        _, _, rec = extend_fresh(solver, x, z, 3)
         assert x == {1: 3.0, 2: 3.0, 3: 2.0}
         assert z == {(1, 2): -1.0, (1, 3): 0.0}
         assert (rec.branch, rec.iterations, rec.equilibrium_calls) == ("down", 0, 0)
@@ -351,7 +351,7 @@ class TestExtendTraces:
         solver = Solver(make_demo_problem())
         x = {1: 3.0, 2: 3.0, 3: 2.0}
         z = {(1, 2): -1.0, (1, 3): 0.0}
-        _, _, rec = extend_fresh(solver, x, z, Attachment(4, 3, 0.0, 4.0))
+        _, _, rec = extend_fresh(solver, x, z, 4)
         assert x == {1: 4.0, 2: 4.0, 3: 4.0, 4: 4.0}
         assert z == {(1, 2): -2.0, (1, 3): 2.0, (3, 4): 4.0}
         assert (rec.branch, rec.iterations, rec.equilibrium_calls) == ("up", 2, 1)
@@ -362,7 +362,7 @@ class TestExtendTraces:
         solver = Solver(make_demo_problem())
         x = {1: 4.0, 2: 4.0, 3: 4.0, 4: 4.0}
         z = {(1, 2): -2.0, (1, 3): 2.0, (3, 4): 4.0}
-        _, _, rec = extend_fresh(solver, x, z, Attachment(5, 3, 3.0, 3.0))
+        _, _, rec = extend_fresh(solver, x, z, 5)
         assert x == {1: 3.0, 2: 3.0, 3: 3.0, 4: 4.0, 5: 1.0}
         assert z[(1, 2)] == pytest.approx(-1.0, abs=1e-12)
         assert z[(1, 3)] == pytest.approx(0.0, abs=1e-12)
@@ -377,7 +377,7 @@ class TestExtendTraces:
             [WeightedQuadratic(1.0, 5.0), WeightedQuadratic(3.0, 5.0)],
         )
         x, z = {1: 5.0}, {}
-        _, _, rec = extend_fresh(Solver(problem), x, z, Attachment(2, 1, 1.0, 1.0))
+        _, _, rec = extend_fresh(Solver(problem), x, z, 2)
         assert rec.branch == "flat"
         assert rec.iterations == 0
         assert x == {1: 5.0, 2: 5.0}
@@ -390,14 +390,14 @@ class TestExtendTraces:
         # x[1] > x[3], but the carried set still says EQ and marks no node moved.
         stale = ActiveSet({(1, 2): EQ, (1, 3): EQ})
         with pytest.raises(InternalInvariantError, match=r"\(1, 3\)"):
-            solver.extend(x, z, Attachment(4, 3, 0.0, 4.0), stale, validate=True)
+            solver.extend(x, z, 4, stale, validate=True)
 
     def test_iteration_cap_guard(self, monkeypatch):
         solver = Solver(make_demo_problem())
         monkeypatch.setattr(Solver, "step_minus", lambda self, s, v, a: None)
         x, z = {1: 4.0}, {}
         with pytest.raises(InternalInvariantError, match="search steps"):
-            extend_fresh(solver, x, z, Attachment(2, 1, INF, 0.0))
+            extend_fresh(solver, x, z, 2)
 
 
 class TestSolve:
@@ -432,8 +432,8 @@ class TestSolve:
         pairs = []
         real = Solver.extend
 
-        def spy(self, x, z, attachment, active, validate=False):
-            result = real(self, x, z, attachment, active, validate)
+        def spy(self, x, z, child, active, validate=False):
+            result = real(self, x, z, child, active, validate)
             block = active.block
             duals = block._duals(block.toward, block.value) if block else {}
             pairs.append((hexed(x), hexed({**z, **duals}), record_bits(result[2])))
@@ -608,17 +608,17 @@ class TestStrictChildIndex:
         solver = Solver(problem)
         x = {1: problem.loss_of(1).inverse_derivative(0.0)}
         z, active = {}, ActiveSet()
-        attachments = iter(solver._attachments)
-        for attachment in attachments:
-            solver.extend(x, z, attachment, validate=True, active=active)
+        children = iter(range(2, problem.arb.node_count + 1))
+        for child in children:
+            solver.extend(x, z, child, validate=True, active=active)
             if active.eq_kids is not None and any(active.strict[GT][1]):
                 break
         heap = active.strict[GT][1]
         key, c = heap[0]
         heap[0] = (key - 1.0, c)  # the child now looks 1.0 higher than it is
         with pytest.raises(InternalInvariantError, match="heap"):
-            for attachment in attachments:
-                solver.extend(x, z, attachment, validate=True, active=active)
+            for child in children:
+                solver.extend(x, z, child, validate=True, active=active)
 
     def test_lost_tied_child_detected(self, monkeypatch):
         # The index is checked when a search starts, so the hub's heap of
@@ -703,8 +703,8 @@ class TestPersistentBlock:
         bare = []
         real = Solver.extend
 
-        def spy(self, x, z, attachment, active, validate=False):
-            result = real(self, x, z, attachment, active, validate)
+        def spy(self, x, z, child, active, validate=False):
+            result = real(self, x, z, child, active, validate)
             if active.block is not None:
                 bare.extend(v for v in active.block.rim
                             if not (active.fresh_entries(v, LT, x)
@@ -792,15 +792,15 @@ class TestPersistentBlock:
         solver = Solver(problem)
         x = {1: problem.loss_of(1).inverse_derivative(0.0)}
         z, active = {}, ActiveSet()
-        attachments = iter(solver._attachments)
-        for attachment in attachments:
-            solver.extend(x, z, attachment, validate=True, active=active)
+        children = iter(range(2, problem.arb.node_count + 1))
+        for child in children:
+            solver.extend(x, z, child, validate=True, active=active)
             block = active.block
             if block is not None and len(block.nodes) > 2:
                 break
         corrupt(block)
-        for attachment in attachments:
-            solver.extend(x, z, attachment, validate=True, active=active)
+        for child in children:
+            solver.extend(x, z, child, validate=True, active=active)
 
     def test_stale_subtree_sum_detected(self):
         def corrupt(block):
@@ -839,13 +839,12 @@ class TestPersistentBlock:
         solver = Solver(problem)
         x = {1: problem.loss_of(1).inverse_derivative(0.0)}
         z, active = {}, ActiveSet()
-        first, second, last = solver._attachments
-        for attachment in (first, second):
-            solver.extend(x, z, attachment, validate=True, active=active)
+        for child in (2, 3):
+            solver.extend(x, z, child, validate=True, active=active)
         assert active.block.keys[1] == {2: 17.0}
         active.block.heaps[1].clear()
         with pytest.raises(InternalInvariantError, match="component edges tied in the heap"):
-            solver.extend(x, z, last, validate=True, active=active)
+            solver.extend(x, z, 4, validate=True, active=active)
 
 
 class TestValidationReference:

@@ -9,7 +9,6 @@ from treeiso.errors import MalformedInstanceError
 from treeiso.api import build_problem, random_problem
 from treeiso.solver import kkt_residual, Solver
 from treeiso.tree import (
-    Attachment,
     DirectedTree,
     INF,
     decompose,
@@ -177,29 +176,31 @@ class TestDecompose:
         tree = DirectedTree(5, [
             (1, 2, INF, 0.0), (1, 3, 0.0, INF), (3, 4, 0.0, 4.0), (3, 5, 3.0, 3.0),
         ])
-        records = decompose(normalize(tree, root=1))
-        assert [(r.child, r.parent) for r in records] == \
-            [(2, 1), (3, 1), (4, 3), (5, 3)]
-        assert records[0] == Attachment(2, 1, INF, 0.0)
-        assert records[3] == Attachment(5, 3, 3.0, 3.0)
+        parent, lam, mu = decompose(normalize(tree, root=1))
+        assert parent == [0, 0, 1, 1, 3, 3]
+        assert (parent[2], lam[2], mu[2]) == (1, INF, 0.0)
+        assert (parent[5], lam[5], mu[5]) == (3, 3.0, 3.0)
 
     def test_single_node_empty(self):
-        assert decompose(normalize(DirectedTree(1, []))) == []
+        assert decompose(normalize(DirectedTree(1, []))) == ([0, 0], [0.0, 0.0], [0.0, 0.0])
 
     def test_chain(self):
         tree = DirectedTree(4, [(1, 2, 1, 1), (2, 3, 1, 1), (3, 4, 1, 1)])
-        records = decompose(normalize(tree, root=1))
-        assert [(r.child, r.parent) for r in records] == [(2, 1), (3, 2), (4, 3)]
+        parent, _, _ = decompose(normalize(tree, root=1))
+        assert parent[2:] == [1, 2, 3]
 
     def test_every_parent_precedes_child(self):
         rng = random.Random(9)
         for _ in range(20):
             n = rng.randint(1, 40)
             edges = [(rng.randint(1, c - 1), c, 1.0, 1.0) for c in range(2, n + 1)]
-            records = decompose(normalize(DirectedTree(n, edges), root=1))
-            assert len(records) == n - 1
-            assert [r.child for r in records] == list(range(2, n + 1))
-            assert all(r.parent < r.child for r in records)
+            arb = normalize(DirectedTree(n, edges), root=1)
+            lists = decompose(arb)
+            assert [len(values) for values in lists] == [n + 1] * 3
+            parent, lam, mu = lists
+            assert all(parent[c] < c for c in range(2, n + 1))
+            assert all((parent[c], lam[c], mu[c]) == arb.parent[c]
+                       for c in range(2, n + 1))
 
 
 class TestMapBack:
