@@ -19,7 +19,7 @@ _WEIGHT_CHOICES = (0.0, 0.5, 2.0, INF)
 
 def build_problem(tree: DirectedTree, losses: Mapping[int, Loss],
                   root: Optional[int] = None) -> Problem:
-    """Normalize a tree and order the losses to match its labels.
+    """Normalize a tree and order the losses by its `original_label`.
 
     Raises ContractViolationError naming a node without a loss, a node
     whose loss is not a `Loss`, or a key that is no node of the tree.
@@ -27,7 +27,7 @@ def build_problem(tree: DirectedTree, losses: Mapping[int, Loss],
     arb = normalize(tree, root)
     n, label = tree.node_count, arb.original_label
     try:
-        ordered = [losses[label[k]] for k in range(1, n + 1)]
+        ordered = [losses[v] for v in label[1:]]
     except KeyError as exc:
         raise ContractViolationError("no loss for node %s" % exc) from None
     if len(losses) > n:
@@ -73,6 +73,10 @@ def random_problem(shape: str, n: int, seed: int, loss_kind: str = "quadratic",
     """
     if type(n) is not int or n < 1:
         raise ContractViolationError("n must be a positive integer, got %r" % (n,))
+    if shape not in ("chain", "star", "random"):
+        raise ContractViolationError("unknown shape %r" % (shape,))
+    if loss_kind not in ("quadratic", "mixed"):
+        raise ContractViolationError("unknown loss kind %r" % (loss_kind,))
     if isotonic and (shape, loss_kind) != ("chain", "quadratic"):
         raise ContractViolationError(
             "an isotonic instance is a quadratic chain, got shape %r and loss %r"
@@ -84,10 +88,8 @@ def random_problem(shape: str, n: int, seed: int, loss_kind: str = "quadratic",
             parent = child - 1
         elif shape == "star":
             parent = 1
-        elif shape == "random":
-            parent = rng.randint(1, child - 1)
         else:
-            raise ContractViolationError("unknown shape %r" % (shape,))
+            parent = rng.randint(1, child - 1)
         lam = rng.choice(_WEIGHT_CHOICES)
         mu = rng.choice(_WEIGHT_CHOICES)
         if shape == "random" and rng.random() < 0.5:
@@ -100,10 +102,8 @@ def random_problem(shape: str, n: int, seed: int, loss_kind: str = "quadratic",
             losses[v] = QuarticQuadratic(
                 rng.uniform(0.5, 2.0), rng.uniform(0.0, 1.0), rng.uniform(-5.0, 5.0)
             )
-        elif loss_kind in ("mixed", "quadratic"):
-            losses[v] = WeightedQuadratic(rng.uniform(0.5, 3.0), rng.uniform(0.0, 10.0))
         else:
-            raise ContractViolationError("unknown loss kind %r" % (loss_kind,))
+            losses[v] = WeightedQuadratic(rng.uniform(0.5, 3.0), rng.uniform(0.0, 10.0))
     if isotonic:
         # Drawn after the discarded tree and losses: each seed keeps its chain.
         targets = sorted(rng.uniform(0.0, 10.0) for _ in range(n))

@@ -89,29 +89,30 @@ def _check_node(entry, where: str):
     _check_id(entry["id"], where + ".id")
 
 
-def _check_edge(entry, where: str, losses: dict):
+def _check_edge(entry, where: str, label: dict):
     if not isinstance(entry, dict):
         raise MalformedInstanceError("%s: expected an object" % where)
     _require_keys(entry, _EDGE_FIELDS, (), where)
     for name in ("from", "to"):
         end = entry[name]
         _check_id(end, "%s.%s" % (where, name))
-        if end not in losses:
+        if end not in label:
             raise MalformedInstanceError("%s.%s: unknown id %r" % (where, name, end))
 
 
 class ProblemFile:
-    """Parsed instance: node ids with losses, weighted edges, optional root.
+    """Parsed instance in dense labels: node k is the file's k-th node.
 
-    Ids are kept exactly as the file declared them; `dense_ids` maps them
-    to the dense 1..n labels the tree layer requires, in file order.
+    `ids[k - 1]` is the id the file declared for node k.  `losses` maps
+    each node 1..n to its loss, `edges` holds (from, to, lambda, mu) with
+    both ends as node labels, and `root` is a node label or None.  The file
+    is relabelled once, as it is read, so `build` passes all of these on.
     """
 
     def __init__(self, ids, losses, edges, root=None):
-        self.ids = list(ids)
-        self.dense_ids = {oid: k + 1 for k, oid in enumerate(self.ids)}
-        self.losses = dict(losses)
-        self.edges = list(edges)
+        self.ids = ids
+        self.losses = losses
+        self.edges = edges
         self.root = root
 
     @classmethod
@@ -126,7 +127,8 @@ class ProblemFile:
         if not isinstance(edges, list):
             raise MalformedInstanceError("edges: expected an array")
         ids: List = []
-        losses: Dict = {}
+        label: Dict = {}  # the file's id -> its node label
+        losses: Dict[int, Loss] = {}
         keys = set()  # the report keys ids by their text, so 1 and "1" collide
         for k, entry in enumerate(nodes):
             if not (type(entry) is dict and entry.keys() == _NODE_KEYS
@@ -139,50 +141,49 @@ class ProblemFile:
                     "nodes[%d].id: duplicate id %r" % (k, node_id))
             keys.add(text)
             try:
-                losses[node_id] = loss_from_json(entry["loss"])
+                losses[k + 1] = loss_from_json(entry["loss"])
             except MalformedInstanceError as exc:
                 raise MalformedInstanceError("nodes[%d].loss: %s" % (k, exc)) from None
+            label[node_id] = k + 1
             ids.append(node_id)
         parsed_edges: List[Tuple] = []
         for k, entry in enumerate(edges):
             if not (type(entry) is dict and entry.keys() == _EDGE_KEYS
                     and type(entry["from"]) in _ID_TYPES
                     and type(entry["to"]) in _ID_TYPES
-                    and entry["from"] in losses and entry["to"] in losses):
-                _check_edge(entry, "edges[%d]" % k, losses)
+                    and entry["from"] in label and entry["to"] in label):
+                _check_edge(entry, "edges[%d]" % k, label)
             # The file's "inf" is infinity; `DirectedTree` checks every weight.
             lam, mu = entry["lambda"], entry["mu"]
-            parsed_edges.append((entry["from"], entry["to"],
+            parsed_edges.append((label[entry["from"]], label[entry["to"]],
                                  INF if lam == "inf" else lam,
                                  INF if mu == "inf" else mu))
         root = obj.get("root")
         if root is not None:
             _check_id(root, "root")
-            if root not in losses:
+            if root not in label:
                 raise MalformedInstanceError("root: unknown id %r" % (root,))
+            root = label[root]
         return cls(ids, losses, parsed_edges, root)
 
     def build(self):
-        """Dense relabelling: (DirectedTree, losses by dense id, dense root).
+        """(DirectedTree, losses by node, root) for the solver's front end.
 
         An edge the tree rejects is reported by its index and the file's ids.
         """
-        dense = self.dense_ids
         try:
-            tree = DirectedTree(
-                len(self.ids),
-                [(dense[f], dense[t], lam, mu) for f, t, lam, mu in self.edges],
-            )
+            tree = DirectedTree(len(self.ids), self.edges)
         except MalformedInstanceError:
+            ids = self.ids
             pairs = set()
             for k, (f, t, lam, mu) in enumerate(self.edges):
                 if f == t:
                     raise MalformedInstanceError(
-                        "edges[%d]: self-loop at id %r" % (k, f)) from None
+                        "edges[%d]: self-loop at id %r" % (k, ids[f - 1])) from None
                 if frozenset((f, t)) in pairs:
                     raise MalformedInstanceError(
                         "edges[%d]: duplicate edge between ids %r and %r"
-                        % (k, f, t)) from None
+                        % (k, ids[f - 1], ids[t - 1])) from None
                 pairs.add(frozenset((f, t)))
                 for name, value in (("lambda", lam), ("mu", mu)):
                     try:
@@ -193,9 +194,7 @@ class ProblemFile:
                             'nonnegative number or "inf"' % (k, name, value)
                         ) from None
             raise
-        losses = {dense[oid]: self.losses[oid] for oid in self.ids}
-        root = dense[self.root] if self.root is not None else None
-        return tree, losses, root
+        return tree, self.losses, self.root
 
     def in_file_ids(self, exc: MalformedInstanceError) -> MalformedInstanceError:
         """`normalize`'s disconnection error naming the file's ids, or exc."""
@@ -343,10 +342,10 @@ def solution_report(pf: ProblemFile, tree: DirectedTree, losses: Dict[int, Loss]
     (x, z) is a pair in its labels and orientation, and `residual` is its
     `kkt_residual` as computed in solver labels (`map_back` keeps it).
     """
-    dense_ids = pf.dense_ids
-    x_out = {str(oid): x[dense_ids[oid]] for oid in pf.ids}
+    ids = pf.ids
+    x_out = {str(oid): x[k] for k, oid in enumerate(ids, 1)}
     z_out = [
-        {"from": f, "to": t, "value": z[(dense_ids[f], dense_ids[t])]}
+        {"from": ids[f - 1], "to": ids[t - 1], "value": z[(f, t)]}
         for f, t, _, _ in pf.edges
     ]
     return {
@@ -439,12 +438,12 @@ def cmd_oracle(args) -> int:
     report = solution_report(pf, tree, losses, x, z, residual)
     # Signs flip with the edge, as duals do.
     _, relations = map_back(problem.arb, x_norm, pattern)
-    dense_ids = pf.dense_ids
+    ids = pf.ids
     report["pattern"] = [
         {
-            "from": f,
-            "to": t,
-            "relation": SIGN_NAME[relations[(dense_ids[f], dense_ids[t])]],
+            "from": ids[f - 1],
+            "to": ids[t - 1],
+            "relation": SIGN_NAME[relations[(f, t)]],
         }
         for f, t, _, _ in pf.edges
     ]

@@ -135,29 +135,28 @@ def _keeps_side(sign: int, xv: float, xc: float) -> bool:
 
 
 class Problem:
-    """An arborescence plus one loss per node (index 1..node_count)."""
+    """An arborescence plus the losses of nodes 1..node_count in label
+    order, stored indexed by node: `losses[v]` is node v's, entry 0 None."""
 
     __slots__ = ("arb", "losses")
 
     def __init__(self, arb: Arborescence, losses):
-        losses = tuple(losses)
-        if len(losses) != arb.node_count:
+        losses = [None, *losses]
+        if len(losses) != arb.node_count + 1:
             raise ContractViolationError(
-                "expected %d losses, got %d" % (arb.node_count, len(losses))
+                "expected %d losses, got %d" % (arb.node_count, len(losses) - 1)
             )
         self.arb = arb
         self.losses = losses
 
     def loss_of(self, node: int) -> Loss:
-        return self.losses[node - 1]
+        return self.losses[node]
 
     def weighted_edges(self):
         """Edges as (tail, head, lambda, mu) tuples."""
         arb = self.arb
-        return [
-            (arb.parent[c][0], c, arb.parent[c][1], arb.parent[c][2])
-            for c in range(2, arb.node_count + 1)
-        ]
+        return list(zip(arb.parent[2:], range(2, arb.node_count + 1),
+                        arb.lam[2:], arb.mu[2:]))
 
 
 class ActiveSet:
@@ -807,7 +806,7 @@ class Solver:
         self.problem = problem
         self.tol = tol
         self._parent, self._lam, self._mu = decompose(problem.arb)
-        self._loss: List[Optional[Loss]] = [None] + list(problem.losses)
+        self._loss: List[Optional[Loss]] = problem.losses
 
     # -- plumbing ---------------------------------------------------------
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from collections import deque
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .errors import ContractViolationError, MalformedInstanceError
@@ -98,26 +97,30 @@ class DirectedTree:
 
 
 class Arborescence:
-    """Leaf-ordered rooted tree in normal form.
+    """Leaf-ordered rooted tree in normal form, as flat lists indexed by node.
 
-    parent maps every child node c in 2..node_count to (p, lambda, mu)
-    with p < c; node 1 is the root.  original_label maps internal ids to
-    the node ids of the DirectedTree that was normalized, and `flipped`
-    lists the internal edges whose orientation was reversed relative to
-    the input (their stored weight pair is the input pair swapped).
+    Node 1 is the root.  For every child c in 2..node_count, parent[c] < c
+    is its parent and (lam[c], mu[c]) the weights of the edge (parent[c],
+    c); entries 0 and 1 hold (0, 0.0, 0.0).  original_label[k] is the node
+    id in the DirectedTree that was normalized (entry 0 holds 0), and
+    `flipped` is the set of children whose edge was reversed relative to
+    the input (their stored weight pair is the input pair swapped).  The
+    lists are kept as given, not copied.
     """
 
-    __slots__ = ("node_count", "parent", "original_label", "flipped")
+    __slots__ = ("node_count", "parent", "lam", "mu", "original_label", "flipped")
 
-    def __init__(self, node_count, parent, original_label, flipped):
-        self.node_count = node_count
-        self.parent = dict(parent)
-        self.original_label = dict(original_label)
-        self.flipped = frozenset(flipped)
-        for child, (par, lam, mu) in self.parent.items():
-            if not par < child:
+    def __init__(self, parent, lam, mu, original_label, flipped):
+        self.node_count = len(parent) - 1
+        self.parent = parent
+        self.lam = lam
+        self.mu = mu
+        self.original_label = original_label
+        self.flipped = flipped
+        for child in range(1, len(parent)):
+            if not parent[child] < child:
                 raise ContractViolationError(
-                    "edge (%d, %d) breaks the leaf ordering" % (par, child)
+                    "edge (%d, %d) breaks the leaf ordering" % (parent[child], child)
                 )
 
 
@@ -127,8 +130,10 @@ def normalize(tree: DirectedTree, root: Optional[int] = None) -> Arborescence:
     Every edge is re-oriented to point away from `root`; a flipped edge
     stores its weight pair swapped, which preserves the objective.  Nodes
     are relabelled breadth-first from the root, which guarantees i < j on
-    every edge.  When `root` is omitted, the unique node with no incoming
-    edge is used if there is exactly one, otherwise node 1.
+    every edge: the walk appends each node it reaches to the list it walks,
+    and that list is the result's `original_label`.  When `root` is
+    omitted, the unique node with no incoming edge is used if there is
+    exactly one, otherwise node 1.
 
     Raises MalformedInstanceError when the graph is disconnected (which,
     given the edge-count invariant, also means it contains a cycle); its
@@ -142,52 +147,45 @@ def normalize(tree: DirectedTree, root: Optional[int] = None) -> Arborescence:
     elif type(root) is not int or not 1 <= root <= n:
         raise MalformedInstanceError("root %r outside 1..%d" % (root, n))
 
-    adjacency: Dict[int, list] = {v: [] for v in range(1, n + 1)}
+    # Each neighbour with the weight pair as seen from this end.
+    adjacency: List[list] = [[] for _ in range(n + 1)]
     for tail, head, lam, mu in tree.edges:
         adjacency[tail].append((head, lam, mu, False))
-        adjacency[head].append((tail, lam, mu, True))
+        adjacency[head].append((tail, mu, lam, True))
 
-    label = {root: 1}
-    parent = {}
-    original_label = {1: root}
+    label = [0] * (n + 1)  # a node's new id, 0 until it is reached
+    label[root] = 1
+    original_label = [0, root]
+    parent, lam, mu = [0, 0], [0.0, 0.0], [0.0, 0.0]
     flipped = set()
-    queue = deque([root])
-    next_id = 2
-    while queue:
-        node = queue.popleft()
-        node_int = label[node]
-        for nbr, lam, mu, reversed_ in adjacency[node]:
-            if nbr in label:
+    for node_int, node in enumerate(original_label):  # grows as it is walked
+        for nbr, w_lam, w_mu, reversed_ in adjacency[node]:
+            if label[nbr]:
                 continue
-            label[nbr] = next_id
-            original_label[next_id] = nbr
+            label[nbr] = len(original_label)
             if reversed_:
-                parent[next_id] = (node_int, mu, lam)
-                flipped.add((node_int, next_id))
-            else:
-                parent[next_id] = (node_int, lam, mu)
-            queue.append(nbr)
-            next_id += 1
-    if len(label) != n:
-        missing = sorted(set(range(1, n + 1)) - set(label))
+                flipped.add(label[nbr])
+            original_label.append(nbr)
+            parent.append(node_int)
+            lam.append(w_lam)
+            mu.append(w_mu)
+    if len(original_label) != n + 1:
+        missing = [v for v in range(1, n + 1) if not label[v]]
         error = MalformedInstanceError(
             "graph is disconnected (cycle elsewhere); unreachable nodes %s" % missing)
         error.unreachable = missing
         raise error
-    return Arborescence(n, parent, original_label, flipped)
+    return Arborescence(parent, lam, mu, original_label, flipped)
 
 
 def decompose(arb: Arborescence) -> Tuple[List[int], List[float], List[float]]:
-    """Leaf decomposition as flat lists (parent, lam, mu), indexed by node.
+    """Leaf decomposition: the arborescence's own lists (parent, lam, mu).
 
     Prefix m contains nodes 1..m, and the leaf ordering guarantees node
     m+1 attaches to the prefix through the single edge (parent[m+1], m+1)
-    with weights lam[m+1] and mu[m+1] and parent[m+1] <= m.  Entries 0 and
-    1 (the root) hold (0, 0.0, 0.0).
+    with weights lam[m+1] and mu[m+1] and parent[m+1] <= m.
     """
-    rows = [(0, 0.0, 0.0)] * 2 + [arb.parent[c] for c in range(2, arb.node_count + 1)]
-    parent, lam, mu = map(list, zip(*rows))
-    return parent, lam, mu
+    return arb.parent, arb.lam, arb.mu
 
 
 def map_back(
@@ -195,17 +193,17 @@ def map_back(
 ) -> Tuple[Dict[int, float], Dict[Edge, float]]:
     """Transfer a primal-dual pair back to the pre-normalization instance.
 
-    Primal values map through the node relabelling unchanged; dual values
-    on flipped edges change sign, and their key is the original (tail,
-    head) orientation.
+    Primal values map through `original_label` unchanged; the dual of an
+    edge into a child in `flipped` changes sign, and its key is the
+    original (tail, head) orientation.
     """
-    orig = arb.original_label
+    orig, parent, flipped = arb.original_label, arb.parent, arb.flipped
     x_out = {orig[v]: x[v] for v in range(1, arb.node_count + 1)}
     z_out: Dict[Edge, float] = {}
     for c in range(2, arb.node_count + 1):
-        p = arb.parent[c][0]
+        p = parent[c]
         value = z[(p, c)]
-        if (p, c) in arb.flipped:
+        if c in flipped:
             z_out[(orig[c], orig[p])] = -value
         else:
             z_out[(orig[p], orig[c])] = value

@@ -60,12 +60,13 @@ def prefix_problem(problem: Problem, m: int) -> Problem:
     """
     arb = problem.arb
     prefix = Arborescence(
-        m,
-        {c: arb.parent[c] for c in range(2, m + 1)},
-        {v: arb.original_label[v] for v in range(1, m + 1)},
-        {e for e in arb.flipped if e[1] <= m},
+        arb.parent[:m + 1],
+        arb.lam[:m + 1],
+        arb.mu[:m + 1],
+        arb.original_label[:m + 1],
+        {c for c in arb.flipped if c <= m},
     )
-    return Problem(prefix, problem.losses[:m])
+    return Problem(prefix, problem.losses[1:m + 1])
 
 
 def hexed(values: dict) -> dict:

@@ -42,8 +42,7 @@ class _Criterion:
 
 
 def attachment_bounds(problem, node):
-    _, lam, mu = problem.arb.parent[node]
-    return lam, mu
+    return problem.arb.lam[node], problem.arb.mu[node]
 
 
 def test_worked_example_with_intermediates(acceptance_log):

@@ -56,7 +56,8 @@ class TestSolveTree:
         for seed in range(12):
             arb = build_problem(*rooted_instance(seed)).arb
             flipped += bool(arb.flipped)
-            relabelled += any(arb.original_label[k] != k for k in arb.original_label)
+            relabelled += any(arb.original_label[k] != k
+                              for k in range(1, arb.node_count + 1))
         assert flipped >= 6 and relabelled >= 6
 
     def test_tolerance_is_the_gate(self):
@@ -172,6 +173,18 @@ class TestRandomProblem:
     def test_isotonic_takes_only_a_quadratic_chain(self, shape, loss_kind):
         with pytest.raises(ContractViolationError, match="isotonic"):
             random_problem(shape, 50, 1, loss_kind, isotonic=True)
+
+    @pytest.mark.parametrize("n", [1, 2, 30])
+    @pytest.mark.parametrize("shape, loss_kind, match", [
+        ("bogus", "quadratic", "unknown shape 'bogus'"),
+        ("Chain", "mixed", "unknown shape 'Chain'"),
+        ("chain", "bogus", "unknown loss kind 'bogus'"),
+        ("random", "quartic", "unknown loss kind 'quartic'"),
+    ])
+    def test_unknown_shape_or_loss_kind_at_any_size(self, n, shape, loss_kind, match):
+        # A one-node tree draws no edge, so the shape is checked up front.
+        with pytest.raises(ContractViolationError, match=match):
+            random_problem(shape, n, 0, loss_kind)
 
     def test_isotonic_chain(self):
         tree, losses = random_problem("chain", 50, 1, isotonic=True)

@@ -129,7 +129,7 @@ class TestSolveCommand:
         path = write_instance(tmp_path, obj)
         tree, losses, root = load_problem_file(path).build()
         label = build_problem(tree, losses, root).arb.original_label
-        assert [label[k] for k in sorted(label)] != sorted(label)
+        assert label[1:] != list(range(1, len(label)))
         code, out, err = run_cli(capsys, "solve", path, "--oracle-check")
         assert code == EXIT_OK and err == ""
         report = json.loads(out)
@@ -572,14 +572,15 @@ def test_one_certificate_per_answer(capsys, monkeypatch, argv, calls):
 
 
 class TestProblemFileRoundTrip:
-    """A parsed file keeps what it declared: ids, edges, weights and root."""
+    """A parsed file keeps what it declared: ids, edges, weights and root,
+    in dense labels whose file ids `pf.ids[k - 1]` gives."""
 
     def test_demo_round_trip(self):
         with open(DEMO_PATH, encoding="utf-8") as handle:
             obj = json.load(handle)
         pf = load_problem_file(str(DEMO_PATH))
         assert pf.ids == [entry["id"] for entry in obj["nodes"]]
-        assert [(f, t) for f, t, _, _ in pf.edges] == [
+        assert [(pf.ids[f - 1], pf.ids[t - 1]) for f, t, _, _ in pf.edges] == [
             (entry["from"], entry["to"]) for entry in obj["edges"]
         ]
         assert pf.root is None
@@ -599,8 +600,33 @@ class TestProblemFileRoundTrip:
             "root": 1,
         }
         pf = ProblemFile.from_json(obj)
-        assert pf.root == 1
-        assert pf.build()[2] == 1
+        assert pf.ids[pf.root - 1] == 1
+        assert pf.build()[2] == pf.root
+
+    def test_string_ids_relabelled_in_file_order(self):
+        obj = {
+            "nodes": [
+                {"id": "leaf", "loss": quad(0.0)},
+                {"id": "top", "loss": quad(1.0)},
+                {"id": "mid", "loss": quad(2.0, w=3.0)},
+            ],
+            "edges": [
+                {"from": "mid", "to": "top", "lambda": 1.0, "mu": "inf"},
+                {"from": "mid", "to": "leaf", "lambda": 0.5, "mu": 2},
+            ],
+            "root": "top",
+        }
+        pf = ProblemFile.from_json(obj)
+        assert pf.ids == ["leaf", "top", "mid"]
+        assert pf.edges == [(3, 2, 1.0, INF), (3, 1, 0.5, 2)]
+        assert pf.root == 2
+        assert [(pf.ids[f - 1], pf.ids[t - 1]) for f, t, _, _ in pf.edges] == [
+            ("mid", "top"), ("mid", "leaf")]
+        tree, losses, root = pf.build()
+        assert tree.edges == ((3, 2, 1.0, INF), (3, 1, 0.5, 2.0))
+        assert losses is pf.losses and sorted(losses) == [1, 2, 3]
+        assert (losses[3].w, losses[3].y) == (3.0, 2.0)
+        assert root == 2
 
     def test_emit_json_is_valid_json(self):
         payload = {"a": [1.0, INF, -INF, 0.5], "b": "text", "c": None, "d": True}

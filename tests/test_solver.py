@@ -903,6 +903,54 @@ class TestMirrorSymmetry:
                 assert mirror.t_path == tuple(-t for t in rec.t_path)
 
 
+class TestTinyWeights:
+    """Unit-scale trees with 1e-9 weights, which absolute tolerances fail.
+
+    Both were found by a fuzz of small trees with weights from {0, 1e-9,
+    0.5, 1, 2, 3, inf}.  The markers are strict: a fix of the tolerances
+    makes these tests pass, and then the markers must go.
+    """
+
+    @staticmethod
+    def nine_node():
+        tree = DirectedTree(9, [
+            (1, 2, 1, 3), (1, 3, 3, 1), (4, 3, 1e-9, 0), (1, 5, 3, 1e-9),
+            (6, 5, 1e-9, 2), (5, 7, 0, INF), (7, 8, 3, 1), (9, 6, 1e-9, INF),
+        ])
+        weighted_targets = [(3, 4), (3, 1), (1, 4), (3, 4), (3, 2), (2, 3), (3, 1),
+                            (1, 4), (3, 2)]
+        losses = {v: WeightedQuadratic(w, y)
+                  for v, (w, y) in enumerate(weighted_targets, start=1)}
+        return build_problem(tree, losses, 4)
+
+    @staticmethod
+    def six_node():
+        tree = DirectedTree(6, [
+            (1, 2, 2, 0.5), (3, 1, 3, 0), (4, 1, 1e-9, 2), (5, 3, 0, INF),
+            (6, 4, INF, 1),
+        ])
+        losses = {v: WeightedQuadratic(1, y)
+                  for v, y in enumerate([3, 0, 4, 1, 1, 4], start=1)}
+        return build_problem(tree, losses, 6)
+
+    @pytest.mark.xfail(strict=True, raises=InternalInvariantError,
+                       reason="MONO_SLACK is absolute: t decreased in upward search "
+                              "by 2.2e-10 (ROADMAP item 4)")
+    def test_nine_node_solves(self):
+        Solver(self.nine_node()).solve()
+
+    def test_six_node_certifies_unvalidated(self):
+        _, _, stats = Solver(self.six_node()).solve()
+        assert stats.final_residual == 0.0
+
+    @pytest.mark.xfail(strict=True, raises=InternalInvariantError,
+                       reason="EQ_RTOL pools values that ANCHOR_RTOL tells apart: "
+                              "component value 2.5 disagrees with stored "
+                              "2.5000000015000001 (ROADMAP item 4)")
+    def test_six_node_solves_validated(self):
+        Solver(self.six_node()).solve(validate=True)
+
+
 class TestCertificates:
     def test_golden_pair_near_zero_residual(self, demo_problem):
         residual = kkt_residual(demo_problem.weighted_edges(), demo_problem.loss_of,

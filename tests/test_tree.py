@@ -5,16 +5,22 @@ from fractions import Fraction
 
 import pytest
 
-from treeiso.errors import MalformedInstanceError
+from treeiso.errors import ContractViolationError, MalformedInstanceError
 from treeiso.api import build_problem, random_problem
 from treeiso.solver import kkt_residual, Solver
 from treeiso.tree import (
+    Arborescence,
     DirectedTree,
     INF,
     decompose,
     map_back,
     normalize,
 )
+
+
+def attachment(arb, child):
+    """The edge by which `child` joins the prefix: (parent, lambda, mu)."""
+    return arb.parent[child], arb.lam[child], arb.mu[child]
 
 
 class TestDirectedTree:
@@ -94,29 +100,31 @@ class TestNormalize:
             (3, 4, 5.0, 6.0),
         ])
         arb = normalize(tree, root=1)
-        assert arb.parent[2] == (1, 2.0, 1.0)
-        assert arb.parent[3] == (1, INF, 0.5)
+        assert attachment(arb, 2) == (1, 2.0, 1.0)
+        assert attachment(arb, 3) == (1, INF, 0.5)
         # BFS reaches original node 5 before 4 (edge list order), so the
         # internal labels of 4 and 5 swap.
-        assert arb.original_label == {1: 1, 2: 2, 3: 3, 4: 5, 5: 4}
-        assert arb.parent[4] == (3, 3.0, 4.0)
-        assert arb.parent[5] == (3, 5.0, 6.0)
-        assert arb.flipped == frozenset({(1, 2), (1, 3)})
+        assert arb.original_label == [0, 1, 2, 3, 5, 4]
+        assert attachment(arb, 4) == (3, 3.0, 4.0)
+        assert attachment(arb, 5) == (3, 5.0, 6.0)
+        assert arb.flipped == {2, 3}
 
     def test_chain_already_normal(self):
         tree = DirectedTree(3, [(1, 2, 1.0, 2.0), (2, 3, 3.0, 4.0)])
         arb = normalize(tree, root=1)
-        assert arb.flipped == frozenset()
-        assert arb.parent == {2: (1, 1.0, 2.0), 3: (2, 3.0, 4.0)}
-        assert arb.original_label == {1: 1, 2: 2, 3: 3}
+        assert arb.flipped == set()
+        assert arb.parent == [0, 0, 1, 2]
+        assert arb.lam == [0.0, 0.0, 1.0, 3.0]
+        assert arb.mu == [0.0, 0.0, 2.0, 4.0]
+        assert arb.original_label == [0, 1, 2, 3]
 
     def test_inward_star_flips_every_edge(self):
         center = 1
         tree = DirectedTree(4, [(2, 1, 1.0, 9.0), (3, 1, 2.0, 8.0), (4, 1, 3.0, 7.0)])
         arb = normalize(tree, root=center)
-        assert len(arb.flipped) == 3
+        assert arb.flipped == {2, 3, 4}
         for child in (2, 3, 4):
-            parent, lam, mu = arb.parent[child]
+            parent, lam, mu = attachment(arb, child)
             assert parent == 1
             orig = arb.original_label[child]
             lam_in, mu_in = {2: (1.0, 9.0), 3: (2.0, 8.0), 4: (3.0, 7.0)}[orig]
@@ -139,8 +147,9 @@ class TestNormalize:
                 else:
                     edges.append((parent, child, 1.0, 2.0))
             arb = normalize(DirectedTree(n, edges), root=rng.randint(1, n))
-            for child, (parent, _, _) in arb.parent.items():
-                assert parent < child
+            assert len(arb.parent) == n + 1
+            for child in range(2, n + 1):
+                assert arb.parent[child] < child
 
     def test_mapped_back_solutions_certify_on_original(self):
         # Normalization must be transparent: solve normalized, map back,
@@ -199,15 +208,15 @@ class TestDecompose:
             assert [len(values) for values in lists] == [n + 1] * 3
             parent, lam, mu = lists
             assert all(parent[c] < c for c in range(2, n + 1))
-            assert all((parent[c], lam[c], mu[c]) == arb.parent[c]
-                       for c in range(2, n + 1))
+            # The arborescence's own lists, not a copy.
+            assert parent is arb.parent and lam is arb.lam and mu is arb.mu
 
 
 class TestMapBack:
     def test_flipped_edge_sign(self):
         tree = DirectedTree(2, [(2, 1, 1.5, 2.5)])
         arb = normalize(tree, root=1)
-        assert arb.flipped == frozenset({(1, 2)})
+        assert arb.flipped == {2}
         x, z = map_back(arb, {1: 10.0, 2: 20.0}, {(1, 2): 0.75})
         assert x == {1: 10.0, 2: 20.0}
         assert z == {(2, 1): -0.75}
@@ -218,3 +227,26 @@ class TestMapBack:
         x, z = map_back(arb, {1: 1.0, 2: 2.0, 3: 3.0}, {(1, 2): -1.0, (2, 3): 4.0})
         assert x == {1: 1.0, 2: 2.0, 3: 3.0}
         assert z == {(1, 2): -1.0, (2, 3): 4.0}
+
+
+class TestArborescence:
+    def test_parent_after_child_breaks_leaf_ordering(self):
+        # Node 2 hangs off node 3, so deleting node 3 would not remove a leaf.
+        with pytest.raises(ContractViolationError,
+                           match=r"edge \(3, 2\) breaks the leaf ordering"):
+            Arborescence([0, 0, 3, 1], [0.0, 0.0, 1.0, 1.0], [0.0, 0.0, 1.0, 1.0],
+                         [0, 1, 2, 3], set())
+
+    def test_self_parent_breaks_leaf_ordering(self):
+        with pytest.raises(ContractViolationError,
+                           match=r"edge \(2, 2\) breaks the leaf ordering"):
+            Arborescence([0, 0, 2], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [0, 1, 2], set())
+
+    def test_keeps_the_lists_it_is_given(self):
+        lists = [0, 0, 1, 1], [0.0, 0.0, 1.0, 2.0], [0.0, 0.0, 3.0, 4.0]
+        labels, flipped = [0, 2, 1, 3], {3}
+        arb = Arborescence(*lists, labels, flipped)
+        assert arb.node_count == 3
+        assert (arb.parent, arb.lam, arb.mu) == lists
+        assert all(got is given for got, given in zip(decompose(arb), lists))
+        assert arb.original_label is labels and arb.flipped is flipped
