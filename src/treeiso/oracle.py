@@ -5,22 +5,21 @@ every feasible assignment of a relation sign per edge and keeps the first
 one whose reconstructed primal-dual pair certifies, and `pava` is the
 classic pool-adjacent-violators fit for nondecreasing chains.  Both exist
 to cross-check the main solver, so they share only the residual definition
-and the basic tree plumbing with it.  Under one pattern each strict edge's
+and the normal form's lists with it.  Under one pattern each strict edge's
 dual sits at a box end, adding a constant slope to both endpoint losses,
 and each equal-valued component sits where its members' derivatives sum
 to minus its slopes: `loss.pooled_inverse` with that target.
 
-`tree_linear_solve` solves the flow-balance system on a subtree in a single
-post-order traversal: given a right-hand side b on every non-ancestor node,
-it returns the unique edge values z such that at each such node the sum of z
-over out-edges minus the sum over in-edges equals b.  No matrix is formed.
+Since parent[c] < c in the normal form, one ascending pass names each
+component by its top, and one descending pass solves the flow balance
+inside it: the dual on an equality edge into c is minus the imbalance
+summed over c's side, accumulated child by child in descending label order.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import deque
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import CertificateError, ContractViolationError
 from .loss import pooled_inverse
@@ -30,20 +29,6 @@ from .tree import Edge, INF
 MAX_ORACLE_EDGES = 12
 
 SignPattern = Dict[Edge, int]
-
-
-class Subtree:
-    """A connected set of nodes plus the edges that span it."""
-
-    __slots__ = ("nodes", "node_set", "edges")
-
-    def __init__(self, nodes: Iterable[int], edges: Iterable[Edge]):
-        self.nodes = tuple(nodes)
-        self.node_set = frozenset(self.nodes)
-        self.edges = tuple(edges)
-
-    def __len__(self):
-        return len(self.nodes)
 
 
 def feasible_signs(lam: float, mu: float) -> Tuple[int, ...]:
@@ -61,75 +46,6 @@ def feasible_signs(lam: float, mu: float) -> Tuple[int, ...]:
     return tuple(signs)
 
 
-def component_of(equality_edges: Iterable[Edge], seed: int) -> Subtree:
-    """Connected component of `seed` under the given undirected edge set.
-
-    Returns the component as a Subtree; edges outside the component are
-    ignored.  With no incident edges the result is the singleton {seed}.
-    """
-    adjacency: Dict[int, list] = {}
-    for i, j in equality_edges:
-        adjacency.setdefault(i, []).append((j, (i, j)))
-        adjacency.setdefault(j, []).append((i, (i, j)))
-    nodes = [seed]
-    member = {seed}
-    edges = []
-    queue = deque([seed])
-    while queue:
-        v = queue.popleft()
-        for nbr, edge in adjacency.get(v, ()):
-            if nbr in member:
-                continue
-            member.add(nbr)
-            nodes.append(nbr)
-            edges.append(edge)
-            queue.append(nbr)
-    return Subtree(nodes, edges)
-
-
-def tree_linear_solve(
-    subtree: Subtree, ancestor: int, b: Mapping[int, float]
-) -> Dict[Edge, float]:
-    """Solve the flow-balance system on a subtree in one traversal.
-
-    Finds edge values z such that for every node v != ancestor in the
-    subtree, (sum of z over out-edges of v) - (sum over in-edges) = b[v].
-    The value on an edge equals the accumulated b-sum of the half of the
-    subtree hanging away from `ancestor`, signed by the edge orientation.
-    """
-    if ancestor not in subtree.node_set:
-        raise ContractViolationError("ancestor %r not in subtree" % (ancestor,))
-    adjacency: Dict[int, list] = {v: [] for v in subtree.nodes}
-    for i, j in subtree.edges:
-        adjacency[i].append((j, (i, j)))
-        adjacency[j].append((i, (i, j)))
-
-    order = [ancestor]
-    up_edge: Dict[int, Edge] = {}
-    seen = {ancestor}
-    k = 0
-    while k < len(order):
-        v = order[k]
-        k += 1
-        for nbr, edge in adjacency[v]:
-            if nbr in seen:
-                continue
-            seen.add(nbr)
-            up_edge[nbr] = edge
-            order.append(nbr)
-
-    acc = {v: float(b.get(v, 0.0)) for v in subtree.nodes}
-    z: Dict[Edge, float] = {}
-    for v in reversed(order):
-        if v == ancestor:
-            continue
-        i, j = up_edge[v]
-        other = j if v == i else i
-        z[(i, j)] = acc[v] if v == i else -acc[v]
-        acc[other] += acc[v]
-    return z
-
-
 def solve_reduced(problem: Problem, pattern: SignPattern, memo: dict,
                   tol: float = DEFAULT_TOL):
     """Solve the problem restricted to one sign pattern.
@@ -141,72 +57,71 @@ def solve_reduced(problem: Problem, pattern: SignPattern, memo: dict,
     slopes across patterns.  Returns (x, z) when the reconstructed pair
     certifies at `tol`, else None.
     """
-    edges = problem.weighted_edges()
-    slopes = {v: 0.0 for v in range(1, problem.arb.node_count + 1)}
-    eq_edges: List[Edge] = []
-    for i, j, lam, mu in edges:
+    arb, loss_of = problem.arb, problem.loss_of
+    n, parent, lams, mus = arb.node_count, arb.parent, arb.lam, arb.mu
+    slopes = [0.0] * (n + 1)
+    top = list(range(n + 1))  # a node's component is named by its top
+    signs = [EQ] * (n + 1)
+    dual = [0.0] * (n + 1)
+    for c in range(2, n + 1):
+        p = parent[c]
         try:
-            sign = pattern[(i, j)]
+            sign = signs[c] = pattern[(p, c)]
         except KeyError:
             raise ContractViolationError(
-                "pattern assigns no sign to edge %s" % ((i, j),)
+                "pattern assigns no sign to edge %s" % ((p, c),)
             ) from None
         if sign == EQ:
-            eq_edges.append((i, j))
-        elif sign == GT:
-            if lam == INF:
-                return None
-            slopes[i] += lam
-            slopes[j] -= lam
+            top[c] = top[p]
+            continue
+        if sign == GT:
+            d = -lams[c]
         elif sign == LT:
-            if mu == INF:
-                return None
-            slopes[i] -= mu
-            slopes[j] += mu
+            d = mus[c]
         else:
             raise ContractViolationError("unknown sign %r" % (sign,))
+        if abs(d) == INF:  # a strict side with an infinite weight
+            return None
+        slopes[p] -= d
+        slopes[c] += d
+        dual[c] = d
 
+    # parent[c] < c, so a top precedes its members: ascending label order.
+    components: Dict[int, List[int]] = {}
+    for v in range(1, n + 1):
+        components.setdefault(top[v], []).append(v)
     x: Dict[int, float] = {}
-    components = []
-    for v in range(1, problem.arb.node_count + 1):
-        if v in x:
-            continue
-        comp = component_of(eq_edges, v)
-        key = (frozenset(comp.nodes), tuple(slopes[u] for u in sorted(comp.nodes)))
+    for members in components.values():
+        key = (frozenset(members), tuple(slopes[u] for u in members))
         value = memo.get(key)
         if value is None:
-            value = memo[key] = pooled_inverse([problem.loss_of(u) for u in comp.nodes],
-                                               -sum(slopes[u] for u in comp.nodes))
-        for u in comp.nodes:
+            value = memo[key] = pooled_inverse([loss_of(u) for u in members],
+                                               -sum(key[1]))
+        for u in members:
             x[u] = value
-        components.append(comp)
 
     # Cheap screen: a strict edge whose endpoints came out ordered the
     # wrong way can only certify when both weights vanish.
-    for i, j, lam, mu in edges:
-        sign = pattern[(i, j)]
-        if sign == GT and x[j] > x[i] and not values_equal(x[i], x[j]) \
-                and lam + mu > tol:
-            return None
-        if sign == LT and x[i] > x[j] and not values_equal(x[i], x[j]) \
-                and lam + mu > tol:
+    for c in range(2, n + 1):
+        sign, xp, xc = signs[c], x[parent[c]], x[c]
+        if (sign == GT and xc > xp or sign == LT and xp > xc) \
+                and not values_equal(xp, xc) and lams[c] + mus[c] > tol:
             return None
 
-    z: Dict[Edge, float] = {}
-    for i, j, lam, mu in edges:
-        sign = pattern[(i, j)]
-        if sign == GT:
-            z[(i, j)] = -lam
-        elif sign == LT:
-            z[(i, j)] = mu
-    for comp in components:
-        if len(comp) == 1:
-            continue
-        b = {u: problem.loss_of(u).derivative(x[u]) + slopes[u]
-             for u in comp.nodes}
-        z.update(tree_linear_solve(comp, comp.nodes[0], b))
+    # Each equality edge carries the net imbalance of the members below it,
+    # summed child by child in descending label order.
+    acc = [0.0] * (n + 1)
+    for members in components.values():
+        if len(members) > 1:
+            for u in members:
+                acc[u] = loss_of(u).derivative(x[u]) + slopes[u]
+    for c in range(n, 1, -1):
+        if top[c] != c:
+            dual[c] = -acc[c]
+            acc[parent[c]] += acc[c]
+    z = {(parent[c], c): dual[c] for c in range(2, n + 1)}
 
-    residual = kkt_residual(edges, problem.loss_of, x, z)
+    residual = kkt_residual(problem.weighted_edges(), loss_of, x, z)
     if residual <= tol:
         return x, z
     return None
@@ -249,9 +164,12 @@ def pava(values: Sequence[float], weights: Optional[Sequence[float]] = None
             "got %d weights for %d values" % (len(weights), len(values))
         )
     blocks: List[Tuple[float, float, int]] = []  # (weight sum, weighted sum, count)
-    for y, w in zip(values, weights):
-        if not w > 0.0:
-            raise ContractViolationError("weights must be positive")
+    for k, (y, w) in enumerate(zip(values, weights)):
+        if not -INF < y < INF:
+            raise ContractViolationError("value %d is not finite: %r" % (k, y))
+        if not 0.0 < w < INF:
+            raise ContractViolationError(
+                "weight %d must be finite and positive, got %r" % (k, w))
         cw, cy, cn = w, w * y, 1
         while blocks and blocks[-1][1] / blocks[-1][0] > cy / cw:
             pw, py, pn = blocks.pop()

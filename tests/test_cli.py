@@ -177,6 +177,22 @@ class TestSolveCommand:
         assert report["x"] == {"a": 0.0, "b": 10.0}
         assert report["z"] == [{"from": "a", "to": "b", "value": 0.0}]
 
+    def test_default_root_is_first_listed_node_among_sources(self, capsys, tmp_path):
+        # b and a both lack an incoming edge; b is listed first, so it is
+        # the root and only c and a are attached, in that order.
+        obj = {
+            "nodes": [{"id": "b", "loss": quad(1.0)},
+                      {"id": "a", "loss": quad(5.0)},
+                      {"id": "c", "loss": quad(3.0)}],
+            "edges": [{"from": "a", "to": "c", "lambda": 1.0, "mu": 1.0},
+                      {"from": "b", "to": "c", "lambda": 1.0, "mu": 1.0}],
+        }
+        code, out, _ = run_cli(capsys, "solve", write_instance(tmp_path, obj))
+        assert code == EXIT_OK
+        report = json.loads(out)
+        assert [s["node"] for s in report["stats"]["steps"]] == ["c", "a"]
+        assert report["x"] == {"b": 2.0, "a": 4.0, "c": 3.0}
+
     def test_flipped_edge_reported_in_file_orientation(self, capsys, tmp_path):
         obj = {
             "nodes": [

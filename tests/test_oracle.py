@@ -1,5 +1,6 @@
-"""Brute-force reference: sign-pattern enumeration, the component helpers it
-builds on (component_of, tree_linear_solve) and the isotonic baseline."""
+"""Brute-force reference: sign-pattern enumeration, the per-pattern solve it
+builds on (components named by their top, duals back-substituted by
+descending label) and the isotonic baseline."""
 
 import itertools
 import random
@@ -12,13 +13,10 @@ from treeiso.errors import ContractViolationError
 from treeiso.loss import WeightedQuadratic
 from treeiso.oracle import (
     MAX_ORACLE_EDGES,
-    Subtree,
-    component_of,
     enumerate_optimum,
     feasible_signs,
     pava,
     solve_reduced,
-    tree_linear_solve,
 )
 from treeiso.solver import EQ, GT, LT, Problem, Solver, objective_value
 from treeiso.tree import DirectedTree, INF, normalize
@@ -43,76 +41,6 @@ class TestFeasibleSigns:
         assert feasible_signs(0.0, 0.0) == (EQ, GT, LT)
 
 
-class TestComponentOf:
-    def test_demo_component(self):
-        comp = component_of([(1, 2), (1, 3)], seed=3)
-        assert comp.node_set == {1, 2, 3}
-        assert set(comp.edges) == {(1, 2), (1, 3)}
-
-    def test_no_edges_singleton(self):
-        comp = component_of([], seed=7)
-        assert comp.nodes == (7,)
-        assert comp.edges == ()
-
-    def test_full_prefix(self):
-        edges = [(1, 2), (2, 3), (3, 4)]
-        comp = component_of(edges, seed=4)
-        assert comp.node_set == {1, 2, 3, 4}
-
-    def test_ignores_other_components(self):
-        comp = component_of([(1, 2), (3, 4)], seed=1)
-        assert comp.node_set == {1, 2}
-
-
-class TestTreeLinearSolve:
-    def test_demo_duals(self):
-        comp = Subtree([1, 2, 3], [(1, 2), (1, 3)])
-        z = tree_linear_solve(comp, ancestor=3, b={1: -1.0, 2: 1.0})
-        assert z[(1, 2)] == pytest.approx(-1.0, abs=1e-15)
-        assert z[(1, 3)] == pytest.approx(0.0, abs=1e-15)
-
-    def test_zero_rhs(self):
-        comp = Subtree([1, 2, 3], [(1, 2), (2, 3)])
-        z = tree_linear_solve(comp, ancestor=1, b={2: 0.0, 3: 0.0})
-        assert all(v == 0.0 for v in z.values())
-
-    def test_single_edge_both_roles(self):
-        comp = Subtree([4, 9], [(4, 9)])
-        assert tree_linear_solve(comp, ancestor=4, b={9: 2.5}) == {(4, 9): -2.5}
-        assert tree_linear_solve(comp, ancestor=9, b={4: 2.5}) == {(4, 9): 2.5}
-
-    def test_ancestor_must_belong(self):
-        comp = Subtree([1, 2], [(1, 2)])
-        with pytest.raises(ContractViolationError):
-            tree_linear_solve(comp, ancestor=3, b={2: 1.0})
-
-    def test_balance_on_random_trees(self):
-        rng = random.Random(1234)
-        for _ in range(100):
-            n = rng.randint(2, 12)
-            edges = []
-            for child in range(2, n + 1):
-                parent = rng.randint(1, child - 1)
-                if rng.random() < 0.5:
-                    edges.append((child, parent))
-                else:
-                    edges.append((parent, child))
-            comp = Subtree(range(1, n + 1), edges)
-            ancestor = rng.randint(1, n)
-            b = {v: rng.uniform(-10, 10) for v in range(1, n + 1) if v != ancestor}
-            z = tree_linear_solve(comp, ancestor, b)
-            for v in range(1, n + 1):
-                if v == ancestor:
-                    continue
-                net = 0.0
-                for i, j in edges:
-                    if i == v:
-                        net += z[(i, j)]
-                    elif j == v:
-                        net -= z[(i, j)]
-                assert abs(net - b[v]) <= 1e-12
-
-
 class TestSolveReduced:
     def test_golden_pattern_certifies(self):
         result = solve_reduced(make_demo_problem(), GOLDEN_PATTERN, {})
@@ -132,6 +60,52 @@ class TestSolveReduced:
         pattern = dict(GOLDEN_PATTERN)
         pattern[(3, 4)] = GT
         assert solve_reduced(make_demo_problem(), pattern, {}) is None
+
+    def test_two_components_joined_by_a_strict_edge(self):
+        # Chain 1-2-3-4 with 1=2 > 3=4.  The strict edge's dual sits at
+        # -lambda = -1, adding slope +1 at node 2 and -1 at node 3, so
+        # {1, 2} sits where (x - 6) + (x - 4) = -1, x = 4.5, and {3, 4}
+        # where (x - 1) + (x - 1) = +1, x = 1.5.  Below each top the
+        # equality edge carries minus the imbalance of its side:
+        # z(1, 2) = -(f2'(4.5) + 1) = -1.5 and z(3, 4) = -f4'(1.5) = -0.5.
+        tree = DirectedTree(4, [(1, 2, 2.0, 2.0), (2, 3, 1.0, 1.0), (3, 4, 2.0, 2.0)])
+        problem = Problem(normalize(tree), [WeightedQuadratic(1.0, y)
+                                            for y in (6.0, 4.0, 1.0, 1.0)])
+        pattern = {(1, 2): EQ, (2, 3): GT, (3, 4): EQ}
+        x, z = solve_reduced(problem, pattern, {})
+        assert x == pytest.approx({1: 4.5, 2: 4.5, 3: 1.5, 4: 1.5}, abs=1e-12)
+        assert z == pytest.approx({(1, 2): -1.5, (2, 3): -1.0, (3, 4): -0.5},
+                                  abs=1e-12)
+
+    @pytest.mark.parametrize("kind", ["quadratic", "mixed"])
+    def test_certified_duals_balance_every_node(self, kind):
+        certified = flipped = 0
+        for seed in range(40):
+            n = random.Random(seed).randint(2, 9)
+            problem = build_problem(*random_problem("random", n, seed, kind))
+            flipped += bool(problem.arb.flipped)
+            edges = problem.weighted_edges()
+            keys = [(i, j) for i, j, _, _ in edges]
+            memo = {}
+            for combo in itertools.product(*[feasible_signs(lam, mu)
+                                             for _, _, lam, mu in edges]):
+                pattern = dict(zip(keys, combo))
+                result = solve_reduced(problem, pattern, memo)
+                if result is None:
+                    continue
+                certified += 1
+                x, z = result
+                net = {v: 0.0 for v in x}
+                for (i, j), value in z.items():
+                    net[i] += value
+                    net[j] -= value
+                for v, xv in x.items():
+                    slope = problem.loss_of(v).derivative(xv)
+                    assert abs(net[v] - slope) <= 1e-12 * (1.0 + abs(slope))
+                for edge, sign in pattern.items():
+                    if sign == EQ:
+                        assert x[edge[0]] == x[edge[1]]
+        assert certified >= 25 and flipped > 0
 
     def test_memo_is_reused_across_patterns(self):
         problem = make_demo_problem()
@@ -236,6 +210,17 @@ class TestPava:
     def test_nonpositive_weight_rejected(self):
         with pytest.raises(ContractViolationError):
             pava([1.0, 2.0], weights=[1.0, 0.0])
+
+    @pytest.mark.parametrize("weights", [[1.0, INF], [1.0, float("nan")],
+                                         [1.0, -2.0]])
+    def test_bad_weight_rejected_by_index(self, weights):
+        with pytest.raises(ContractViolationError, match="weight 1 "):
+            pava([1.0, 2.0], weights=weights)
+
+    @pytest.mark.parametrize("bad", [float("nan"), INF, -INF])
+    def test_non_finite_value_rejected_by_index(self, bad):
+        with pytest.raises(ContractViolationError, match="value 1 "):
+            pava([3.0, bad, 1.0])
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ContractViolationError):

@@ -135,6 +135,16 @@ class TestNormalize:
         arb = normalize(tree)
         assert arb.original_label[1] == 2
 
+    def test_default_root_with_two_sources_is_node_1(self):
+        # Nodes 1 and 2 both point at 3: no unique source, so node 1 roots
+        # the tree, reaches 3, and 3 reaches 2 through a flipped edge.
+        tree = DirectedTree(3, [(2, 3, 1.0, 2.0), (1, 3, 3.0, 4.0)])
+        arb = normalize(tree)
+        assert arb.original_label == [0, 1, 3, 2]
+        assert attachment(arb, 2) == (1, 3.0, 4.0)
+        assert attachment(arb, 3) == (2, 2.0, 1.0)
+        assert arb.flipped == {3}
+
     def test_leaf_order_holds_on_random_trees(self):
         rng = random.Random(42)
         for _ in range(25):
