@@ -2,12 +2,14 @@
 
 Subcommands: `solve` runs the recursive solver on a JSON instance file,
 `oracle` runs the brute-force enumeration instead, and `bench` times the
-solver on generated instances and prints CSV.  Reported duals are mapped
-back to the orientation the file declared.  The certificate residual in
-every report is the one computed in solver labels, by the solver's gate
-for `solve` and `bench`: `map_back` only relabels nodes and flips the
-sign of a flipped edge's dual, which keeps the residual up to the order
-in which each node's incident duals are summed.
+solver on generated instances and prints CSV.  `solve` and `oracle` put
+their pair into one report of columns by the file's nodes and declared
+edges, in the file's orientation, which the JSON writer and the `--table`
+writer both read.  The certificate residual in every report is the one
+computed in solver labels, by the solver's gate for `solve` and `bench`:
+`map_back` only relabels nodes and flips the sign of a flipped edge's
+dual, which keeps the residual up to the order in which each node's
+incident duals are summed.
 
 Exit codes: 0 success; 2 unreadable file (not UTF-8, or nested too
 deeply), JSON syntax error, an over-long integer literal or bad usage;
@@ -22,9 +24,7 @@ import argparse
 import json
 import sys
 import time
-from itertools import chain
-from operator import itemgetter
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .api import build_problem, random_problem, solve_tree
 from .errors import (
@@ -240,120 +240,93 @@ def format_float(value: float) -> str:
 _encode_str = json.encoder.encode_basestring_ascii
 
 
-def _emit_other(value) -> str:
-    """A value whose exact type `_WRITERS` lacks: every value in a report
-    has an exact built-in type, so anything else is refused."""
-    raise ContractViolationError("cannot serialize %r" % (value,))
+class Report(NamedTuple):
+    """A pair as columns: node k's id and x at k - 1, each declared edge's
+    from and to labels and z in file order; `solve`'s stats (inner_iters_total,
+    equilibrium_calls, then node label, branch, iterations and t columns per
+    step) or `oracle`'s relation per declared edge."""
+
+    ids: list
+    tails: list
+    heads: list
+    x: list
+    z: list
+    objective: float
+    residual: float
+    stats: Optional[tuple] = None
+    relations: Optional[list] = None
 
 
-def _emit_value(value) -> str:
-    return (_WRITERS.get(type(value)) or _emit_other)(value)
+def _floats(values):
+    """A `%` conversion and its arguments for a float column: `%.17g` in C,
+    or `format_float` value by value when the column holds an infinity."""
+    if INF in values or -INF in values:
+        return "%s", map(format_float, values)
+    return "%.17g", values
 
 
-def _column(values):
-    """A `%` conversion and its arguments for a run of values.
-
-    A finite float run is written by `%.17g` and an int run by `%d`, in C;
-    a str run is encoded once per distinct string; any other run passes
-    each value's text to `%s`.  Types are tested exactly, so a bool is not
-    an int and a subclass reaches `_emit_other`.
-    """
-    types = set(map(type, values))
-    if len(types) == 1:
-        kind = types.pop()
-        if kind is float and INF not in values and -INF not in values:
-            return "%.17g", values
-        if kind is int:
-            return "%d", values
-        if kind is str:
-            codes = {text: _encode_str(text) for text in set(values)}
-            return "%s", map(codes.__getitem__, values)
-    return "%s", map(_emit_value, values)
+def _rows(template: str, *columns) -> str:
+    return ", ".join(map(template.__mod__, zip(*columns)))
 
 
-def _emit_dict(obj: dict) -> str:
-    conversion, args = _column(obj.values())
-    return "{%s}" % ", ".join(map(("%s: " + conversion).__mod__,
-                                  zip(map(_encode_str, map(str, obj)), args)))
-
-
-def _emit_rows(rows, keys: list) -> str:
-    """Dicts that all hold the same str keys in the same order, through one
-    row template whose conversions are their columns'."""
-    if not keys:
-        return ", ".join(["{}"] * len(rows))
-    columns = [_column(list(map(itemgetter(key), rows))) for key in keys]
-    template = "{%s}" % ", ".join([
-        "%s: %s" % (_encode_str(key).replace("%", "%%"), conversion)
-        for key, (conversion, _) in zip(keys, columns)
-    ])
-    return ", ".join(map(template.__mod__, zip(*[args for _, args in columns])))
-
-
-def _emit_list(obj) -> str:
-    # Rows share the first row's keys in its order, each an exact str: 1,
-    # True and 1.0 are equal keys whose texts differ.
-    if obj and type(obj[0]) is dict and set(map(type, obj)) == {dict}:
-        keys = list(obj[0])
-        flat = list(chain.from_iterable(obj))
-        if flat == keys * len(obj) and set(map(type, flat)) <= {str}:
-            return "[%s]" % _emit_rows(obj, keys)
-    conversion, args = _column(obj)
-    if conversion != "%s":
-        args = map(conversion.__mod__, args)
-    return "[%s]" % ", ".join(args)
-
-
-_WRITERS = {
-    dict: _emit_dict,
-    list: _emit_list,
-    tuple: _emit_list,
-    float: format_float,
-    int: str,
-    str: _encode_str,
-    bool: lambda value: "true" if value else "false",
-    type(None): lambda value: "null",
-}
-
-
-def emit_json(obj) -> str:
+def emit_json(report: Report) -> str:
     """Serialize with deterministic float formatting (17 significant digits).
 
-    Infinities are written as the strings "inf" and "-inf"; keys and
-    strings are ASCII-escaped as `json.dumps` escapes them, and items are
-    separated by ", " and ": ".
-
-    Values of one exact type are written in bulk, with the bytes a value
-    by value writer gives: a dict's values and a list's items as one
-    column, and a list of dicts with the same str keys in the same order
-    as rows of one template, one column per key.  A column of finite
-    floats goes through `%.17g` and one of ints through `%d`; a str column
-    is encoded once per distinct string; any other column is written
-    value by value.
+    Keys come in a fixed order: x, z, objective, kkt_residual, then stats or
+    pattern.  Infinities are written as the strings "inf" and "-inf"; an id
+    is its JSON string when it is a str and its digits when it is an int,
+    and x's keys are the ids' text.  Strings are ASCII-escaped as
+    `json.dumps` escapes them, and items are separated by ", " and ": ".
+    Each array's objects are written through one row template.
     """
-    return _emit_value(obj)
+    texts = [_encode_str(i) if type(i) is str else str(i) for i in report.ids]
+    tails = [texts[f - 1] for f in report.tails]
+    heads = [texts[t - 1] for t in report.heads]
+    conversion, x = _floats(report.x)
+    parts = ['{"x": {%s}' % _rows("%s: " + conversion,
+                                  map(_encode_str, map(str, report.ids)), x)]
+    conversion, z = _floats(report.z)
+    parts.append('"z": [%s]' % _rows(
+        '{"from": %s, "to": %s, "value": ' + conversion + "}", tails, heads, z))
+    parts.append('"objective": ' + format_float(report.objective))
+    parts.append('"kkt_residual": ' + format_float(report.residual))
+    if report.stats is not None:
+        inner, equilibrium, nodes, branches, iterations, ts = report.stats
+        conversion, ts = _floats(ts)
+        steps = _rows('{"node": %s, "branch": %s, "iterations": %d, "t": '
+                      + conversion + "}", [texts[v - 1] for v in nodes],
+                      map(_encode_str, branches), iterations, ts)
+        parts.append('"stats": {"inner_iters_total": %d, "equilibrium_calls": %d, '
+                     '"steps": [%s]}' % (inner, equilibrium, steps))
+    if report.relations is not None:
+        parts.append('"pattern": [%s]' % _rows(
+            '{"from": %s, "to": %s, "relation": %s}', tails, heads,
+            map(_encode_str, report.relations)))
+    return ", ".join(parts) + "}"
 
 
 def solution_report(pf: ProblemFile, tree: DirectedTree, losses: Dict[int, Loss],
-                    x, z, residual: float) -> dict:
-    """Key a pair by file ids, with its objective and certificate residual.
+                    x, z, residual: float, stats=None, relations=None) -> Report:
+    """A pair's columns by the file's nodes and declared edges, and its objective.
 
     `tree` and `losses` are the dense-labelled instance `pf.build` returned,
     (x, z) is a pair in its labels and orientation, and `residual` is its
     `kkt_residual` as computed in solver labels (`map_back` keeps it).
+    `solve` passes its `SolveStats`, `oracle` its signs by declared edge.
     """
-    ids = pf.ids
-    x_out = {str(oid): x[k] for k, oid in enumerate(ids, 1)}
-    z_out = [
-        {"from": ids[f - 1], "to": ids[t - 1], "value": z[(f, t)]}
-        for f, t, _, _ in pf.edges
-    ]
-    return {
-        "x": x_out,
-        "z": z_out,
-        "objective": objective_value(tree.edges, losses.__getitem__, x),
-        "kkt_residual": residual,
-    }
+    tails = [f for f, _, _, _ in pf.edges]
+    heads = [t for _, t, _, _ in pf.edges]
+    if stats is not None:
+        steps = stats.steps
+        stats = (stats.inner_iters_total, stats.equilibrium_total,
+                 [rec.node for rec in steps], [rec.branch for rec in steps],
+                 [rec.iterations for rec in steps], [rec.t_star for rec in steps])
+    if relations is not None:
+        relations = [SIGN_NAME[relations[edge]] for edge in zip(tails, heads)]
+    return Report(pf.ids, tails, heads, list(map(x.__getitem__, range(1, len(pf.ids) + 1))),
+                  list(map(z.__getitem__, zip(tails, heads))),
+                  objective_value(tree.edges, losses.__getitem__, x), residual,
+                  stats, relations)
 
 
 def _table_id(node_id) -> str:
@@ -364,21 +337,20 @@ def _table_id(node_id) -> str:
     return text if text.isprintable() else _encode_str(text)
 
 
-def _print_report(report: dict, as_table: bool):
+def _print_report(report: Report, as_table: bool):
     if not as_table:
         print(emit_json(report))
         return
-    for key, value in report["x"].items():
-        print("x[%s] = %.12g" % (_table_id(key), value))
-    for row in report["z"]:
+    ids = report.ids
+    for node_id, value in zip(ids, report.x):
+        print("x[%s] = %.12g" % (_table_id(node_id), value))
+    for f, t, value in zip(report.tails, report.heads, report.z):
         print("z[%s -> %s] = %.12g"
-              % (_table_id(row["from"]), _table_id(row["to"]), row["value"]))
-    print("objective    = %.12g" % report["objective"])
-    print("kkt_residual = %.3e" % report["kkt_residual"])
-    if "stats" in report:
-        stats = report["stats"]
-        print("inner iterations = %d, equilibrium calls = %d"
-              % (stats["inner_iters_total"], stats["equilibrium_calls"]))
+              % (_table_id(ids[f - 1]), _table_id(ids[t - 1]), value))
+    print("objective    = %.12g" % report.objective)
+    print("kkt_residual = %.3e" % report.residual)
+    if report.stats is not None:
+        print("inner iterations = %d, equilibrium calls = %d" % report.stats[:2])
 
 
 # -- commands ----------------------------------------------------------------
@@ -393,11 +365,8 @@ def cmd_solve(args) -> int:
         raise pf.in_file_ids(exc) from None
     if args.oracle_check:
         if len(pf.edges) > MAX_ORACLE_EDGES:
-            print(
-                "note: %d edges exceeds the oracle cap of %d, cross-check skipped"
-                % (len(pf.edges), MAX_ORACLE_EDGES),
-                file=sys.stderr,
-            )
+            print("note: %d edges exceeds the oracle cap of %d, cross-check skipped"
+                  % (len(pf.edges), MAX_ORACLE_EDGES), file=sys.stderr)
         else:
             problem = build_problem(tree, losses, root)
             x_ref, z_ref, _ = enumerate_optimum(problem, tol=args.tol)
@@ -407,21 +376,8 @@ def cmd_solve(args) -> int:
                 raise CertificateError(
                     "solver and enumeration disagree: max |dx| = %.3e" % gap
                 )
-    report = solution_report(pf, tree, losses, x, z, stats.final_residual)
-    report["stats"] = {
-        "inner_iters_total": stats.inner_iters_total,
-        "equilibrium_calls": stats.equilibrium_total,
-        "steps": [
-            {
-                "node": pf.ids[rec.node - 1],
-                "branch": rec.branch,
-                "iterations": rec.iterations,
-                "t": rec.t_star,
-            }
-            for rec in stats.steps
-        ],
-    }
-    _print_report(report, args.table)
+    _print_report(solution_report(pf, tree, losses, x, z, stats.final_residual,
+                                  stats=stats), args.table)
     return EXIT_OK
 
 
@@ -435,19 +391,10 @@ def cmd_oracle(args) -> int:
     x_norm, z_norm, pattern = enumerate_optimum(problem)
     x, z = map_back(problem.arb, x_norm, z_norm)
     residual = kkt_residual(problem.weighted_edges(), problem.loss_of, x_norm, z_norm)
-    report = solution_report(pf, tree, losses, x, z, residual)
     # Signs flip with the edge, as duals do.
     _, relations = map_back(problem.arb, x_norm, pattern)
-    ids = pf.ids
-    report["pattern"] = [
-        {
-            "from": ids[f - 1],
-            "to": ids[t - 1],
-            "relation": SIGN_NAME[relations[(f, t)]],
-        }
-        for f, t, _, _ in pf.edges
-    ]
-    _print_report(report, args.table)
+    _print_report(solution_report(pf, tree, losses, x, z, residual,
+                                  relations=relations), args.table)
     return EXIT_OK
 
 

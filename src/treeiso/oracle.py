@@ -19,6 +19,7 @@ summed over c's side, accumulated child by child in descending label order.
 from __future__ import annotations
 
 import itertools
+import numbers
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import CertificateError, ContractViolationError
@@ -150,6 +151,17 @@ def enumerate_optimum(problem: Problem, tol: float = DEFAULT_TOL):
     raise CertificateError("no sign pattern produced a certified pair")
 
 
+def _real(value, what: str, k: int) -> float:
+    # As `loss._finite` checks: float() would also take True or "2".
+    try:
+        if type(value) is float or (isinstance(value, numbers.Real)
+                                    and not isinstance(value, bool)):
+            return float(value)
+    except OverflowError:  # an integer or fraction beyond the float range
+        raise ContractViolationError("%s %d is beyond the float range" % (what, k)) from None
+    raise ContractViolationError("%s %d must be a real number, got %r" % (what, k, value))
+
+
 def pava(values: Sequence[float], weights: Optional[Sequence[float]] = None
          ) -> List[float]:
     """Weighted least-squares fit of a nondecreasing sequence.
@@ -165,6 +177,7 @@ def pava(values: Sequence[float], weights: Optional[Sequence[float]] = None
         )
     blocks: List[Tuple[float, float, int]] = []  # (weight sum, weighted sum, count)
     for k, (y, w) in enumerate(zip(values, weights)):
+        y, w = _real(y, "value", k), _real(w, "weight", k)
         if not -INF < y < INF:
             raise ContractViolationError("value %d is not finite: %r" % (k, y))
         if not 0.0 < w < INF:

@@ -1,10 +1,12 @@
 """CLI surface: instance files, report formats, exit codes, bench output."""
 
+import contextlib
+import io
 import json
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import treeiso.cli as cli
 import treeiso.solver
@@ -644,13 +646,6 @@ class TestProblemFileRoundTrip:
         assert (losses[3].w, losses[3].y) == (3.0, 2.0)
         assert root == 2
 
-    def test_emit_json_is_valid_json(self):
-        payload = {"a": [1.0, INF, -INF, 0.5], "b": "text", "c": None, "d": True}
-        parsed = json.loads(emit_json(payload))
-        assert parsed["a"] == [1.0, "inf", "-inf", 0.5]
-        assert parsed["b"] == "text"
-        assert parsed["c"] is None and parsed["d"] is True
-
 
 def reference_emit(obj) -> str:
     """The recursive emitter the report format was first defined by."""
@@ -671,127 +666,103 @@ def reference_emit(obj) -> str:
     raise AssertionError("unsupported %r" % (obj,))
 
 
-class Text(str):
-    pass
+def nested_report(report) -> dict:
+    """The report as the nested dict it serializes, value by value."""
+    ids = report.ids
+    ends = [(ids[f - 1], ids[t - 1]) for f, t in zip(report.tails, report.heads)]
+    out = {
+        "x": {str(node_id): value for node_id, value in zip(ids, report.x)},
+        "z": [{"from": f, "to": t, "value": value}
+              for (f, t), value in zip(ends, report.z)],
+        "objective": report.objective,
+        "kkt_residual": report.residual,
+    }
+    if report.stats is not None:
+        inner, equilibrium, nodes, branches, iterations, ts = report.stats
+        out["stats"] = {
+            "inner_iters_total": inner,
+            "equilibrium_calls": equilibrium,
+            "steps": [{"node": ids[v - 1], "branch": b, "iterations": i, "t": t}
+                      for v, b, i, t in zip(nodes, branches, iterations, ts)],
+        }
+    if report.relations is not None:
+        out["pattern"] = [{"from": f, "to": t, "relation": r}
+                          for (f, t), r in zip(ends, report.relations)]
+    return out
 
 
-class Real(float):
-    pass
+def reference_table(obj: dict) -> str:
+    """The `--table` report of a nested report, line by line."""
+    def table_id(node_id):
+        text = str(node_id)
+        return text if text.isprintable() else json.dumps(text)
+
+    lines = ["x[%s] = %.12g" % (table_id(k), v) for k, v in obj["x"].items()]
+    lines += ["z[%s -> %s] = %.12g" % (table_id(row["from"]), table_id(row["to"]),
+                                       row["value"]) for row in obj["z"]]
+    lines.append("objective    = %.12g" % obj["objective"])
+    lines.append("kkt_residual = %.3e" % obj["kkt_residual"])
+    if "stats" in obj:
+        lines.append("inner iterations = %d, equilibrium calls = %d"
+                     % (obj["stats"]["inner_iters_total"], obj["stats"]["equilibrium_calls"]))
+    return "".join(line + "\n" for line in lines)
 
 
-class Count(int):
-    pass
+def table_text(report) -> str:
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        cli._print_report(report, True)
+    return out.getvalue()
 
 
-class Mapping(dict):
-    pass
-
-
-class Items(list):
-    pass
-
-
-@pytest.mark.parametrize("payload", [
-    {"x": {"1": 0.1, "caf\u00e9": -0.0, 'q"\\\x07\t': 1e308}, "z": [], "t": ()},
-    [INF, -INF, float("nan"), 5e-324, -1.5, 2 ** 70, -3, True, False, None],
-    {1: "one", 2.5: ["two", ("three", {"four": {}})], None: [[]], True: "\u2603"},
-    # Rows of one shape, columns of one type, and what must not take them.
-    [{}, {}, {}],
-    [{"a": 1.0}],
-    [{"%s": 0.5, "%(x)s": 1, "%": "s", "%%": False},
-     {"%s": INF, "%(x)s": 2, "%": "s", "%%": 0}],
-    [{"k": 1}, {True: 1}],
-    [{"a": 1, "b": 2}, {"b": 2, "a": 1}],
-    [{"a": 1}, {"a": 1, "b": 2}],
-    {"a": False, "b": 0, "c": 0.0, "d": -0.0},
-    [False, 0, 0.0, -0.0, True, 1, 1.0],
-    [-0.0, 0.0, float("nan"), 5e-324, 1e308],
-    ["a", "a", "\u00e9", "a"],
-])
-def test_emit_json_matches_reference(payload):
-    assert emit_json(payload) == reference_emit(payload)
-
-
-# Keys with `%` would break a row template built without escaping; values
-# that compare equal across types (False, 0, 0.0, -0.0) would merge in a
-# memo keyed by value.
-_KEYS = st.one_of(
-    st.sampled_from(["%", "%s", "%(x)s", "%%d", "x", "caf\u00e9", 'q"\\\x07']),
-    st.text(max_size=3),
+# Strings a `%` template or a JSON escape could get wrong; ints the loader
+# accepts beyond 64 bits.  Ids must differ in their text, as the loader asks.
+_ID_TEXTS = st.one_of(
+    st.sampled_from(['q"uote', "back\\slash", "%", "%s", "%(x)s", "%%d", "bell\x07",
+                     "new\nline", "caf\u00e9", "\u2603", "\U0001f600", ""]),
+    st.text(max_size=4),
 )
-_EDGE_VALUES = st.sampled_from([
-    False, 0, 0.0, -0.0, True, 1, 1.0, INF, -INF, float("nan"), -float("nan"),
-    5e-324, 1e308, -1e308, 2 ** 70, -(2 ** 70), None, "", "a%s", "\u2603",
-])
-_FLOATS = st.one_of(st.floats(), st.sampled_from([INF, -INF, float("nan"), 5e-324, 1e308, -0.0]))
-_INTS = st.one_of(st.integers(), st.sampled_from([0, -1, 2 ** 70, -(2 ** 70)]))
-_TEXTS = st.text(max_size=4)
-# Each key is written with its own text, so 1, True and 1.0 are different keys.
-_TWINS = {0: (0, False, 0.0), 1: (1, True, 1.0)}
-
-
-def _column(values, size):
-    return st.sampled_from(
-        [_FLOATS, st.floats(allow_nan=False, allow_infinity=False), _INTS, _TEXTS,
-         st.booleans(), _EDGE_VALUES, values]
-    ).flatmap(lambda kind: st.lists(kind, min_size=size, max_size=size))
+_IDS = st.one_of(_ID_TEXTS, st.integers(), st.sampled_from([-1, 0, 2 ** 70, -(2 ** 70)]))
+_FLOATS = st.one_of(st.floats(), st.sampled_from(
+    [INF, -INF, float("nan"), -0.0, 5e-324, -5e-324, 1e308, -1e308]))
+_COUNTS = st.one_of(st.integers(0, 50), st.just(2 ** 70))
 
 
 @st.composite
-def _rows(draw, values):
-    keys = draw(st.lists(st.one_of(_KEYS, st.sampled_from(sorted(_TWINS))),
-                         unique=True, max_size=4))
-    count = draw(st.integers(1, 4))
-    columns = [draw(_column(values, count)) for _ in keys]
-    # Rows with the same keys in another order are written in their own order.
-    shuffled = draw(st.booleans())
-    rows = []
-    for r in range(count):
-        order = draw(st.permutations(range(len(keys)))) if shuffled else range(len(keys))
-        rows.append({
-            draw(st.sampled_from(_TWINS[keys[c]])) if keys[c] in _TWINS else keys[c]:
-            columns[c][r] for c in order
-        })
-    return rows
+def _reports(draw):
+    ids = draw(st.lists(_IDS, min_size=1, max_size=6, unique_by=str))
+    n = len(ids)
+    tails, heads = [], []
+    for c in range(2, n + 1):
+        p = draw(st.integers(1, c - 1))
+        f, t = (p, c) if draw(st.booleans()) else (c, p)
+        tails.append(f)
+        heads.append(t)
+    floats = st.lists(_FLOATS, min_size=n, max_size=n)
+    x, z = draw(floats), draw(floats)[:n - 1]
+    stats = relations = None
+    kind = draw(st.sampled_from(["solve", "oracle", "plain"]))
+    if kind == "solve":
+        m = draw(st.integers(0, n))
+        stats = (draw(_COUNTS), draw(_COUNTS),
+                 draw(st.lists(st.integers(1, n), min_size=m, max_size=m)),
+                 draw(st.lists(st.sampled_from(["flat", "down", "up"]), min_size=m, max_size=m)),
+                 draw(st.lists(_COUNTS, min_size=m, max_size=m)),
+                 draw(st.lists(_FLOATS, min_size=m, max_size=m)))
+    elif kind == "oracle":
+        relations = draw(st.lists(st.sampled_from(["<", "=", ">"]),
+                                  min_size=n - 1, max_size=n - 1))
+    return cli.Report(ids, tails, heads, x, z, draw(_FLOATS), draw(_FLOATS), stats, relations)
 
 
-@st.composite
-def _column_dict(draw, values):
-    keys = draw(st.lists(_KEYS, unique=True, max_size=5))
-    return dict(zip(keys, draw(_column(values, len(keys)))))
-
-
-_PAYLOADS = st.recursive(
-    st.one_of(_EDGE_VALUES, _FLOATS, _INTS, _TEXTS),
-    lambda values: st.one_of(
-        st.lists(values, max_size=4),
-        st.lists(values, max_size=4).map(tuple),
-        st.dictionaries(st.one_of(_KEYS, _EDGE_VALUES), values, max_size=4),
-        st.integers(0, 5).flatmap(lambda size: _column(values, size)),
-        _column_dict(values),
-        _rows(values),
-        _rows(values).map(tuple),
-    ),
-    max_leaves=40,
-)
+_ONE_NODE = cli.Report(["solo"], [], [], [1.0], [], 0.0, 0.0)
 
 
 @settings(max_examples=300, deadline=None)
-@given(_PAYLOADS)
-def test_emit_json_matches_reference_on_generated_payloads(payload):
-    assert emit_json(payload) == reference_emit(payload)
-
-
-@pytest.mark.parametrize("payload", [
-    {1, 2}, {"a": [object()]}, b"bytes",
-    # A report holds only exact built-in types; subclasses are refused.
-    Mapping(a=Items([Count(7), Real(0.25), Text("s\n")]), b=(Real(INF),)),
-    # ... also inside a column or among rows that the bulk writer takes.
-    [{"t": 0.5}, {"t": Real(0.25)}, {"t": 1.5}],
-    [0.5, Real(0.25)],
-    {"a": 1, "b": Count(2)},
-    [{"v": 1}, Mapping(v=1), {"v": 1}],
-])
-def test_emit_json_rejects_unsupported_types(payload):
-    with pytest.raises(cli.ContractViolationError, match="cannot serialize"):
-        emit_json(payload)
+@given(_reports())
+@example(_ONE_NODE._replace(stats=(0, 0, [], [], [], [])))
+@example(_ONE_NODE._replace(relations=[]))
+@example(_ONE_NODE)
+def test_report_writers_match_value_by_value_references(report):
+    obj = nested_report(report)
+    assert emit_json(report) == reference_emit(obj)
+    assert table_text(report) == reference_table(obj)

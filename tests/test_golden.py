@@ -25,7 +25,8 @@ benchmark's solves shows up here.
 
 The CLI's report bytes are pinned beyond the demo too: a long sorted hard
 chain, a random tree whose ids mix integers with strings that need JSON
-escapes, and the oracle's report on a small instance with string ids.
+escapes, the oracle's report on a small instance with string ids, and a
+one-node file, whose z, steps and pattern are empty, in both formats.
 """
 
 import functools
@@ -114,7 +115,21 @@ CHAIN_SOLVE_JSON_DIGEST = "84cf1089c2900001"
 CHAIN_SOLVE_TABLE_DIGEST = "6fadb5a32696fb5d"
 MIXED_IDS_N = 300
 MIXED_IDS_SOLVE_JSON_DIGEST = "d4007db99a7f87f6"
+MIXED_IDS_SOLVE_TABLE_DIGEST = "959fcb9df7b208bc"
 STRING_IDS_ORACLE_STDOUT_DIGEST = "700a9af358db247d"
+STRING_IDS_ORACLE_TABLE_DIGEST = "42237e49e85caf54"
+DEMO_ORACLE_TABLE_DIGEST = "c30fca25a2a6bd90"
+
+ONE_NODE_INSTANCE = {
+    "nodes": [{"id": "solo", "loss": {"type": "quadratic", "y": 1.0, "w": 1.0}}],
+    "edges": [],
+}
+ONE_NODE_DIGESTS = {
+    ("solve",): "1401f7e98409df5f",
+    ("solve", "--table"): "00464457e457990d",
+    ("oracle",): "88e928b895b7a9d6",
+    ("oracle", "--table"): "1f27634cfef1bea6",
+}
 
 # A quote, a backslash, a non-ASCII letter, a control character and a tab.
 ESCAPED_NAMES = ('say "hi"', "back\\slash", "caf\u00e9", "bell\x07", "tab\tstop")
@@ -211,6 +226,11 @@ def test_demo_oracle_stdout_digest(capsys):
     assert digest([capsys.readouterr().out]) == DEMO_ORACLE_STDOUT_DIGEST
 
 
+def test_demo_oracle_table_digest(capsys):
+    assert main(["oracle", str(DEMO_PATH), "--table"]) == 0
+    assert digest([capsys.readouterr().out]) == DEMO_ORACLE_TABLE_DIGEST
+
+
 def write_instance(tmp_path, obj) -> str:
     path = tmp_path / "instance.json"
     path.write_text(json.dumps(obj), encoding="utf-8")
@@ -278,6 +298,23 @@ def test_escaped_ids_solve_json_digest(capsys, tmp_path):
     assert cli_stdout_digest(capsys, "solve", path) == MIXED_IDS_SOLVE_JSON_DIGEST
 
 
+def test_escaped_ids_solve_table_digest(capsys, tmp_path):
+    path = write_instance(tmp_path, escaped_ids_instance(MIXED_IDS_N, 11, 0.2))
+    assert cli_stdout_digest(capsys, "solve", path, "--table") == MIXED_IDS_SOLVE_TABLE_DIGEST
+
+
 def test_string_ids_oracle_stdout_digest(capsys, tmp_path):
     path = write_instance(tmp_path, escaped_ids_instance(8, 4, 0.0))
     assert cli_stdout_digest(capsys, "oracle", path) == STRING_IDS_ORACLE_STDOUT_DIGEST
+
+
+def test_string_ids_oracle_table_digest(capsys, tmp_path):
+    path = write_instance(tmp_path, escaped_ids_instance(8, 4, 0.0))
+    assert cli_stdout_digest(capsys, "oracle", path, "--table") == STRING_IDS_ORACLE_TABLE_DIGEST
+
+
+@pytest.mark.parametrize("argv", sorted(ONE_NODE_DIGESTS))
+def test_one_node_report_digest(capsys, tmp_path, argv):
+    path = write_instance(tmp_path, ONE_NODE_INSTANCE)
+    command, flags = argv[0], argv[1:]
+    assert cli_stdout_digest(capsys, command, path, *flags) == ONE_NODE_DIGESTS[argv]

@@ -4,6 +4,7 @@ descending label) and the isotonic baseline."""
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -221,6 +222,22 @@ class TestPava:
     def test_non_finite_value_rejected_by_index(self, bad):
         with pytest.raises(ContractViolationError, match="value 1 "):
             pava([3.0, bad, 1.0])
+
+    @pytest.mark.parametrize("values, weights, match", [
+        (["a"], None, "value 0 must be a real number, got 'a'"),
+        ([True, 2.0], None, "value 0 must be a real number, got True"),
+        ([1.0, 2.0], [1.0, False], "weight 1 must be a real number, got False"),
+        ([1.0, None], None, "value 1 must be a real number, got None"),
+        ([10 ** 400, 1.0], None, "value 0 is beyond the float range"),
+        ([1.0, 2.0], [1.0, 10 ** 400], "weight 1 is beyond the float range"),
+    ], ids=["str", "bool-value", "bool-weight", "none", "big-value", "big-weight"])
+    def test_non_real_or_overflowing_input_rejected_by_index(self, values, weights, match):
+        with pytest.raises(ContractViolationError, match=match):
+            pava(values, weights)
+
+    def test_exact_numbers_fit_as_floats(self):
+        # Ints and fractions within range are taken at their float values.
+        assert pava([3, Fraction(1, 2)], [1, 3]) == [1.125, 1.125]
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ContractViolationError):
