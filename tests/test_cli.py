@@ -646,6 +646,16 @@ class TestProblemFileRoundTrip:
         assert (losses[3].w, losses[3].y) == (3.0, 2.0)
         assert root == 2
 
+    def test_emit_json_is_valid_json(self):
+        report = cli.Report(["a", 2], [2], [1], [1.0, INF], [-INF], 0.5, 0.0,
+                            stats=(3, 1, [2], ["up"], [2], [0.25]))
+        parsed = json.loads(emit_json(report))
+        assert list(parsed) == ["x", "z", "objective", "kkt_residual", "stats"]
+        assert parsed["x"] == {"a": 1.0, "2": "inf"}
+        assert parsed["z"] == [{"from": 2, "to": "a", "value": "-inf"}]
+        assert parsed["stats"] == {"inner_iters_total": 3, "equilibrium_calls": 1, "steps": [
+            {"node": 2, "branch": "up", "iterations": 2, "t": 0.25}]}
+
 
 def reference_emit(obj) -> str:
     """The recursive emitter the report format was first defined by."""
@@ -755,6 +765,50 @@ def _reports(draw):
 
 
 _ONE_NODE = cli.Report(["solo"], [], [], [1.0], [], 0.0, 0.0)
+_NAN = float("nan")
+
+
+@pytest.mark.parametrize("report", [
+    # Ids that need JSON escapes, and floats at the ends of the range.
+    cli.Report(['q"\\\x07\t', "caf\u00e9", "1"], [1, 3], [2, 1],
+               [0.1, -0.0, 1e308], [5e-324, -1e308], 1.5, 0.0),
+    # A column with an infinity is written value by value, NaN included.
+    cli.Report(["a", "b", "c", "d"], [1, 2, 3], [2, 3, 4],
+               [INF, -INF, _NAN, 5e-324], [-1.5, _NAN, 0.0], INF, -INF),
+    # Int ids beyond 64 bits and negative, among strings.
+    cli.Report([2 ** 70, -3, 0, "\u2603"], [1, 2, 4], [2, 3, 1],
+               [1.0, 2.0, 3.0, 4.0], [0.25, 0.5, 0.75], 0.0, 1e-12),
+    # Ids that a `%` row template must not read as conversions.
+    cli.Report(["%s", "%(x)s", "%", "%%d"], [1, 2, 3], [2, 3, 1],
+               [0.5, 1.5, 2.5, 3.5], [INF, 1.0, -INF], -0.0, _NAN,
+               relations=["<", "=", ">"]),
+    _ONE_NODE,
+    _ONE_NODE._replace(stats=(0, 0, [], [], [], [])),
+    _ONE_NODE._replace(relations=[]),
+    # Stats with counts beyond 64 bits and t columns with and without inf.
+    cli.Report(["r", 7, "leaf"], [1, 3], [2, 2], [1.0, 1.0, 1.0], [0.0, 0.0], 2.0, 0.0,
+               stats=(2 ** 70, 3, [2, 3], ["up", "flat"], [0, 2 ** 70], [INF, -0.0])),
+    cli.Report(["r", "s"], [2], [1], [1.0, 2.0], [0.5], 2.0, 0.0,
+               stats=(4, 1, [2, 1, 2], ["down", "flat", "up"], [1, 2, 3],
+                      [0.1, 5e-324, -1e308])),
+    # Only z holds an infinity; x goes through the bulk conversion.
+    cli.Report(["a", "b"], [1], [2], [-0.0, _NAN], [-INF], 1.0, 1.0,
+               relations=["<"]),
+    # Ids that differ only in their non-ASCII or trailing text.
+    cli.Report(["a", "a ", "\u00e9", "\U0001f600"], [1, 1, 1], [2, 3, 4],
+               [0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0], 0.0, 0.0,
+               relations=["=", "=", "="]),
+    # A declared edge can run from a child to its parent.
+    cli.Report([10, 20, 30], [2, 3], [1, 1], [3.0, 2.0, 1.0], [1e-300, 1e300], 6.0, 0.0,
+               stats=(1, 1, [2], ["down"], [1], [0.5])),
+    # Values that the table's `%.12g` and the JSON's `%.17g` round differently.
+    cli.Report(["p", "q"], [1], [2], [0.1 + 0.2, 1 / 3], [2 / 3], 1e-7, 123456789.123456789),
+])
+def test_emit_json_matches_reference(report):
+    obj = nested_report(report)
+    assert emit_json(report) == reference_emit(obj)
+    assert table_text(report) == reference_table(obj)
+
 
 
 @settings(max_examples=300, deadline=None)
