@@ -30,6 +30,10 @@ lambda with mu), so one threshold routine, one step and one migration
 serve both, with s as a parameter: every move is s times a nonnegative
 length, and comparisons of moves compare s times their values.
 
+In the normal form every edge is (parent[c], c), so the solver names an
+edge by its child c: signs, working duals z, boundary lists and departed
+edges are keyed by c; `Solver.solve` keys z by (parent, child) on return.
+
 One active set lives for a whole solve, with an index of every node's
 prefix children: the EQ ones in ascending order, the summed dual over the
 strict ones, and two lazy heaps of the strict ones keyed by value, one for
@@ -108,7 +112,7 @@ from .errors import (
     InternalInvariantError,
 )
 from .loss import Loss, equilibrium_t, poly_derivative, poly_inverse, pooled_inverse
-from .tree import Arborescence, Edge, decompose
+from .tree import Arborescence, decompose
 
 INF = math.inf
 
@@ -162,8 +166,10 @@ class Problem:
 class ActiveSet:
     """Relation sign per edge: LT (-1), EQ (0) or GT (+1), plus a child index.
 
-    `moved` holds the nodes whose parent edge may have changed class since
-    the signs were last classified: each attached node and, of each
+    `signs` is keyed by each edge's child c, the edge being (parent[c], c);
+    an absent key means the edge is not signed yet.  `moved` holds the
+    nodes whose parent edge may have changed class since the signs were
+    last classified: each attached node and, of each
     search, the final block's top, the lower end of every departed edge
     and the old top of every departed half.  Every other node whose value
     was written lies inside a block or a departed half below its top, so
@@ -177,8 +183,8 @@ class ActiveSet:
     search to search; every sign write on an edge with an end in it is
     passed on to it.
 
-    The index covers the signed edges (parent, child) and is built from
-    `signs`, x and z when the first search starts (`build_index`).  Per
+    The index covers the signed edges and is built from `signs`, x and z
+    when the first search starts (`build_index`, given the parent list).  Per
     node v it holds: `eq_kids[v]`, the EQ children in ascending order;
     `child_flow[v]`, the summed dual over the strict child edges; and
     `strict[LT][v]` and `strict[GT][v]`, lazy heaps of the strict children
@@ -191,34 +197,36 @@ class ActiveSet:
     `signs`.
     """
 
-    __slots__ = ("signs", "moved", "level", "eq_kids", "child_flow", "strict",
-                 "block")
+    __slots__ = ("signs", "moved", "level", "parent", "eq_kids", "child_flow",
+                 "strict", "block")
 
-    def __init__(self, signs: Optional[Dict[Edge, int]] = None):
+    def __init__(self, signs: Optional[Dict[int, int]] = None):
         self.signs = dict(signs) if signs else {}
         self.moved: set = set()
         self.level: set = set()
+        self.parent: List[int] = []
         self.eq_kids: Optional[List[List[int]]] = None
         self.child_flow: List[float] = []
         self.strict: Dict[int, List[list]] = {}
         self.block: Optional[ComponentView] = None
 
-    def build_index(self, n: int, x, z):
-        """Index the signed edges of nodes 1..n, unless already indexed."""
+    def build_index(self, parent: List[int], x, z):
+        """Index the signed edges, given the parent list, unless already indexed."""
         if self.eq_kids is not None:
             return
+        self.parent = parent
         # Per-node lists start as one shared empty tuple and are made on
         # first entry, so that building the index allocates next to nothing.
-        self.eq_kids = [()] * (n + 1)
-        self.child_flow = [0.0] * (n + 1)
-        self.strict = {LT: [()] * (n + 1), GT: [()] * (n + 1)}
-        # Ascending edges: sorted EQ lists, and flows summed in child order.
-        for e, sign in sorted(self.signs.items()):
-            self._enter(e, sign, x, z)
+        self.eq_kids = [()] * len(parent)
+        self.child_flow = [0.0] * len(parent)
+        self.strict = {LT: [()] * len(parent), GT: [()] * len(parent)}
+        # Ascending children: sorted EQ lists, and flows summed in child order.
+        for c, sign in sorted(self.signs.items()):
+            self._enter(c, sign, x, z)
 
-    def _enter(self, e: Edge, sign: int, x, z):
-        """Add edge e to the index under the given sign."""
-        p, c = e
+    def _enter(self, c: int, sign: int, x, z):
+        """Add the edge into c to the index under the given sign."""
+        p = self.parent[c]
         if sign == EQ:
             kids = self.eq_kids[p]
             if kids:
@@ -226,22 +234,21 @@ class ActiveSet:
             else:
                 self.eq_kids[p] = [c]
         else:
-            self.child_flow[p] += z[e]
-            heaps = self.strict[sign]
-            entry = (x[c] if sign == LT else -x[c], c)
-            if heaps[p]:
-                heapq.heappush(heaps[p], entry)
-            else:
-                heaps[p] = [entry]
+            self.child_flow[p] += z[c]
+            self.push(c, x)
 
-    def push(self, e: Edge, x):
-        """Enter strict edge e's child afresh at its current value."""
-        p, c = e
-        sign = self.signs[e]
-        heapq.heappush(self.strict[sign][p], (x[c] if sign == LT else -x[c], c))
+    def push(self, c: int, x):
+        """Enter the child c of a strict edge in its parent's heap, at its value."""
+        sign = self.signs[c]
+        heaps, p = self.strict[sign], self.parent[c]
+        entry = (x[c] if sign == LT else -x[c], c)
+        if heaps[p]:
+            heapq.heappush(heaps[p], entry)
+        else:
+            heaps[p] = [entry]
 
-    def set_sign(self, e: Edge, sign: int, x, z):
-        """Write the sign of edge e, keeping the index in step.
+    def set_sign(self, c: int, sign: int, x, z):
+        """Write the sign of the edge into c, keeping the index in step.
 
         A strict edge's dual must already hold its final value: it stays
         in the parent's cached flow until the edge leaves its class.  A
@@ -249,22 +256,23 @@ class ActiveSet:
         block, so that the block follows the signs too.
         """
         signs = self.signs
-        old = signs.get(e)
+        old = signs.get(c)
         if old == sign:
             return
-        signs[e] = sign
-        d = 0.0  # the change in e's dual as counted in its parent's flow
+        signs[c] = sign
+        p = self.parent[c]
+        d = 0.0  # the change in the edge's dual as counted in its parent's flow
         if old == EQ:
-            self.eq_kids[e[0]].remove(e[1])
+            self.eq_kids[p].remove(c)
         elif old is not None:
-            self.child_flow[e[0]] -= z[e]
-            d = -z[e]
-        self._enter(e, sign, x, z)
+            self.child_flow[p] -= z[c]
+            d = -z[c]
+        self._enter(c, sign, x, z)
         if sign != EQ:
-            d += z[e]
+            d += z[c]
         block = self.block
-        if block is not None and (e[0] in block.nodes or e[1] in block.nodes):
-            block.on_sign(e, old, sign, d)
+        if block is not None and (p in block.nodes or c in block.nodes):
+            block.on_sign(c, old, sign, d)
 
     def nearest(self, v: int, sign: int, x) -> Optional[int]:
         """The strict child of v with the given sign nearest to v, or None."""
@@ -272,7 +280,7 @@ class ActiveSet:
         signs = self.signs
         while heap:
             key, c = heap[0]
-            if signs.get((v, c)) == sign and x[c] == (key if sign == LT else -key):
+            if signs[c] == sign and x[c] == (key if sign == LT else -key):
                 return c
             heapq.heappop(heap)
         return None
@@ -280,25 +288,18 @@ class ActiveSet:
     def fresh_entries(self, v: int, sign: int, x) -> set:
         """The fresh entries of one of v's heaps."""
         return {(key, c) for key, c in self.strict[sign][v]
-                if self.signs.get((v, c)) == sign
-                and x[c] == (key if sign == LT else -key)}
-
-    def __repr__(self):
-        inner = ", ".join(
-            "%s: %s" % (e, SIGN_NAME[s]) for e, s in sorted(self.signs.items())
-        )
-        return "ActiveSet({%s})" % inner
+                if self.signs[c] == sign and x[c] == (key if sign == LT else -key)}
 
 
 def build_initial_active_set(x, edges) -> ActiveSet:
-    """Classify each edge by comparing its endpoint values.
+    """Classify each edge by comparing its endpoint values, keyed by its head.
 
     Values within EQ_RTOL * (1 + max(|x_i|, |x_j|)) of each other count as
     equal.  A strict ordering that an infinite weight forbids cannot occur
     at a certified optimum, so it raises CertificateError instead of being
     repaired silently.
     """
-    signs: Dict[Edge, int] = {}
+    signs: Dict[int, int] = {}
     for i, j, lam, mu in edges:
         xi, xj = x[i], x[j]
         if abs(xi - xj) <= EQ_RTOL * (1.0 + max(abs(xi), abs(xj))):
@@ -315,7 +316,7 @@ def build_initial_active_set(x, edges) -> ActiveSet:
                     "x[%d] < x[%d] but the edge forbids it (infinite mu)" % (i, j)
                 )
             sign = LT
-        signs[(i, j)] = sign
+        signs[j] = sign
     return ActiveSet(signs)
 
 
@@ -323,7 +324,8 @@ class PrimalDualState:
     """Mutable working state of one t-search.
 
     x and z are the live solution maps (shared with the caller and updated
-    in place); `departed` and `equilibrium_calls` carry the per-search
+    in place), z keyed by each edge's child; `departed`, the children of
+    the edges that left EQ, and `equilibrium_calls` carry the per-search
     bookkeeping backing the churn and single-equilibrium checks.  With
     `validate`, each step checks its moves and ties against full scans,
     and its key heap against `reference`, the block built afresh.
@@ -332,7 +334,7 @@ class PrimalDualState:
     __slots__ = ("t", "x", "z", "active", "departed", "equilibrium_calls",
                  "validate", "reference")
 
-    def __init__(self, t: float, x: Dict[int, float], z: Dict[Edge, float],
+    def __init__(self, t: float, x: Dict[int, float], z: Dict[int, float],
                  active: ActiveSet, validate: bool = False):
         self.t = t
         self.x = x
@@ -368,29 +370,30 @@ class ComponentView:
     new one, retaking those members' sums from their children.
 
     Each member u but the anchor has one edge, to toward[u], whose far
-    half (the side away from the anchor) is u's subtree.  Its dual is
-    the half's flow less its summed loss derivatives at the value when
-    toward[u] is u's parent, and the negative of that when it is u's
-    child (`edge_of`).  The dual reaches the box end the search pushes
-    it towards at a value `vbar` that depends only on the far half, so
-    each edge has one key per direction, `keys[s][u]`, kept in a lazy
-    heap, `heaps[s]`, ordered so that the top binds first (largest vbar
-    going down, smallest going up).  An entry is fresh while its key is
-    still `keys[s][u]`.  A change marks the members whose sums moved in
-    `dirty[s]`, and reading a heap renews their keys first.
+    half (the side away from the anchor) is u's subtree; `edge_of` names
+    it by its child.  Its dual is the half's flow less its summed loss
+    derivatives at the value when toward[u] is u's parent, and the
+    negative of that when it is u's child.  The dual reaches the box end
+    the search pushes it towards at a value `vbar` that depends only on
+    the far half, so each edge has one key per direction, `keys[s][u]`,
+    kept in a lazy heap, `heaps[s]`, ordered so that the top binds first
+    (largest vbar going down, smallest going up).  An entry is fresh
+    while its key is still `keys[s][u]`.  A change marks the members
+    whose sums moved in `dirty[s]`, and reading a heap renews their keys
+    first.
 
-    Per step, `refresh(s)` lists the strict edges the block may meet in
-    direction s: `boundary_out` holds each rim member's nearest strict
+    Per step, `refresh(s)` lists by child the strict edges the block may
+    meet in direction s: `boundary_out` each rim member's nearest strict
     child on that side (a heap top in the active set's index; the others
     on that side are farther, and those tied with it are a run from the
-    same top), `boundary_in` the top's parent edge when it is strict.  It
-    also takes a snapshot of the pooled form and the net boundary flow
-    (`form`, `boundary_flow`), which `value_at`, `t_of_value` and
-    `move_to` use all step, while joins and departures already change
-    the sums.
+    same top), `boundary_in` [top] when the top's parent edge is strict
+    and [] otherwise.  It also takes a snapshot of the pooled form and
+    the net boundary flow (`form`, `boundary_flow`), which `value_at`,
+    `t_of_value` and `move_to` use all step, while joins and departures
+    already change the sums.
 
     Internal duals are not stored while the block moves: `flush` writes
-    them into z, and a departing half writes its own.
+    them into z, by child, and a departing half writes its own.
     """
 
     __slots__ = (
@@ -410,8 +413,8 @@ class ComponentView:
         self.keys: Dict[int, Dict[int, float]] = {-1: {}, 1: {}}
         self.heaps: Dict[int, list] = {-1: [], 1: []}
         self.dirty: Dict[int, set] = {-1: set(), 1: set()}
-        self.boundary_out: List[Tuple[Edge, int]] = []
-        self.boundary_in: List[Tuple[Edge, int]] = []
+        self.boundary_out: List[int] = []
+        self.boundary_in: List[int] = []
         self._parts = (self.nodes, self.toward, self.rim, self.sub,
                        *self.keys.values(), *self.heaps.values(),
                        *self.dirty.values())
@@ -424,8 +427,7 @@ class ComponentView:
         if self.nodes:
             self.flush()
             for part in self._parts:
-                if part:
-                    part.clear()
+                part.clear()
         if anchor is None:
             return
         self.anchor = anchor
@@ -461,9 +463,8 @@ class ComponentView:
         """u's own entry: its loss form and its net boundary outflow."""
         active = self._active
         g = active.child_flow[u]
-        p = self._parent[u]
-        if p and active.signs[(p, u)] != EQ:
-            g -= self._z[(p, u)]
+        if self._parent[u] and active.signs[u] != EQ:
+            g -= self._z[u]
         form = self._loss[u].poly_form()
         if form is None:
             return [0.0, 0.0, 0.0, g, 1, 0]
@@ -508,7 +509,7 @@ class ComponentView:
             p = parent[u]
             if p == w:
                 continue
-            if p and signs[(p, u)] == EQ:
+            if p and signs[u] == EQ:
                 toward[p] = u
                 order.append(p)
             else:
@@ -561,17 +562,15 @@ class ComponentView:
 
     # -- far halves -------------------------------------------------------
 
-    def edge_of(self, u: int) -> Tuple[Edge, bool]:
-        """Member u's edge towards the anchor, and whether u is its child
-        end (its far half, u's subtree, then lies below it)."""
+    def edge_of(self, u: int) -> Tuple[int, bool]:
+        """Member u's edge towards the anchor by its child, and whether u
+        is that child (its far half, u's subtree, then lies below it)."""
         w = self.toward[u]
-        if self._parent[u] == w:
-            return (w, u), True
-        return (u, w), False
+        return (u, True) if self._parent[u] == w else (w, False)
 
-    def far_end(self, e: Edge) -> int:
-        """The end of internal edge e away from the anchor."""
-        p, c = e
+    def far_end(self, c: int) -> int:
+        """The end away from the anchor of the internal edge into c."""
+        p = self._parent[c]
         return c if self.toward.get(c) == p else p
 
     def _bound(self, u: int, s: int) -> float:
@@ -579,10 +578,8 @@ class ComponentView:
         direction s: mu when the dual rises (its far half lies below it
         and the search goes down, or above it and the search goes up),
         lambda when it falls."""
-        w = self.toward[u]
-        if self._parent[u] == w:
-            return (self._mu if s < 0 else self._lam)[u]
-        return (self._lam if s < 0 else self._mu)[w]
+        c, below = self.edge_of(u)
+        return (self._mu if (s < 0) == below else self._lam)[c]
 
     def _far(self, u: int) -> List[int]:
         """u's subtree, the far half of its edge, from u down."""
@@ -648,14 +645,12 @@ class ComponentView:
         for v in list(self.rim) if self.rim else ():
             c = active.nearest(v, -s, x)
             if c is not None:
-                out.append(((v, c), c))
+                out.append(c)
             elif active.nearest(v, s, x) is None:
                 self.rim.discard(v)
         self.boundary_out = out
-        top = self.top
-        p = self._parent[top]
-        strict_in = p and active.signs[(p, top)] != EQ
-        self.boundary_in = [((p, top), p)] if strict_in else []
+        top = self.top  # the root has no parent edge, so no sign
+        self.boundary_in = [top] if active.signs.get(top, EQ) != EQ else []
         self._snapshot()
 
     def binding(self, s: int, tied=None) -> List[int]:
@@ -683,19 +678,19 @@ class ComponentView:
 
     # -- duals ------------------------------------------------------------
 
-    def _duals(self, members, value: float) -> Dict[Edge, float]:
-        """The duals of the given members' edges at the given value."""
+    def _duals(self, members, value: float) -> Dict[int, float]:
+        """The duals of the given members' edges at the given value, by child."""
         sub = self.sub
         out = {}
         for u in members:
-            e, below = self.edge_of(u)
+            c, below = self.edge_of(u)
             h = sub[u]
             f = self._derivative(h, value, u)
-            out[e] = h[3] - f if below else f - h[3]
+            out[c] = h[3] - f if below else f - h[3]
         return out
 
-    def duals_at(self, t: float) -> Dict[Edge, float]:
-        """Dual values on the internal edges at parameter t."""
+    def duals_at(self, t: float) -> Dict[int, float]:
+        """Dual values on the internal edges at parameter t, by child."""
         return self._duals(self.toward, self.value_at(t))
 
     def flush(self):
@@ -705,47 +700,45 @@ class ComponentView:
 
     # -- following sign writes --------------------------------------------
 
-    def on_sign(self, e: Edge, old: Optional[int], sign: int, d: float):
-        """Follow a sign write on edge e, which has an end in the block.
+    def on_sign(self, c: int, old: Optional[int], sign: int, d: float):
+        """Follow a sign write on the edge into c, which has an end in the block.
 
-        d is the change in e's strict dual as counted in its parent's
-        child flow (its child's own flow moves by -d).  An internal edge
+        d is the change in the edge's strict dual as counted in its
+        parent's child flow (c's own flow moves by -d).  An internal edge
         leaving EQ splits off its far half; an edge entering EQ brings
         the other end's component in, hung from the member end; any other
         write only moves flow.
         """
-        p, c = e
+        p = self._parent[c]
         nodes = self.nodes
         if old == EQ:
-            self._depart(p, c, d)
+            self._depart(c, d)
         elif sign == EQ:
             inner, outer, df = (p, c, d) if p in nodes else (c, p, -d)
             self._grow(outer, inner)
             h = self.sub[outer]
             self._add(inner, (h[0], h[1], h[2], h[3] + df, h[4], h[5]))
+        elif p in nodes:  # a strict edge has at most one end in the block
+            self._add(p, (0.0, 0.0, 0.0, d, 0, 0))
         else:
-            if p in nodes:
-                self._add(p, (0.0, 0.0, 0.0, d, 0, 0))
-            if c in nodes:
-                self._add(c, (0.0, 0.0, 0.0, -d, 0, 0))
+            self._add(c, (0.0, 0.0, 0.0, -d, 0, 0))
         if sign != EQ and p in nodes:
             self.rim.add(p)
 
-    def _depart(self, p: int, c: int, d: float):
-        """Split off the far half of the internal edge (p, c), which has
+    def _depart(self, c: int, d: float):
+        """Split off the far half of the internal edge into c, which has
         just left EQ, writing the duals of the half's internal edges."""
-        far = self.far_end((p, c))
-        near, df = (p, d) if far == c else (c, -d)
+        far = self.far_end(c)
+        near, df = (self._parent[c], d) if far == c else (c, -d)
         half = self._far(far)
         if len(half) > 1:
             self._z.update(self._duals(half[1:], self.value))
         h = self.sub[far]
         self._add(near, (-h[0], -h[1], -h[2], df - h[3], -h[4], -h[5]))
-        if far == p:
+        if far != c:
             # The half above the edge holds the top.
             self._active.moved.add(self.top)
             self.top = c
-        sub, toward = self.sub, self.toward
         for s in (-1, 1):
             self.dirty[s].difference_update(half)
             pop = self.keys[s].pop
@@ -754,7 +747,7 @@ class ComponentView:
         self.nodes.difference_update(half)
         self.rim.difference_update(half)
         for u in half:
-            del sub[u], toward[u]
+            del self.sub[u], self.toward[u]
 
 
 @dataclass
@@ -826,7 +819,7 @@ class Solver:
         classification of every prefix edge from scratch, and the index
         the one built from that classification, x and z.
         """
-        active.build_index(len(self._parent) - 1, x, z)
+        active.build_index(self._parent, x, z)
         signs = active.signs
         stale = set(active.moved)
         stale.discard(1)  # the root has no parent edge
@@ -839,21 +832,22 @@ class Solver:
                     c = active.nearest(v, sign, x)
         active.level.clear()
         active.moved.clear()
-        for e, sign in build_initial_active_set(x, self._edges(stale)).signs.items():
-            if signs.get(e) != sign:
-                active.set_sign(e, sign, x, z)
+        for c, sign in build_initial_active_set(x, self._edges(stale)).signs.items():
+            if signs.get(c) != sign:
+                active.set_sign(c, sign, x, z)
             elif sign != EQ:
-                active.push(e, x)  # the child moved: enter it at its new value
+                active.push(c, x)  # the child moved: enter it at its new value
         if validate:
             fresh = build_initial_active_set(x, self._edges(range(2, m + 1)))
-            for e, sign in fresh.signs.items():
-                kept = active.signs.get(e)
+            for c, sign in fresh.signs.items():
+                kept = signs.get(c)
                 if kept != sign:
                     raise InternalInvariantError(
-                        "kept sign of edge %s is %s, its values give %s"
-                        % (e, SIGN_NAME.get(kept, "none"), SIGN_NAME[sign])
+                        "kept sign of edge (%d, %d) is %s, its values give %s"
+                        % (self._parent[c], c, SIGN_NAME.get(kept, "none"),
+                           SIGN_NAME[sign])
                     )
-            fresh.build_index(len(self._parent) - 1, x, z)
+            fresh.build_index(self._parent, x, z)
             self._check_index(active, fresh, x)
 
     def _check_index(self, active: ActiveSet, rebuilt: ActiveSet, x):
@@ -919,11 +913,12 @@ class Solver:
             )
         if not stored_duals:
             return
-        for e, value in view.duals_at(state.t).items():
-            stored = state.z[e]
+        for c, value in view.duals_at(state.t).items():
+            stored = state.z[c]
             if abs(value - stored) > ANCHOR_RTOL * (1.0 + abs(stored)):
                 raise InternalInvariantError(
-                    "dual on %s: formula %.17g vs stored %.17g" % (e, value, stored)
+                    "dual on (%d, %d): formula %.17g vs stored %.17g"
+                    % (self._parent[c], c, value, stored)
                 )
 
     def _check_view(self, view: ComponentView, state: PrimalDualState):
@@ -993,10 +988,10 @@ class Solver:
         internal = s * INF
         for u in view.binding(s):
             internal = view.move_to(view.keys[s][u], t_q, s)
-        moves = [view.move_to(x[c], t_q, s) for _, c in view.boundary_out]
-        for e, p in view.boundary_in:
-            if state.active.signs[e] == s:
-                moves.append(view.move_to(x[p], t_q, s))
+        moves = [view.move_to(x[c], t_q, s) for c in view.boundary_out]
+        for c in view.boundary_in:
+            if state.active.signs[c] == s:
+                moves.append(view.move_to(x[self._parent[c]], t_q, s))
         boundary = (min if s > 0 else max)(moves, default=s * INF)
         if state.validate:
             self._check_moves(state, s, internal, boundary)
@@ -1008,13 +1003,12 @@ class Solver:
         equal full scans, of the keys of the block built afresh and of
         every signed edge at its members."""
         ref = state.reference  # an edge without a key never binds
-        t_q, x, signs = state.t, state.x, state.active.signs
+        t_q, x, signs, parent = state.t, state.x, state.active.signs, self._parent
         moves = [ref.move_to(v, t_q, s) for v in ref.keys[s].values()]
-        out = [ref.move_to(x[c], t_q, s) for (v, c), sign in signs.items()
-               if sign == -s and v in ref.nodes]
-        p = self._parent[ref.top]
-        if p and signs[(p, ref.top)] == s:
-            out.append(ref.move_to(x[p], t_q, s))
+        out = [ref.move_to(x[c], t_q, s) for c, sign in signs.items()
+               if sign == -s and parent[c] in ref.nodes]
+        if signs.get(ref.top) == s:  # the root has no parent edge, so no sign
+            out.append(ref.move_to(x[parent[ref.top]], t_q, s))
         pick = min if s > 0 else max
         for kind, got, scan in (("component", internal, moves),
                                 ("boundary", boundary, out)):
@@ -1053,10 +1047,10 @@ class Solver:
         # A member whose nearest strict child on the side moved towards no
         # longer classifies as strict gets its heap tops reclassified; the
         # other side only needs a look when the value moved back.
-        level = state.active.level
-        for (v, _), c in view.boundary_out:
+        level, parent = state.active.level, self._parent
+        for c in view.boundary_out:
             if not _keeps_side(-s, value, x[c]):
-                level.add(v)
+                level.add(parent[c])
         if back:
             nearest = state.active.nearest
             for v in view.rim:
@@ -1074,7 +1068,7 @@ class Solver:
 
         Component edges tied at the binding move are read first, before a
         join changes any key, as a run from the view's key heap top (the
-        move is monotone in the key), each with its edge and side.  A
+        move is monotone in the key), each with its edge's child and side.  A
         boundary edge joins from the sign its move was taken under in
         `thresholds` (-s outgoing, s incoming); each move is taken afresh
         from the step's snapshot.  The view lists only each rim member's
@@ -1087,63 +1081,58 @@ class Solver:
         it and -s when above, with its dual at the matching box end.
         """
         active = state.active
-        signs, x, z = active.signs, state.x, state.z
+        signs, x, z, parent = active.signs, state.x, state.z, self._parent
 
         def tied(v: float) -> bool:
             return abs(view.move_to(v, t, s) - best) <= TIE_TOL
 
+        def edges(children) -> list:
+            return sorted((parent[c], c) for c in children)
+
         want_out = want_in = None
         if state.validate:  # the ties by a scan of every signed edge and key
-            want_out = {(v, c) for (v, c), sign in signs.items()
-                        if sign == -s and v in view.nodes and tied(x[c])}
+            want_out = {c for c, sign in signs.items()
+                        if sign == -s and parent[c] in view.nodes and tied(x[c])}
             ref = state.reference
             want_in = {ref.edge_of(u)[0] for u, v in ref.keys[s].items()
                        if abs(ref.move_to(v, t, s) - best) <= TIE_TOL}
         departing = [view.edge_of(u) for u in view.binding(s, tied)]
-        if want_in is not None and {e for e, _ in departing} != want_in:
+        if want_in is not None and {c for c, _ in departing} != want_in:
             raise InternalInvariantError(
                 "component edges tied in the heap %s differ from a full scan %s"
-                % (sorted(e for e, _ in departing), sorted(want_in))
+                % (edges(c for c, _ in departing), edges(want_in))
             )
-        changed = bool(departing)
-        for e, p in view.boundary_in:
-            if signs[e] == s and tied(x[p]):
-                self._join(state, e)
-                changed = True
-        joined_out = []
-        for e, c in view.boundary_out:
-            if not tied(x[c]):
-                continue
-            v = e[0]
-            while True:
-                self._join(state, e)
-                joined_out.append(e)
-                changed = True
+        joined_in, joined_out = [], []
+        for c in view.boundary_in:
+            if signs[c] == s and tied(x[parent[c]]):
+                self._join(state, c)
+                joined_in.append(c)
+        for c in view.boundary_out:
+            v = parent[c]
+            while c is not None and tied(x[c]):
+                self._join(state, c)
+                joined_out.append(c)
                 c = active.nearest(v, -s, x)
-                if c is None or not tied(x[c]):
-                    break
-                e = (v, c)
         if want_out is not None and set(joined_out) != want_out:
             raise InternalInvariantError(
                 "boundary ties from the heaps %s differ from a full scan %s"
-                % (sorted(joined_out), sorted(want_out))
+                % (edges(joined_out), edges(want_out))
             )
-        for e, below in departing:
+        for c, below in departing:
             sign = s if below else -s
-            z[e] = -self._lam[e[1]] if sign == GT else self._mu[e[1]]
-            active.set_sign(e, sign, x, z)
-            active.moved.add(e[1])
-            state.departed.add(e)
-        if not changed:
+            z[c] = -self._lam[c] if sign == GT else self._mu[c]
+            active.set_sign(c, sign, x, z)
+            active.moved.add(c)
+            state.departed.add(c)
+        if not (departing or joined_in or joined_out):
             raise InternalInvariantError("threshold step produced no sign change")
 
-    @staticmethod
-    def _join(state: PrimalDualState, e: Edge):
-        if e in state.departed:
+    def _join(self, state: PrimalDualState, c: int):
+        if c in state.departed:
             raise InternalInvariantError(
-                "edge %s re-entered the equality set" % (e,)
+                "edge (%d, %d) re-entered the equality set" % (self._parent[c], c)
             )
-        state.active.set_sign(e, EQ, state.x, state.z)
+        state.active.set_sign(c, EQ, state.x, state.z)
 
     def step(self, state: PrimalDualState, view: ComponentView,
              child: int, s: int) -> Optional[float]:
@@ -1183,9 +1172,7 @@ class Solver:
                    "downward" if s < 0 else "upward", t_q, t_next)
             )
         value, attach_value = self._apply(state, view, child, attach_loss, t_next, s)
-        if t_next == limit:
-            return t_next
-        if values_equal(value, attach_value):
+        if t_next == limit or values_equal(value, attach_value):
             return t_next
         if use_equilibrium:
             raise InternalInvariantError("equilibrium step left a value gap")
@@ -1194,33 +1181,29 @@ class Solver:
 
     # -- extension and outer loop -------------------------------------------
 
-    def extend(self, x: Dict[int, float], z: Dict[Edge, float],
+    def extend(self, x: Dict[int, float], z: Dict[int, float],
                child: int, active: ActiveSet, validate: bool = False):
         """Extend an optimal pair on prefix 1..m to one on 1..m+1, where
         `child` = m+1 attaches through its edge from `self._parent[child]`.
 
-        Mutates x and z in place and returns (x, z, record).  The branch
-        is picked by the attached loss's derivative at the attachment
-        point: zero copies the value across with a zero dual, positive
-        searches downward (s = -1), negative upward (s = +1).  A zero
-        attachment bound pins t at 0 immediately (the admissible interval
-        is {0}).
+        Mutates x and z, whose duals are keyed by child, in place (the new
+        dual is z[child]) and returns (x, z, record).  The branch is picked
+        by the attached loss's derivative at the attachment point: zero
+        copies the value across with a zero dual, positive searches
+        downward (s = -1), negative upward (s = +1).  A zero attachment
+        bound pins t at 0 immediately (the admissible interval is {0}).
 
         `active` is the active set kept from the previous extension of the
         same solve, with its block, whose internal duals stay unwritten.  A
         search starts by reclassifying only the edges next to its moved
-        nodes that can have changed class (see `_reclassify`).  Recorded as
-        moved are the attached node, on every branch, and of a search the
-        final block's top and both ends of each departed half's top edge:
-        every other member's parent edge lies inside a block or a half,
-        whose members hold one value.
+        nodes that can have changed class (see `_reclassify`); the attached
+        node is recorded as moved on every branch (see `ActiveSet.moved`).
         """
         i_m = self._parent[child]
         m = child - 1
         attach_loss = self.problem.loss_of(child)
         d = attach_loss.derivative(x[i_m])
-        iterations = 0
-        eq_calls = 0
+        iterations = eq_calls = 0
         cap = 2 * m - 1
         t_path = [0.0]
         if d == 0.0:
@@ -1264,7 +1247,7 @@ class Solver:
                 active.moved.add(view.top)
                 eq_calls = state.equilibrium_calls
         active.moved.add(child)
-        z[(i_m, child)] = t_star
+        z[child] = t_star
         if t_star * d > SIGN_TOL:
             raise InternalInvariantError(
                 "new-edge dual %.17g has the same sign as the derivative %.17g"
@@ -1278,14 +1261,15 @@ class Solver:
         """Solve the full problem; returns (x, z, stats).
 
         Attaches nodes 2..n in label order, keeping one active set through
-        every extension.  The returned pair is certified: its flow-system
-        residual, `stats.final_residual`, is at most the solver tolerance,
-        otherwise CertificateError is raised.  `map_back` keeps the
-        residual up to the order in which each node's incident duals are
-        summed, so it certifies the pair in the caller's labels too.
+        every extension; z is keyed by (parent, child) in ascending child
+        order.  The pair is certified: its flow-system residual,
+        `stats.final_residual`, is at most the solver tolerance, otherwise
+        CertificateError is raised.  `map_back` keeps the residual up to
+        the order in which each node's incident duals are summed, so it
+        certifies the pair in the caller's labels too.
         """
         x = {1: self.problem.loss_of(1).inverse_derivative(0.0)}
-        z: Dict[Edge, float] = {}
+        z: Dict[int, float] = {}
         active = ActiveSet()
         stats = SolveStats()
         n = len(self._parent) - 1
@@ -1294,6 +1278,7 @@ class Solver:
             stats.steps.append(record)
         if active.block is not None:
             active.block.flush()
+        z = {(self._parent[c], c): z[c] for c in range(2, n + 1)}
         residual = kkt_residual(self._edges(range(2, n + 1)), self.problem.loss_of, x, z)
         if not residual <= self.tol:
             raise CertificateError(
@@ -1312,12 +1297,17 @@ def kkt_residual(edges, loss_of: Callable[[int], Loss], x, z) -> float:
     distance from the forced box end when the endpoint values are strictly
     ordered (not `values_equal`).  The total is the sum of the two maxima.
     A NaN term makes the total NaN, so that no gate of the form
-    `residual <= tol` passes it.
+    `residual <= tol` passes it.  A dual or node value missing raises
+    ContractViolationError.
     """
     balance = {v: 0.0 for v in x}
     edge_term = 0.0
     for i, j, lam, mu in edges:
-        value = z[(i, j)]
+        try:
+            value = z[(i, j)]
+            xi, xj = x[i], x[j]
+        except KeyError:
+            raise ContractViolationError(_missing(i, j, x, z)) from None
         balance[i] += value
         balance[j] -= value
         dist = 0.0
@@ -1325,7 +1315,6 @@ def kkt_residual(edges, loss_of: Callable[[int], Loss], x, z) -> float:
             dist += value - mu
         if value < -lam:
             dist += -lam - value
-        xi, xj = x[i], x[j]
         if not abs(xi - xj) <= EQ_RTOL * (1.0 + max(abs(xi), abs(xj))):
             forced = -lam if xi > xj else mu
             dist += abs(value - forced)
@@ -1348,13 +1337,16 @@ def objective_value(edges, loss_of: Callable[[int], Loss], x) -> float:
 
     An infinite weight contributes nothing when the penalized difference
     is zero up to the equality tolerance, and makes the objective infinite
-    otherwise.
+    otherwise.  A node value missing raises ContractViolationError.
     """
     total = 0.0
     for v, xv in x.items():
         total += loss_of(v).value(xv)
     for i, j, lam, mu in edges:
-        xi, xj = x[i], x[j]
+        try:
+            xi, xj = x[i], x[j]
+        except KeyError:
+            raise ContractViolationError(_missing(i, j, x)) from None
         gap = xi - xj
         if gap > 0.0:
             if lam == INF:
@@ -1369,3 +1361,10 @@ def objective_value(edges, loss_of: Callable[[int], Loss], x) -> float:
             else:
                 total += mu * -gap
     return total
+
+
+def _missing(i, j, x, z=None) -> str:
+    """What is missing for edge (i, j): its dual in z, or an end's value in x."""
+    if z is not None and (i, j) not in z:
+        return "z has no dual for edge %r" % ((i, j),)
+    return "x has no value for node %r" % (i if i not in x else j,)

@@ -412,17 +412,17 @@ def pooled_view(losses, edges, anchor=1):
     """The component view of a prefix whose edges are all tied."""
     n = len(losses)
     problem = Problem(normalize(DirectedTree(n, edges), 1), losses)
-    z = {(i, j): 0.0 for i, j, _, _ in problem.weighted_edges()}
+    z = {c: 0.0 for _, c, _, _ in problem.weighted_edges()}  # duals by child
     state = PrimalDualState(0.0, {v: 0.0 for v in range(1, n + 1)}, z,
-                            ActiveSet({e: EQ for e in z}))
-    state.active.build_index(n, state.x, z)
+                            ActiveSet({c: EQ for c in z}))
+    state.active.build_index(problem.arb.parent, state.x, z)
     return Solver(problem).build_component_view(state, anchor, -1)
 
 
-def far_inverse(view, e, target):
-    """The value at which the far half of internal edge e has pooled
-    derivative target."""
-    u = view.far_end(e)
+def far_inverse(view, c, target):
+    """The value at which the far half of the internal edge into c has
+    pooled derivative target."""
+    u = view.far_end(c)
     return view._inverse(view.sub[u], target, u)
 
 
@@ -435,10 +435,10 @@ class TestSubgroupInverse:
             edges = [(rng.randint(1, c - 1), c, 1.0, 1.0) for c in range(2, n + 1)]
             losses = [random_member(rng, kinds) for _ in range(n)]
             view = pooled_view(losses, edges, anchor=rng.randint(1, n))
-            for e in view.duals_at(0.0):
-                members = [view._loss[u] for u in view._far(view.far_end(e))]
+            for c in view.duals_at(0.0):
+                members = [view._loss[u] for u in view._far(view.far_end(c))]
                 for target in (rng.uniform(-60.0, 60.0), 0.0):
-                    got = far_inverse(view, e, target)
+                    got = far_inverse(view, c, target)
                     # A root only promises solve_increasing's stopping rule,
                     # met by the half's pooled derivative; summing member by
                     # member instead rounds each member's terms.
@@ -481,8 +481,8 @@ class TestSubgroupInverse:
     @staticmethod
     def check_every_edge(view, rng):
         """Each far half's inverse against a root of its members' sum."""
-        for e in view.duals_at(0.0):
-            half = view._far(view.far_end(e))
+        for c in view.duals_at(0.0):
+            half = view._far(view.far_end(c))
             assert view.anchor not in half
             members = [view._loss[u] for u in half]
             for target in (rng.choice((-1e7, 1e7)), 1.0, 0.0):
@@ -490,7 +490,7 @@ class TestSubgroupInverse:
                     lambda v: sum(m.derivative(v) for m in members),
                     lambda v: sum(m.second_derivative(v) for m in members),
                     target, 0.0)
-                got = far_inverse(view, e, target)
+                got = far_inverse(view, c, target)
                 # Rounding in the half's own terms, not the rest's, may
                 # move the root: their size over the slope bounds it.
                 terms = abs(target) + sum(
@@ -512,10 +512,10 @@ class TestSubgroupInverse:
         real = treeiso.loss.solve_increasing
         monkeypatch.setattr(treeiso.loss, "solve_increasing",
                             lambda *args: calls.append(args) or real(*args))
-        assert far_inverse(view, (3, 4), 2.0) == 6.0
+        assert far_inverse(view, 4, 2.0) == 6.0
         assert calls == []
         # The cubic far half of (2, 3) is in closed form too.
-        far_inverse(view, (2, 3), 2.0)
+        far_inverse(view, 3, 2.0)
         assert calls == []
 
 
