@@ -7,7 +7,8 @@ command and the tests solve.
 from __future__ import annotations
 
 import random
-from typing import Dict, Mapping, Optional
+from collections.abc import Mapping
+from typing import Dict, Optional
 
 from .errors import ContractViolationError
 from .loss import Loss, QuarticQuadratic, WeightedQuadratic
@@ -21,9 +22,13 @@ def build_problem(tree: DirectedTree, losses: Mapping[int, Loss],
                   root: Optional[int] = None) -> Problem:
     """Normalize a tree and order the losses by its `original_label`.
 
-    Raises ContractViolationError naming a node without a loss, a node
-    whose loss is not a `Loss`, or a key that is no node of the tree.
+    Raises ContractViolationError naming the type of `losses` when it is
+    not a mapping, a node without a loss, a node whose loss is not a
+    `Loss`, or a key that is no node of the tree.
     """
+    if not isinstance(losses, Mapping):
+        raise ContractViolationError(
+            "losses must map nodes to losses, got %s" % type(losses).__name__)
     arb = normalize(tree, root)
     n, label = tree.node_count, arb.original_label
     try:

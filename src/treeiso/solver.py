@@ -34,24 +34,25 @@ In the normal form every edge is (parent[c], c), so the solver names an
 edge by its child c: signs, working duals z, boundary lists and departed
 edges are keyed by c; `Solver.solve` keys z by (parent, child) on return.
 
-One active set lives for a whole solve, with an index of every node's
-prefix children: the EQ ones in ascending order, the summed dual over the
-strict ones, and two lazy heaps of the strict ones keyed by value, one for
-the children above the node and one for those below.  Every sign write
-goes through the active set, so the index follows the signs, and a step
-never scans a node's strict children.  A member's boundary outflow is its
-cached child flow minus its parent edge's dual when that edge is strict.
-A moving component meets a frozen child at the child's value, and
-`t_of_value` is monotone in the value, so the binding collision is at a
-heap top and the children tied with it are a run from that top.  A
-node's value is written only while it is a component member (or as the
-attached node), and then only its own entry in its parent's heap goes
-stale.  When that edge is strict the entry is renewed at the next
-reclassification, because the parent's heap is not read before then:
-the parent cannot join the component while the node is in it (their
-only link is the strict edge), nor after the node left it (the parent's
-path to the component crosses the edge that departed, which may not
-rejoin in the same search).
+One active set is the working state of a whole solve: x and z, the
+signs, the moving block, the current search's fields and an index of
+every node's prefix children: the EQ ones in ascending order, the summed
+dual over the strict ones, and two lazy heaps of the strict ones keyed by
+value, one for the children above the node and one for those below.
+Every sign write goes through the active set, so the index follows the
+signs, and a step never scans a node's strict children.  A member's
+boundary outflow is its cached child flow minus its parent edge's dual
+when that edge is strict.  A moving component meets a frozen child at
+the child's value, and `t_of_value` is monotone in the value, so the
+binding collision is at a heap top and the children tied with it are a
+run from that top.  A node's value is written only while it is a
+component member (or as the attached node), and then only its own entry
+in its parent's heap goes stale.  When that edge is strict the entry is
+renewed at the next reclassification, because the parent's heap is not
+read before then: the parent cannot join the component while the node
+is in it (their only link is the strict edge), nor after the node left
+it (the parent's path to the component crosses the edge that departed,
+which may not rejoin in the same search).
 
 The moving component is a persistent block (`ComponentView`), kept in
 the active set across search steps and extensions, as in PAVA, where a
@@ -164,12 +165,15 @@ class Problem:
 
 
 class ActiveSet:
-    """Relation sign per edge: LT (-1), EQ (0) or GT (+1), plus a child index.
+    """The working state of one solve: x, z, a relation sign per edge, LT
+    (-1), EQ (0) or GT (+1), their child index, the moving block and the
+    current search's fields.
 
-    `signs` is keyed by each edge's child c, the edge being (parent[c], c);
-    an absent key means the edge is not signed yet.  `moved` holds the
-    nodes whose parent edge may have changed class since the signs were
-    last classified: each attached node and, of each
+    x and z are the live solution maps, shared with the caller and updated
+    in place.  z and `signs` are keyed by each edge's child c, the edge
+    being (parent[c], c); an edge absent from `signs` is not signed yet.
+    `moved` holds the nodes whose parent edge may have changed class since
+    the signs were last classified: each attached node and, of each
     search, the final block's top, the lower end of every departed edge
     and the old top of every departed half.  Every other node whose value
     was written lies inside a block or a departed half below its top, so
@@ -181,40 +185,37 @@ class ActiveSet:
 
     `block` is the moving equality block (`ComponentView`) kept from
     search to search; every sign write on an edge with an end in it is
-    passed on to it.
+    passed on to it.  `start_search` resets the search's fields: its
+    parameter `t`; `departed`, the children of the edges that left EQ, and
+    `equilibrium_calls`, which back the churn and single-equilibrium
+    checks; and `validate`, under which each step checks its moves and
+    ties against full scans, and its key heap against `reference`, the
+    block built afresh.
 
-    The index covers the signed edges and is built from `signs`, x and z
-    when the first search starts (`build_index`, given the parent list).  Per
-    node v it holds: `eq_kids[v]`, the EQ children in ascending order;
+    Given the parent list, the constructor indexes the signed edges from
+    `signs`, x and z; without it the set holds only its signs.  Per node v
+    the index holds: `eq_kids[v]`, the EQ children in ascending order;
     `child_flow[v]`, the summed dual over the strict child edges; and
     `strict[LT][v]` and `strict[GT][v]`, lazy heaps of the strict children
     above and below v, keyed by value so that the top is the nearest one.
     A heap entry is fresh while its edge keeps that sign and its child
     keeps the keyed value; `nearest` drops stale entries from the top.
-    Once the index exists every sign write goes through `set_sign`, and a
-    strict child whose value was written is entered again with `push`
-    before its parent's heap is next read, so the index cannot drift from
-    `signs`.
+    Every sign write goes through `set_sign`, and a strict child whose
+    value was written is entered again with `push` before its parent's
+    heap is next read, so the index cannot drift from `signs`.
     """
 
-    __slots__ = ("signs", "moved", "level", "parent", "eq_kids", "child_flow",
-                 "strict", "block")
+    __slots__ = ("signs", "x", "z", "moved", "level", "parent", "eq_kids",
+                 "child_flow", "strict", "block", "t", "departed",
+                 "equilibrium_calls", "validate", "reference")
 
-    def __init__(self, signs: Optional[Dict[int, int]] = None):
-        self.signs = dict(signs) if signs else {}
-        self.moved: set = set()
-        self.level: set = set()
-        self.parent: List[int] = []
-        self.eq_kids: Optional[List[List[int]]] = None
-        self.child_flow: List[float] = []
-        self.strict: Dict[int, List[list]] = {}
-        self.block: Optional[ComponentView] = None
-
-    def build_index(self, parent: List[int], x, z):
-        """Index the signed edges, given the parent list, unless already indexed."""
-        if self.eq_kids is not None:
+    def __init__(self, signs=None, parent=None, x=None, z=None):
+        self.signs = {} if signs is None else signs
+        self.x, self.z, self.parent = x, z, parent
+        self.moved, self.level, self.block = set(), set(), None
+        self.start_search()
+        if parent is None:
             return
-        self.parent = parent
         # Per-node lists start as one shared empty tuple and are made on
         # first entry, so that building the index allocates next to nothing.
         self.eq_kids = [()] * len(parent)
@@ -222,9 +223,14 @@ class ActiveSet:
         self.strict = {LT: [()] * len(parent), GT: [()] * len(parent)}
         # Ascending children: sorted EQ lists, and flows summed in child order.
         for c, sign in sorted(self.signs.items()):
-            self._enter(c, sign, x, z)
+            self._enter(c, sign)
 
-    def _enter(self, c: int, sign: int, x, z):
+    def start_search(self, validate: bool = False):
+        """Reset the search's fields: t at 0, nothing departed, no equilibrium."""
+        self.t, self.equilibrium_calls, self.departed = 0.0, 0, set()
+        self.validate, self.reference = validate, None
+
+    def _enter(self, c: int, sign: int):
         """Add the edge into c to the index under the given sign."""
         p = self.parent[c]
         if sign == EQ:
@@ -234,20 +240,20 @@ class ActiveSet:
             else:
                 self.eq_kids[p] = [c]
         else:
-            self.child_flow[p] += z[c]
-            self.push(c, x)
+            self.child_flow[p] += self.z[c]
+            self.push(c)
 
-    def push(self, c: int, x):
+    def push(self, c: int):
         """Enter the child c of a strict edge in its parent's heap, at its value."""
         sign = self.signs[c]
         heaps, p = self.strict[sign], self.parent[c]
-        entry = (x[c] if sign == LT else -x[c], c)
+        entry = (self.x[c] if sign == LT else -self.x[c], c)
         if heaps[p]:
             heapq.heappush(heaps[p], entry)
         else:
             heaps[p] = [entry]
 
-    def set_sign(self, c: int, sign: int, x, z):
+    def set_sign(self, c: int, sign: int):
         """Write the sign of the edge into c, keeping the index in step.
 
         A strict edge's dual must already hold its final value: it stays
@@ -255,7 +261,7 @@ class ActiveSet:
         write on an edge with an end in the kept block goes on to the
         block, so that the block follows the signs too.
         """
-        signs = self.signs
+        signs, z = self.signs, self.z
         old = signs.get(c)
         if old == sign:
             return
@@ -267,17 +273,17 @@ class ActiveSet:
         elif old is not None:
             self.child_flow[p] -= z[c]
             d = -z[c]
-        self._enter(c, sign, x, z)
+        self._enter(c, sign)
         if sign != EQ:
             d += z[c]
         block = self.block
         if block is not None and (p in block.nodes or c in block.nodes):
             block.on_sign(c, old, sign, d)
 
-    def nearest(self, v: int, sign: int, x) -> Optional[int]:
+    def nearest(self, v: int, sign: int) -> Optional[int]:
         """The strict child of v with the given sign nearest to v, or None."""
         heap = self.strict[sign][v]
-        signs = self.signs
+        signs, x = self.signs, self.x
         while heap:
             key, c = heap[0]
             if signs[c] == sign and x[c] == (key if sign == LT else -key):
@@ -285,13 +291,18 @@ class ActiveSet:
             heapq.heappop(heap)
         return None
 
-    def fresh_entries(self, v: int, sign: int, x) -> set:
+    def fresh_entries(self, v: int, sign: int) -> set:
         """The fresh entries of one of v's heaps."""
         return {(key, c) for key, c in self.strict[sign][v]
-                if self.signs[c] == sign and x[c] == (key if sign == LT else -key)}
+                if self.signs[c] == sign and self.x[c] == (key if sign == LT else -key)}
 
 
 def build_initial_active_set(x, edges) -> ActiveSet:
+    """`classify`'s signs in an unindexed set; perfbench/spans.py times this call."""
+    return ActiveSet(classify(x, edges))
+
+
+def classify(x, edges) -> Dict[int, int]:
     """Classify each edge by comparing its endpoint values, keyed by its head.
 
     Values within EQ_RTOL * (1 + max(|x_i|, |x_j|)) of each other count as
@@ -317,45 +328,20 @@ def build_initial_active_set(x, edges) -> ActiveSet:
                 )
             sign = LT
         signs[j] = sign
-    return ActiveSet(signs)
-
-
-class PrimalDualState:
-    """Mutable working state of one t-search.
-
-    x and z are the live solution maps (shared with the caller and updated
-    in place), z keyed by each edge's child; `departed`, the children of
-    the edges that left EQ, and `equilibrium_calls` carry the per-search
-    bookkeeping backing the churn and single-equilibrium checks.  With
-    `validate`, each step checks its moves and ties against full scans,
-    and its key heap against `reference`, the block built afresh.
-    """
-
-    __slots__ = ("t", "x", "z", "active", "departed", "equilibrium_calls",
-                 "validate", "reference")
-
-    def __init__(self, t: float, x: Dict[int, float], z: Dict[int, float],
-                 active: ActiveSet, validate: bool = False):
-        self.t = t
-        self.x = x
-        self.z = z
-        self.active = active
-        self.departed: set = set()
-        self.equilibrium_calls = 0
-        self.validate = validate
-        self.reference: Optional[ComponentView] = None
+    return signs
 
 
 class ComponentView:
     """The moving equality block: the equal-valued component of the anchor.
 
-    The block persists across search steps and extensions (it is kept
-    in `ActiveSet.block`) and is updated, not rebuilt, when a component
-    joins it or a half departs; it is built afresh only when a search's
-    anchor lies outside it.  It holds its members `nodes`, its `top` (the
-    member whose parent edge is not EQ; every other member's parent is a
-    member), the `rim` of members that may have strict children and the
-    shared `value` last written to the members' x.
+    The block persists across search steps and extensions (it is kept in
+    `ActiveSet.block`, and reads x and z from that active set) and is
+    updated, not rebuilt, when a component joins it or a half departs; it
+    is built afresh only when a search's anchor lies outside it.  It holds
+    its members `nodes`, its `top` (the member whose parent edge is not
+    EQ; every other member's parent is a member), the `rim` of members
+    that may have strict children and the shared `value` last written to
+    the members' x.
 
     The block is rooted at its `anchor`: every other member u keeps
     `toward[u]`, its neighbour one edge nearer the anchor, and every
@@ -399,13 +385,12 @@ class ComponentView:
     __slots__ = (
         "anchor", "top", "nodes", "toward", "rim", "sub", "keys", "heaps", "dirty",
         "value", "boundary_out", "boundary_in", "form", "boundary_flow", "_members",
-        "_active", "_x", "_z", "_parent", "_lam", "_mu", "_loss", "_parts",
+        "_active", "_parent", "_lam", "_mu", "_loss", "_parts",
     )
 
-    def __init__(self, solver, active: ActiveSet, x, z, anchor: int):
-        self._active, self._x, self._z = active, x, z
+    def __init__(self, solver, active: ActiveSet, anchor: int):
+        self._active, self._loss = active, solver._loss
         self._parent, self._lam, self._mu = solver._parent, solver._lam, solver._mu
-        self._loss = solver._loss
         self.nodes: set = set()
         self.toward: Dict[int, int] = {}
         self.rim: set = set()
@@ -413,8 +398,7 @@ class ComponentView:
         self.keys: Dict[int, Dict[int, float]] = {-1: {}, 1: {}}
         self.heaps: Dict[int, list] = {-1: [], 1: []}
         self.dirty: Dict[int, set] = {-1: set(), 1: set()}
-        self.boundary_out: List[int] = []
-        self.boundary_in: List[int] = []
+        self.boundary_out, self.boundary_in = [], []
         self._parts = (self.nodes, self.toward, self.rim, self.sub,
                        *self.keys.values(), *self.heaps.values(),
                        *self.dirty.values())
@@ -431,7 +415,7 @@ class ComponentView:
         if anchor is None:
             return
         self.anchor = anchor
-        self.value = self._x[anchor]
+        self.value = self._active.x[anchor]
         self._grow(anchor, None)
 
     def set_anchor(self, anchor: int):
@@ -464,7 +448,7 @@ class ComponentView:
         active = self._active
         g = active.child_flow[u]
         if self._parent[u] and active.signs[u] != EQ:
-            g -= self._z[u]
+            g -= active.z[u]
         form = self._loss[u].poly_form()
         if form is None:
             return [0.0, 0.0, 0.0, g, 1, 0]
@@ -640,13 +624,13 @@ class ComponentView:
 
     def refresh(self, s: int):
         """The boundary lists for direction s, and the step's snapshot."""
-        active, x = self._active, self._x
+        active = self._active
         out = []
         for v in list(self.rim) if self.rim else ():
-            c = active.nearest(v, -s, x)
+            c = active.nearest(v, -s)
             if c is not None:
                 out.append(c)
-            elif active.nearest(v, s, x) is None:
+            elif active.nearest(v, s) is None:
                 self.rim.discard(v)
         self.boundary_out = out
         top = self.top  # the root has no parent edge, so no sign
@@ -696,7 +680,7 @@ class ComponentView:
     def flush(self):
         """Write the internal duals at the block's value into z."""
         if self.nodes:
-            self._z.update(self._duals(self.toward, self.value))
+            self._active.z.update(self._duals(self.toward, self.value))
 
     # -- following sign writes --------------------------------------------
 
@@ -732,7 +716,7 @@ class ComponentView:
         near, df = (self._parent[c], d) if far == c else (c, -d)
         half = self._far(far)
         if len(half) > 1:
-            self._z.update(self._duals(half[1:], self.value))
+            self._active.z.update(self._duals(half[1:], self.value))
         h = self.sub[far]
         self._add(near, (-h[0], -h[1], -h[2], df - h[3], -h[4], -h[5]))
         if far != c:
@@ -808,7 +792,7 @@ class Solver:
         parent, lam, mu = self._parent, self._lam, self._mu
         return ((parent[c], c, lam[c], mu[c]) for c in children)
 
-    def _reclassify(self, active: ActiveSet, x, z, m: int, validate: bool):
+    def _reclassify(self, active: ActiveSet, m: int):
         """Bring the signs of prefix 1..m up to date with x and clear `moved`.
 
         For each moved node, reclassifies its parent edge, and enters the
@@ -819,39 +803,37 @@ class Solver:
         classification of every prefix edge from scratch, and the index
         the one built from that classification, x and z.
         """
-        active.build_index(self._parent, x, z)
-        signs = active.signs
+        signs, x = active.signs, active.x
         stale = set(active.moved)
         stale.discard(1)  # the root has no parent edge
         for v in active.level:
             for sign, heaps in active.strict.items():
-                c = active.nearest(v, sign, x)
+                c = active.nearest(v, sign)
                 while c is not None and not _keeps_side(sign, x[v], x[c]):
                     heapq.heappop(heaps[v])
                     stale.add(c)
-                    c = active.nearest(v, sign, x)
+                    c = active.nearest(v, sign)
         active.level.clear()
         active.moved.clear()
         for c, sign in build_initial_active_set(x, self._edges(stale)).signs.items():
             if signs.get(c) != sign:
-                active.set_sign(c, sign, x, z)
+                active.set_sign(c, sign)
             elif sign != EQ:
-                active.push(c, x)  # the child moved: enter it at its new value
-        if validate:
-            fresh = build_initial_active_set(x, self._edges(range(2, m + 1)))
-            for c, sign in fresh.signs.items():
-                kept = signs.get(c)
-                if kept != sign:
-                    raise InternalInvariantError(
-                        "kept sign of edge (%d, %d) is %s, its values give %s"
-                        % (self._parent[c], c, SIGN_NAME.get(kept, "none"),
-                           SIGN_NAME[sign])
-                    )
-            fresh.build_index(self._parent, x, z)
-            self._check_index(active, fresh, x)
+                active.push(c)  # the child moved: enter it at its new value
+        if active.validate:
+            self._check_index(active, m)
 
-    def _check_index(self, active: ActiveSet, rebuilt: ActiveSet, x):
-        """Validation: the index must equal that of `rebuilt`, built from scratch."""
+    def _check_index(self, active: ActiveSet, m: int):
+        """Validation: prefix 1..m's signs and index must match a fresh build."""
+        rebuilt = ActiveSet(classify(active.x, self._edges(range(2, m + 1))),
+                            self._parent, active.x, active.z)
+        for c, sign in rebuilt.signs.items():
+            kept = active.signs.get(c)
+            if kept != sign:
+                raise InternalInvariantError(
+                    "kept sign of edge (%d, %d) is %s, its values give %s"
+                    % (self._parent[c], c, SIGN_NAME.get(kept, "none"), SIGN_NAME[sign])
+                )
         for v in range(1, len(self._parent)):
             if list(active.eq_kids[v]) != list(rebuilt.eq_kids[v]):
                 raise InternalInvariantError(
@@ -868,7 +850,7 @@ class Solver:
                 heap = active.strict[sign][v]
                 ordered = all(heap[(k - 1) // 2] <= heap[k]
                               for k in range(1, len(heap)))
-                if not ordered or active.fresh_entries(v, sign, x) \
+                if not ordered or active.fresh_entries(v, sign) \
                         != set(rebuilt.strict[sign][v]):
                     raise InternalInvariantError(
                         "heap of the strict children %s node %d disagrees with "
@@ -877,7 +859,7 @@ class Solver:
 
     # -- component geometry -----------------------------------------------
 
-    def build_component_view(self, state: PrimalDualState, anchor: int,
+    def build_component_view(self, active: ActiveSet, anchor: int,
                              s: int) -> ComponentView:
         """The block of `anchor`, ready for one search step in direction s.
 
@@ -887,42 +869,41 @@ class Solver:
         pass down EQ child edges listing the members, whose subtree sums
         are taken bottom up.
         """
-        active = state.active
         view = active.block
         fresh = view is None or anchor not in view.nodes
         if view is None:
-            view = active.block = ComponentView(self, active, state.x, state.z, anchor)
+            view = active.block = ComponentView(self, active, anchor)
         elif fresh:
             view.restart(anchor)
         else:
             view.set_anchor(anchor)
         view.refresh(s)
-        if fresh and state.validate:
-            self._check_anchor(view, state)
+        if fresh and active.validate:
+            self._check_anchor(active)
         return view
 
-    def _check_anchor(self, view: ComponentView, state: PrimalDualState,
-                      stored_duals: bool = True):
+    def _check_anchor(self, active: ActiveSet, stored_duals: bool = True):
         """Validation: the block must reproduce the stored value and, when
         built afresh (before it moves), the stored internal duals."""
-        want = state.x[view.anchor]
-        got = view.value_at(state.t)
+        view = active.block
+        want = active.x[view.anchor]
+        got = view.value_at(active.t)
         if abs(got - want) > ANCHOR_RTOL * (1.0 + abs(want)):
             raise InternalInvariantError(
                 "component value %.17g disagrees with stored %.17g" % (got, want)
             )
         if not stored_duals:
             return
-        for c, value in view.duals_at(state.t).items():
-            stored = state.z[c]
+        for c, value in view.duals_at(active.t).items():
+            stored = active.z[c]
             if abs(value - stored) > ANCHOR_RTOL * (1.0 + abs(stored)):
                 raise InternalInvariantError(
                     "dual on (%d, %d): formula %.17g vs stored %.17g"
                     % (self._parent[c], c, value, stored)
                 )
 
-    def _check_view(self, view: ComponentView, state: PrimalDualState):
-        """Validation: the kept block must equal a fresh build, `state.reference`.
+    def _check_view(self, active: ActiveSet):
+        """Validation: the kept block must equal a fresh build, `active.reference`.
 
         Members, top and each member's neighbour towards the anchor
         exactly; every member's subtree sums and keys within ANCHOR_RTOL
@@ -931,8 +912,8 @@ class Solver:
         the stored one.  Internal duals are not stored while a block
         moves, so they are not compared.
         """
-        fresh = ComponentView(self, state.active, state.x, state.z, view.anchor)
-        state.reference = fresh
+        view = active.block
+        fresh = active.reference = ComponentView(self, active, view.anchor)
         for s in (-1, 1):
             fresh._clean(s)
         if fresh.nodes != view.nodes or fresh.top != view.top:
@@ -966,12 +947,11 @@ class Solver:
             raise InternalInvariantError(
                 "rim %s misses members %s" % (sorted(view.rim), sorted(fresh.rim - view.rim))
             )
-        self._check_anchor(view, state, stored_duals=False)
+        self._check_anchor(active, stored_duals=False)
 
     # -- thresholds ---------------------------------------------------------
 
-    def thresholds(self, view: ComponentView, state: PrimalDualState,
-                   s: int) -> float:
+    def thresholds(self, active: ActiveSet, s: int) -> float:
         """The binding move in direction s from the state: the shortest
         admissible parameter move, or s*inf when nothing binds.
 
@@ -984,26 +964,26 @@ class Solver:
         lists only children of sign -s) or the top's parent across an
         edge of sign s.  `_migrate` finds the edges tied with the move.
         """
-        t_q, x = state.t, state.x
+        view, t_q, x = active.block, active.t, active.x
         internal = s * INF
         for u in view.binding(s):
             internal = view.move_to(view.keys[s][u], t_q, s)
         moves = [view.move_to(x[c], t_q, s) for c in view.boundary_out]
         for c in view.boundary_in:
-            if state.active.signs[c] == s:
+            if active.signs[c] == s:
                 moves.append(view.move_to(x[self._parent[c]], t_q, s))
         boundary = (min if s > 0 else max)(moves, default=s * INF)
-        if state.validate:
-            self._check_moves(state, s, internal, boundary)
+        if active.validate:
+            self._check_moves(active, s, internal, boundary)
         return boundary if s * boundary < s * internal else internal
 
-    def _check_moves(self, state: PrimalDualState, s: int, internal: float,
+    def _check_moves(self, active: ActiveSet, s: int, internal: float,
                      boundary: float):
         """Validation: the binding component edge and boundary moves must
         equal full scans, of the keys of the block built afresh and of
         every signed edge at its members."""
-        ref = state.reference  # an edge without a key never binds
-        t_q, x, signs, parent = state.t, state.x, state.active.signs, self._parent
+        ref = active.reference  # an edge without a key never binds
+        t_q, x, signs, parent = active.t, active.x, active.signs, self._parent
         moves = [ref.move_to(v, t_q, s) for v in ref.keys[s].values()]
         out = [ref.move_to(x[c], t_q, s) for c, sign in signs.items()
                if sign == -s and parent[c] in ref.nodes]
@@ -1022,47 +1002,46 @@ class Solver:
     # The benchmark's span table (perfbench/spans.py) wraps these four names
     # for its solver.thresholds and solver.step spans, and the search calls
     # them so that those spans keep counting every call.
-    def thresholds_minus(self, view, state):
-        return self.thresholds(view, state, -1)
+    def thresholds_minus(self, active):
+        return self.thresholds(active, -1)
 
-    def thresholds_plus(self, view, state):
-        return self.thresholds(view, state, 1)
+    def thresholds_plus(self, active):
+        return self.thresholds(active, 1)
 
-    def step_minus(self, state, view, child):
-        return self.step(state, view, child, -1)
+    def step_minus(self, active, child):
+        return self.step(active, child, -1)
 
-    def step_plus(self, state, view, child):
-        return self.step(state, view, child, 1)
+    def step_plus(self, active, child):
+        return self.step(active, child, 1)
 
     # -- search steps -------------------------------------------------------
 
-    def _apply(self, state: PrimalDualState, view: ComponentView,
-               child: int, attach_loss: Loss, t_next: float, s: int):
+    def _apply(self, active: ActiveSet, child: int, attach_loss: Loss,
+               t_next: float, s: int):
+        view, x = active.block, active.x
         value = view.value_at(t_next)
         attach_value = attach_loss.inverse_derivative(-t_next)
-        x = state.x
         back = s * (value - view.value) < 0.0
         view.value = value
         x.update(dict.fromkeys(view.nodes, value))
         # A member whose nearest strict child on the side moved towards no
         # longer classifies as strict gets its heap tops reclassified; the
         # other side only needs a look when the value moved back.
-        level, parent = state.active.level, self._parent
+        level, parent = active.level, self._parent
         for c in view.boundary_out:
             if not _keeps_side(-s, value, x[c]):
                 level.add(parent[c])
         if back:
-            nearest = state.active.nearest
+            nearest = active.nearest
             for v in view.rim:
-                c = nearest(v, s, x)
+                c = nearest(v, s)
                 if c is not None and not _keeps_side(s, value, x[c]):
                     level.add(v)
         x[child] = attach_value
-        state.t = t_next
+        active.t = t_next
         return value, attach_value
 
-    def _migrate(self, state: PrimalDualState, view: ComponentView,
-                 t: float, best: float, s: int):
+    def _migrate(self, active: ActiveSet, t: float, best: float, s: int):
         """Move the edges tied with the binding move `best` from t between
         the equality set and the strict sets.
 
@@ -1080,8 +1059,8 @@ class Solver:
         departing component edge takes sign s when its far half lies below
         it and -s when above, with its dual at the matching box end.
         """
-        active = state.active
-        signs, x, z, parent = active.signs, state.x, state.z, self._parent
+        view, signs, x, z = active.block, active.signs, active.x, active.z
+        parent = self._parent
 
         def tied(v: float) -> bool:
             return abs(view.move_to(v, t, s) - best) <= TIE_TOL
@@ -1090,10 +1069,10 @@ class Solver:
             return sorted((parent[c], c) for c in children)
 
         want_out = want_in = None
-        if state.validate:  # the ties by a scan of every signed edge and key
+        if active.validate:  # the ties by a scan of every signed edge and key
             want_out = {c for c, sign in signs.items()
                         if sign == -s and parent[c] in view.nodes and tied(x[c])}
-            ref = state.reference
+            ref = active.reference
             want_in = {ref.edge_of(u)[0] for u, v in ref.keys[s].items()
                        if abs(ref.move_to(v, t, s) - best) <= TIE_TOL}
         departing = [view.edge_of(u) for u in view.binding(s, tied)]
@@ -1105,14 +1084,14 @@ class Solver:
         joined_in, joined_out = [], []
         for c in view.boundary_in:
             if signs[c] == s and tied(x[parent[c]]):
-                self._join(state, c)
+                self._join(active, c)
                 joined_in.append(c)
         for c in view.boundary_out:
             v = parent[c]
             while c is not None and tied(x[c]):
-                self._join(state, c)
+                self._join(active, c)
                 joined_out.append(c)
-                c = active.nearest(v, -s, x)
+                c = active.nearest(v, -s)
         if want_out is not None and set(joined_out) != want_out:
             raise InternalInvariantError(
                 "boundary ties from the heaps %s differ from a full scan %s"
@@ -1121,21 +1100,20 @@ class Solver:
         for c, below in departing:
             sign = s if below else -s
             z[c] = -self._lam[c] if sign == GT else self._mu[c]
-            active.set_sign(c, sign, x, z)
+            active.set_sign(c, sign)
             active.moved.add(c)
-            state.departed.add(c)
+            active.departed.add(c)
         if not (departing or joined_in or joined_out):
             raise InternalInvariantError("threshold step produced no sign change")
 
-    def _join(self, state: PrimalDualState, c: int):
-        if c in state.departed:
+    def _join(self, active: ActiveSet, c: int):
+        if c in active.departed:
             raise InternalInvariantError(
                 "edge (%d, %d) re-entered the equality set" % (self._parent[c], c)
             )
-        state.active.set_sign(c, EQ, state.x, state.z)
+        active.set_sign(c, EQ)
 
-    def step(self, state: PrimalDualState, view: ComponentView,
-             child: int, s: int) -> Optional[float]:
+    def step(self, active: ActiveSet, child: int, s: int) -> Optional[float]:
         """One search step in direction s for the attached node `child`;
         returns the final t when terminal.
 
@@ -1147,19 +1125,18 @@ class Solver:
         with the move migrate between the sign classes and the search
         continues.
         """
-        t_q = state.t
+        view, t_q = active.block, active.t
         attach_loss = self.problem.loss_of(child)
         limit = self._mu[child] if s > 0 else -self._lam[child]
-        thresholds = self.thresholds_plus if s > 0 else self.thresholds_minus
-        best = thresholds(view, state)
+        best = (self.thresholds_plus if s > 0 else self.thresholds_minus)(active)
         use_equilibrium = best == s * INF
         if not use_equilibrium:
             cand = t_q + best
             gap = view.value_at(cand) - attach_loss.inverse_derivative(-cand)
             use_equilibrium = s * gap > 0.0
         if use_equilibrium:
-            state.equilibrium_calls += 1
-            if state.equilibrium_calls > 1:
+            active.equilibrium_calls += 1
+            if active.equilibrium_calls > 1:
                 raise InternalInvariantError(
                     "second equilibrium solve in one extension"
                 )
@@ -1171,34 +1148,32 @@ class Solver:
                 % ("increased" if s < 0 else "decreased",
                    "downward" if s < 0 else "upward", t_q, t_next)
             )
-        value, attach_value = self._apply(state, view, child, attach_loss, t_next, s)
+        value, attach_value = self._apply(active, child, attach_loss, t_next, s)
         if t_next == limit or values_equal(value, attach_value):
             return t_next
         if use_equilibrium:
             raise InternalInvariantError("equilibrium step left a value gap")
-        self._migrate(state, view, t_q, best, s)
+        self._migrate(active, t_q, best, s)
         return None
 
     # -- extension and outer loop -------------------------------------------
 
-    def extend(self, x: Dict[int, float], z: Dict[int, float],
-               child: int, active: ActiveSet, validate: bool = False):
+    def extend(self, child: int, active: ActiveSet, validate: bool = False):
         """Extend an optimal pair on prefix 1..m to one on 1..m+1, where
         `child` = m+1 attaches through its edge from `self._parent[child]`.
 
-        Mutates x and z, whose duals are keyed by child, in place (the new
-        dual is z[child]) and returns (x, z, record).  The branch is picked
-        by the attached loss's derivative at the attachment point: zero
-        copies the value across with a zero dual, positive searches
-        downward (s = -1), negative upward (s = +1).  A zero attachment
-        bound pins t at 0 immediately (the admissible interval is {0}).
-
-        `active` is the active set kept from the previous extension of the
-        same solve, with its block, whose internal duals stay unwritten.  A
-        search starts by reclassifying only the edges next to its moved
+        Mutates the x and z of `active`, the working state kept from the
+        previous extension of the same solve, in place (the new dual is
+        z[child]) and returns (x, z, record).  The branch is picked by the
+        attached loss's derivative at the attachment point: zero copies the
+        value across with a zero dual, positive searches downward (s = -1),
+        negative upward (s = +1).  A zero attachment bound pins t at 0
+        immediately (the admissible interval is {0}).  A search resets the
+        search's fields and reclassifies only the edges next to its moved
         nodes that can have changed class (see `_reclassify`); the attached
         node is recorded as moved on every branch (see `ActiveSet.moved`).
         """
+        x, z = active.x, active.z
         i_m = self._parent[child]
         m = child - 1
         attach_loss = self.problem.loss_of(child)
@@ -1225,8 +1200,8 @@ class Solver:
                     # next to it; otherwise write the block out now rather
                     # than grow it during reclassification.
                     block.restart(None)
-                self._reclassify(active, x, z, m, validate)
-                state = PrimalDualState(0.0, x, z, active, validate)
+                active.start_search(validate)
+                self._reclassify(active, m)
                 x[child] = attach_loss.inverse_derivative(0.0)
                 step = self.step_minus if s < 0 else self.step_plus
                 while True:
@@ -1236,16 +1211,16 @@ class Solver:
                             "extension of node %d exceeded %d search steps"
                             % (child, cap)
                         )
-                    view = self.build_component_view(state, i_m, s)
+                    view = self.build_component_view(active, i_m, s)
                     if validate:
-                        self._check_view(view, state)
-                    result = step(state, view, child)
-                    t_path.append(state.t)
+                        self._check_view(active)
+                    result = step(active, child)
+                    t_path.append(active.t)
                     if result is not None:
                         t_star = result
                         break
                 active.moved.add(view.top)
-                eq_calls = state.equilibrium_calls
+                eq_calls = active.equilibrium_calls
         active.moved.add(child)
         z[child] = t_star
         if t_star * d > SIGN_TOL:
@@ -1270,12 +1245,11 @@ class Solver:
         """
         x = {1: self.problem.loss_of(1).inverse_derivative(0.0)}
         z: Dict[int, float] = {}
-        active = ActiveSet()
+        active = ActiveSet(None, self._parent, x, z)
         stats = SolveStats()
         n = len(self._parent) - 1
         for child in range(2, n + 1):
-            _, _, record = self.extend(x, z, child, active, validate)
-            stats.steps.append(record)
+            stats.steps.append(self.extend(child, active, validate)[2])
         if active.block is not None:
             active.block.flush()
         z = {(self._parent[c], c): z[c] for c in range(2, n + 1)}

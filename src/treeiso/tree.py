@@ -195,16 +195,23 @@ def map_back(
 
     Primal values map through `original_label` unchanged; the dual of an
     edge into a child in `flipped` changes sign, and its key is the
-    original (tail, head) orientation.
+    original (tail, head) orientation.  A node value or dual missing, in
+    solver labels, raises ContractViolationError.
     """
     orig, parent, flipped = arb.original_label, arb.parent, arb.flipped
-    x_out = {orig[v]: x[v] for v in range(1, arb.node_count + 1)}
+    try:
+        x_out = {orig[v]: x[v] for v in range(1, arb.node_count + 1)}
+    except KeyError as exc:
+        raise ContractViolationError("x has no value for node %r" % exc.args) from None
     z_out: Dict[Edge, float] = {}
-    for c in range(2, arb.node_count + 1):
-        p = parent[c]
-        value = z[(p, c)]
-        if c in flipped:
-            z_out[(orig[c], orig[p])] = -value
-        else:
-            z_out[(orig[p], orig[c])] = value
+    try:
+        for c in range(2, arb.node_count + 1):
+            p = parent[c]
+            value = z[(p, c)]
+            if c in flipped:
+                z_out[(orig[c], orig[p])] = -value
+            else:
+                z_out[(orig[p], orig[c])] = value
+    except KeyError as exc:
+        raise ContractViolationError("z has no dual for edge %r" % exc.args) from None
     return x_out, z_out

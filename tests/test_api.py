@@ -159,6 +159,17 @@ class TestLibraryInput:
         with pytest.raises(ContractViolationError, match="%r, which is no node" % (extra,)):
             solve(self.TREE, losses)
 
+    @pytest.mark.parametrize("solve", [build_problem, solve_tree])
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_losses_that_are_not_a_mapping(self, solve, extra):
+        # A list of n losses, or of n + 1 with a dummy at index 0, is not
+        # keyed by node: the error names the type that was passed.
+        losses = list(self.losses().values()) + [WeightedQuadratic(1.0, 0.0)] * extra
+        with pytest.raises(ContractViolationError, match="got list"):
+            solve(self.TREE, losses)
+        with pytest.raises(ContractViolationError, match="got tuple"):
+            solve(self.TREE, tuple(losses))
+
     @pytest.mark.parametrize("n", [2.5, 0, -3, True, "5"])
     def test_random_problem_size_must_be_a_positive_integer(self, n):
         with pytest.raises(ContractViolationError, match="positive integer"):

@@ -21,7 +21,7 @@ from treeiso.loss import (
     solve_increasing,
 )
 from treeiso.oracle import enumerate_optimum
-from treeiso.solver import EQ, ActiveSet, PrimalDualState, Problem, Solver
+from treeiso.solver import EQ, ActiveSet, Problem, Solver
 from treeiso.tree import DirectedTree, INF, normalize
 
 WEIGHTS = (0.0, 0.5, 2.0, INF)
@@ -413,10 +413,9 @@ def pooled_view(losses, edges, anchor=1):
     n = len(losses)
     problem = Problem(normalize(DirectedTree(n, edges), 1), losses)
     z = {c: 0.0 for _, c, _, _ in problem.weighted_edges()}  # duals by child
-    state = PrimalDualState(0.0, {v: 0.0 for v in range(1, n + 1)}, z,
-                            ActiveSet({c: EQ for c in z}))
-    state.active.build_index(problem.arb.parent, state.x, z)
-    return Solver(problem).build_component_view(state, anchor, -1)
+    active = ActiveSet({c: EQ for c in z}, problem.arb.parent,
+                       {v: 0.0 for v in range(1, n + 1)}, z)
+    return Solver(problem).build_component_view(active, anchor, -1)
 
 
 def far_inverse(view, c, target):

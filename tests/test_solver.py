@@ -27,7 +27,6 @@ from treeiso.solver import (
     ActiveSet,
     ComponentView,
     Problem,
-    PrimalDualState,
     Solver,
     build_initial_active_set,
     kkt_residual,
@@ -43,8 +42,8 @@ DEMO_PARENT = [0, 0, 1, 1, 3, 3]
 
 def make_state(t, x, z, signs, parent=DEMO_PARENT):
     """A search state whose duals z and signs are keyed by each edge's child."""
-    state = PrimalDualState(t, dict(x), dict(z), ActiveSet(signs))
-    state.active.build_index(parent, state.x, state.z)
+    state = ActiveSet(dict(signs), parent, dict(x), dict(z))
+    state.t = t
     return state
 
 
@@ -52,9 +51,9 @@ def extend_fresh(solver, x, z, child):
     """Attach `child` to a pair built by hand: every prefix node counts as
     moved, so the search classifies all prefix edges, and the block's
     internal duals are written out before returning."""
-    active = ActiveSet()
+    active = ActiveSet(None, solver._parent, x, z)
     active.moved.update(range(1, child))
-    result = solver.extend(x, z, child, active)
+    result = solver.extend(child, active)
     if active.block is not None:
         active.block.flush()
     return result
@@ -72,11 +71,11 @@ def late_search_state():
     return make_state(0.0, x, z, signs)
 
 
-def reference_moves(solver, view, state, s):
+def reference_moves(solver, state, s):
     """Every internal edge's move from state.t in direction s, by the
     edge's child, read from the keys of the block that validation builds
     afresh."""
-    solver._check_view(view, state)
+    solver._check_view(state)
     ref = state.reference
     return {ref.edge_of(u)[0]: ref.move_to(v, state.t, s)
             for u, v in ref.keys[s].items()}
@@ -188,7 +187,7 @@ class TestComponentView:
         state.z[3] = 5.0
         view = solver.build_component_view(state, anchor=3, s=-1)
         with pytest.raises(InternalInvariantError):
-            solver._check_anchor(view, state)
+            solver._check_anchor(state)
 
     def test_validation_catches_corrupted_primal(self):
         solver = Solver(make_demo_problem())
@@ -196,7 +195,7 @@ class TestComponentView:
         state.x[3] = 3.5
         view = solver.build_component_view(state, anchor=3, s=-1)
         with pytest.raises(InternalInvariantError):
-            solver._check_anchor(view, state)
+            solver._check_anchor(state)
 
 
 class TestThresholds:
@@ -206,10 +205,10 @@ class TestThresholds:
         z = {2: -2.0, 3: 2.0, 4: 4.0}
         state = make_state(0.0, x, z, {2: EQ, 3: EQ, 4: EQ})
         view = solver.build_component_view(state, anchor=3, s=-1)
-        best = solver.thresholds_minus(view, state)
+        best = solver.thresholds_minus(state)
         # (3, 4) binds at the heap top; (1, 3) and (1, 2) wait below it.
         assert [view.edge_of(u)[0] for u in view.binding(-1)] == [4]
-        moves = reference_moves(solver, view, state, -1)
+        moves = reference_moves(solver, state, -1)
         assert moves[4] == pytest.approx(0.0, abs=1e-12)
         assert moves[3] == pytest.approx(-4.0, abs=1e-12)
         assert moves[2] == pytest.approx(-8.0, abs=1e-12)
@@ -220,12 +219,12 @@ class TestThresholds:
         solver = Solver(make_demo_problem())
         state = late_search_state()
         view = solver.build_component_view(state, anchor=3, s=-1)
-        best = solver.thresholds_minus(view, state)
+        best = solver.thresholds_minus(state)
         (u,) = view.binding(-1)
         assert view.edge_of(u)[0] == 3
         assert view.move_to(view.keys[-1][u], state.t, -1) == pytest.approx(-3.0, abs=1e-12)
         # (1, 2) waits below the heap top.
-        moves = reference_moves(solver, view, state, -1)
+        moves = reference_moves(solver, state, -1)
         assert moves[2] == pytest.approx(-6.0, abs=1e-12)
         assert moves[3] == pytest.approx(-3.0, abs=1e-12)
         # The strict boundary edge (3,4) is in the wrong class for the
@@ -241,9 +240,9 @@ class TestThresholds:
         solver = Solver(problem)
         state = make_state(0.0, {1: 4.0, 2: 4.0}, {2: 1.0}, {2: EQ}, solver._parent)
         view = solver.build_component_view(state, anchor=1, s=-1)
-        assert solver.thresholds_minus(view, state) == -INF
+        assert solver.thresholds_minus(state) == -INF
         view = solver.build_component_view(state, anchor=1, s=1)
-        assert solver.thresholds_plus(view, state) == INF
+        assert solver.thresholds_plus(state) == INF
 
     def test_upward_boundary_join(self):
         solver = Solver(make_demo_problem())
@@ -251,7 +250,7 @@ class TestThresholds:
         z = {2: -1.0, 3: 0.0}
         state = make_state(0.0, x, z, {2: EQ, 3: GT})
         view = solver.build_component_view(state, anchor=3, s=1)
-        best = solver.thresholds_plus(view, state)
+        best = solver.thresholds_plus(state)
         assert view.boundary_in == [3]
         assert view.move_to(state.x[1], state.t, 1) == pytest.approx(1.0, abs=1e-12)
         assert view.binding(1) == []  # no component edge binds
@@ -265,10 +264,10 @@ class TestStepFunctions:
         z = {2: -2.0, 3: 2.0, 4: 4.0}
         state = make_state(0.0, x, z, {2: EQ, 3: EQ, 4: EQ})
         view = solver.build_component_view(state, anchor=3, s=-1)
-        result = solver.step_minus(state, view, 5)
+        result = solver.step_minus(state, 5)
         assert result is None
         assert state.t == 0.0
-        assert state.active.signs[4] == LT
+        assert state.signs[4] == LT
         assert state.z[4] == 4.0
         assert state.departed == {4}
 
@@ -277,7 +276,7 @@ class TestStepFunctions:
         state = late_search_state()
         state.departed.add(4)
         view = solver.build_component_view(state, anchor=3, s=-1)
-        result = solver.step_minus(state, view, 5)
+        result = solver.step_minus(state, 5)
         assert result == -3.0
         assert state.x == {1: 3.0, 2: 3.0, 3: 3.0, 4: 4.0, 5: 1.0}
         view.flush()  # the block's internal duals are written out on demand
@@ -291,10 +290,10 @@ class TestStepFunctions:
         z = {2: -1.0, 3: 0.0}
         state = make_state(0.0, x, z, {2: EQ, 3: GT})
         view = solver.build_component_view(state, anchor=3, s=1)
-        result = solver.step_plus(state, view, 4)
+        result = solver.step_plus(state, 4)
         assert result is None
         assert state.t == 1.0
-        assert state.active.signs[3] == EQ
+        assert state.signs[3] == EQ
         assert state.x[3] == pytest.approx(3.0, abs=1e-12)
         assert state.x[4] == pytest.approx(7.0, abs=1e-12)
 
@@ -304,7 +303,7 @@ class TestStepFunctions:
         z = {2: -1.0, 3: 1.0}
         state = make_state(1.0, x, z, {2: EQ, 3: EQ})
         view = solver.build_component_view(state, anchor=3, s=1)
-        result = solver.step_plus(state, view, 4)
+        result = solver.step_plus(state, 4)
         assert result == 4.0
         assert state.equilibrium_calls == 1
         assert state.x == {1: 4.0, 2: 4.0, 3: 4.0, 4: 4.0}
@@ -320,7 +319,7 @@ class TestStepFunctions:
         state.departed.add(3)
         view = solver.build_component_view(state, anchor=3, s=1)
         with pytest.raises(InternalInvariantError):
-            solver.step_plus(state, view, 4)
+            solver.step_plus(state, 4)
 
     def test_second_equilibrium_guard(self):
         solver = Solver(make_demo_problem())
@@ -328,7 +327,7 @@ class TestStepFunctions:
         state.equilibrium_calls = 1
         view = solver.build_component_view(state, anchor=1, s=-1)
         with pytest.raises(InternalInvariantError):
-            solver.step_minus(state, view, 2)
+            solver.step_minus(state, 2)
 
 
 class TestExtendTraces:
@@ -395,13 +394,13 @@ class TestExtendTraces:
         x = {1: 3.0, 2: 3.0, 3: 2.0}
         z = {2: -1.0, 3: 0.0}
         # x[1] > x[3], but the carried set still says EQ and marks no node moved.
-        stale = ActiveSet({2: EQ, 3: EQ})
+        stale = ActiveSet({2: EQ, 3: EQ}, solver._parent, x, z)
         with pytest.raises(InternalInvariantError, match=r"\(1, 3\)"):
-            solver.extend(x, z, 4, stale, validate=True)
+            solver.extend(4, stale, validate=True)
 
     def test_iteration_cap_guard(self, monkeypatch):
         solver = Solver(make_demo_problem())
-        monkeypatch.setattr(Solver, "step_minus", lambda self, s, v, a: None)
+        monkeypatch.setattr(Solver, "step_minus", lambda self, active, child: None)
         x, z = {1: 4.0}, {}
         with pytest.raises(InternalInvariantError, match="search steps"):
             extend_fresh(solver, x, z, 2)
@@ -440,9 +439,9 @@ class TestSolve:
         pairs = []
         real = Solver.extend
 
-        def spy(self, x, z, child, active, validate=False):
-            result = real(self, x, z, child, active, validate)
-            block = active.block
+        def spy(self, child, active, validate=False):
+            result = real(self, child, active, validate)
+            x, z, block = active.x, active.z, active.block
             duals = block._duals(block.toward, block.value) if block else {}
             by_edge = {(self._parent[c], c): v for c, v in {**z, **duals}.items()}
             pairs.append((hexed(x), hexed(by_edge), record_bits(result[2])))
@@ -628,18 +627,18 @@ class TestStrictChildIndex:
         problem = hub_problem(60, 1, 3, "quadratic", dyadic=True)
         solver = Solver(problem)
         x = {1: problem.loss_of(1).inverse_derivative(0.0)}
-        z, active = {}, ActiveSet()
+        active = ActiveSet(None, solver._parent, x, {})
         children = iter(range(2, problem.arb.node_count + 1))
         for child in children:
-            solver.extend(x, z, child, validate=True, active=active)
-            if active.eq_kids is not None and any(active.strict[GT][1]):
+            solver.extend(child, active, validate=True)
+            if any(active.strict[GT][1]):
                 break
         heap = active.strict[GT][1]
         key, c = heap[0]
         heap[0] = (key - 1.0, c)  # the child now looks 1.0 higher than it is
         with pytest.raises(InternalInvariantError, match="heap"):
             for child in children:
-                solver.extend(x, z, child, validate=True, active=active)
+                solver.extend(child, active, validate=True)
 
     def test_lost_tied_child_detected(self, monkeypatch):
         # The index is checked when a search starts, so the hub's heap of
@@ -651,7 +650,7 @@ class TestStrictChildIndex:
 
         def corrupt(self, state, anchor, s):
             view = real(self, state, anchor, s)
-            heap = state.active.strict[GT][1]
+            heap = state.strict[GT][1]
             if len(heap) == k:
                 del heap[1:]
             return view
@@ -673,7 +672,7 @@ class TestStrictChildIndex:
         real = Solver.build_component_view
 
         def corrupt(self, state, anchor, s):
-            heap = state.active.strict[GT][1]
+            heap = state.strict[GT][1]
             if len(heap) == 2:
                 heapq.heappop(heap)
             return real(self, state, anchor, s)
@@ -724,12 +723,12 @@ class TestPersistentBlock:
         bare = []
         real = Solver.extend
 
-        def spy(self, x, z, child, active, validate=False):
-            result = real(self, x, z, child, active, validate)
+        def spy(self, child, active, validate=False):
+            result = real(self, child, active, validate)
             if active.block is not None:
                 bare.extend(v for v in active.block.rim
-                            if not (active.fresh_entries(v, LT, x)
-                                    or active.fresh_entries(v, GT, x)))
+                            if not (active.fresh_entries(v, LT)
+                                    or active.fresh_entries(v, GT)))
             return result
 
         monkeypatch.setattr(Solver, "extend", spy)
@@ -785,7 +784,7 @@ class TestPersistentBlock:
         real = Solver.build_component_view
 
         def spy(self, state, anchor, s):
-            block = state.active.block
+            block = state.block
             if block is not None and anchor in block.nodes:
                 moved_inside.append(block.anchor != anchor)
             return real(self, state, anchor, s)
@@ -812,16 +811,16 @@ class TestPersistentBlock:
         problem = hub_problem(60, 1, 3, "quadratic", dyadic=True)
         solver = Solver(problem)
         x = {1: problem.loss_of(1).inverse_derivative(0.0)}
-        z, active = {}, ActiveSet()
+        active = ActiveSet(None, solver._parent, x, {})
         children = iter(range(2, problem.arb.node_count + 1))
         for child in children:
-            solver.extend(x, z, child, validate=True, active=active)
+            solver.extend(child, active, validate=True)
             block = active.block
             if block is not None and len(block.nodes) > 2:
                 break
         corrupt(block)
         for child in children:
-            solver.extend(x, z, child, validate=True, active=active)
+            solver.extend(child, active, validate=True)
 
     def test_stale_subtree_sum_detected(self):
         def corrupt(block):
@@ -859,13 +858,13 @@ class TestPersistentBlock:
         problem = Problem(normalize(DirectedTree(4, edges)), losses)
         solver = Solver(problem)
         x = {1: problem.loss_of(1).inverse_derivative(0.0)}
-        z, active = {}, ActiveSet()
+        active = ActiveSet(None, solver._parent, x, {})
         for child in (2, 3):
-            solver.extend(x, z, child, validate=True, active=active)
+            solver.extend(child, active, validate=True)
         assert active.block.keys[1] == {2: 17.0}
         active.block.heaps[1].clear()
         with pytest.raises(InternalInvariantError, match="component edges tied in the heap"):
-            solver.extend(x, z, 4, validate=True, active=active)
+            solver.extend(4, active, validate=True)
 
 
 class TestValidationReference:
@@ -889,6 +888,34 @@ class TestValidationReference:
         # The solve's active set, plus per search the reclassified edges'
         # signs and the classification from scratch.
         assert built[ActiveSet] == 1 + 2 * searches
+
+
+def answer_bits(x, z, stats) -> tuple:
+    """x and z as (key, bits) pairs in their order, every step record and
+    the final residual, floats by their bits."""
+    return (list(hexed(x).items()), list(hexed(z).items()),
+            [record_bits(rec) for rec in stats.steps], stats.final_residual.hex())
+
+
+class TestValidationObservesOnly:
+    """Validation and the search's fields share the solve's working state:
+    a validated solve, a solve and a second solve on the same `Solver`
+    give the same answer, bit for bit and in the same key order."""
+
+    @staticmethod
+    def check(problem):
+        validated = answer_bits(*Solver(problem).solve(validate=True))
+        solver = Solver(problem)
+        assert answer_bits(*solver.solve()) == validated
+        assert answer_bits(*solver.solve()) == validated
+
+    @pytest.mark.parametrize("loss_kind", ["quadratic", "mixed"])
+    @pytest.mark.parametrize("shape", ["chain", "star", "random"])
+    def test_generated_instances(self, shape, loss_kind):
+        self.check(build_problem(*random_problem(shape, 300, 11, loss_kind)))
+
+    def test_falling_chain(self):
+        self.check(falling_chain(2000, INF, 47)[0])
 
 
 class TestMirrorSymmetry:

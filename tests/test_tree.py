@@ -238,6 +238,15 @@ class TestMapBack:
         assert x == {1: 1.0, 2: 2.0, 3: 3.0}
         assert z == {(1, 2): -1.0, (2, 3): 4.0}
 
+    def test_missing_dual_or_value_is_named(self):
+        arb = normalize(DirectedTree(3, [(1, 2, 1, 1), (2, 3, 1, 1)]), root=1)
+        with pytest.raises(ContractViolationError, match=r"z has no dual for edge \(1, 2\)"):
+            map_back(arb, {1: 1.0, 2: 2.0, 3: 3.0}, {})
+        with pytest.raises(ContractViolationError, match=r"z has no dual for edge \(2, 3\)"):
+            map_back(arb, {1: 1.0, 2: 2.0, 3: 3.0}, {(1, 2): -1.0})
+        with pytest.raises(ContractViolationError, match="x has no value for node 2"):
+            map_back(arb, {1: 1.0, 3: 3.0}, {(1, 2): -1.0, (2, 3): 4.0})
+
 
 class TestArborescence:
     def test_parent_after_child_breaks_leaf_ordering(self):
