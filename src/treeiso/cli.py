@@ -21,6 +21,7 @@ cross-check failure; 5 internal failure or an out-of-scope request
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 import time
@@ -479,6 +480,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # A command's objects die with it, so the cyclic collector only costs
+    # time here; it is paused for the run and restored as it was found.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except _CliError as exc:
@@ -493,6 +498,9 @@ def main(argv=None) -> int:
     except (InternalInvariantError, ContractViolationError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -1237,7 +1237,10 @@ class Solver:
 
         Attaches nodes 2..n in label order, keeping one active set through
         every extension; z is keyed by (parent, child) in ascending child
-        order.  The pair is certified: its flow-system residual,
+        order.  The block and the validation reference point back at the
+        active set, so both are dropped before returning: the solve's
+        working state is then freed by reference counting, without the
+        cyclic collector.  The pair is certified: its flow-system residual,
         `stats.final_residual`, is at most the solver tolerance, otherwise
         CertificateError is raised.  `map_back` keeps the residual up to
         the order in which each node's incident duals are summed, so it
@@ -1252,6 +1255,7 @@ class Solver:
             stats.steps.append(self.extend(child, active, validate)[2])
         if active.block is not None:
             active.block.flush()
+        active.block = active.reference = None
         z = {(self._parent[c], c): z[c] for c in range(2, n + 1)}
         residual = kkt_residual(self._edges(range(2, n + 1)), self.problem.loss_of, x, z)
         if not residual <= self.tol:

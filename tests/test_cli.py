@@ -1,6 +1,7 @@
 """CLI surface: instance files, report formats, exit codes, bench output."""
 
 import contextlib
+import gc
 import io
 import json
 import sys
@@ -566,6 +567,85 @@ class TestBenchCommand:
         code, _, err = run_cli(capsys, "bench", "--n", "5")
         assert code == EXIT_CERTIFICATE
         assert "certification failed: final residual nan" in err
+
+
+@contextlib.contextmanager
+def collector(enabled):
+    """Run the body with the cyclic collector on or off, restoring it after."""
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+class TestCollectorPause:
+    """`main` pauses the cyclic collector for the command and restores it
+    on every way out: a return with any exit code, an exception and an
+    argparse exit."""
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", str(DEMO_PATH)],
+        ["oracle", str(DEMO_PATH)],
+        ["bench", "--n", "30", "--reps", "2"],
+    ])
+    def test_restored_after_success(self, capsys, argv):
+        with collector(True):
+            assert run_cli(capsys, *argv)[0] == EXIT_OK
+            assert gc.isenabled()
+
+    def test_restored_after_each_failure_code(self, capsys, tmp_path, monkeypatch):
+        bad = dict(long_chain_instance(3), extra=1)
+        cases = [
+            (["solve", str(tmp_path / "absent.json")], EXIT_USAGE),
+            (["solve", write_instance(tmp_path, bad, "bad.json")], EXIT_INSTANCE),
+            (["oracle", write_instance(tmp_path, long_chain_instance(14))],
+             EXIT_INTERNAL),
+        ]
+        with collector(True):
+            for argv, code in cases:
+                assert run_cli(capsys, *argv)[0] == code
+                assert gc.isenabled(), argv
+            monkeypatch.setattr(treeiso.solver, "kkt_residual",
+                                lambda *args: float("nan"))
+            assert run_cli(capsys, "bench", "--n", "5")[0] == EXIT_CERTIFICATE
+            assert gc.isenabled()
+
+    def test_restored_after_an_unexpected_exception(self, monkeypatch):
+        def broken(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "cmd_solve", broken)
+        with collector(True):
+            with pytest.raises(RuntimeError, match="boom"):
+                main(["solve", str(DEMO_PATH)])
+            assert gc.isenabled()
+
+    def test_restored_after_a_usage_exit(self, capsys):
+        with collector(True):
+            with pytest.raises(SystemExit):
+                main(["solve", str(DEMO_PATH), "--json", "--table"])
+            assert gc.isenabled()
+
+    def test_left_off_for_a_caller_that_paused_it(self, capsys):
+        with collector(False):
+            assert run_cli(capsys, "solve", str(DEMO_PATH))[0] == EXIT_OK
+            assert not gc.isenabled()
+
+    def test_paused_while_the_command_runs(self, capsys, monkeypatch):
+        seen = []
+        original = cli.solve_tree
+
+        def observed(*args, **kwargs):
+            seen.append(gc.isenabled())
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "solve_tree", observed)
+        with collector(True):
+            assert run_cli(capsys, "solve", str(DEMO_PATH))[0] == EXIT_OK
+            assert run_cli(capsys, "bench", "--n", "20", "--reps", "2")[0] == EXIT_OK
+        assert seen == [False] * 3
 
 
 @pytest.mark.parametrize("argv, calls", [

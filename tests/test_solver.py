@@ -1,5 +1,6 @@
 """Solver core: active sets, component views, thresholds, search steps."""
 
+import gc
 import heapq
 import math
 import random
@@ -916,6 +917,33 @@ class TestValidationObservesOnly:
 
     def test_falling_chain(self):
         self.check(falling_chain(2000, INF, 47)[0])
+
+
+class TestNoCyclicGarbage:
+    """A returning solve frees its working state by reference counting:
+    the block and the validation reference, which point back at the active
+    set, are dropped before `solve` returns, so nothing is left for the
+    cyclic collector."""
+
+    @staticmethod
+    def check(problem, validate):
+        gc.collect()
+        gc.disable()
+        try:
+            Solver(problem).solve(validate=validate)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("validate", [False, True])
+    @pytest.mark.parametrize("loss_kind", ["quadratic", "mixed"])
+    @pytest.mark.parametrize("shape", ["chain", "star", "random"])
+    def test_generated_instances(self, shape, loss_kind, validate):
+        self.check(build_problem(*random_problem(shape, 300, 11, loss_kind)), validate)
+
+    @pytest.mark.parametrize("validate", [False, True])
+    def test_falling_chain(self, validate):
+        self.check(falling_chain(500, INF, 47)[0], validate)
 
 
 class TestMirrorSymmetry:
