@@ -319,9 +319,10 @@ def solution_report(pf: ProblemFile, tree: DirectedTree, losses: Dict[int, Loss]
     heads = [t for _, t, _, _ in pf.edges]
     if stats is not None:
         steps = stats.steps
-        stats = (stats.inner_iters_total, stats.equilibrium_total,
+        iterations = [rec.iterations for rec in steps]
+        stats = (sum(iterations), stats.equilibrium_total,
                  [rec.node for rec in steps], [rec.branch for rec in steps],
-                 [rec.iterations for rec in steps], [rec.t_star for rec in steps])
+                 iterations, [rec.t_star for rec in steps])
     if relations is not None:
         relations = [SIGN_NAME[relations[edge]] for edge in zip(tails, heads)]
     return Report(pf.ids, tails, heads, list(map(x.__getitem__, range(1, len(pf.ids) + 1))),

@@ -37,6 +37,8 @@ from typing import Optional, Sequence, Tuple
 
 from .errors import ContractViolationError, MalformedInstanceError
 
+INF = math.inf
+
 _ROOT_TOL = 1e-12
 _MAX_ITER = 200
 
@@ -213,11 +215,14 @@ class WeightedQuadratic(Loss):
     __slots__ = ("w", "y")
 
     def __init__(self, w: float, y: float):
-        w = _finite(w, "quadratic weight w")
-        if w <= 0:
-            raise MalformedInstanceError("quadratic weight must be positive, got %r" % w)
+        # A float in range passes one test; anything else is checked and
+        # worded by `_finite`, in the same order.
+        if not (type(w) is float and 0.0 < w < INF):
+            w = _finite(w, "quadratic weight w")
+            if w <= 0:
+                raise MalformedInstanceError("quadratic weight must be positive, got %r" % w)
         self.w = w
-        self.y = _finite(y, "quadratic target y")
+        self.y = y if type(y) is float and -INF < y < INF else _finite(y, "quadratic target y")
 
     def value(self, x):
         d = x - self.y
@@ -246,15 +251,17 @@ class QuarticQuadratic(Loss):
     __slots__ = ("a", "b", "c")
 
     def __init__(self, a: float, b: float, c: float):
-        a = _finite(a, "quadratic coefficient a")
-        b = _finite(b, "quartic coefficient b")
-        if a <= 0:
-            raise MalformedInstanceError("quadratic coefficient must be positive, got %r" % a)
-        if b < 0:
-            raise MalformedInstanceError("quartic coefficient must be nonnegative, got %r" % b)
+        # As in WeightedQuadratic: one test for floats in range.
+        if not (type(a) is float and 0.0 < a < INF and type(b) is float and 0.0 <= b < INF):
+            a = _finite(a, "quadratic coefficient a")
+            b = _finite(b, "quartic coefficient b")
+            if a <= 0:
+                raise MalformedInstanceError("quadratic coefficient must be positive, got %r" % a)
+            if b < 0:
+                raise MalformedInstanceError("quartic coefficient must be nonnegative, got %r" % b)
         self.a = a
         self.b = b
-        self.c = _finite(c, "linear coefficient c")
+        self.c = c if type(c) is float and -INF < c < INF else _finite(c, "linear coefficient c")
 
     def value(self, x):
         x2 = x * x

@@ -129,7 +129,8 @@ ANCHOR_RTOL = 1e-10     # validation tolerance for state/formula consistency
 DEFAULT_TOL = 1e-8      # final certificate gate
 
 def values_equal(a: float, b: float) -> bool:
-    # The certificate functions inline this test, float op for float op.
+    # The certificate functions inline this test (`kkt_residual` with abs
+    # and max written out), giving the same outcome for every input.
     return abs(a - b) <= EQ_RTOL * (1.0 + max(abs(a), abs(b)))
 
 
@@ -734,9 +735,10 @@ class ComponentView:
             del self.sub[u], self.toward[u]
 
 
-@dataclass
+@dataclass(slots=True)
 class StepRecord:
-    """What one extension did."""
+    """What one extension did.  Slotted: its fields can be read and set,
+    but no other attribute can be added."""
 
     node: int                 # the node that was attached
     branch: str               # "flat", "down" or "up"
@@ -746,6 +748,10 @@ class StepRecord:
     t_star: float             # final dual value of the new edge
     attach_derivative: float  # loss derivative at the attachment point
     t_path: Tuple[float, ...] = ()  # parameter value after each search step
+
+
+# The t_path every extension without a search shares.
+_NO_SEARCH = (0.0,)
 
 
 @dataclass
@@ -1126,7 +1132,7 @@ class Solver:
         continues.
         """
         view, t_q = active.block, active.t
-        attach_loss = self.problem.loss_of(child)
+        attach_loss = self._loss[child]
         limit = self._mu[child] if s > 0 else -self._lam[child]
         best = (self.thresholds_plus if s > 0 else self.thresholds_minus)(active)
         use_equilibrium = best == s * INF
@@ -1176,11 +1182,11 @@ class Solver:
         x, z = active.x, active.z
         i_m = self._parent[child]
         m = child - 1
-        attach_loss = self.problem.loss_of(child)
+        attach_loss = self._loss[child]
         d = attach_loss.derivative(x[i_m])
         iterations = eq_calls = 0
         cap = 2 * m - 1
-        t_path = [0.0]
+        t_path = _NO_SEARCH
         if d == 0.0:
             x[child] = x[i_m]
             t_star = 0.0
@@ -1204,6 +1210,7 @@ class Solver:
                 self._reclassify(active, m)
                 x[child] = attach_loss.inverse_derivative(0.0)
                 step = self.step_minus if s < 0 else self.step_plus
+                path = [0.0]
                 while True:
                     iterations += 1
                     if iterations > cap:
@@ -1215,11 +1222,12 @@ class Solver:
                     if validate:
                         self._check_view(active)
                     result = step(active, child)
-                    t_path.append(active.t)
+                    path.append(active.t)
                     if result is not None:
                         t_star = result
                         break
                 active.moved.add(view.top)
+                t_path = tuple(path)
                 eq_calls = active.equilibrium_calls
         active.moved.add(child)
         z[child] = t_star
@@ -1228,8 +1236,7 @@ class Solver:
                 "new-edge dual %.17g has the same sign as the derivative %.17g"
                 % (t_star, d)
             )
-        record = StepRecord(child, branch, iterations, cap, eq_calls, t_star, d,
-                            tuple(t_path))
+        record = StepRecord(child, branch, iterations, cap, eq_calls, t_star, d, t_path)
         return x, z, record
 
     def solve(self, validate: bool = False):
@@ -1246,7 +1253,7 @@ class Solver:
         the order in which each node's incident duals are summed, so it
         certifies the pair in the caller's labels too.
         """
-        x = {1: self.problem.loss_of(1).inverse_derivative(0.0)}
+        x = {1: self._loss[1].inverse_derivative(0.0)}
         z: Dict[int, float] = {}
         active = ActiveSet(None, self._parent, x, z)
         stats = SolveStats()
@@ -1256,8 +1263,11 @@ class Solver:
         if active.block is not None:
             active.block.flush()
         active.block = active.reference = None
-        z = {(self._parent[c], c): z[c] for c in range(2, n + 1)}
-        residual = kkt_residual(self._edges(range(2, n + 1)), self.problem.loss_of, x, z)
+        parent = self._parent
+        z = {(parent[c], c): z[c] for c in range(2, n + 1)}
+        residual = kkt_residual(
+            zip(parent[2:], range(2, n + 1), self._lam[2:], self._mu[2:]),
+            self._loss.__getitem__, x, z)
         if not residual <= self.tol:
             raise CertificateError(
                 "final residual %.3e exceeds the %.1e gate" % (residual, self.tol)
@@ -1278,7 +1288,10 @@ def kkt_residual(edges, loss_of: Callable[[int], Loss], x, z) -> float:
     `residual <= tol` passes it.  A dual or node value missing raises
     ContractViolationError.
     """
-    balance = {v: 0.0 for v in x}
+    # abs and max are written out: `-a if a < 0.0 else a` differs from
+    # abs(a) only in the sign of a zero or a NaN, and neither changes a
+    # comparison below, 1.0 + a, or a sum that starts from +0.0.
+    balance = dict.fromkeys(x, 0.0)
     edge_term = 0.0
     for i, j, lam, mu in edges:
         try:
@@ -1293,16 +1306,22 @@ def kkt_residual(edges, loss_of: Callable[[int], Loss], x, z) -> float:
             dist += value - mu
         if value < -lam:
             dist += -lam - value
-        if not abs(xi - xj) <= EQ_RTOL * (1.0 + max(abs(xi), abs(xj))):
-            forced = -lam if xi > xj else mu
-            dist += abs(value - forced)
+        ai = -xi if xi < 0.0 else xi
+        aj = -xj if xj < 0.0 else xj
+        tie = EQ_RTOL * (1.0 + (aj if aj > ai else ai))  # max(ai, aj)
+        gap = xi - xj
+        if not -tie <= gap <= tie:
+            miss = value - (-lam if xi > xj else mu)
+            dist += -miss if miss < 0.0 else miss
         if dist > edge_term:
             edge_term = dist
         elif dist != dist:
             return math.nan
     node_term = 0.0
     for v, xv in x.items():
-        term = abs(balance[v] - loss_of(v).derivative(xv))
+        term = balance[v] - loss_of(v).derivative(xv)
+        if term < 0.0:
+            term = -term
         if term > node_term:
             node_term = term
         elif term != term:

@@ -80,10 +80,13 @@ class DirectedTree:
                     "edge %d: duplicate edge between %d and %d" % (k, pair[0], pair[1])
                 )
             seen.add(pair)
-            cooked.append(
-                (tail, head, check_weight(lam, "lambda", (tail, head)),
-                 check_weight(mu, "mu", (tail, head)))
-            )
+            # A float that is no NaN and not negative passes one test;
+            # anything else is checked and worded by `check_weight`.
+            if not (type(lam) is float and lam >= 0.0):
+                lam = check_weight(lam, "lambda", (tail, head))
+            if not (type(mu) is float and mu >= 0.0):
+                mu = check_weight(mu, "mu", (tail, head))
+            cooked.append((tail, head, lam, mu))
         if len(cooked) != node_count - 1:
             raise MalformedInstanceError(
                 "a tree on %d nodes needs %d edges, got %d"

@@ -1,8 +1,10 @@
 """Shared fixtures: the demo instance, random corpora and timing records."""
 
 import dataclasses
+import math
 import random
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -67,6 +69,22 @@ def prefix_problem(problem: Problem, m: int) -> Problem:
         {c for c in arb.flipped if c <= m},
     )
     return Problem(prefix, problem.losses[1:m + 1])
+
+
+class FloatSubclass(float):
+    """A float that is not exactly a float, as a caller's numeric type may be."""
+
+
+# (id, value) pairs for the checks on loss parameters and edge weights:
+# zeros of both signs, the smallest and largest floats, the non-finite
+# floats, a bool, ints in and beyond the float range, a fraction and a
+# float subclass.
+CHECKED_VALUES = [
+    ("1.0", 1.0), ("0.0", 0.0), ("-0.0", -0.0), ("-1.0", -1.0),
+    ("5e-324", 5e-324), ("max", 1.7976931348623157e308),
+    ("inf", INF), ("-inf", -INF), ("nan", math.nan), ("True", True), ("1", 1),
+    ("10**400", 10 ** 400), ("1/3", Fraction(1, 3)), ("subclass", FloatSubclass(2.5)),
+]
 
 
 def hexed(values: dict) -> dict:

@@ -63,3 +63,6 @@ def test_traced_smoke_run_is_complete():
     assert info["absent_metrics"] == []
     assert info["checks"]
     assert [k for k, ok in info["checks"].items() if ok is not True] == []
+    # The gate's kkt_residual call must go through the wrapped module global.
+    with open(REPO / info["spans_file"]) as spans:
+        assert any(json.loads(line)["name"] == "solver.certificate" for line in spans)

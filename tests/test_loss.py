@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import treeiso.loss
+from conftest import CHECKED_VALUES
 from treeiso.errors import ContractViolationError, MalformedInstanceError
 from treeiso.loss import (
     Loss,
@@ -603,3 +604,69 @@ class TestJson:
         loss = QuarticQuadratic(1, Fraction(1, 4), -2)
         assert (loss.a, loss.b, loss.c) == (1.0, 0.25, -2.0)
         assert isinstance(loss.b, float)
+
+
+def finite_rejections(what):
+    """`_finite`'s words for the values it rejects in a parameter named `what`."""
+    return {
+        "inf": "%s must be finite, got inf" % what,
+        "-inf": "%s must be finite, got -inf" % what,
+        "nan": "%s must be finite, got nan" % what,
+        "True": "%s must be a real number, got True" % what,
+        "10**400": "%s must be finite, got a number beyond the float range" % what,
+    }
+
+
+def sign_rejections(text, *labels):
+    return {label: "%s, got %s" % (text, label) for label in labels}
+
+
+# Per parameter: a loss with the value in its place, the attribute that
+# stores it, and the error message for each value it rejects.
+LOSS_PARAMETERS = {
+    "w": (lambda v: WeightedQuadratic(v, 1.0), "w", {
+        **finite_rejections("quadratic weight w"),
+        **sign_rejections("quadratic weight must be positive", "0.0", "-0.0", "-1.0")}),
+    "y": (lambda v: WeightedQuadratic(1.0, v), "y", finite_rejections("quadratic target y")),
+    "a": (lambda v: QuarticQuadratic(v, 0.5, 1.0), "a", {
+        **finite_rejections("quadratic coefficient a"),
+        **sign_rejections("quadratic coefficient must be positive", "0.0", "-0.0", "-1.0")}),
+    "b": (lambda v: QuarticQuadratic(1.0, v, 1.0), "b", {
+        **finite_rejections("quartic coefficient b"),
+        **sign_rejections("quartic coefficient must be nonnegative", "-1.0")}),
+    "c": (lambda v: QuarticQuadratic(1.0, 0.5, v), "c", finite_rejections("linear coefficient c")),
+}
+
+
+class TestParameterChecks:
+    """A float in range passes one inline test; every other value takes the
+    full check.  Together they accept and reject what the full check alone
+    did, with its words."""
+
+    @pytest.mark.parametrize("label, value", CHECKED_VALUES,
+                             ids=[label for label, _ in CHECKED_VALUES])
+    @pytest.mark.parametrize("name", sorted(LOSS_PARAMETERS))
+    def test_value_stored_as_float_or_rejected_with_its_message(self, name, label, value):
+        make, attr, rejected = LOSS_PARAMETERS[name]
+        if label in rejected:
+            with pytest.raises(MalformedInstanceError) as info:
+                make(value)
+            assert str(info.value) == rejected[label]
+        else:
+            stored = getattr(make(value), attr)
+            assert type(stored) is float
+            assert stored.hex() == float(value).hex()
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: WeightedQuadratic(0.0, math.nan), "quadratic weight must be positive, got 0.0"),
+        (lambda: WeightedQuadratic(math.nan, True), "quadratic weight w must be finite, got nan"),
+        (lambda: QuarticQuadratic(0.0, math.nan, 1.0), "quartic coefficient b must be finite, got nan"),
+        (lambda: QuarticQuadratic(0.0, -1.0, math.nan), "quadratic coefficient must be positive, got 0.0"),
+        (lambda: QuarticQuadratic(1.0, -1.0, math.nan), "quartic coefficient must be nonnegative, got -1.0"),
+        (lambda: QuarticQuadratic(1.0, 0.5, True), "linear coefficient c must be a real number, got True"),
+    ], ids=["w-before-y", "w-finite-first", "a-and-b-finite-before-signs",
+            "a-sign-before-b-sign", "b-sign-before-c", "c-last"])
+    def test_checks_run_in_their_order(self, make, message):
+        with pytest.raises(MalformedInstanceError) as info:
+            make()
+        assert str(info.value) == message

@@ -4,6 +4,7 @@ import gc
 import heapq
 import math
 import random
+import struct
 
 import pytest
 
@@ -23,6 +24,7 @@ from treeiso.loss import QuarticQuadratic, WeightedQuadratic
 from treeiso.oracle import enumerate_optimum, pava
 from treeiso.solver import (
     EQ,
+    EQ_RTOL,
     GT,
     LT,
     ActiveSet,
@@ -389,6 +391,29 @@ class TestExtendTraces:
         assert rec.iterations == 0
         assert x == {1: 5.0, 2: 5.0}
         assert z == {2: 0.0}
+
+    @pytest.mark.parametrize("shape", ["chain", "star", "random"])
+    def test_t_path_starts_at_zero_and_has_a_value_per_step(self, shape):
+        _, _, stats = Solver(build_problem(*random_problem(shape, 120, 5, "mixed"))).solve()
+        searched = 0
+        for rec in stats.steps:
+            assert type(rec.t_path) is tuple
+            if rec.iterations == 0:
+                assert rec.t_path == (0.0,)
+            else:
+                searched += 1
+                assert len(rec.t_path) == rec.iterations + 1
+                assert rec.t_path[0] == 0.0
+                assert rec.t_path[-1] == rec.t_star
+        assert 0 < searched < len(stats.steps)
+
+    def test_step_records_take_no_new_attributes(self):
+        _, _, stats = Solver(make_demo_problem()).solve()
+        rec = stats.steps[0]
+        rec.t_star = 2.0
+        assert rec.t_star == 2.0
+        with pytest.raises(AttributeError):
+            rec.note = "extra"
 
     def test_carried_signs_checked_under_validation(self):
         solver = Solver(make_demo_problem())
@@ -1047,6 +1072,100 @@ class TestTinyWeights:
         assert all(abs(value - 2.0) <= 1e-6 for value in x.values())
 
 
+def abs_max_residual(edges, loss_of, x, z):
+    """`kkt_residual` as written with abs() and max(), without the
+    missing-key checks: the inline form must return the same bits."""
+    balance = {v: 0.0 for v in x}
+    edge_term = 0.0
+    for i, j, lam, mu in edges:
+        value = z[(i, j)]
+        xi, xj = x[i], x[j]
+        balance[i] += value
+        balance[j] -= value
+        dist = 0.0
+        if value > mu:
+            dist += value - mu
+        if value < -lam:
+            dist += -lam - value
+        if not abs(xi - xj) <= EQ_RTOL * (1.0 + max(abs(xi), abs(xj))):
+            forced = -lam if xi > xj else mu
+            dist += abs(value - forced)
+        if dist > edge_term:
+            edge_term = dist
+        elif dist != dist:
+            return math.nan
+    node_term = 0.0
+    for v, xv in x.items():
+        term = abs(balance[v] - loss_of(v).derivative(xv))
+        if term > node_term:
+            node_term = term
+        elif term != term:
+            return math.nan
+    return node_term + edge_term
+
+
+def boundary_pair(rng):
+    """(xi, xj) whose gap is exactly the EQ_RTOL tie tolerance: near zero,
+    where the tolerance is a sum that rounds back to itself."""
+    while True:
+        base = rng.choice([0.0, -0.0, rng.uniform(-4e-9, 4e-9)])
+        tie = EQ_RTOL * (1.0 + abs(base))
+        for _ in range(3):
+            other = base + tie
+            tie = EQ_RTOL * (1.0 + max(abs(base), abs(other)))
+            if abs(other - base) == tie:
+                return (other, base) if rng.random() < 0.5 else (base, other)
+
+
+def residual_case(rng):
+    """A random tree's edges, losses, x and z for `kkt_residual`, and the
+    kinds of input it holds: exact ties, pairs at the tie tolerance, signed
+    zeros, infinite weights, NaN in x or z."""
+    special = (0.0, -0.0, 1.0, -1.0, 1e300, -1e300, INF, -INF)
+    weights = (0.0, -0.0, 0.5, 1.0, 2.0, INF)
+
+    def value(nan_rate):
+        draw = rng.random()
+        if draw < nan_rate:
+            return math.nan
+        if draw < 0.3:
+            return rng.choice(special)
+        return rng.uniform(-5.0, 5.0)
+
+    n = rng.randint(2, 9)
+    x = {v: value(0.02) for v in rng.sample(range(1, n + 1), n)}
+    edges, z = [], {}
+    for c in range(2, n + 1):
+        p = rng.randint(1, c - 1)
+        i, j = (p, c) if rng.random() < 0.5 else (c, p)
+        draw = rng.random()
+        if draw < 0.2:
+            x[j] = x[i]
+        elif draw < 0.4:
+            x[i], x[j] = boundary_pair(rng)
+        edges.append((i, j, rng.choice(weights), rng.choice(weights)))
+        z[(i, j)] = value(0.02)
+    losses = {v: WeightedQuadratic(rng.uniform(0.5, 3.0), rng.uniform(-5.0, 5.0))
+              if rng.random() < 0.7 else QuarticQuadratic(1.0, rng.choice((0.0, 0.5)), 1.0)
+              for v in x}
+    kinds = set()
+    for i, j, lam, mu in edges:
+        xi, xj = x[i], x[j]
+        if xi == xj:
+            kinds.add("tie")
+        if abs(xi - xj) == EQ_RTOL * (1.0 + max(abs(xi), abs(xj))):
+            kinds.add("boundary")
+        if INF in (lam, mu):
+            kinds.add("inf_weight")
+        if math.isnan(z[(i, j)]):
+            kinds.add("nan_z")
+    if any(v == 0.0 for v in x.values()):
+        kinds.add("zero")
+    if any(math.isnan(v) for v in x.values()):
+        kinds.add("nan_x")
+    return edges, losses.__getitem__, x, z, kinds
+
+
 class TestCertificates:
     @staticmethod
     def two_node():
@@ -1106,6 +1225,20 @@ class TestCertificates:
         z = {(1, 2): 0.0, (2, 3): math.nan}
         edges = [(1, 2, 1.0, 1.0), (2, 3, 1.0, 1.0)]
         assert math.isnan(kkt_residual(edges, losses.__getitem__, x, z))
+
+    def test_residual_bit_for_bit_as_written_with_abs_and_max(self):
+        rng = random.Random(2024)
+        seen = dict.fromkeys(("tie", "boundary", "zero", "inf_weight", "nan_x", "nan_z",
+                              "nan_result", "finite_result"), 0)
+        for _ in range(200):
+            edges, loss_of, x, z, kinds = residual_case(rng)
+            for kind in kinds:
+                seen[kind] += 1
+            got = kkt_residual(iter(edges), loss_of, x, z)
+            want = abs_max_residual(edges, loss_of, x, z)
+            assert struct.pack("<d", got) == struct.pack("<d", want), (edges, x, z)
+            seen["nan_result" if math.isnan(got) else "finite_result"] += 1
+        assert all(seen.values()), seen
 
     def test_nan_residual_fails_the_solve_gate(self, demo_problem, monkeypatch):
         monkeypatch.setattr(treeiso.solver, "kkt_residual", lambda *args: math.nan)

@@ -1,9 +1,12 @@
 """Tree layer: construction, normalization, decomposition and map-back."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+
+from conftest import CHECKED_VALUES
 
 from treeiso.errors import ContractViolationError, MalformedInstanceError
 from treeiso.api import build_problem, random_problem
@@ -83,6 +86,35 @@ class TestDirectedTree:
             DirectedTree(2, [(1, 2, 10 ** exponent, 0.0)])
         with pytest.raises(MalformedInstanceError, match="mu is beyond the float range"):
             DirectedTree(2, [(1, 2, 0.0, Fraction(10 ** exponent, 3))])
+
+    @pytest.mark.parametrize("label, value", CHECKED_VALUES,
+                             ids=[label for label, _ in CHECKED_VALUES])
+    @pytest.mark.parametrize("name", ["lambda", "mu"])
+    def test_weight_stored_as_float_or_rejected_with_its_message(self, name, label, value):
+        # A float that is no NaN and not negative passes one inline test;
+        # every other value takes `check_weight`, with its words.
+        rejected = {
+            "-1.0": "edge (1, 2): %s must be a nonnegative number or infinity, got -1.0",
+            "-inf": "edge (1, 2): %s must be a nonnegative number or infinity, got -inf",
+            "nan": "edge (1, 2): %s must be a nonnegative number or infinity, got nan",
+            "True": "edge (1, 2): %s must be a nonnegative number or infinity, got True",
+            "10**400": "edge (1, 2): %s is beyond the float range",
+        }
+        weights = (value, 1.0) if name == "lambda" else (1.0, value)
+        if label in rejected:
+            with pytest.raises(MalformedInstanceError) as info:
+                DirectedTree(2, [(1, 2, *weights)])
+            assert str(info.value) == rejected[label] % name
+        else:
+            stored = DirectedTree(2, [(1, 2, *weights)]).edges[0][2 if name == "lambda" else 3]
+            assert type(stored) is float
+            assert stored.hex() == float(value).hex()
+
+    def test_lambda_checked_before_mu(self):
+        with pytest.raises(MalformedInstanceError, match="lambda must be"):
+            DirectedTree(2, [(1, 2, -1.0, math.nan)])
+        with pytest.raises(MalformedInstanceError, match="mu must be"):
+            DirectedTree(2, [(1, 2, INF, math.nan)])
 
     def test_integer_and_infinite_weights_accepted(self):
         tree = DirectedTree(2, [(1, 2, 2, INF)])
