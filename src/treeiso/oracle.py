@@ -4,11 +4,12 @@ Independent of the recursive solver on purpose: `enumerate_optimum` tries
 every feasible assignment of a relation sign per edge and keeps the first
 one whose reconstructed primal-dual pair certifies, and `pava` is the
 classic pool-adjacent-violators fit for nondecreasing chains.  Both exist
-to cross-check the main solver, so they share only the residual definition
-and the normal form's lists with it.  Under one pattern each strict edge's
-dual sits at a box end, adding a constant slope to both endpoint losses,
-and each equal-valued component sits where its members' derivatives sum
-to minus its slopes: `loss.pooled_inverse` with that target.
+to cross-check the main solver, so they share only the residual, the tie
+rule, the `tol` check and the normal form's lists with it.  Under one
+pattern each strict edge's dual sits at a box end, adding a constant slope
+to both endpoint losses, and each equal-valued component sits where its
+members' derivatives sum to minus its slopes: `loss.pooled_inverse` with
+that target.
 
 Since parent[c] < c in the normal form, one ascending pass names each
 component by its top, and one descending pass solves the flow balance
@@ -24,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import CertificateError, ContractViolationError
 from .loss import pooled_inverse
-from .solver import DEFAULT_TOL, EQ, GT, LT, Problem, kkt_residual, values_equal
+from .solver import DEFAULT_TOL, EQ, GT, LT, Problem, check_tol, kkt_residual, values_equal
 from .tree import Edge, INF
 
 MAX_ORACLE_EDGES = 12
@@ -132,8 +133,9 @@ def enumerate_optimum(problem: Problem, tol: float = DEFAULT_TOL):
     """Find the optimum by trying sign patterns in lexicographic order.
 
     Returns (x, z, pattern) for the first pattern that certifies.  Cost
-    grows as 3^edges, hence the hard cap.
+    grows as 3^edges, hence the hard cap.  A bad `tol` raises as in `Solver`.
     """
+    tol = check_tol(tol)
     edges = problem.weighted_edges()
     if len(edges) > MAX_ORACLE_EDGES:
         raise ContractViolationError(

@@ -129,15 +129,31 @@ ANCHOR_RTOL = 1e-10     # validation tolerance for state/formula consistency
 DEFAULT_TOL = 1e-8      # final certificate gate
 
 def values_equal(a: float, b: float) -> bool:
-    # The certificate functions inline this test (`kkt_residual` with abs
-    # and max written out), giving the same outcome for every input.
-    return abs(a - b) <= EQ_RTOL * (1.0 + max(abs(a), abs(b)))
+    """The tie rule: a and b are equal when |a - b| <= EQ_RTOL * (1 + max(|a|, |b|))."""
+    # abs and max are written out: `-a if a < 0.0 else a` differs from abs(a)
+    # only in the sign of a zero or a NaN, and neither changes the outcome.
+    aa = -a if a < 0.0 else a
+    ab = -b if b < 0.0 else b
+    tie = EQ_RTOL * (1.0 + (ab if ab > aa else aa))
+    return -tie <= a - b <= tie
 
 
 def _keeps_side(sign: int, xv: float, xc: float) -> bool:
     """Whether a parent at xv and a child at xc classify as `sign` (LT or GT)."""
-    d = sign * (xv - xc)
-    return d > 0.0 and d > EQ_RTOL * (1.0 + max(abs(xv), abs(xc)))
+    return sign * (xv - xc) > 0.0 and not values_equal(xv, xc)
+
+
+def check_tol(tol) -> float:
+    """A certificate gate as a float; ContractViolationError unless it is a
+    nonnegative real number within the float range."""
+    # float() would also take True or "1e-3"; the float test skips the ABC check.
+    if not (type(tol) is float or isinstance(tol, numbers.Real)
+            and not isinstance(tol, bool)) or not tol >= 0.0:
+        raise ContractViolationError("tolerance must be a nonnegative number, got %r" % (tol,))
+    try:
+        return float(tol)
+    except OverflowError:
+        raise ContractViolationError("tolerance must be within the float range") from None
 
 
 class Problem:
@@ -306,15 +322,14 @@ def build_initial_active_set(x, edges) -> ActiveSet:
 def classify(x, edges) -> Dict[int, int]:
     """Classify each edge by comparing its endpoint values, keyed by its head.
 
-    Values within EQ_RTOL * (1 + max(|x_i|, |x_j|)) of each other count as
-    equal.  A strict ordering that an infinite weight forbids cannot occur
-    at a certified optimum, so it raises CertificateError instead of being
-    repaired silently.
+    Values that `values_equal` ties count as equal.  A strict ordering that
+    an infinite weight forbids cannot occur at a certified optimum, so it
+    raises CertificateError instead of being repaired silently.
     """
     signs: Dict[int, int] = {}
     for i, j, lam, mu in edges:
         xi, xj = x[i], x[j]
-        if abs(xi - xj) <= EQ_RTOL * (1.0 + max(abs(xi), abs(xj))):
+        if values_equal(xi, xj):
             sign = EQ
         elif xi > xj:
             if lam == INF:
@@ -774,20 +789,8 @@ class Solver:
     """Grows an optimal primal-dual pair one leaf at a time."""
 
     def __init__(self, problem: Problem, tol: float = DEFAULT_TOL):
-        # float() would also take True or "1e-3"; the float test skips the ABC check.
-        real = type(tol) is float or (isinstance(tol, numbers.Real)
-                                      and not isinstance(tol, bool))
-        if not real or not tol >= 0.0:
-            raise ContractViolationError(
-                "tolerance must be a nonnegative number, got %r" % (tol,)
-            )
-        try:
-            tol = float(tol)
-        except OverflowError:
-            raise ContractViolationError(
-                "tolerance must be within the float range") from None
         self.problem = problem
-        self.tol = tol
+        self.tol = check_tol(tol)
         self._parent, self._lam, self._mu = decompose(problem.arb)
         self._loss: List[Optional[Loss]] = problem.losses
 
@@ -1288,9 +1291,8 @@ def kkt_residual(edges, loss_of: Callable[[int], Loss], x, z) -> float:
     `residual <= tol` passes it.  A dual or node value missing raises
     ContractViolationError.
     """
-    # abs and max are written out: `-a if a < 0.0 else a` differs from
-    # abs(a) only in the sign of a zero or a NaN, and neither changes a
-    # comparison below, 1.0 + a, or a sum that starts from +0.0.
+    # abs is written out, as in `values_equal`: the sign of a zero or a NaN
+    # it may leave changes no comparison below and no sum from +0.0.
     balance = dict.fromkeys(x, 0.0)
     edge_term = 0.0
     for i, j, lam, mu in edges:
@@ -1306,11 +1308,7 @@ def kkt_residual(edges, loss_of: Callable[[int], Loss], x, z) -> float:
             dist += value - mu
         if value < -lam:
             dist += -lam - value
-        ai = -xi if xi < 0.0 else xi
-        aj = -xj if xj < 0.0 else xj
-        tie = EQ_RTOL * (1.0 + (aj if aj > ai else ai))  # max(ai, aj)
-        gap = xi - xj
-        if not -tie <= gap <= tie:
+        if not values_equal(xi, xj):
             miss = value - (-lam if xi > xj else mu)
             dist += -miss if miss < 0.0 else miss
         if dist > edge_term:
@@ -1332,9 +1330,9 @@ def kkt_residual(edges, loss_of: Callable[[int], Loss], x, z) -> float:
 def objective_value(edges, loss_of: Callable[[int], Loss], x) -> float:
     """Objective of the penalized problem at x over an edge list, as above.
 
-    An infinite weight contributes nothing when the penalized difference
-    is zero up to the equality tolerance, and makes the objective infinite
-    otherwise.  A node value missing raises ContractViolationError.
+    An infinite weight contributes nothing when the edge's end values are
+    `values_equal`, and makes the objective infinite otherwise.  A node
+    value missing raises ContractViolationError.
     """
     total = 0.0
     for v, xv in x.items():
@@ -1347,13 +1345,13 @@ def objective_value(edges, loss_of: Callable[[int], Loss], x) -> float:
         gap = xi - xj
         if gap > 0.0:
             if lam == INF:
-                if gap > EQ_RTOL * (1.0 + max(abs(xi), abs(xj))):
+                if not values_equal(xi, xj):
                     return INF
             else:
                 total += lam * gap
         elif gap < 0.0:
             if mu == INF:
-                if -gap > EQ_RTOL * (1.0 + max(abs(xi), abs(xj))):
+                if not values_equal(xi, xj):
                     return INF
             else:
                 total += mu * -gap

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from treeiso.api import build_problem
+from treeiso.errors import InternalInvariantError
 from treeiso.loss import QuarticQuadratic, WeightedQuadratic
 from treeiso.oracle import enumerate_optimum
 from treeiso.solver import Solver
@@ -31,7 +32,7 @@ FIXED = settings(derandomize=True, database=None, deadline=None,
                  suppress_health_check=[HealthCheck.too_slow])
 
 
-def small_problem(rng, loss_weights):
+def small_problem(rng, loss_weights, edge_weights=EDGE_WEIGHTS):
     """(tree, losses, root) from the generator described above, drawn by
     `rng`: a `random.Random`, or `Draws` for hypothesis."""
     n = rng.randint(2, 8)
@@ -39,8 +40,8 @@ def small_problem(rng, loss_weights):
     edges = []
     for c in range(2, n + 1):
         p = rng.randint(1, c - 1)
-        lam = rng.choice(EDGE_WEIGHTS)
-        mu = rng.choice(EDGE_WEIGHTS)
+        lam = rng.choice(edge_weights)
+        mu = rng.choice(edge_weights)
         tail, head = (c, p) if rng.getrandbits(1) else (p, c)
         edges.append((ids[tail - 1], ids[head - 1], lam, mu))
     losses = {}
@@ -105,3 +106,15 @@ def test_solver_agrees_with_oracle(case):
 def test_solver_agrees_with_oracle_at_tiny_loss_weights():
     for seed in range(60):
         check_against_oracle(small_problem(random.Random(seed), LOSS_WEIGHTS + (1e-9,)))
+
+
+# Edge weights of 1e-9 give validated false alarms: `_check_anchor` finds a
+# component value that EQ_RTOL pooled but ANCHOR_RTOL tells apart from the
+# stored one (ROADMAP items 4 and 15; seed 69 fails first).  As above, the
+# generator is not narrowed and the trees come from a loop over seeds.
+@pytest.mark.xfail(strict=True, raises=InternalInvariantError,
+                   reason="tiny edge weights (ROADMAP items 4 and 15)")
+def test_solver_agrees_with_oracle_at_tiny_edge_weights():
+    for seed in range(200):
+        check_against_oracle(small_problem(random.Random(seed), LOSS_WEIGHTS,
+                                           EDGE_WEIGHTS + (1e-9,)))

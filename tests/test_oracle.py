@@ -3,6 +3,7 @@ builds on (components named by their top, duals back-substituted by
 descending label) and the isotonic baseline."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -141,6 +142,21 @@ class TestEnumerateOptimum:
         )
         with pytest.raises(ContractViolationError):
             enumerate_optimum(problem)
+
+    @pytest.mark.parametrize("tol, message", [
+        (-1.0, "tolerance must be a nonnegative number, got -1.0"),
+        (math.nan, "tolerance must be a nonnegative number, got nan"),
+        ("1e-8", "tolerance must be a nonnegative number, got '1e-8'"),
+        (True, "tolerance must be a nonnegative number, got True"),
+        (10 ** 400, "tolerance must be within the float range"),
+    ], ids=["negative", "nan", "string", "bool", "beyond_float"])
+    def test_bad_tolerance_rejected_as_the_solver_does(self, tol, message):
+        problem = make_demo_problem()
+        with pytest.raises(ContractViolationError) as oracle_error:
+            enumerate_optimum(problem, tol)
+        with pytest.raises(ContractViolationError) as solver_error:
+            Solver(problem, tol)
+        assert str(oracle_error.value) == str(solver_error.value) == message
 
     def test_objective_no_better_on_grid(self):
         problem = make_demo_problem()

@@ -31,9 +31,12 @@ from treeiso.solver import (
     ComponentView,
     Problem,
     Solver,
+    _keeps_side,
     build_initial_active_set,
+    classify,
     kkt_residual,
     objective_value,
+    values_equal,
 )
 from treeiso.tree import DirectedTree, INF, normalize
 
@@ -1238,6 +1241,41 @@ class TestCertificates:
             want = abs_max_residual(edges, loss_of, x, z)
             assert struct.pack("<d", got) == struct.pack("<d", want), (edges, x, z)
             seen["nan_result" if math.isnan(got) else "finite_result"] += 1
+        assert all(seen.values()), seen
+
+    def test_every_tie_decision_is_values_equal(self):
+        # The rule written out here, apart from `values_equal`, judges every
+        # edge of the same 200 cases: classification, the search's side
+        # test and the objective's hard edges must all tie exactly where it
+        # does, at the tolerance boundary, on signed zeros, infinities and NaN.
+        class Flat:
+            def value(self, v):
+                return 0.0
+
+        rng = random.Random(2024)
+        seen = dict.fromkeys(("equal", "apart", "boundary", "nan"), 0)
+        for _ in range(200):
+            edges, _, x, _, _ = residual_case(rng)
+            for i, j, lam, mu in edges:
+                xi, xj = x[i], x[j]
+                gap = xi - xj
+                tie = EQ_RTOL * (1.0 + max(abs(xi), abs(xj)))
+                equal = abs(gap) <= tie
+                seen["equal" if equal else "apart"] += 1
+                seen["boundary"] += abs(gap) == tie
+                seen["nan"] += math.isnan(gap)
+                assert values_equal(xi, xj) is equal, (xi, xj)
+                try:
+                    sign = classify(x, [(i, j, lam, mu)])[j]
+                except CertificateError:  # a strict order the weights forbid
+                    sign = None
+                assert (sign == EQ) is equal, (xi, xj, lam, mu)
+                for side in (1, -1):
+                    assert _keeps_side(side, xi, xj) is (side * gap > 0 and not equal)
+                if not math.isnan(gap):  # otherwise no side is violated
+                    objective = objective_value([(1, 2, INF, INF)], lambda v: Flat(),
+                                                {1: xi, 2: xj})
+                    assert (objective == INF) is not equal, (xi, xj)
         assert all(seen.values()), seen
 
     def test_nan_residual_fails_the_solve_gate(self, demo_problem, monkeypatch):

@@ -40,3 +40,36 @@ def test_every_definition_is_referenced():
     }
     assert sorted(set(unused) - ALLOWED) == [], unused
     assert set(unused) >= ALLOWED, "an allowlisted name is referenced or gone"
+
+
+
+class TieRuleReads(ast.NodeVisitor):
+    """Where EQ_RTOL is read: the innermost enclosing function, else the file."""
+
+    def __init__(self, where):
+        self.where, self.found = where, []
+
+    def visit_FunctionDef(self, node):
+        outer, self.where = self.where, node.name
+        self.generic_visit(node)
+        self.where = outer
+
+    def visit_Name(self, node):
+        if node.id == "EQ_RTOL" and isinstance(node.ctx, ast.Load):
+            self.found.append(self.where)
+
+    def visit_Attribute(self, node):
+        if node.attr == "EQ_RTOL":
+            self.found.append(self.where)
+        self.generic_visit(node)
+
+
+def test_tie_rule_is_read_only_in_values_equal():
+    # `values_equal` is the one tie rule; every other equality decision in
+    # the program calls it instead of reading EQ_RTOL itself.
+    readers = []
+    for path in sorted(SRC.glob("*.py")):
+        reads = TieRuleReads(path.name)
+        reads.visit(ast.parse(path.read_text(encoding="utf-8")))
+        readers += reads.found
+    assert readers == ["values_equal"], readers
