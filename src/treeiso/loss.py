@@ -186,7 +186,14 @@ def _finite(value, what):
 
 
 class Loss:
-    """Interface for a strongly convex differentiable scalar loss."""
+    """Interface for a strongly convex differentiable scalar loss.
+
+    Its empty `__slots__` let a subclass that declares its own (both
+    shipped losses do) hold its parameters alone: no `__dict__`, no weak
+    reference.  A caller's subclass should declare `__slots__` too.
+    """
+
+    __slots__ = ()
 
     def value(self, x: float) -> float:
         raise NotImplementedError

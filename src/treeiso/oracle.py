@@ -57,8 +57,9 @@ def solve_reduced(problem: Problem, pattern: SignPattern, memo: dict,
     components, each of which sits where its members' derivatives sum to
     minus its slopes' sum.  `memo` caches those values by component and
     slopes across patterns.  Returns (x, z) when the reconstructed pair
-    certifies at `tol`, else None.
+    certifies at `tol`, else None.  A bad `tol` raises as in `Solver`.
     """
+    tol = check_tol(tol)
     arb, loss_of = problem.arb, problem.loss_of
     n, parent, lams, mus = arb.node_count, arb.parent, arb.lam, arb.mu
     slopes = [0.0] * (n + 1)

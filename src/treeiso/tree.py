@@ -44,7 +44,10 @@ def check_weight(value, what, edge):
 class DirectedTree:
     """A connected acyclic directed graph on nodes 1..node_count.
 
-    Edges are (tail, head, lambda, mu) tuples.  Having exactly
+    Edges are (tail, head, lambda, mu) tuples of two ints and two floats.
+    An edge given as exactly such a tuple is kept, not copied; any other
+    edge (a list, a tuple subclass, a weight not exactly a float) is
+    copied into one, its weights converted to float.  Having exactly
     node_count - 1 edges with no self-loops and no parallel pair (in
     either orientation) makes connectedness equivalent to acyclicity;
     the remaining check happens during `normalize` traversal.
@@ -86,7 +89,12 @@ class DirectedTree:
                 lam = check_weight(lam, "lambda", (tail, head))
             if not (type(mu) is float and mu >= 0.0):
                 mu = check_weight(mu, "mu", (tail, head))
-            cooked.append((tail, head, lam, mu))
+            # An exact tuple whose weights passed unchanged is kept as given
+            # (a tuple cannot change), so each input edge is held once.
+            if type(edge) is tuple and lam is edge[2] and mu is edge[3]:
+                cooked.append(edge)
+            else:
+                cooked.append((tail, head, lam, mu))
         if len(cooked) != node_count - 1:
             raise MalformedInstanceError(
                 "a tree on %d nodes needs %d edges, got %d"

@@ -2,6 +2,8 @@
 
 import math
 import random
+import sys
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -82,6 +84,37 @@ def four_group():
         WeightedQuadratic(1.0, 2.0),
         WeightedQuadratic(1.0, 8.0),
     ])
+
+
+class TwoSlots:
+    __slots__ = ("p", "q")
+
+
+class ThreeSlots:
+    __slots__ = ("p", "q", "r")
+
+
+SHIPPED_LOSSES = [(WeightedQuadratic(1.5, -2.0), TwoSlots),
+                  (QuarticQuadratic(1.0, 0.25, -3.0), ThreeSlots)]
+SHIPPED_IDS = ["quadratic", "quartic"]
+
+
+class TestFootprint:
+    """A shipped loss holds its parameters alone: no __dict__, no weak reference."""
+
+    @pytest.mark.parametrize("loss, same_size", SHIPPED_LOSSES, ids=SHIPPED_IDS)
+    def test_sized_as_a_plain_slotted_object(self, loss, same_size):
+        assert sys.getsizeof(loss) == sys.getsizeof(same_size())
+
+    @pytest.mark.parametrize("loss, _", SHIPPED_LOSSES, ids=SHIPPED_IDS)
+    def test_no_weak_reference(self, loss, _):
+        with pytest.raises(TypeError):
+            weakref.ref(loss)
+
+    @pytest.mark.parametrize("loss, _", SHIPPED_LOSSES, ids=SHIPPED_IDS)
+    def test_no_attribute_of_a_callers_own(self, loss, _):
+        with pytest.raises(AttributeError):
+            loss.note = "mine"
 
 
 class TestDerivatives:

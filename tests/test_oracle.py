@@ -25,6 +25,15 @@ from treeiso.tree import DirectedTree, INF, normalize
 
 GOLDEN_PATTERN = {(1, 2): EQ, (1, 3): EQ, (3, 4): LT, (3, 5): GT}
 
+# Each bad certificate tolerance with the message `Solver` rejects it with.
+BAD_TOLERANCES = pytest.mark.parametrize("tol, message", [
+    (-1.0, "tolerance must be a nonnegative number, got -1.0"),
+    (math.nan, "tolerance must be a nonnegative number, got nan"),
+    ("1e-8", "tolerance must be a nonnegative number, got '1e-8'"),
+    (True, "tolerance must be a nonnegative number, got True"),
+    (10 ** 400, "tolerance must be within the float range"),
+], ids=["negative", "nan", "string", "bool", "beyond_float"])
+
 
 class TestFeasibleSigns:
     def test_both_finite(self):
@@ -52,6 +61,16 @@ class TestSolveReduced:
             assert x[node] == pytest.approx(want, abs=1e-10)
         for edge, want in DEMO_Z.items():
             assert z[edge] == pytest.approx(want, abs=1e-10)
+
+    @BAD_TOLERANCES
+    def test_bad_tolerance_rejected_as_the_solver_does(self, tol, message):
+        # Before the pattern is read: a bad tol never looks like "no pair".
+        problem = make_demo_problem()
+        with pytest.raises(ContractViolationError) as oracle_error:
+            solve_reduced(problem, GOLDEN_PATTERN, {}, tol)
+        with pytest.raises(ContractViolationError) as solver_error:
+            Solver(problem, tol)
+        assert str(oracle_error.value) == str(solver_error.value) == message
 
     def test_all_equal_pattern_fails_kkt(self):
         pattern = {e: EQ for e in GOLDEN_PATTERN}
@@ -143,13 +162,7 @@ class TestEnumerateOptimum:
         with pytest.raises(ContractViolationError):
             enumerate_optimum(problem)
 
-    @pytest.mark.parametrize("tol, message", [
-        (-1.0, "tolerance must be a nonnegative number, got -1.0"),
-        (math.nan, "tolerance must be a nonnegative number, got nan"),
-        ("1e-8", "tolerance must be a nonnegative number, got '1e-8'"),
-        (True, "tolerance must be a nonnegative number, got True"),
-        (10 ** 400, "tolerance must be within the float range"),
-    ], ids=["negative", "nan", "string", "bool", "beyond_float"])
+    @BAD_TOLERANCES
     def test_bad_tolerance_rejected_as_the_solver_does(self, tol, message):
         problem = make_demo_problem()
         with pytest.raises(ContractViolationError) as oracle_error:

@@ -7,6 +7,7 @@ the benchmark reach is dead weight in the program, so it fails here.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "treeiso"
@@ -73,3 +74,26 @@ def test_tie_rule_is_read_only_in_values_equal():
         reads.visit(ast.parse(path.read_text(encoding="utf-8")))
         readers += reads.found
     assert readers == ["values_equal"], readers
+
+
+def test_slotted_classes_are_slotted_down_to_object():
+    # `__slots__` saves the instance `__dict__` only when every base
+    # declares `__slots__` too; one base without it (say, an interface
+    # class) gives every instance a `__dict__` and a weak reference slot.
+    checked, unslotted = set(), {}
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "__main__":
+            continue
+        name = "treeiso" if path.stem == "__init__" else "treeiso." + path.stem
+        module = importlib.import_module(name)
+        for cls in vars(module).values():
+            if not (isinstance(cls, type) and cls.__module__ == name
+                    and "__slots__" in vars(cls)):
+                continue
+            checked.add(cls.__qualname__)
+            bases = [base.__qualname__ for base in cls.__mro__
+                     if base.__module__ != "builtins" and "__slots__" not in vars(base)]
+            if bases or any("__dict__" in vars(base) for base in cls.__mro__):
+                unslotted[cls.__qualname__] = bases
+    assert checked >= {"WeightedQuadratic", "QuarticQuadratic", "DirectedTree"}, checked
+    assert unslotted == {}, unslotted

@@ -2,6 +2,8 @@
 
 import math
 import random
+import tracemalloc
+from collections import namedtuple
 from fractions import Fraction
 
 import pytest
@@ -120,6 +122,63 @@ class TestDirectedTree:
         tree = DirectedTree(2, [(1, 2, 2, INF)])
         assert tree.edges == ((1, 2, 2.0, INF),)
         assert isinstance(tree.edges[0][2], float)
+
+
+class Weight(float):
+    """A float subclass: `DirectedTree` converts it to an exact float."""
+
+
+EdgeTuple = namedtuple("EdgeTuple", "tail head lam mu")
+
+
+class TestEdgeSharing:
+    """An exact (int, int, float, float) tuple is kept; any other edge is copied."""
+
+    def test_exact_tuple_kept_by_identity(self):
+        edges = [(1, 2, 0.5, INF), (3, 2, 0.0, 2.0), (3, 4, INF, 0.0)]
+        tree = DirectedTree(4, edges)
+        assert all(kept is given for kept, given in zip(tree.edges, edges))
+
+    @pytest.mark.parametrize("edge", [
+        [1, 2, 2.0, INF],
+        EdgeTuple(1, 2, 2.0, INF),
+        (1, 2, 2, INF),
+        (1, 2, Fraction(4, 2), INF),
+        (1, 2, Weight(2.0), INF),
+        (1, 2, 2.0, Weight(INF)),
+    ], ids=["list", "namedtuple", "int", "fraction", "float_subclass_lambda",
+            "float_subclass_mu"])
+    def test_other_edges_copied_into_exact_tuples_of_floats(self, edge):
+        stored = DirectedTree(2, [edge]).edges[0]
+        assert stored is not edge
+        assert type(stored) is tuple
+        assert [type(v) for v in stored] == [int, int, float, float]
+        assert stored == (1, 2, 2.0, INF)
+
+    def test_mixed_edges_keep_their_order(self):
+        edges = [(1, 2, 0.5, INF), [2, 3, 1, 0.0], (4, 3, 0.0, 2.0)]
+        tree = DirectedTree(4, edges)
+        assert tree.edges == ((1, 2, 0.5, INF), (2, 3, 1.0, 0.0), (4, 3, 0.0, 2.0))
+        assert tree.edges[0] is edges[0] and tree.edges[2] is edges[2]
+        assert tree.edges[1] is not edges[1]
+
+    def test_a_tree_of_exact_tuples_copies_no_edge(self):
+        # The caller's edges exist before the tree does: what the tree adds
+        # is mostly its tuple of references (8 B an edge), where a copy of
+        # each edge with its float weights would add about 85 B.
+        rng = random.Random(20000)
+        n = 20001
+        edges = [(rng.randint(1, child - 1), child, rng.uniform(0.0, 3.0),
+                  rng.choice((0.0, 0.5, 2.0, INF))) for child in range(2, n + 1)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tree = DirectedTree(n, edges)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(tree.edges) == n - 1
+        assert kept / (n - 1) < 16.0, kept / (n - 1)
 
 
 class TestNormalize:
