@@ -432,10 +432,11 @@ def cmd_bench(args) -> int:
 
 
 def _tolerance(raw: str) -> float:
-    """argparse type for --tol: a nonnegative number (NaN certifies nothing)."""
+    """argparse type for --tol: a finite nonnegative number (NaN certifies
+    nothing, and infinity anything)."""
     value = float(raw)
-    if not value >= 0.0:
-        raise argparse.ArgumentTypeError("must be a nonnegative number, got %r" % raw)
+    if not 0.0 <= value < float("inf"):
+        raise argparse.ArgumentTypeError("must be a finite nonnegative number, got %r" % raw)
     return value
 
 

@@ -20,6 +20,7 @@ summed over c's side, accumulated child by child in descending label order.
 from __future__ import annotations
 
 import itertools
+import math
 import numbers
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -171,6 +172,10 @@ def pava(values: Sequence[float], weights: Optional[Sequence[float]] = None
 
     Pool-adjacent-violators: scan left to right keeping a stack of blocks,
     merging while the running block's mean drops below its predecessor's.
+    When a block's weighted sum overflows, the fit is pooled again with
+    the weights and the values scaled by powers of two, which leave every
+    mean as it would be without overflow; ContractViolationError when even
+    that cannot hold the fit.
     """
     if weights is None:
         weights = [1.0] * len(values)
@@ -178,7 +183,7 @@ def pava(values: Sequence[float], weights: Optional[Sequence[float]] = None
         raise ContractViolationError(
             "got %d weights for %d values" % (len(weights), len(values))
         )
-    blocks: List[Tuple[float, float, int]] = []  # (weight sum, weighted sum, count)
+    ys, ws = [], []
     for k, (y, w) in enumerate(zip(values, weights)):
         y, w = _real(y, "value", k), _real(w, "weight", k)
         if not -INF < y < INF:
@@ -186,6 +191,38 @@ def pava(values: Sequence[float], weights: Optional[Sequence[float]] = None
         if not 0.0 < w < INF:
             raise ContractViolationError(
                 "weight %d must be finite and positive, got %r" % (k, w))
+        ys.append(y)
+        ws.append(w)
+    blocks = _pool(ys, ws)
+    shift = 0
+    # A sum of positive weights that overflowed stays inf, and an inf
+    # weighted sum stays inf or turns NaN, so the last blocks show it.
+    if not all(wsum < INF and -INF < ysum < INF for wsum, ysum, _ in blocks):
+        # Each scaled weight and value is below 2**(511 - bits(n)), so no
+        # product or sum of n of them overflows.
+        room = 511 - len(ys).bit_length()
+        wshift = max(0, math.frexp(max(ws))[1] - room)
+        shift = max(0, math.frexp(max(map(abs, ys)))[1] - room)
+        ws = [math.ldexp(w, -wshift) for w in ws]
+        if not all(ws):
+            raise ContractViolationError(
+                "the weighted sums overflow, and the weights span too wide a "
+                "range to scale them into the float range")
+        blocks = _pool([math.ldexp(y, -shift) for y in ys], ws)
+    out: List[float] = []
+    for wsum, ysum, count in blocks:
+        try:
+            mean = math.ldexp(ysum / wsum, shift)
+        except OverflowError:  # a scaled mean rounded up past the largest float
+            raise ContractViolationError("a fitted value overflows the float range") from None
+        out.extend([mean] * count)
+    return out
+
+
+def _pool(ys: List[float], ws: List[float]) -> List[Tuple[float, float, int]]:
+    """PAVA's blocks as (weight sum, weighted sum, count), left to right."""
+    blocks: List[Tuple[float, float, int]] = []
+    for y, w in zip(ys, ws):
         cw, cy, cn = w, w * y, 1
         while blocks and blocks[-1][1] / blocks[-1][0] > cy / cw:
             pw, py, pn = blocks.pop()
@@ -193,7 +230,4 @@ def pava(values: Sequence[float], weights: Optional[Sequence[float]] = None
             cy += py
             cn += pn
         blocks.append((cw, cy, cn))
-    out: List[float] = []
-    for wsum, ysum, count in blocks:
-        out.extend([ysum / wsum] * count)
-    return out
+    return blocks

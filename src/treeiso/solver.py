@@ -45,7 +45,7 @@ boundary outflow is its cached child flow minus its parent edge's dual
 when that edge is strict.  A moving component meets a frozen child at
 the child's value, and `t_of_value` is monotone in the value, so the
 binding collision is at a heap top and the children tied with it are a
-run from that top.  A node's value is written only while it is a
+run from that top.  A node's value changes only while it is a
 component member (or as the attached node), and then only its own entry
 in its parent's heap goes stale.  When that edge is strict the entry is
 renewed at the next reclassification, because the parent's heap is not
@@ -60,24 +60,33 @@ pooled block moves as a whole (Best & Chakravarti, Math. Programming
 1990).  It is built only when a search's anchor lies outside it; after
 that every sign write on an edge at it updates it: a joining component
 is walked once, a departing half is split off and writes out its
-internal duals.  It is rooted at the search's anchor, and each member
-keeps its neighbour one edge nearer the anchor and the pooled loss form
-and boundary flow of its subtree in that rooting, so that the subtree of
-an internal edge's end away from the anchor is the edge's far half.  A
-change is passed up to the anchor, and when the anchor moves within the
-block the edges between the old anchor and the new one turn round.  An
-internal edge binds at a value `vbar` that depends only on its far half,
-so every internal edge waits in one lazy heap per direction, keyed by
-`vbar`, and its tied edges depart as a run from the heap's top.
-Members' x is written on every step in one bulk update, but internal
-duals only when a half departs, when the block is given up and at the
-end.  Besides that bulk write, a step costs O(1) per member with strict
-children and O(log n) per heap operation, plus O(size) for what joins
-or departs.  A change costs time in its distance from the anchor, and a
-move of the anchor time in the members between the old anchor and the
-new one and in their EQ children.  So neither the size of the block nor
-the degrees of its members enter a step, but a chain-like block whose
-anchor lies deep pays that depth per join or departure.  Mergeable
+members' x and internal duals.  It is rooted at the search's anchor,
+and each member keeps its neighbour one edge nearer the anchor and the
+pooled loss form and boundary flow of its subtree in that rooting, so
+that the subtree of an internal edge's end away from the anchor is the
+edge's far half.  A change is passed up to the anchor, and when the
+anchor moves within the block the edges between the old anchor and the
+new one turn round.  An internal edge binds at a value `vbar` that
+depends only on its far half, so every internal edge waits in one lazy
+heap per direction, keyed by `vbar`, and its tied edges depart as a run
+from the heap's top.
+
+A pooled block is one value, so the block owns its members' x: its
+`value` is every member's, and a step moves it without writing the
+members.  A member's x, like an internal dual, is written when it stops
+being a member (its half departs, or the block is written out or
+rebuilt: `restart`, `flush` and the end of the solve), and before a
+search reads x at the top and at a few members next to moved nodes
+(`_reclassify`); the search's other reads of a member's value go
+through `ActiveSet.value_of`.  A member that joined since the last step
+keeps its own tied x until the next one.  So a step costs O(1) per
+member with strict children and O(log n) per heap operation, plus
+O(size) for what joins or departs.  A change costs time in its distance
+from the anchor, and a move of the anchor time in the members between
+the old anchor and the new one and in their EQ children.  So neither the
+size of the block nor the degrees of its members enter a step, but a
+chain-like block whose anchor lies deep pays that depth per join or
+departure.  Mergeable
 blocks on trees: Kolmogorov, Pock & Rolinek, "Total Variation on a Tree"
 (SIAM J. Imaging Sci. 2016).
 
@@ -145,15 +154,18 @@ def _keeps_side(sign: int, xv: float, xc: float) -> bool:
 
 def check_tol(tol) -> float:
     """A certificate gate as a float; ContractViolationError unless it is a
-    nonnegative real number within the float range."""
+    finite nonnegative real number (an infinite gate certifies anything)."""
     # float() would also take True or "1e-3"; the float test skips the ABC check.
     if not (type(tol) is float or isinstance(tol, numbers.Real)
             and not isinstance(tol, bool)) or not tol >= 0.0:
         raise ContractViolationError("tolerance must be a nonnegative number, got %r" % (tol,))
     try:
-        return float(tol)
+        tol = float(tol)
     except OverflowError:
         raise ContractViolationError("tolerance must be within the float range") from None
+    if tol == INF:
+        raise ContractViolationError("tolerance must be finite, got inf")
+    return tol
 
 
 class Problem:
@@ -189,6 +201,15 @@ class ActiveSet:
     x and z are the live solution maps, shared with the caller and updated
     in place.  z and `signs` are keyed by each edge's child c, the edge
     being (parent[c], c); an edge absent from `signs` is not signed yet.
+    The kept block holds its members' value and its internal duals: a
+    member's x and an internal edge's z are current only once the block
+    has been written out (`ComponentView.flush`), and the search reads a
+    member's value through `value_of`.  Under validation `full` holds
+    each node's value as of the last step it took as a member, which is
+    what its x would hold if every member were written on every step
+    (a node's value changes only while it is a member, or as the attached
+    node, whose x is written directly), and every read through `value_of`
+    is checked against it; otherwise `full` is None.
     `moved` holds the nodes whose parent edge may have changed class since
     the signs were last classified: each attached node and, of each
     search, the final block's top, the lower end of every departed edge
@@ -224,12 +245,12 @@ class ActiveSet:
 
     __slots__ = ("signs", "x", "z", "moved", "level", "parent", "eq_kids",
                  "child_flow", "strict", "block", "t", "departed",
-                 "equilibrium_calls", "validate", "reference")
+                 "equilibrium_calls", "validate", "reference", "full")
 
     def __init__(self, signs=None, parent=None, x=None, z=None):
         self.signs = {} if signs is None else signs
         self.x, self.z, self.parent = x, z, parent
-        self.moved, self.level, self.block = set(), set(), None
+        self.moved, self.level, self.block, self.full = set(), set(), None, None
         self.start_search()
         if parent is None:
             return
@@ -308,6 +329,22 @@ class ActiveSet:
             heapq.heappop(heap)
         return None
 
+    def value_of(self, v: int) -> float:
+        """v's value: the block's for a member, unless it joined since the
+        last step, and x[v] otherwise.  Under validation it must equal the
+        value `full` holds for it."""
+        block, full = self.block, self.full
+        if block is None or v not in block.nodes or v in block.joined:
+            value = self.x[v]
+        else:
+            value = block.value
+        if full is not None and value != full.get(v, value):
+            raise InternalInvariantError(
+                "x[%d] reads %.17g, the fully written copy holds %.17g"
+                % (v, value, full[v])
+            )
+        return value
+
     def fresh_entries(self, v: int, sign: int) -> set:
         """The fresh entries of one of v's heaps."""
         return {(key, c) for key, c in self.strict[sign][v]
@@ -356,8 +393,10 @@ class ComponentView:
     is built afresh only when a search's anchor lies outside it.  It holds
     its members `nodes`, its `top` (the member whose parent edge is not
     EQ; every other member's parent is a member), the `rim` of members
-    that may have strict children and the shared `value` last written to
-    the members' x.
+    that may have strict children, the shared `value` of the members and
+    `joined`, the members that joined since the last step.  A joined
+    member's own x is its value until the next step; another member's x
+    is current only where it was written (see the module docstring).
 
     The block is rooted at its `anchor`: every other member u keeps
     `toward[u]`, its neighbour one edge nearer the anchor, and every
@@ -395,13 +434,14 @@ class ComponentView:
     already change the sums.
 
     Internal duals are not stored while the block moves: `flush` writes
-    them into z, by child, and a departing half writes its own.
+    them into z, by child, and the members' value into x; a departing half
+    writes its own.
     """
 
     __slots__ = (
         "anchor", "top", "nodes", "toward", "rim", "sub", "keys", "heaps", "dirty",
-        "value", "boundary_out", "boundary_in", "form", "boundary_flow", "_members",
-        "_active", "_parent", "_lam", "_mu", "_loss", "_parts",
+        "value", "joined", "boundary_out", "boundary_in", "form", "boundary_flow",
+        "_members", "_active", "_parent", "_lam", "_mu", "_loss", "_parts",
     )
 
     def __init__(self, solver, active: ActiveSet, anchor: int):
@@ -414,16 +454,17 @@ class ComponentView:
         self.keys: Dict[int, Dict[int, float]] = {-1: {}, 1: {}}
         self.heaps: Dict[int, list] = {-1: [], 1: []}
         self.dirty: Dict[int, set] = {-1: set(), 1: set()}
+        self.joined: set = set()
         self.boundary_out, self.boundary_in = [], []
-        self._parts = (self.nodes, self.toward, self.rim, self.sub,
+        self._parts = (self.nodes, self.joined, self.toward, self.rim, self.sub,
                        *self.keys.values(), *self.heaps.values(),
                        *self.dirty.values())
         self.restart(anchor)
         self._snapshot()
 
     def restart(self, anchor: Optional[int]):
-        """Write the internal duals out and build the block of anchor
-        afresh; without an anchor the block is left empty."""
+        """Write the block out and build the block of anchor afresh;
+        without an anchor the block is left empty."""
         if self.nodes:
             self.flush()
             for part in self._parts:
@@ -431,7 +472,11 @@ class ComponentView:
         if anchor is None:
             return
         self.anchor = anchor
-        self.value = self._active.x[anchor]
+        active = self._active
+        # Only validation's reference is built at a member of the kept block.
+        kept = active.block
+        self.value = (active.x[anchor] if kept is None or kept is self
+                      else active.value_of(anchor))
         self._grow(anchor, None)
 
     def set_anchor(self, anchor: int):
@@ -519,6 +564,7 @@ class ComponentView:
             if above[u] or below[u]:
                 self.rim.add(u)
         self.nodes.update(order)
+        self.joined.update(order)
         for dirty in self.dirty.values():
             dirty.update(order)
             dirty.discard(self.anchor)
@@ -693,9 +739,19 @@ class ComponentView:
         """Dual values on the internal edges at parameter t, by child."""
         return self._duals(self.toward, self.value_at(t))
 
+    def write(self, members):
+        """Write the block's value into the given members' x, but not into
+        those that joined since the last step: their own x is current."""
+        joined = self.joined
+        if joined:
+            members = [u for u in members if u not in joined]
+        self._active.x.update(dict.fromkeys(members, self.value))
+
     def flush(self):
-        """Write the internal duals at the block's value into z."""
+        """Write the block's value into its members' x and the internal
+        duals at that value into z."""
         if self.nodes:
+            self.write(self.nodes)
             self._active.z.update(self._duals(self.toward, self.value))
 
     # -- following sign writes --------------------------------------------
@@ -727,10 +783,12 @@ class ComponentView:
 
     def _depart(self, c: int, d: float):
         """Split off the far half of the internal edge into c, which has
-        just left EQ, writing the duals of the half's internal edges."""
+        just left EQ, writing the half's x and the duals of its internal
+        edges."""
         far = self.far_end(c)
         near, df = (self._parent[c], d) if far == c else (c, -d)
         half = self._far(far)
+        self.write(half)
         if len(half) > 1:
             self._active.z.update(self._duals(half[1:], self.value))
         h = self.sub[far]
@@ -745,6 +803,8 @@ class ComponentView:
             for u in half:
                 pop(u, None)
         self.nodes.difference_update(half)
+        if self.joined:
+            self.joined.difference_update(half)
         self.rim.difference_update(half)
         for u in half:
             del self.sub[u], self.toward[u]
@@ -808,13 +868,30 @@ class Solver:
         node afresh in its parent's heap when the edge stays strict.  For
         each node in `level`, also reclassifies the strict child edges at
         its heap tops, down to the first that still classifies as strict
-        on its side.  Under validation, the result must equal a
-        classification of every prefix edge from scratch, and the index
-        the one built from that classification, x and z.
+        on its side.  The block's value is first written into the x of
+        the members this reads: the top (the only moved node that can be
+        a member), whose entry in its parent's heap is renewed here, the
+        members in `level` and the moved nodes' parents.  Under
+        validation, the result must equal a classification of every
+        prefix edge from scratch, and the index the one built from that
+        classification, the values as if every member were written on
+        every step, and z.
         """
         signs, x = active.signs, active.x
         stale = set(active.moved)
         stale.discard(1)  # the root has no parent edge
+        block = active.block
+        if block is not None and block.nodes:
+            # Every join is followed by a step, so no member here holds
+            # a tied x of its own.
+            nodes, value, parent = block.nodes, block.value, self._parent
+            x[block.top] = value
+            for c in stale:
+                if parent[c] in nodes:
+                    x[parent[c]] = value
+            for v in active.level:
+                if v in nodes:
+                    x[v] = value
         for v in active.level:
             for sign, heaps in active.strict.items():
                 c = active.nearest(v, sign)
@@ -833,9 +910,14 @@ class Solver:
             self._check_index(active, m)
 
     def _check_index(self, active: ActiveSet, m: int):
-        """Validation: prefix 1..m's signs and index must match a fresh build."""
-        rebuilt = ActiveSet(classify(active.x, self._edges(range(2, m + 1))),
-                            self._parent, active.x, active.z)
+        """Validation: every node's value read as the search reads it must
+        equal the fully written copy of x, and prefix 1..m's signs and
+        index a fresh build from that copy."""
+        for v in range(1, m + 1):
+            active.value_of(v)  # raises when it differs from active.full
+        full = {**active.x, **active.full}
+        rebuilt = ActiveSet(classify(full, self._edges(range(2, m + 1))),
+                            self._parent, full, active.z)
         for c, sign in rebuilt.signs.items():
             kept = active.signs.get(c)
             if kept != sign:
@@ -895,7 +977,7 @@ class Solver:
         """Validation: the block must reproduce the stored value and, when
         built afresh (before it moves), the stored internal duals."""
         view = active.block
-        want = active.x[view.anchor]
+        want = active.value_of(view.anchor)
         got = view.value_at(active.t)
         if abs(got - want) > ANCHOR_RTOL * (1.0 + abs(want)):
             raise InternalInvariantError(
@@ -1031,8 +1113,11 @@ class Solver:
         value = view.value_at(t_next)
         attach_value = attach_loss.inverse_derivative(-t_next)
         back = s * (value - view.value) < 0.0
-        view.value = value
-        x.update(dict.fromkeys(view.nodes, value))
+        view.value = value  # every member's value from here on
+        if view.joined:
+            view.joined.clear()
+        if active.full is not None:
+            active.full.update(dict.fromkeys(view.nodes, value))
         # A member whose nearest strict child on the side moved towards no
         # longer classifies as strict gets its heap tops reclassified; the
         # other side only needs a look when the value moved back.
@@ -1109,6 +1194,8 @@ class Solver:
         for c, below in departing:
             sign = s if below else -s
             z[c] = -self._lam[c] if sign == GT else self._mu[c]
+            if c in view.nodes and c not in view.joined:
+                x[c] = view.value  # its parent's heap takes it at its x
             active.set_sign(c, sign)
             active.moved.add(c)
             active.departed.add(c)
@@ -1173,10 +1260,13 @@ class Solver:
 
         Mutates the x and z of `active`, the working state kept from the
         previous extension of the same solve, in place (the new dual is
-        z[child]) and returns (x, z, record).  The branch is picked by the
-        attached loss's derivative at the attachment point: zero copies the
-        value across with a zero dual, positive searches downward (s = -1),
-        negative upward (s = +1).  A zero attachment bound pins t at 0
+        z[child]) and returns (x, z, record).  The kept block's members'
+        x and internal duals are current only after `active.block.flush()`
+        (`solve` flushes at its end); before, read a node's value with
+        `active.value_of`.  The branch is picked by the attached loss's
+        derivative at the attachment point: zero copies the value across
+        with a zero dual, positive searches downward (s = -1), negative
+        upward (s = +1).  A zero attachment bound pins t at 0
         immediately (the admissible interval is {0}).  A search resets the
         search's fields and reclassifies only the edges next to its moved
         nodes that can have changed class (see `_reclassify`); the attached
@@ -1186,12 +1276,14 @@ class Solver:
         i_m = self._parent[child]
         m = child - 1
         attach_loss = self._loss[child]
-        d = attach_loss.derivative(x[i_m])
+        block = active.block
+        x_m = x[i_m] if block is None or i_m not in block.nodes else active.value_of(i_m)
+        d = attach_loss.derivative(x_m)
         iterations = eq_calls = 0
         cap = 2 * m - 1
         t_path = _NO_SEARCH
         if d == 0.0:
-            x[child] = x[i_m]
+            x[child] = x_m
             t_star = 0.0
             branch = "flat"
         else:
@@ -1202,7 +1294,6 @@ class Solver:
                 t_star = 0.0
                 x[child] = attach_loss.inverse_derivative(0.0)
             else:
-                block = active.block
                 if block is not None and not (i_m in block.nodes
                                               or self._parent[i_m] in block.nodes):
                     # The anchor can reach the block only through an edge
@@ -1210,6 +1301,10 @@ class Solver:
                     # than grow it during reclassification.
                     block.restart(None)
                 active.start_search(validate)
+                if not validate:
+                    active.full = None
+                elif active.full is None:
+                    active.full = {}
                 self._reclassify(active, m)
                 x[child] = attach_loss.inverse_derivative(0.0)
                 step = self.step_minus if s < 0 else self.step_plus
@@ -1265,7 +1360,7 @@ class Solver:
             stats.steps.append(self.extend(child, active, validate)[2])
         if active.block is not None:
             active.block.flush()
-        active.block = active.reference = None
+        active.block = active.reference = active.full = None
         parent = self._parent
         z = {(parent[c], c): z[c] for c in range(2, n + 1)}
         residual = kkt_residual(

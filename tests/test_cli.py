@@ -502,7 +502,7 @@ class TestUsageErrors:
         assert code == EXIT_USAGE
         assert "--n" in err
 
-    @pytest.mark.parametrize("tol", ["nan", "-1"])
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "1e999"])
     @pytest.mark.parametrize("command", [["solve", str(DEMO_PATH)], ["bench"]])
     def test_bad_tolerance_is_usage_error(self, capsys, command, tol):
         with pytest.raises(SystemExit) as info:

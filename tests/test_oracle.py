@@ -32,7 +32,8 @@ BAD_TOLERANCES = pytest.mark.parametrize("tol, message", [
     ("1e-8", "tolerance must be a nonnegative number, got '1e-8'"),
     (True, "tolerance must be a nonnegative number, got True"),
     (10 ** 400, "tolerance must be within the float range"),
-], ids=["negative", "nan", "string", "bool", "beyond_float"])
+    (math.inf, "tolerance must be finite, got inf"),
+], ids=["negative", "nan", "string", "bool", "beyond_float", "inf"])
 
 
 class TestFeasibleSigns:
@@ -271,3 +272,43 @@ class TestPava:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ContractViolationError):
             pava([1.0, 2.0], weights=[1.0])
+
+    @pytest.mark.parametrize("values, weights", [
+        ([1.7e308, 1.6e308], None),
+        ([1e308, -1e308], [10.0, 10.0]),
+        ([3.0, 1.0], [1e308, 1e308]),
+        ([1e-10, 0.0], [1e308, 1e308]),
+    ], ids=["sum", "product", "weights", "weight-sum"])
+    def test_overflowing_sums_give_the_pooled_mean(self, values, weights):
+        # Every input and the fit are in range, but a product w*y or a
+        # block's sum is not: the fit is the exact weighted mean, rounded.
+        ws = weights or [1.0] * len(values)
+        mean = float(sum(Fraction(w) * Fraction(y) for w, y in zip(ws, values))
+                     / sum(map(Fraction, ws)))
+        assert pava(values, weights) == [mean, mean]
+
+    def test_overflowing_sums_named_when_no_scale_holds_them(self):
+        # Scaling the largest weight into range takes the smallest to zero.
+        with pytest.raises(ContractViolationError, match="overflow"):
+            pava([3.0, 1.0, 2.0], [1e308, 1e308, 5e-324])
+
+    def test_in_range_fit_bit_for_bit_as_pooled_directly(self):
+        # Without overflow the fit is the plain pooling's, bit for bit:
+        # `treeiso solve`'s checks compare the solver with it.
+        def pooled(values, weights):
+            blocks = []
+            for y, w in zip(values, weights):
+                cw, cy, cn = w, w * y, 1
+                while blocks and blocks[-1][1] / blocks[-1][0] > cy / cw:
+                    pw, py, pn = blocks.pop()
+                    cw, cy, cn = cw + pw, cy + py, cn + pn
+                blocks.append((cw, cy, cn))
+            return [(cy / cw).hex() for cw, cy, cn in blocks for _ in range(cn)]
+
+        rng = random.Random(33)
+        for _ in range(200):
+            n = rng.randint(1, 30)
+            scale = 10.0 ** rng.randint(-150, 150)
+            values = [rng.uniform(-1.0, 1.0) * scale for _ in range(n)]
+            weights = [10.0 ** rng.uniform(-100.0, 100.0) for _ in range(n)]
+            assert [v.hex() for v in pava(values, weights)] == pooled(values, weights)

@@ -284,8 +284,11 @@ class TestStepFunctions:
         view = solver.build_component_view(state, anchor=3, s=-1)
         result = solver.step_minus(state, 5)
         assert result == -3.0
+        # The block's value and internal duals are written out on demand.
+        assert state.x == {1: 4.0, 2: 4.0, 3: 4.0, 4: 4.0, 5: 1.0}
+        assert view.value == 3.0
+        view.flush()
         assert state.x == {1: 3.0, 2: 3.0, 3: 3.0, 4: 4.0, 5: 1.0}
-        view.flush()  # the block's internal duals are written out on demand
         assert state.z[2] == pytest.approx(-1.0, abs=1e-12)
         assert state.z[3] == pytest.approx(0.0, abs=1e-12)
         assert state.z[4] == 4.0
@@ -300,6 +303,7 @@ class TestStepFunctions:
         assert result is None
         assert state.t == 1.0
         assert state.signs[3] == EQ
+        view.flush()  # members' x is written out on demand
         assert state.x[3] == pytest.approx(3.0, abs=1e-12)
         assert state.x[4] == pytest.approx(7.0, abs=1e-12)
 
@@ -312,8 +316,8 @@ class TestStepFunctions:
         result = solver.step_plus(state, 4)
         assert result == 4.0
         assert state.equilibrium_calls == 1
+        view.flush()  # members' x is written out on demand
         assert state.x == {1: 4.0, 2: 4.0, 3: 4.0, 4: 4.0}
-        view.flush()
         assert state.z[2] == pytest.approx(-2.0, abs=1e-12)
         assert state.z[3] == pytest.approx(2.0, abs=1e-12)
 
@@ -461,9 +465,10 @@ class TestSolve:
     @pytest.mark.parametrize("loss_kind", ["quadratic", "mixed"])
     @pytest.mark.parametrize("shape", ["chain", "star", "random"])
     def test_each_extension_solves_its_prefix(self, shape, loss_kind, monkeypatch):
-        # After node m is added, the pair (with the block's internal duals
-        # read without writing them into z) is bit for bit the solution of
-        # the prefix problem on 1..m, and so is the extension's record.
+        # After node m is added, the pair (with the block's value and
+        # internal duals read without writing them into x and z) is bit
+        # for bit the solution of the prefix problem on 1..m, and so is
+        # the extension's record.
         # Both keep z by child; the prefix solve returns it by edge.
         pairs = []
         real = Solver.extend
@@ -471,6 +476,8 @@ class TestSolve:
         def spy(self, child, active, validate=False):
             result = real(self, child, active, validate)
             x, z, block = active.x, active.z, active.block
+            if block:  # members' values, read without writing them into x
+                x = {**x, **dict.fromkeys(block.nodes, block.value)}
             duals = block._duals(block.toward, block.value) if block else {}
             by_edge = {(self._parent[c], c): v for c, v in {**z, **duals}.items()}
             pairs.append((hexed(x), hexed(by_edge), record_bits(result[2])))
@@ -894,6 +901,97 @@ class TestPersistentBlock:
         active.block.heaps[1].clear()
         with pytest.raises(InternalInvariantError, match="component edges tied in the heap"):
             solver.extend(4, active, validate=True)
+
+
+class CountingDict(dict):
+    """A dict that counts the values written into it, one at a time or
+    by `update`."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.writes = 0
+
+    def __setitem__(self, key, value):
+        self.writes += 1
+        super().__setitem__(key, value)
+
+    def update(self, other):
+        other = dict(other)
+        self.writes += len(other)
+        super().update(other)
+
+
+class TestMemberWrites:
+    """The block owns its members' value: a step moves it without
+    writing the members' x, which is written when a member leaves the
+    block, when the block is written out and where the search reads it."""
+
+    def test_member_writes_grow_linearly_on_a_star(self):
+        # Each extension writes its node's x once and again per step
+        # (about 2.1 per node here), and members are written about 2.6
+        # times per node, mostly the hub when a search starts.  Writing
+        # every member on every step would write about 340 values per
+        # node: the hub's block holds hundreds.
+        n = 2000
+        problem = build_problem(*random_problem("star", n, 7))
+        solver = Solver(problem)
+        x = CountingDict({1: problem.loss_of(1).inverse_derivative(0.0)})
+        active = ActiveSet(None, solver._parent, x, {})
+        for child in range(2, n + 1):
+            solver.extend(child, active)
+        active.block.flush()
+        assert x.writes <= 6 * n
+        plain, _, _ = Solver(problem).solve()
+        assert hexed(x) == hexed(plain)
+
+    def test_members_read_their_value_through_the_block(self):
+        # After a step, a member's x still holds what it held before;
+        # `value_of` and a written copy under validation read the block's.
+        problem = build_problem(*random_problem("star", 300, 7))
+        solver = Solver(problem)
+        x = {1: problem.loss_of(1).inverse_derivative(0.0)}
+        active = ActiveSet(None, solver._parent, x, {})
+        stale = []
+        for child in range(2, 301):
+            solver.extend(child, active, validate=True)
+            block = active.block
+            if block is not None:
+                assert all(active.value_of(u) == active.full[u] == block.value
+                           for u in block.nodes)
+                stale.extend(u for u in block.nodes if x[u] != block.value)
+        assert stale
+
+    def test_corrupted_block_value_detected(self):
+        def corrupt(block):
+            block.value += 1.0  # every member now reads 1.0 higher
+
+        with pytest.raises(InternalInvariantError, match="fully written copy"):
+            TestPersistentBlock.solve_after_corrupting(corrupt)
+
+    def test_stale_member_read_detected(self):
+        def corrupt(block):
+            # A member that has not just joined reads its own x, as if it had.
+            member = next(u for u in block.nodes if u != block.anchor)
+            block._active.x[member] += 1.0
+            block.joined.add(member)
+
+        with pytest.raises(InternalInvariantError, match="fully written copy"):
+            TestPersistentBlock.solve_after_corrupting(corrupt)
+
+    def test_member_left_unwritten_detected(self, monkeypatch):
+        # A half that departs but keeps its members' old x leaves stale
+        # values outside the block, which the next search's check reads.
+        real = ComponentView._depart
+
+        def unwritten(view, c, d):
+            half = view._far(view.far_end(c))
+            before = {u: view._active.x[u] for u in half}
+            real(view, c, d)
+            view._active.x.update(before)
+
+        monkeypatch.setattr(ComponentView, "_depart", unwritten)
+        with pytest.raises(InternalInvariantError, match="fully written copy"):
+            Solver(falling_chain(300, 0.5, 43)[0]).solve(validate=True)
 
 
 class TestValidationReference:
