@@ -22,10 +22,14 @@ def build_problem(tree: DirectedTree, losses: Mapping[int, Loss],
                   root: Optional[int] = None) -> Problem:
     """Normalize a tree and order the losses by its `original_label`.
 
-    Raises ContractViolationError naming the type of `losses` when it is
-    not a mapping, a node without a loss, a node whose loss is not a
-    `Loss`, or a key that is no node of the tree.
+    Raises ContractViolationError naming the type of `tree` when it is not
+    a `DirectedTree` and that of `losses` when it is not a mapping, a node
+    without a loss, a node whose loss is not a `Loss`, or a key that is no
+    node of the tree.
     """
+    if not isinstance(tree, DirectedTree):
+        raise ContractViolationError(
+            "tree must be a DirectedTree, got %s" % type(tree).__name__)
     if not isinstance(losses, Mapping):
         raise ContractViolationError(
             "losses must map nodes to losses, got %s" % type(losses).__name__)
@@ -54,7 +58,9 @@ def solve_tree(tree: DirectedTree, losses: Mapping[int, Loss],
     tree declares it, to its dual.  Each `StepRecord.node` is the caller's
     label of the node that extension attached.  `root` pins the node the
     solver grows from (see `normalize`), and the pair has passed the
-    certificate gate `tol`.
+    certificate gate `tol`.  A `tree` that is not a `DirectedTree` or
+    `losses` that are not a mapping raise ContractViolationError naming
+    their type (see `build_problem`).
     """
     problem = build_problem(tree, losses, root)
     x, z, stats = Solver(problem, tol).solve()

@@ -32,7 +32,9 @@ length, and comparisons of moves compare s times their values.
 
 In the normal form every edge is (parent[c], c), so the solver names an
 edge by its child c: signs, working duals z, boundary lists and departed
-edges are keyed by c; `Solver.solve` keys z by (parent, child) on return.
+edges are keyed by c.  x, z and the signs are lists indexed by node while
+the solve works; `Solver.solve` returns x keyed by node and z by (parent,
+child), as dicts.
 
 One active set is the working state of a whole solve: x and z, the
 signs, the moving block, the current search's fields and an index of
@@ -184,7 +186,13 @@ class Problem:
         self.losses = losses
 
     def loss_of(self, node: int) -> Loss:
-        return self.losses[node]
+        """Node `node`'s loss; ContractViolationError naming a node outside
+        1..node_count."""
+        losses = self.losses
+        if 0 < node < len(losses):
+            return losses[node]
+        raise ContractViolationError("no loss for node %r: the problem's nodes are 1..%d"
+                                     % (node, len(losses) - 1))
 
     def weighted_edges(self):
         """Edges as (tail, head, lambda, mu) tuples."""
@@ -198,9 +206,12 @@ class ActiveSet:
     (-1), EQ (0) or GT (+1), their child index, the moving block and the
     current search's fields.
 
-    x and z are the live solution maps, shared with the caller and updated
-    in place.  z and `signs` are keyed by each edge's child c, the edge
-    being (parent[c], c); an edge absent from `signs` is not signed yet.
+    x, z and `signs` are lists indexed by node, shared with the caller and
+    updated in place: x[v] is v's value, and z[c] and signs[c] belong to
+    the edge (parent[c], c).  An entry not written yet is None (entry 0
+    always, and the root's sign and dual): a None sign marks an edge not
+    signed yet, and since EQ is 0, `signs[c]` is truthy exactly for a
+    strict edge.
     The kept block holds its members' value and its internal duals: a
     member's x and an internal edge's z are current only once the block
     has been written out (`ComponentView.flush`), and the search reads a
@@ -231,8 +242,9 @@ class ActiveSet:
     block built afresh.
 
     Given the parent list, the constructor indexes the signed edges from
-    `signs`, x and z; without it the set holds only its signs.  Per node v
-    the index holds: `eq_kids[v]`, the EQ children in ascending order;
+    `signs`, x and z (None for signs leaves every edge unsigned); without
+    it the set holds only its signs, as given, and no other field.  Per
+    node v the index holds: `eq_kids[v]`, the EQ children in ascending order;
     `child_flow[v]`, the summed dual over the strict child edges; and
     `strict[LT][v]` and `strict[GT][v]`, lazy heaps of the strict children
     above and below v, keyed by value so that the top is the nearest one.
@@ -248,20 +260,25 @@ class ActiveSet:
                  "equilibrium_calls", "validate", "reference", "full")
 
     def __init__(self, signs=None, parent=None, x=None, z=None):
-        self.signs = {} if signs is None else signs
+        self.signs = signs
+        if parent is None:
+            return
+        size = len(parent)
         self.x, self.z, self.parent = x, z, parent
         self.moved, self.level, self.block, self.full = set(), set(), None, None
         self.start_search()
-        if parent is None:
-            return
         # Per-node lists start as one shared empty tuple and are made on
         # first entry, so that building the index allocates next to nothing.
-        self.eq_kids = [()] * len(parent)
-        self.child_flow = [0.0] * len(parent)
-        self.strict = {LT: [()] * len(parent), GT: [()] * len(parent)}
+        self.eq_kids = [()] * size
+        self.child_flow = [0.0] * size
+        self.strict = {LT: [()] * size, GT: [()] * size}
+        if signs is None:
+            self.signs = [None] * size
+            return
         # Ascending children: sorted EQ lists, and flows summed in child order.
-        for c, sign in sorted(self.signs.items()):
-            self._enter(c, sign)
+        for c, sign in enumerate(signs):
+            if sign is not None:
+                self._enter(c, sign)
 
     def start_search(self, validate: bool = False):
         """Reset the search's fields: t at 0, nothing departed, no equilibrium."""
@@ -300,7 +317,7 @@ class ActiveSet:
         block, so that the block follows the signs too.
         """
         signs, z = self.signs, self.z
-        old = signs.get(c)
+        old = signs[c]
         if old == sign:
             return
         signs[c] = sign
@@ -352,7 +369,8 @@ class ActiveSet:
 
 
 def build_initial_active_set(x, edges) -> ActiveSet:
-    """`classify`'s signs in an unindexed set; perfbench/spans.py times this call."""
+    """`classify`'s signs, a dict keyed by head, in a set that holds only
+    them; perfbench/spans.py times this call and counts its signs."""
     return ActiveSet(classify(x, edges))
 
 
@@ -508,7 +526,7 @@ class ComponentView:
         """u's own entry: its loss form and its net boundary outflow."""
         active = self._active
         g = active.child_flow[u]
-        if self._parent[u] and active.signs[u] != EQ:
+        if active.signs[u]:  # strict; the root's sign is None
             g -= active.z[u]
         form = self._loss[u].poly_form()
         if form is None:
@@ -554,7 +572,7 @@ class ComponentView:
             p = parent[u]
             if p == w:
                 continue
-            if p and signs[u] == EQ:
+            if signs[u] == EQ:  # the root's sign is None
                 toward[p] = u
                 order.append(p)
             else:
@@ -695,8 +713,8 @@ class ComponentView:
             elif active.nearest(v, s) is None:
                 self.rim.discard(v)
         self.boundary_out = out
-        top = self.top  # the root has no parent edge, so no sign
-        self.boundary_in = [top] if active.signs.get(top, EQ) != EQ else []
+        top = self.top  # a strict sign is truthy; the root's is None
+        self.boundary_in = [top] if active.signs[top] else []
         self._snapshot()
 
     def binding(self, s: int, tied=None) -> List[int]:
@@ -742,17 +760,24 @@ class ComponentView:
     def write(self, members):
         """Write the block's value into the given members' x, but not into
         those that joined since the last step: their own x is current."""
-        joined = self.joined
+        x, value, joined = self._active.x, self.value, self.joined
         if joined:
             members = [u for u in members if u not in joined]
-        self._active.x.update(dict.fromkeys(members, self.value))
+        for u in members:
+            x[u] = value
+
+    def write_duals(self, members):
+        """Write the duals of the given members' edges at the block's value into z."""
+        z = self._active.z
+        for c, dual in self._duals(members, self.value).items():
+            z[c] = dual
 
     def flush(self):
         """Write the block's value into its members' x and the internal
         duals at that value into z."""
         if self.nodes:
             self.write(self.nodes)
-            self._active.z.update(self._duals(self.toward, self.value))
+            self.write_duals(self.toward)
 
     # -- following sign writes --------------------------------------------
 
@@ -790,7 +815,7 @@ class ComponentView:
         half = self._far(far)
         self.write(half)
         if len(half) > 1:
-            self._active.z.update(self._duals(half[1:], self.value))
+            self.write_duals(half[1:])
         h = self.sub[far]
         self._add(near, (-h[0], -h[1], -h[2], df - h[3], -h[4], -h[5]))
         if far != c:
@@ -902,7 +927,7 @@ class Solver:
         active.level.clear()
         active.moved.clear()
         for c, sign in build_initial_active_set(x, self._edges(stale)).signs.items():
-            if signs.get(c) != sign:
+            if signs[c] != sign:
                 active.set_sign(c, sign)
             elif sign != EQ:
                 active.push(c)  # the child moved: enter it at its new value
@@ -915,11 +940,14 @@ class Solver:
         index a fresh build from that copy."""
         for v in range(1, m + 1):
             active.value_of(v)  # raises when it differs from active.full
-        full = {**active.x, **active.full}
-        rebuilt = ActiveSet(classify(full, self._edges(range(2, m + 1))),
+        full = list(active.x)
+        for v, value in active.full.items():
+            full[v] = value
+        signs = classify(full, self._edges(range(2, m + 1)))
+        rebuilt = ActiveSet([signs.get(c) for c in range(len(full))],
                             self._parent, full, active.z)
-        for c, sign in rebuilt.signs.items():
-            kept = active.signs.get(c)
+        for c, sign in signs.items():
+            kept = active.signs[c]
             if kept != sign:
                 raise InternalInvariantError(
                     "kept sign of edge (%d, %d) is %s, its values give %s"
@@ -1076,9 +1104,9 @@ class Solver:
         ref = active.reference  # an edge without a key never binds
         t_q, x, signs, parent = active.t, active.x, active.signs, self._parent
         moves = [ref.move_to(v, t_q, s) for v in ref.keys[s].values()]
-        out = [ref.move_to(x[c], t_q, s) for c, sign in signs.items()
+        out = [ref.move_to(x[c], t_q, s) for c, sign in enumerate(signs)
                if sign == -s and parent[c] in ref.nodes]
-        if signs.get(ref.top) == s:  # the root has no parent edge, so no sign
+        if signs[ref.top] == s:  # the root's sign is None
             out.append(ref.move_to(x[parent[ref.top]], t_q, s))
         pick = min if s > 0 else max
         for kind, got, scan in (("component", internal, moves),
@@ -1164,7 +1192,7 @@ class Solver:
 
         want_out = want_in = None
         if active.validate:  # the ties by a scan of every signed edge and key
-            want_out = {c for c, sign in signs.items()
+            want_out = {c for c, sign in enumerate(signs)
                         if sign == -s and parent[c] in view.nodes and tied(x[c])}
             ref = active.reference
             want_in = {ref.edge_of(u)[0] for u, v in ref.keys[s].items()
@@ -1260,9 +1288,10 @@ class Solver:
 
         Mutates the x and z of `active`, the working state kept from the
         previous extension of the same solve, in place (the new dual is
-        z[child]) and returns (x, z, record).  The kept block's members'
-        x and internal duals are current only after `active.block.flush()`
-        (`solve` flushes at its end); before, read a node's value with
+        z[child]) and returns (x, z, record), x and z the active set's
+        lists indexed by node.  The kept block's members' x and internal
+        duals are current only after `active.block.flush()` (`solve`
+        flushes at its end); before, read a node's value with
         `active.value_of`.  The branch is picked by the attached loss's
         derivative at the attachment point: zero copies the value across
         with a zero dual, positive searches downward (s = -1), negative
@@ -1341,28 +1370,32 @@ class Solver:
         """Solve the full problem; returns (x, z, stats).
 
         Attaches nodes 2..n in label order, keeping one active set through
-        every extension; z is keyed by (parent, child) in ascending child
-        order.  The block and the validation reference point back at the
-        active set, so both are dropped before returning: the solve's
-        working state is then freed by reference counting, without the
-        cyclic collector.  The pair is certified: its flow-system residual,
-        `stats.final_residual`, is at most the solver tolerance, otherwise
-        CertificateError is raised.  `map_back` keeps the residual up to
-        the order in which each node's incident duals are summed, so it
-        certifies the pair in the caller's labels too.
+        every extension.  Its lists are converted once, here: x to a dict
+        keyed by node 1..n ascending, z to one keyed by (parent, child) in
+        ascending child order.  The block and the validation reference
+        point back at the active set, so both are dropped before returning:
+        the solve's working state is then freed by reference counting,
+        without the cyclic collector.  The pair is certified: its
+        flow-system residual, `stats.final_residual`, is at most the solver
+        tolerance, otherwise CertificateError is raised.  `map_back` keeps
+        the residual up to the order in which each node's incident duals
+        are summed, so it certifies the pair in the caller's labels too.
         """
-        x = {1: self._loss[1].inverse_derivative(0.0)}
-        z: Dict[int, float] = {}
-        active = ActiveSet(None, self._parent, x, z)
+        parent = self._parent
+        n = len(parent) - 1
+        x: List[Optional[float]] = [None] * (n + 1)
+        z: List[Optional[float]] = [None] * (n + 1)
+        x[1] = self._loss[1].inverse_derivative(0.0)
+        active = ActiveSet(None, parent, x, z)
         stats = SolveStats()
-        n = len(self._parent) - 1
         for child in range(2, n + 1):
             stats.steps.append(self.extend(child, active, validate)[2])
         if active.block is not None:
             active.block.flush()
         active.block = active.reference = active.full = None
-        parent = self._parent
-        z = {(parent[c], c): z[c] for c in range(2, n + 1)}
+        nodes = range(1, n + 1)
+        x = dict(zip(nodes, x[1:]))
+        z = dict(zip(zip(parent[2:], nodes[1:]), z[2:]))
         residual = kkt_residual(
             zip(parent[2:], range(2, n + 1), self._lam[2:], self._mu[2:]),
             self._loss.__getitem__, x, z)
@@ -1384,7 +1417,8 @@ def kkt_residual(edges, loss_of: Callable[[int], Loss], x, z) -> float:
     ordered (not `values_equal`).  The total is the sum of the two maxima.
     A NaN term makes the total NaN, so that no gate of the form
     `residual <= tol` passes it.  A dual or node value missing raises
-    ContractViolationError.
+    ContractViolationError, and so does `Problem.loss_of` for a node of x
+    outside the problem; a caller's own `loss_of` raises what it raises.
     """
     # abs is written out, as in `values_equal`: the sign of a zero or a NaN
     # it may leave changes no comparison below and no sum from +0.0.
@@ -1427,7 +1461,8 @@ def objective_value(edges, loss_of: Callable[[int], Loss], x) -> float:
 
     An infinite weight contributes nothing when the edge's end values are
     `values_equal`, and makes the objective infinite otherwise.  A node
-    value missing raises ContractViolationError.
+    value missing raises ContractViolationError, and `loss_of` for a node
+    of x as in `kkt_residual`.
     """
     total = 0.0
     for v, xv in x.items():

@@ -170,10 +170,45 @@ class TestLibraryInput:
         with pytest.raises(ContractViolationError, match="got tuple"):
             solve(self.TREE, tuple(losses))
 
+    @pytest.mark.parametrize("solve", [build_problem, solve_tree])
+    @pytest.mark.parametrize("tree, name", [
+        (None, "NoneType"), (list(TREE.edges), "list"), ("tree", "str"), (3, "int"),
+    ])
+    def test_tree_that_is_not_a_directed_tree(self, solve, tree, name):
+        # Checked before the losses, which are valid here.
+        with pytest.raises(ContractViolationError,
+                           match="tree must be a DirectedTree, got %s" % name):
+            solve(tree, self.losses())
+
     @pytest.mark.parametrize("n", [2.5, 0, -3, True, "5"])
     def test_random_problem_size_must_be_a_positive_integer(self, n):
         with pytest.raises(ContractViolationError, match="positive integer"):
             random_problem("chain", n, 1)
+
+
+class TestSolveReturnLayout:
+    """The solver keeps x, z and the signs as lists indexed by node while
+    it works; what it hands back stays dicts."""
+
+    @pytest.mark.parametrize("shape", ["chain", "star", "random"])
+    def test_solve_returns_dicts_in_node_and_child_order(self, shape):
+        problem = build_problem(*random_problem(shape, 50, 3, "mixed"))
+        parent = problem.arb.parent
+        x, z, _ = Solver(problem).solve()
+        assert type(x) is dict and type(z) is dict
+        assert list(x) == list(range(1, 51))
+        assert all(type(value) is float for value in x.values())
+        assert list(z) == [(parent[c], c) for c in range(2, 51)]
+        assert all(type(value) is float for value in z.values())
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_solve_tree_returns_caller_labels(self, seed):
+        tree, losses, root = rooted_instance(seed)
+        x, z, _ = solve_tree(tree, losses, root)
+        assert type(x) is dict and type(z) is dict
+        assert sorted(x) == list(range(1, tree.node_count + 1))
+        assert set(z) == {(i, j) for i, j, _, _ in tree.edges}
+        assert kkt_residual(tree.edges, losses.__getitem__, x, z) <= 1e-8
 
 
 class TestRandomProblem:

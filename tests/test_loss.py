@@ -446,9 +446,9 @@ def pooled_view(losses, edges, anchor=1):
     """The component view of a prefix whose edges are all tied."""
     n = len(losses)
     problem = Problem(normalize(DirectedTree(n, edges), 1), losses)
-    z = {c: 0.0 for _, c, _, _ in problem.weighted_edges()}  # duals by child
-    active = ActiveSet({c: EQ for c in z}, problem.arb.parent,
-                       {v: 0.0 for v in range(1, n + 1)}, z)
+    # x by node and signs and duals by child, as lists; the root has neither.
+    active = ActiveSet([None, None] + [EQ] * (n - 1), problem.arb.parent,
+                       [None] + [0.0] * n, [None, None] + [0.0] * (n - 1))
     return Solver(problem).build_component_view(active, anchor, -1)
 
 

@@ -46,23 +46,49 @@ INF_EDGES = [(1, 2, INF, 0.0), (1, 3, 0.0, INF)]
 DEMO_PARENT = [0, 0, 1, 1, 3, 3]
 
 
+def listed(values, parent):
+    """A per-node list of the working state from a dict keyed by node, or
+    by each edge's child; None where the dict has no entry."""
+    out = [None] * len(parent)
+    for v, value in values.items():
+        out[v] = value
+    return out
+
+
+def written(values) -> dict:
+    """A per-node list's written entries as a dict keyed by node, ascending."""
+    return {v: value for v, value in enumerate(values) if value is not None}
+
+
 def make_state(t, x, z, signs, parent=DEMO_PARENT):
-    """A search state whose duals z and signs are keyed by each edge's child."""
-    state = ActiveSet(dict(signs), parent, dict(x), dict(z))
+    """A search state from x by node and duals z and signs by each edge's child."""
+    state = ActiveSet(listed(signs, parent), parent, listed(x, parent), listed(z, parent))
     state.t = t
     return state
 
 
+def start_state(solver, x=None):
+    """The working state `Solver.solve` starts from, with x as a list
+    (x[1] the root's unconstrained value unless x is given)."""
+    parent = solver._parent
+    if x is None:
+        x = listed({1: solver._loss[1].inverse_derivative(0.0)}, parent)
+    return ActiveSet(None, parent, x, [None] * len(parent))
+
+
 def extend_fresh(solver, x, z, child):
-    """Attach `child` to a pair built by hand: every prefix node counts as
-    moved, so the search classifies all prefix edges, and the block's
-    internal duals are written out before returning."""
-    active = ActiveSet(None, solver._parent, x, z)
+    """Attach `child` to a pair built by hand, x by node and z by each
+    edge's child: every prefix node counts as moved, so the search
+    classifies all prefix edges, and the block's internal duals are
+    written out before returning x and z as dicts of their written
+    entries, with the record."""
+    parent = solver._parent
+    active = ActiveSet(None, parent, listed(x, parent), listed(z, parent))
     active.moved.update(range(1, child))
-    result = solver.extend(child, active)
+    x, z, record = solver.extend(child, active)
     if active.block is not None:
         active.block.flush()
-    return result
+    return written(x), written(z), record
 
 
 def late_search_state():
@@ -92,6 +118,9 @@ class TestBuildInitialActiveSet:
         x = {1: 3.0, 2: 3.0, 3: 2.0}
         active = build_initial_active_set(x, INF_EDGES)
         assert active.signs == {2: EQ, 3: GT}
+        # A dict keyed by head, also where the solver's own signs are a
+        # list: the benchmark's span hook counts them with len().
+        assert type(active.signs) is dict
 
     def test_all_equal(self):
         x = {1: 5.0, 2: 5.0, 3: 5.0}
@@ -285,10 +314,10 @@ class TestStepFunctions:
         result = solver.step_minus(state, 5)
         assert result == -3.0
         # The block's value and internal duals are written out on demand.
-        assert state.x == {1: 4.0, 2: 4.0, 3: 4.0, 4: 4.0, 5: 1.0}
+        assert written(state.x) == {1: 4.0, 2: 4.0, 3: 4.0, 4: 4.0, 5: 1.0}
         assert view.value == 3.0
         view.flush()
-        assert state.x == {1: 3.0, 2: 3.0, 3: 3.0, 4: 4.0, 5: 1.0}
+        assert written(state.x) == {1: 3.0, 2: 3.0, 3: 3.0, 4: 4.0, 5: 1.0}
         assert state.z[2] == pytest.approx(-1.0, abs=1e-12)
         assert state.z[3] == pytest.approx(0.0, abs=1e-12)
         assert state.z[4] == 4.0
@@ -317,7 +346,7 @@ class TestStepFunctions:
         assert result == 4.0
         assert state.equilibrium_calls == 1
         view.flush()  # members' x is written out on demand
-        assert state.x == {1: 4.0, 2: 4.0, 3: 4.0, 4: 4.0}
+        assert written(state.x) == {1: 4.0, 2: 4.0, 3: 4.0, 4: 4.0}
         assert state.z[2] == pytest.approx(-2.0, abs=1e-12)
         assert state.z[3] == pytest.approx(2.0, abs=1e-12)
 
@@ -346,7 +375,7 @@ class TestExtendTraces:
     def test_two_node_equilibrium(self):
         solver = Solver(make_demo_problem())
         x, z = {1: 4.0}, {}
-        _, _, rec = extend_fresh(solver, x, z, 2)
+        x, z, rec = extend_fresh(solver, x, z, 2)
         assert x == {1: 3.0, 2: 3.0}
         assert z == {2: -1.0}
         assert (rec.branch, rec.iterations, rec.equilibrium_calls) == ("down", 1, 1)
@@ -357,7 +386,7 @@ class TestExtendTraces:
         solver = Solver(make_demo_problem())
         x = {1: 3.0, 2: 3.0}
         z = {2: -1.0}
-        _, _, rec = extend_fresh(solver, x, z, 3)
+        x, z, rec = extend_fresh(solver, x, z, 3)
         assert x == {1: 3.0, 2: 3.0, 3: 2.0}
         assert z == {2: -1.0, 3: 0.0}
         assert (rec.branch, rec.iterations, rec.equilibrium_calls) == ("down", 0, 0)
@@ -367,7 +396,7 @@ class TestExtendTraces:
         solver = Solver(make_demo_problem())
         x = {1: 3.0, 2: 3.0, 3: 2.0}
         z = {2: -1.0, 3: 0.0}
-        _, _, rec = extend_fresh(solver, x, z, 4)
+        x, z, rec = extend_fresh(solver, x, z, 4)
         assert x == {1: 4.0, 2: 4.0, 3: 4.0, 4: 4.0}
         assert z == {2: -2.0, 3: 2.0, 4: 4.0}
         assert (rec.branch, rec.iterations, rec.equilibrium_calls) == ("up", 2, 1)
@@ -378,7 +407,7 @@ class TestExtendTraces:
         solver = Solver(make_demo_problem())
         x = {1: 4.0, 2: 4.0, 3: 4.0, 4: 4.0}
         z = {2: -2.0, 3: 2.0, 4: 4.0}
-        _, _, rec = extend_fresh(solver, x, z, 5)
+        x, z, rec = extend_fresh(solver, x, z, 5)
         assert x == {1: 3.0, 2: 3.0, 3: 3.0, 4: 4.0, 5: 1.0}
         assert z[2] == pytest.approx(-1.0, abs=1e-12)
         assert z[3] == pytest.approx(0.0, abs=1e-12)
@@ -393,7 +422,7 @@ class TestExtendTraces:
             [WeightedQuadratic(1.0, 5.0), WeightedQuadratic(3.0, 5.0)],
         )
         x, z = {1: 5.0}, {}
-        _, _, rec = extend_fresh(Solver(problem), x, z, 2)
+        x, z, rec = extend_fresh(Solver(problem), x, z, 2)
         assert rec.branch == "flat"
         assert rec.iterations == 0
         assert x == {1: 5.0, 2: 5.0}
@@ -427,7 +456,7 @@ class TestExtendTraces:
         x = {1: 3.0, 2: 3.0, 3: 2.0}
         z = {2: -1.0, 3: 0.0}
         # x[1] > x[3], but the carried set still says EQ and marks no node moved.
-        stale = ActiveSet({2: EQ, 3: EQ}, solver._parent, x, z)
+        stale = make_state(0.0, x, z, {2: EQ, 3: EQ}, solver._parent)
         with pytest.raises(InternalInvariantError, match=r"\(1, 3\)"):
             solver.extend(4, stale, validate=True)
 
@@ -475,7 +504,7 @@ class TestSolve:
 
         def spy(self, child, active, validate=False):
             result = real(self, child, active, validate)
-            x, z, block = active.x, active.z, active.block
+            x, z, block = written(active.x), written(active.z), active.block
             if block:  # members' values, read without writing them into x
                 x = {**x, **dict.fromkeys(block.nodes, block.value)}
             duals = block._duals(block.toward, block.value) if block else {}
@@ -662,8 +691,7 @@ class TestStrictChildIndex:
     def test_corrupted_heap_entry_detected(self):
         problem = hub_problem(60, 1, 3, "quadratic", dyadic=True)
         solver = Solver(problem)
-        x = {1: problem.loss_of(1).inverse_derivative(0.0)}
-        active = ActiveSet(None, solver._parent, x, {})
+        active = start_state(solver)
         children = iter(range(2, problem.arb.node_count + 1))
         for child in children:
             solver.extend(child, active, validate=True)
@@ -846,8 +874,7 @@ class TestPersistentBlock:
         than two members."""
         problem = hub_problem(60, 1, 3, "quadratic", dyadic=True)
         solver = Solver(problem)
-        x = {1: problem.loss_of(1).inverse_derivative(0.0)}
-        active = ActiveSet(None, solver._parent, x, {})
+        active = start_state(solver)
         children = iter(range(2, problem.arb.node_count + 1))
         for child in children:
             solver.extend(child, active, validate=True)
@@ -893,8 +920,7 @@ class TestPersistentBlock:
                   WeightedQuadratic(1.0, 14.0), WeightedQuadratic(1.0, 40.0)]
         problem = Problem(normalize(DirectedTree(4, edges)), losses)
         solver = Solver(problem)
-        x = {1: problem.loss_of(1).inverse_derivative(0.0)}
-        active = ActiveSet(None, solver._parent, x, {})
+        active = start_state(solver)
         for child in (2, 3):
             solver.extend(child, active, validate=True)
         assert active.block.keys[1] == {2: 17.0}
@@ -903,22 +929,16 @@ class TestPersistentBlock:
             solver.extend(4, active, validate=True)
 
 
-class CountingDict(dict):
-    """A dict that counts the values written into it, one at a time or
-    by `update`."""
+class CountingList(list):
+    """A list that counts the values written into it by index."""
 
     def __init__(self, *args):
         super().__init__(*args)
         self.writes = 0
 
-    def __setitem__(self, key, value):
+    def __setitem__(self, index, value):
         self.writes += 1
-        super().__setitem__(key, value)
-
-    def update(self, other):
-        other = dict(other)
-        self.writes += len(other)
-        super().update(other)
+        super().__setitem__(index, value)
 
 
 class TestMemberWrites:
@@ -935,22 +955,23 @@ class TestMemberWrites:
         n = 2000
         problem = build_problem(*random_problem("star", n, 7))
         solver = Solver(problem)
-        x = CountingDict({1: problem.loss_of(1).inverse_derivative(0.0)})
-        active = ActiveSet(None, solver._parent, x, {})
+        x = CountingList(listed({1: problem.loss_of(1).inverse_derivative(0.0)},
+                                solver._parent))
+        active = start_state(solver, x)
         for child in range(2, n + 1):
             solver.extend(child, active)
         active.block.flush()
         assert x.writes <= 6 * n
         plain, _, _ = Solver(problem).solve()
-        assert hexed(x) == hexed(plain)
+        assert hexed(written(x)) == hexed(plain)
 
     def test_members_read_their_value_through_the_block(self):
         # After a step, a member's x still holds what it held before;
         # `value_of` and a written copy under validation read the block's.
         problem = build_problem(*random_problem("star", 300, 7))
         solver = Solver(problem)
-        x = {1: problem.loss_of(1).inverse_derivative(0.0)}
-        active = ActiveSet(None, solver._parent, x, {})
+        active = start_state(solver)
+        x = active.x
         stale = []
         for child in range(2, 301):
             solver.extend(child, active, validate=True)
@@ -987,7 +1008,8 @@ class TestMemberWrites:
             half = view._far(view.far_end(c))
             before = {u: view._active.x[u] for u in half}
             real(view, c, d)
-            view._active.x.update(before)
+            for u, value in before.items():
+                view._active.x[u] = value
 
         monkeypatch.setattr(ComponentView, "_depart", unwritten)
         with pytest.raises(InternalInvariantError, match="fully written copy"):
@@ -1283,6 +1305,20 @@ class TestCertificates:
                 kkt_residual(edges, loss_of, x, {(1, 2): 0.0})
             with pytest.raises(ContractViolationError, match=missing):
                 objective_value(edges, loss_of, x)
+
+    @pytest.mark.parametrize("node", [99, 6, 0, -1])
+    def test_node_the_problem_lacks_raises_contract_violation(self, demo_problem, node):
+        # Problem.loss_of knows nodes 1..5 only; the error names the node.
+        edges, loss_of = demo_problem.weighted_edges(), demo_problem.loss_of
+        x = {**DEMO_X, node: 1.0}
+        match = r"no loss for node %d: the problem's nodes are 1\.\.5" % node
+        with pytest.raises(ContractViolationError, match=match):
+            kkt_residual(edges, loss_of, x, DEMO_Z)
+        with pytest.raises(ContractViolationError, match=match):
+            objective_value(edges, loss_of, x)
+        with pytest.raises(ContractViolationError, match=match):
+            loss_of(node)
+        assert kkt_residual(edges, loss_of, DEMO_X, DEMO_Z) <= 1e-12
 
     def test_key_error_inside_loss_of_is_not_relabelled(self):
         edges, _ = self.two_node()
